@@ -3,7 +3,6 @@ representations."""
 
 from .action import (
     ActionFunction,
-    ArrowDecoherence,
     GeneratorAction,
     action_from_potential,
     dynamical_state,

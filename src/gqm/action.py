@@ -114,6 +114,16 @@ def is_action(s: ActionFunction, tol=DEFAULT_TOL):
     return (not violations), violations
 
 
+def _require_generated(g: FiniteGroupoid, ga: GeneratorAction):
+    for label, src, tgt in ga.quiver.arrows:
+        expected = unit_label(src) if src == tgt else pair_label(src, tgt)
+        if g.aliases.get(label) != expected and label not in g.transition_index:
+            raise GqmInputError(
+                "groupoid was not generated from this quiver (arrow %r)"
+                % label
+            )
+
+
 def extend_generator_action(g: FiniteGroupoid,
                             ga: GeneratorAction) -> ActionFunction:
     """Propagate arrow values to the whole quiver-generated groupoid.
@@ -123,14 +133,8 @@ def extend_generator_action(g: FiniteGroupoid,
     ActionInconsistencyError carrying the obstructing cycle.
     """
     ga.validate()
+    _require_generated(g, ga)
     arrows = list(ga.quiver.arrows)
-    for label, src, tgt in arrows:
-        expected = unit_label(src) if src == tgt else pair_label(src, tgt)
-        if g.aliases.get(label) != expected and label not in g.transition_index:
-            raise GqmInputError(
-                "groupoid was not generated from this quiver (arrow %r)"
-                % label
-            )
 
     # solve the potential system by BFS over the arrow graph
     edges = {x: [] for x in ga.quiver.events}
@@ -244,43 +248,30 @@ def is_factorizable(phi: CharacteristicFunction,
     )
 
 
-@dataclass(eq=False)
-class ArrowDecoherence:
-    """Decoherence matrix restricted to the generating arrows of a quiver.
+def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
+                       normalization="per-transition"
+                       ) -> DecoherenceFunctional:
+    """The decoherence functional over the arrows of the quiver that
+    generated ``g``: entry (a, b) = c delta(t(a), t(b)) exp(i (s(b) - s(a))),
+    rows in canonical order (target idx, source idx, label) and c the scale
+    of ``normalization`` on ``g``.
 
     Well-defined even when no global action extension exists: entries only
     use pairwise phase differences of composable-by-target arrow pairs.
     """
-
-    arrows: tuple[str, ...]  # canonical order: (target idx, source idx, label)
-    matrix: np.ndarray
-    normalization: str
-
-    def entry(self, a, b):
-        return complex(self.matrix[self.arrows.index(a), self.arrows.index(b)])
-
-    def measure(self, members, tol=DEFAULT_TOL):
-        idx = [self.arrows.index(m) for m in members]
-        total = complex(np.sum(self.matrix[np.ix_(idx, idx)]))
-        if abs(total.imag) > tol:
-            raise MathPropertyError("measure value is not real: %r" % total)
-        raw = total.real
-        value = 0.0 if -tol <= raw < 0.0 else raw
-        return value, raw
-
-
-def quiver_decoherence(ga: GeneratorAction,
-                       normalization="per-transition") -> ArrowDecoherence:
-    """Entry (a, b) = c delta(t(a), t(b)) exp(i (s(b) - s(a))), with c
-    computed against the order of the quiver-generated groupoid."""
     ga.validate()
+    _require_generated(g, ga)
+    if normalization == "global":
+        raise GqmInputError(
+            "unknown normalization tag %r for quiver decoherence"
+            % normalization
+        )
+    scale = normalization_scale(normalization, g)
     q = ga.quiver
     ev_ix = {x: i for i, x in enumerate(q.events)}
     arrows = sorted(
         q.arrows, key=lambda a: (ev_ix[a[2]], ev_ix[a[1]], a[0])
     )
-    labels = tuple(a[0] for a in arrows)
-    scale = _quiver_scale(normalization, q)
     n = len(arrows)
     mat = np.zeros((n, n), dtype=complex)
     for i, (la, _, ta) in enumerate(arrows):
@@ -289,42 +280,8 @@ def quiver_decoherence(ga: GeneratorAction,
                 mat[i, j] = scale * np.exp(
                     1j * (ga.values[lb] - ga.values[la])
                 )
-    return ArrowDecoherence(arrows=labels, matrix=mat,
-                            normalization=normalization)
-
-
-def _quiver_scale(tag, q: QuiverSpec):
-    """Scale factors relative to the groupoid the quiver generates."""
-    adjacency = {x: set() for x in q.events}
-    for _, src, tgt in q.arrows:
-        adjacency[src].add(tgt)
-        adjacency[tgt].add(src)
-    seen, sizes = set(), []
-    for x in q.events:
-        if x in seen:
-            continue
-        comp, queue = set([x]), deque([x])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        sizes.append(len(comp))
-    order = sum(n * n for n in sizes)
-    n_events = len(q.events)
-    if tag == "none":
-        return 1.0
-    if tag == "unit-events":
-        return 1.0 / n_events
-    if tag == "idempotent":
-        return n_events / order
-    if tag == "per-transition":
-        return 1.0 / order
-    raise GqmInputError(
-        "unknown normalization tag %r for quiver decoherence" % tag
-    )
+    return DecoherenceFunctional(g, mat, normalization,
+                                 labels=tuple(a[0] for a in arrows))
 
 
 def is_reproducing_sweep_trial(trial):
@@ -365,7 +322,6 @@ def recover_potential(s: ActionFunction, base_event=None):
 
 __all__ = [
     "ActionFunction",
-    "ArrowDecoherence",
     "FactorizabilityReport",
     "GeneratorAction",
     "action_from_potential",

@@ -165,9 +165,10 @@ def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:
 def regular_rep(a: AlgebraElement) -> np.ndarray:
     """|G| x |G| matrix of left multiplication on coefficient vectors."""
     g = a.groupoid
+    outer, inner, result = g.composition_index()
     mat = np.zeros((g.order, g.order), dtype=complex)
-    for o, i, r in g.composition_triples():
-        mat[r, i] += a.coeffs[o]
+    # each (result, inner) cell comes from exactly one composable pair
+    mat[result, inner] = a.coeffs[outer]
     return mat
 
 

@@ -9,7 +9,7 @@ angles are radians.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .action import (
+    GeneratorAction,
     action_from_potential,
     dynamical_state,
     extend_generator_action,
@@ -33,7 +34,6 @@ from .decoherence import (
 from .errors import GqmError, GqmInputError, MathPropertyError
 from .examples import (
     double_slit_decoherence,
-    double_slit_quiver,
     build_qubit,
     qubit_decoherence,
 )
@@ -45,6 +45,7 @@ from .specio import (
     complex_pair,
     dump_json,
     format_real,
+    load_json,
     matrix_to_csv,
     matrix_to_json,
     parse_algebra_doc,
@@ -61,10 +62,7 @@ def _read_json(path):
             text = fh.read()
     except OSError as exc:
         raise _IoFailure("cannot read %s: %s" % (path, exc))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GqmInputError("%s is not valid JSON: %s" % (path, exc))
+    return load_json(text, path)
 
 
 class _IoFailure(Exception):
@@ -84,7 +82,7 @@ def _load_groupoid(path):
 
 
 def _load_state(path, g, quiver):
-    """Returns ('phi', CharacteristicFunction) or ('arrows', GeneratorAction).
+    """Returns a CharacteristicFunction or a GeneratorAction.
 
     Action specs are turned into the unnormalized pure phase e^{is};
     generator actions stay at the arrow level so the pairwise decoherence
@@ -92,26 +90,34 @@ def _load_state(path, g, quiver):
     """
     parsed = parse_state_doc(_read_json(path), g)
     if isinstance(parsed, CharacteristicFunction):
-        return "phi", parsed
+        return parsed
     if parsed["type"] == "action":
         s = action_from_potential(g, parsed["potential"])
-        return "phi", CharacteristicFunction(g, np.exp(1j * s.values))
+        return CharacteristicFunction(g, np.exp(1j * s.values))
     if quiver is None:
         raise GqmInputError(
             "generator-action states need a quiver-kind groupoid spec"
         )
-    return "arrows", bind_generator_action(parsed, quiver)
+    return bind_generator_action(parsed, quiver)
 
 
-def _emit(args, text):
+def _characteristic(state, message):
+    """``state`` if it is defined on the whole groupoid, else an input
+    error with ``message``."""
+    if isinstance(state, GeneratorAction):
+        raise GqmInputError(message)
+    return state
+
+
+def _emit(text):
     sys.stdout.write(text)
 
 
 def _emit_matrix(args, mat):
     if args.format == "csv":
-        _emit(args, matrix_to_csv(mat))
+        _emit(matrix_to_csv(mat))
     else:
-        _emit(args, dump_json(matrix_to_json(mat)))
+        _emit(dump_json(matrix_to_json(mat)))
 
 
 def _parse_set(text):
@@ -130,7 +136,7 @@ def _parse_sets(text):
 
 def cmd_validate(args):
     g, _ = _load_groupoid(args.groupoid)
-    _emit(args, dump_json({
+    _emit(dump_json({
         "ok": True,
         "events": len(g.events),
         "order": g.order,
@@ -143,15 +149,14 @@ def cmd_algebra_mult(args):
     g, _ = _load_groupoid(args.groupoid)
     a = parse_algebra_doc(_read_json(args.left), g)
     b = parse_algebra_doc(_read_json(args.right), g)
-    _emit(args, dump_json(algebra_to_doc(multiply(a, b))))
+    _emit(dump_json(algebra_to_doc(multiply(a, b))))
     return 0
 
 
 def cmd_psd_check(args):
     g, quiver = _load_groupoid(args.groupoid)
-    kind, state = _load_state(args.state, g, quiver)
-    if kind != "phi":
-        raise GqmInputError("psd-check needs a characteristic-style state")
+    state = _characteristic(_load_state(args.state, g, quiver),
+                            "psd-check needs a characteristic-style state")
     check = is_positive_semidefinite(state, args.tolerance)
     doc = {
         "ok": check.ok,
@@ -161,39 +166,30 @@ def cmd_psd_check(args):
     }
     if check.witness is not None:
         doc["witness"] = {lab: complex_pair(z) for lab, z in check.witness}
-    _emit(args, dump_json(doc))
+    _emit(dump_json(doc))
     return 0 if check.ok else 2
 
 
-def _decoherence_for(args, g, quiver, kind, state):
-    if kind == "phi":
-        return decoherence_from_characteristic(
-            state, args.normalization, args.tolerance
-        )
-    return quiver_decoherence(state, args.normalization)
+def _decoherence(args):
+    g, quiver = _load_groupoid(args.groupoid)
+    state = _load_state(args.state, g, quiver)
+    if isinstance(state, GeneratorAction):
+        return quiver_decoherence(g, state, args.normalization)
+    return decoherence_from_characteristic(state, args.normalization,
+                                           args.tolerance)
 
 
 def cmd_decoherence(args):
-    g, quiver = _load_groupoid(args.groupoid)
-    kind, state = _load_state(args.state, g, quiver)
-    d = _decoherence_for(args, g, quiver, kind, state)
-    _emit_matrix(args, d.matrix)
+    _emit_matrix(args, _decoherence(args).matrix)
     return 0
 
 
 def cmd_measure(args):
-    g, quiver = _load_groupoid(args.groupoid)
-    kind, state = _load_state(args.state, g, quiver)
-    d = _decoherence_for(args, g, quiver, kind, state)
-    members = _parse_set(args.set)
-    if kind == "phi":
-        rep = quantum_measure(d, members, args.tolerance)
-        value, raw = rep.value, rep.raw_value
-    else:
-        value, raw = d.measure(members, args.tolerance)
-    _emit(args, dump_json({
-        "value": format_real(value),
-        "raw_value": format_real(raw),
+    d = _decoherence(args)
+    rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
+    _emit(dump_json({
+        "value": format_real(rep.value),
+        "raw_value": format_real(rep.raw_value),
         "normalization": args.normalization,
         "tolerance": format_real(args.tolerance),
     }))
@@ -202,11 +198,9 @@ def cmd_measure(args):
 
 def cmd_interference(args):
     g, quiver = _load_groupoid(args.groupoid)
-    kind, state = _load_state(args.state, g, quiver)
-    if kind != "phi":
-        raise GqmInputError(
-            "interference needs a state defined on the whole groupoid"
-        )
+    state = _characteristic(
+        _load_state(args.state, g, quiver),
+        "interference needs a state defined on the whole groupoid")
     d = decoherence_from_characteristic(state, args.normalization,
                                         args.tolerance)
     sets = _parse_sets(args.sets)
@@ -215,7 +209,7 @@ def cmd_interference(args):
             "--order %d but %d sets were given" % (args.order, len(sets))
         )
     value = interference(d, sets, args.tolerance)
-    _emit(args, dump_json({
+    _emit(dump_json({
         "order": args.order,
         "value": format_real(value),
         "normalization": args.normalization,
@@ -226,10 +220,13 @@ def cmd_interference(args):
 
 def cmd_gns(args):
     g, quiver = _load_groupoid(args.groupoid)
-    kind, state = _load_state(args.state, g, quiver)
-    if kind != "phi":
-        raise GqmInputError("gns needs a characteristic-style state")
+    state = _characteristic(_load_state(args.state, g, quiver),
+                            "gns needs a characteristic-style state")
     mass = state.unit_mass()
+    if abs(mass) <= args.tolerance:
+        raise GqmInputError(
+            "gns needs a state of nonzero unit mass, got %r" % mass
+        )
     if abs(mass - 1.0) > args.tolerance:
         # pure phases from action specs are normalized here
         state = CharacteristicFunction(g, state.values / mass)
@@ -240,7 +237,7 @@ def cmd_gns(args):
         report["reconstruction_max_error"]
     )
     report["ground_norm"] = format_real(report["ground_norm"])
-    _emit(args, dump_json(report))
+    _emit(dump_json(report))
     return 0
 
 
@@ -257,49 +254,30 @@ def cmd_frame(args):
                 "value": format_real(res.value),
                 "amplitude": complex_pair(res.amplitude),
             })
-    _emit(args, dump_json({"pairs": pairs}))
+    _emit(dump_json({"pairs": pairs}))
     return 0
 
 
 def cmd_example(args):
     if args.system == "qubit":
-        g = build_qubit()
-        d = qubit_decoherence(g, args.S, args.normalization)
-        doc = {
-            "system": "qubit",
-            "S": format_real(args.S),
-            "normalization": args.normalization,
-            "order": list(g.transitions),
-            "matrix": matrix_to_json(d.matrix),
-        }
-        if args.set:
-            rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
-            doc["measure"] = {"set": list(rep.members),
-                              "value": format_real(rep.value)}
-        if args.format == "csv":
-            _emit(args, matrix_to_csv(d.matrix))
-        else:
-            _emit(args, dump_json(doc))
-        return 0
-    # double slit
-    d = double_slit_decoherence(args.delta,
-                                normalization=args.normalization)
-    doc = {
-        "system": "double-slit",
-        "delta": format_real(args.delta),
-        "normalization": args.normalization,
-        "order": list(d.arrows),
-        "matrix": matrix_to_json(d.matrix),
-    }
-    if args.set:
-        value, raw = d.measure(_parse_set(args.set), args.tolerance)
-        doc["measure"] = {"set": _parse_set(args.set),
-                          "value": format_real(value),
-                          "raw_value": format_real(raw)}
-    if args.format == "csv":
-        _emit(args, matrix_to_csv(d.matrix))
+        d = qubit_decoherence(build_qubit(), args.S, args.normalization)
+        doc = {"system": "qubit", "S": format_real(args.S)}
     else:
-        _emit(args, dump_json(doc))
+        d = double_slit_decoherence(args.delta,
+                                    normalization=args.normalization)
+        doc = {"system": "double-slit", "delta": format_real(args.delta)}
+    doc.update(normalization=args.normalization, order=list(d.labels),
+               matrix=matrix_to_json(d.matrix))
+    if args.set:
+        rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
+        doc["measure"] = {"set": list(rep.members),
+                          "value": format_real(rep.value)}
+        if args.system == "double-slit":
+            doc["measure"]["raw_value"] = format_real(rep.raw_value)
+    if args.format == "csv":
+        _emit_matrix(args, d.matrix)
+    else:
+        _emit(dump_json(doc))
     return 0
 
 
@@ -334,7 +312,7 @@ def cmd_sweep(args):
     worst_eig = min(r[0] for r in results)
     worst_rep = max(r[1] for r in results)
     ok = worst_eig >= -args.tolerance and worst_rep <= args.tolerance
-    _emit(args, dump_json({
+    _emit(dump_json({
         "target": "thm52",
         "trials": args.trials,
         "seed": args.seed,
@@ -349,6 +327,18 @@ def cmd_sweep(args):
 # -- argument parsing ----------------------------------------------------
 
 
+def _finite_float(text):
+    """argparse type of the real-valued options: NaN and infinities are
+    input errors (exit 1), not usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not math.isfinite(value):
+        raise GqmInputError("option value %r is not a finite number" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gqm",
@@ -356,7 +346,7 @@ def build_parser():
                     "representations.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--tolerance", type=float, default=1e-10)
+    parser.add_argument("--tolerance", type=_finite_float, default=1e-10)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a groupoid spec file")
@@ -408,8 +398,8 @@ def build_parser():
 
     p = sub.add_parser("example", help="built-in systems")
     p.add_argument("system", choices=("qubit", "double-slit"))
-    p.add_argument("--S", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--S", type=_finite_float, default=0.0)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
     p.add_argument("--normalization", choices=NORMALIZATIONS,
                    default="per-transition")
     p.add_argument("--set", default=None)
@@ -427,10 +417,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tolerance <= 0:
-        parser.error("--tolerance must be positive")
     try:
+        args = parser.parse_args(argv)
+        if args.tolerance <= 0:
+            parser.error("--tolerance must be positive")
         return args.func(args)
     except MathPropertyError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -24,7 +24,6 @@ from .groupoid import FiniteGroupoid
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
-    invariance_matrix,
     is_positive_semidefinite,
 )
 
@@ -54,22 +53,38 @@ def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
 
 @dataclass(eq=False)
 class DecoherenceFunctional:
+    """The matrix of D on singletons, rows and columns indexed by
+    ``labels``: by default every transition in canonical order; the
+    arrow-level functional of a quiver uses its arrow labels."""
+
     groupoid: FiniteGroupoid
-    matrix: np.ndarray  # |G| x |G| complex, canonical transition order
+    matrix: np.ndarray  # len(labels) x len(labels) complex
     normalization: str = "none"
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self.labels = tuple(self.groupoid.transitions if self.labels is None
+                            else self.labels)
+        self._row = {lab: k for k, lab in enumerate(self.labels)}
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.groupoid.order
+        n = len(self.labels)
         if self.matrix.shape != (n, n):
             raise GqmInputError("decoherence matrix must be %d x %d" % (n, n))
 
+    def index(self, label):
+        """Row of ``label``, looked up as given, then through
+        `FiniteGroupoid.resolve`."""
+        row = self._row.get(label)
+        if row is None:
+            row = self._row.get(self.groupoid.resolve(label))
+        if row is None:
+            raise GqmInputError(
+                "label %r does not index this decoherence functional" % label
+            )
+        return row
+
     def entry(self, a, b):
-        g = self.groupoid
-        return complex(
-            self.matrix[g.transition_index[g.resolve(a)],
-                        g.transition_index[g.resolve(b)]]
-        )
+        return complex(self.matrix[self.index(a), self.index(b)])
 
 
 @dataclass
@@ -91,7 +106,7 @@ def decoherence_from_characteristic(phi, normalization="none",
             "(min eigenvalue %.3e)" % check.min_eigenvalue,
             witness=check.witness,
         )
-    raw = invariance_matrix(phi)
+    raw = check.matrix
     scale = normalization_scale(normalization, phi.groupoid, raw)
     return DecoherenceFunctional(phi.groupoid, scale * raw, normalization)
 
@@ -99,6 +114,9 @@ def decoherence_from_characteristic(phi, normalization="none",
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
     """Exhaustive check of D(alpha∘beta, alpha∘beta') = D(beta, beta')."""
     g = d.groupoid
+    if d.labels != g.transitions:
+        raise GqmInputError("invariance needs a decoherence functional over "
+                            "all transitions")
     ix = g.transition_index
     for alpha in g.transitions:
         for beta in g.transitions:
@@ -130,23 +148,16 @@ def characteristic_from_bivariate(d: DecoherenceFunctional,
     return CharacteristicFunction(g, values)
 
 
-def _resolve_set(g, members):
-    out = []
-    seen = set()
-    for m in members:
-        lab = g.resolve(m)
-        if lab not in seen:
-            seen.add(lab)
-            out.append(lab)
-    return tuple(out)
+def _resolve_set(d, members):
+    """The labels of ``members`` as rows of ``d``, repeats counted once."""
+    return tuple(d.labels[k] for k in dict.fromkeys(map(d.index, members)))
 
 
 def quantum_measure(d: DecoherenceFunctional, members,
                     tol=DEFAULT_TOL) -> QuantumMeasureReport:
     """mu(A) = D(A, A): the diagonal block sum, clamped at zero."""
-    g = d.groupoid
-    labels = _resolve_set(g, members)
-    idx = [g.transition_index[t] for t in labels]
+    labels = _resolve_set(d, members)
+    idx = [d.index(lab) for lab in labels]
     total = complex(np.sum(d.matrix[np.ix_(idx, idx)])) if idx else 0j
     if abs(total.imag) > tol:
         raise MathPropertyError(
@@ -165,8 +176,8 @@ def quantum_measure(d: DecoherenceFunctional, members,
 MAX_INTERFERENCE_ORDER = 6
 
 
-def _check_disjoint(g, sets):
-    resolved = [_resolve_set(g, s) for s in sets]
+def _check_disjoint(d, sets):
+    resolved = [_resolve_set(d, s) for s in sets]
     seen = {}
     for k, labels in enumerate(resolved):
         for lab in labels:
@@ -188,7 +199,7 @@ def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
             "interference order must be between 1 and %d"
             % MAX_INTERFERENCE_ORDER
         )
-    resolved = _check_disjoint(d.groupoid, sets)
+    resolved = _check_disjoint(d, sets)
     total = 0.0
     for k in range(1, n + 1):
         sign = (-1.0) ** (n - k)
@@ -203,7 +214,7 @@ def interference_recursive_check(d, sets, tol=1e-9) -> bool:
     directly must equal the recursive combination of I_n terms."""
     if len(sets) < 2:
         raise GqmInputError("recursive check needs at least two sets")
-    resolved = _check_disjoint(d.groupoid, sets)
+    resolved = _check_disjoint(d, sets)
     a0, a1, rest = resolved[0], resolved[1], list(resolved[2:])
     direct = interference(d, resolved, tol)
     merged = interference(d, [tuple(a0) + tuple(a1)] + rest, tol)
@@ -224,11 +235,11 @@ def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):
         raise MathPropertyError(
             "decoherence matrix is not PSD (min eigenvalue %.3e)" % eigvals[0]
         )
-    for a in g.transitions:
-        for b in g.transitions:
-            if g.target[a] != g.target[b]:
-                if abs(d.entry(a, b)) > tol:
-                    raise MathPropertyError(
-                        "entries with different targets must vanish: "
-                        "(%r, %r)" % (a, b)
-                    )
+    target = [g.target[g.resolve(lab)] for lab in d.labels]
+    for i, a in enumerate(d.labels):
+        for j, b in enumerate(d.labels):
+            if target[i] != target[j] and abs(m[i, j]) > tol:
+                raise MathPropertyError(
+                    "entries with different targets must vanish: "
+                    "(%r, %r)" % (a, b)
+                )

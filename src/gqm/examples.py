@@ -11,7 +11,6 @@ import numpy as np
 
 from .action import (
     ActionFunction,
-    ArrowDecoherence,
     GeneratorAction,
     action_from_potential,
     dynamical_state,
@@ -110,11 +109,13 @@ def double_slit_action(delta, S1=0.0, S2=0.0) -> GeneratorAction:
 
 
 def double_slit_decoherence(delta, S1=0.0, S2=0.0,
-                            normalization="per-transition") -> ArrowDecoherence:
-    """The 4x4 arrow-level decoherence matrix in order (alpha, beta,
-    alpha_bar, beta_bar); with the per-transition tag the prefactor is
-    1/16."""
-    return quiver_decoherence(double_slit_action(delta, S1, S2),
+                            normalization="per-transition"
+                            ) -> DecoherenceFunctional:
+    """The decoherence functional over the arrows, a 4x4 matrix in order
+    (alpha, beta, alpha_bar, beta_bar); with the per-transition tag the
+    prefactor is 1/16."""
+    return quiver_decoherence(double_slit_groupoid(),
+                              double_slit_action(delta, S1, S2),
                               normalization)
 
 

@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraElement,
     fundamental_rep,
     fundamental_rep_inverse,
+    regular_rep,
     unit_element,
 )
 from .errors import GqmInputError, MathPropertyError
@@ -26,7 +27,6 @@ from .states import (
     CharacteristicFunction,
     assert_state,
     delta_state,
-    invariance_matrix,
     is_positive_semidefinite,
 )
 
@@ -36,8 +36,7 @@ RANK_TOL = 1e-10
 def gram_matrix(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> np.ndarray:
     """M(alpha, beta) = delta(t(alpha), t(beta)) phi(alpha^-1 ∘ beta); the
     inner product of basis-transition classes."""
-    assert_state(phi, tol)
-    return invariance_matrix(phi)
+    return assert_state(phi, tol).matrix
 
 
 @dataclass(eq=False)
@@ -65,22 +64,13 @@ class GnsRepresentation:
         return out
 
 
-def _left_mult_matrix(g, label):
-    """Regular-representation matrix of the basis transition ``label``."""
-    i = g.transition_index[label]
-    mat = np.zeros((g.order, g.order), dtype=complex)
-    for o, j, r in g.composition_triples():
-        if o == i:
-            mat[r, j] = 1.0
-    return mat
-
-
 def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation:
     """Quotient by the Gelfand ideal (null eigenvectors of the Gram form),
     orthonormalize the rest, and represent by left multiplication."""
     g = phi.groupoid
-    gram = gram_matrix(phi, tol)
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    check = assert_state(phi, tol)
+    gram = check.matrix
+    eigvals, eigvecs = check.eigh
     cutoff = RANK_TOL * max(float(eigvals[-1]), 1.0)
     keep = [k for k in range(len(eigvals)) if eigvals[k] > cutoff]
     keep.sort(key=lambda k: -eigvals[k])
@@ -99,7 +89,8 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
 
     matrices = {}
     for t in g.transitions:
-        matrices[t] = projector @ _left_mult_matrix(g, t) @ basis
+        left = regular_rep(AlgebraElement.basis(g, t))
+        matrices[t] = projector @ left @ basis
     ground = projector @ unit_element(g).coeffs
     return GnsRepresentation(space=space, matrices=matrices, ground=ground)
 
@@ -107,13 +98,7 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
 def verify_reconstruction(phi: CharacteristicFunction,
                           tol=DEFAULT_TOL) -> float:
     """Max over transitions of |<0| pi(alpha) |0> - phi(alpha)|."""
-    rep = gns_build(phi, tol)
-    g = phi.groupoid
-    worst = 0.0
-    for t in g.transitions:
-        amp = complex(rep.ground.conj() @ rep.matrices[t] @ rep.ground)
-        worst = max(worst, abs(amp - phi.value(t)))
-    return worst
+    return gns_report(phi, tol)["reconstruction_max_error"]
 
 
 # -- representations given as explicit matrices --------------------------

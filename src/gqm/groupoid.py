@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GqmInputError, GroupoidValidationError
 
 
@@ -84,6 +86,7 @@ class FiniteGroupoid:
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
         self._comp_triples = None
+        self._comp_index = None
 
     # -- label handling -------------------------------------------------
 
@@ -126,6 +129,13 @@ class FiniteGroupoid:
                 (tx[o], tx[i], tx[r]) for (o, i), r in self.composition.items()
             ]
         return self._comp_triples
+
+    def composition_index(self):
+        """`composition_triples` as three int arrays: outer, inner, result."""
+        if self._comp_index is None:
+            self._comp_index = tuple(np.array(
+                self.composition_triples(), dtype=np.intp).reshape(-1, 3).T)
+        return self._comp_index
 
     # -- structural queries ---------------------------------------------
 
@@ -317,34 +327,37 @@ def pair_label(src, tgt):
     return "%s->%s" % (src, tgt)
 
 
+def _pair_tables(components):
+    """Tables of the disjoint union of the pair groupoids on ``components``
+    (lists of events): (transitions, source, target, unit_of, inverse,
+    composition), composition keyed (outer, inner) in outer-major order."""
+    source, target, unit_of, inverse, composition = {}, {}, {}, {}, {}
+    transitions = []
+    for comp in components:
+        by_pair = {}
+        for x in comp:
+            for y in comp:
+                lab = unit_label(x) if x == y else pair_label(x, y)
+                transitions.append(lab)
+                source[lab], target[lab] = x, y
+                by_pair[(x, y)] = lab
+        for x in comp:
+            unit_of[x] = by_pair[(x, x)]
+        for (x, y), lab in by_pair.items():
+            inverse[lab] = by_pair[(y, x)]
+        for (x, y), outer in by_pair.items():
+            for w in comp:  # inner: w -> x
+                composition[(outer, by_pair[(w, x)])] = by_pair[(w, y)]
+    return transitions, source, target, unit_of, inverse, composition
+
+
 def pair_groupoid(events) -> FiniteGroupoid:
     """The groupoid of ordered pairs over ``events``: |G| = |events|^2."""
     events = list(events)
     if not events:
         raise GqmInputError("pair groupoid needs at least one event")
     _check_labels(events, "event")
-
-    source, target, unit_of, inverse = {}, {}, {}, {}
-    by_pair = {}
-    transitions = []
-    for x in events:
-        for y in events:
-            lab = unit_label(x) if x == y else pair_label(x, y)
-            transitions.append(lab)
-            source[lab], target[lab] = x, y
-            by_pair[(x, y)] = lab
-    for x in events:
-        unit_of[x] = by_pair[(x, x)]
-    for (x, y), lab in by_pair.items():
-        inverse[lab] = by_pair[(y, x)]
-
-    composition = {}
-    for o in transitions:
-        for i in transitions:
-            if target[i] == source[o]:
-                composition[(o, i)] = by_pair[(source[i], target[o])]
-    return _build(events, transitions, source, target, unit_of, inverse,
-                  composition)
+    return _build(events, *_pair_tables([events]))
 
 
 def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
@@ -416,27 +429,9 @@ def from_quiver(q: QuiverSpec) -> FiniteGroupoid:
                     queue.append(w)
         components.append(sorted(comp, key=q.events.index))
 
-    source, target, unit_of, inverse, composition = {}, {}, {}, {}, {}
-    transitions = []
-    for comp in components:
-        by_pair = {}
-        for x in comp:
-            for y in comp:
-                lab = unit_label(x) if x == y else pair_label(x, y)
-                transitions.append(lab)
-                source[lab], target[lab] = x, y
-                by_pair[(x, y)] = lab
-        for x in comp:
-            unit_of[x] = by_pair[(x, x)]
-        for (x, y), lab in by_pair.items():
-            inverse[lab] = by_pair[(y, x)]
-        for o in [by_pair[p] for p in by_pair]:
-            for i in [by_pair[p] for p in by_pair]:
-                if target[i] == source[o]:
-                    composition[(o, i)] = by_pair[(source[i], target[o])]
-
+    tables = _pair_tables(components)
     aliases = {}
-    tset = set(transitions)
+    tset = set(tables[0])
     for label, src, tgt in q.arrows:
         pair = unit_label(src) if src == tgt else pair_label(src, tgt)
         if label in tset and label != pair:
@@ -444,8 +439,7 @@ def from_quiver(q: QuiverSpec) -> FiniteGroupoid:
                 "arrow label %r collides with a different transition" % label
             )
         aliases[label] = pair
-    return _build(q.events, transitions, source, target, unit_of, inverse,
-                  composition, aliases)
+    return _build(q.events, *tables, aliases)
 
 
 def from_explicit(events, transitions, source, target, unit_of, inverse,

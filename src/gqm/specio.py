@@ -9,6 +9,7 @@ repeated runs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -65,18 +66,44 @@ def _string_map(value, what):
     return dict(value)
 
 
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _finite(value, what):
+    """float(value), rejecting numbers that overflow to infinity."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise GqmInputError("%s must be finite" % what)
+    return x
+
+
 def _real(value, what):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise GqmInputError("%s must be a real number" % what)
-    return float(value)
+    return _finite(value, what)
 
 
 def parse_complex(value, what="complex value"):
     if (not isinstance(value, list) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
+            or not all(map(_is_number, value))):
         raise GqmInputError("%s must be a [re, im] pair" % what)
-    return complex(value[0], value[1])
+    return complex(_finite(value[0], what), _finite(value[1], what))
+
+
+def load_json(text, what):
+    """Parse JSON text; malformed text and the non-standard NaN and
+    Infinity literals are input errors naming ``what``."""
+    def reject(literal):
+        raise GqmInputError("%s has a non-finite number: %s"
+                            % (what, literal))
+    try:
+        return json.loads(text, parse_constant=reject)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
+        raise GqmInputError("%s is not valid JSON: %s" % (what, exc))
 
 
 def parse_groupoid_doc(doc) -> FiniteGroupoid:
@@ -158,11 +185,7 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
 
 
 def parse_groupoid_text(text) -> FiniteGroupoid:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GqmInputError("groupoid spec is not valid JSON: %s" % exc)
-    return parse_groupoid_doc(doc)
+    return parse_groupoid_doc(load_json(text, "groupoid spec"))
 
 
 STATE_TYPES = ("characteristic", "delta", "action", "generator-action")

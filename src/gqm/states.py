@@ -9,11 +9,11 @@ the targets agree, 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, fundamental_rep, multiply
+from .algebra import AlgebraElement, fundamental_rep, multiply, regular_rep
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid
 
@@ -57,12 +57,19 @@ class CharacteristicFunction:
 @dataclass
 class PsdCheck:
     """Result of the PSD test; on failure ``witness`` pairs transition
-    labels with the coefficients of the offending eigenvector."""
+    labels with the coefficients of the offending eigenvector.
+
+    ``matrix`` is the invariance matrix that was tested and ``eigh`` the
+    (eigenvalues, eigenvectors) of its Hermitian part, kept so callers
+    that go on to use them need not recompute either."""
 
     ok: bool
     hermitian: bool
     min_eigenvalue: float
     witness: list[tuple[str, complex]] | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False,
+                                      compare=False)
+    eigh: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
@@ -104,7 +111,7 @@ def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
             if abs(vec[i]) > 1e-14
         ]
     return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=min_eig,
-                    witness=witness)
+                    witness=witness, matrix=mat, eigh=(eigvals, eigvecs))
 
 
 def assert_state(phi, tol=DEFAULT_TOL):
@@ -177,13 +184,8 @@ def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     density = w @ w.conj().T
     density /= np.trace(density).real
-    values = np.zeros(n, dtype=complex)
-    for t in g.transitions:
-        i = g.transition_index[t]
-        # regular-representation matrix of the basis transition t
-        mat = np.zeros((n, n), dtype=complex)
-        for o, j, r in g.composition_triples():
-            if o == i:
-                mat[r, j] = 1.0
-        values[i] = np.trace(density @ mat)
+    values = np.array([
+        np.trace(density @ regular_rep(AlgebraElement.basis(g, t)))
+        for t in g.transitions
+    ])
     return CharacteristicFunction(g, values)

@@ -18,7 +18,7 @@ from gqm.action import (
 from gqm.algebra import AlgebraElement, fundamental_rep, involution, \
     multiply, regular_rep
 from gqm.decoherence import decoherence_from_characteristic, interference, \
-    interference_recursive_check
+    interference_recursive_check, quantum_measure
 from gqm.errors import ActionInconsistencyError
 from gqm.examples import (
     build_qubit,
@@ -77,7 +77,8 @@ def test_criterion_2_double_slit():
     start = time.perf_counter()
     delta = np.pi
     d = double_slit_decoherence(delta)
-    value, raw = d.measure(["alpha", "beta"])
+    mu = quantum_measure(d, ["alpha", "beta"])
+    value, raw = mu.value, mu.raw_value
     z = np.exp(-1j * delta)
     expected = np.array([
         [1, z, 0, 0],
@@ -86,7 +87,7 @@ def test_criterion_2_double_slit():
         [0, 0, 1, 1],
     ]) / 16
     dev = float(np.max(np.abs(d.matrix - expected)))
-    ok = (d.arrows == ("alpha", "beta", "alpha_bar", "beta_bar")
+    ok = (d.labels == ("alpha", "beta", "alpha_bar", "beta_bar")
           and abs(raw) <= 1e-12 and value == 0.0 and dev <= 1e-12)
     elapsed = time.perf_counter() - start
     report(2, "double-slit dark fringe", ok and elapsed < 0.1,

@@ -12,6 +12,7 @@ from gqm.action import (
     quiver_decoherence,
     recover_potential,
 )
+from gqm.decoherence import check_decoherence_axioms, quantum_measure
 from gqm.errors import ActionInconsistencyError, GqmInputError
 from gqm.examples import (
     double_slit_action,
@@ -151,7 +152,7 @@ def test_is_factorizable(qubit):
 def test_quiver_decoherence_golden():
     delta = 0.61
     d = double_slit_decoherence(delta)
-    assert d.arrows == ("alpha", "beta", "alpha_bar", "beta_bar")
+    assert d.labels == ("alpha", "beta", "alpha_bar", "beta_bar")
     z = np.exp(-1j * delta)
     expected = np.array([
         [1, z, 0, 0],
@@ -174,15 +175,16 @@ def test_quiver_decoherence_psd():
         d = double_slit_decoherence(delta)
         eigvals = np.linalg.eigvalsh(d.matrix)
         assert eigvals[0] >= -1e-12
+        check_decoherence_axioms(d)
 
 
 def test_dark_fringe():
     d = double_slit_decoherence(np.pi)
-    value, raw = d.measure(["alpha", "beta"])
-    assert value == 0.0
-    assert abs(raw) <= 1e-12
-    bright, _ = d.measure(["alpha_bar", "beta_bar"])
-    assert bright == pytest.approx(0.25)
+    dark = quantum_measure(d, ["alpha", "beta"])
+    assert dark.value == 0.0
+    assert abs(dark.raw_value) <= 1e-12
+    bright = quantum_measure(d, ["alpha_bar", "beta_bar"])
+    assert bright.value == pytest.approx(0.25)
 
 
 def test_recover_potential_roundtrip(pair4, rng):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,28 @@ def quiver_file(tmp_path):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def run_rejected(capsys, argv):
+    """Exit 1 with a one-line message on stderr, no warnings, no report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.fixture
+def ga_file(tmp_path):
+    return write(tmp_path / "ga.json", {
+        "type": "generator-action",
+        "values": {"alpha": 0.0, "beta": -np.pi, "alpha_bar": 0.0,
+                   "beta_bar": 0.0},
+    })
 
 
 def test_validate(capsys, pair3_file):
@@ -190,3 +213,73 @@ def test_sweep_deterministic(capsys, monkeypatch):
 def test_sweep_rejects_bad_threads(monkeypatch):
     monkeypatch.setenv("GQM_THREADS", "zero")
     assert main(["sweep", "thm52", "--trials", "1"]) == 1
+
+
+def test_gns_rejects_zero_unit_mass(capsys, pair3_file, tmp_path):
+    state = write(tmp_path / "z.json", {
+        "type": "characteristic",
+        "values": {"a->b": [0.5, 0], "b->a": [0.5, 0]},
+    })
+    run_rejected(capsys, ["gns", pair3_file, state])
+
+
+def test_non_finite_spec_numbers_rejected(capsys, pair3_file, tmp_path):
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"type": "characteristic", '
+                   '"values": {"1_a": [NaN, 0], "1_b": [0.5, 0]}}',
+                   encoding="utf-8")
+    assert "NaN" in run_rejected(capsys, ["psd-check", pair3_file, str(nan)])
+    inf = tmp_path / "inf.json"
+    inf.write_text('{"kind": "pair", "events": ["a"], "x": -Infinity}',
+                   encoding="utf-8")
+    run_rejected(capsys, ["validate", str(inf)])
+    for name, text in (
+            ("big.json", '{"type": "characteristic", '
+                         '"values": {"1_a": [1e999, 0]}}'),
+            ("pot.json", '{"type": "action", '
+                         '"potential": {"a": 0, "b": -1e999, "c": 0}}')):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        run_rejected(capsys, ["psd-check", pair3_file, str(tmp_path / name)])
+
+
+def test_non_finite_options_rejected(capsys):
+    run_rejected(capsys, ["--tolerance", "nan", "sweep", "thm52", "--n", "3",
+                          "--trials", "2"])
+    run_rejected(capsys, ["example", "qubit", "--S", "inf"])
+    run_rejected(capsys, ["example", "double-slit", "--delta=-inf"])
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "qubit", "--S", "abc"])
+    assert exc.value.code == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_unknown_arrow_labels_rejected(capsys, quiver_file, ga_file):
+    run_rejected(capsys, ["example", "double-slit", "--set", "foo"])
+    run_rejected(capsys, ["measure", quiver_file, ga_file, "--set", "A->D"])
+    run_rejected(capsys, ["measure", quiver_file, ga_file, "--set",
+                          "alpha,foo"])
+
+
+def test_repeated_labels_count_once(capsys, quiver_file, ga_file):
+    code, once = run(capsys, ["example", "double-slit", "--set", "alpha"])
+    assert code == 0
+    code, twice = run(capsys, ["example", "double-slit", "--set",
+                               "alpha,alpha"])
+    assert code == 0
+    assert json.loads(twice)["measure"] == json.loads(once)["measure"]
+    assert json.loads(once)["measure"]["value"] == 0.0625
+
+    code, once = run(capsys, ["measure", quiver_file, ga_file,
+                              "--set", "alpha"])
+    assert code == 0
+    code, twice = run(capsys, ["measure", quiver_file, ga_file,
+                               "--set", "alpha,alpha"])
+    assert code == 0
+    assert twice == once
+
+
+def test_global_normalization_rejected_on_arrows(capsys, quiver_file,
+                                                 ga_file):
+    line = run_rejected(capsys, ["measure", quiver_file, ga_file, "--set",
+                                 "alpha", "--normalization", "global"])
+    assert "global" in line

@@ -15,7 +15,12 @@ from gqm.decoherence import (
     quantum_measure,
 )
 from gqm.errors import GqmInputError, MathPropertyError
-from gqm.examples import build_qubit, qubit_decoherence, qubit_phase
+from gqm.examples import (
+    build_qubit,
+    double_slit_decoherence,
+    qubit_decoherence,
+    qubit_phase,
+)
 from gqm.states import CharacteristicFunction, delta_state, random_state
 
 
@@ -78,6 +83,8 @@ def test_invariance(corpus, rng):
     for g in corpus:
         d = decoherence_from_characteristic(random_state(g, rng))
         assert is_invariant(d)
+    with pytest.raises(GqmInputError):
+        is_invariant(double_slit_decoherence(0.3))
 
 
 def test_invariance_broken_by_perturbation(qubit, rng):

@@ -81,6 +81,13 @@ def test_parse_rejects_bad_kind_and_shape():
         parse_groupoid_doc({"kind": "pair", "events": [1]})
 
 
+def test_parse_rejects_non_finite_literals():
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(GqmInputError, match="non-finite number"):
+            parse_groupoid_text('{"kind": "pair", "events": ["x"], '
+                                '"junk": %s}' % literal)
+
+
 def test_groupoid_roundtrip():
     for g in (build_qubit(),):
         doc = groupoid_to_doc(g)
@@ -113,8 +120,10 @@ def test_state_docs(qubit):
     assert ga.values["alpha"] == 0.5
     with pytest.raises(GqmInputError):
         parse_state_doc({"type": "nope"}, qubit)
-    with pytest.raises(GqmInputError):
-        parse_state_doc({"type": "action", "potential": {"+": "x"}}, qubit)
+    for bad in ("x", float("inf"), float("nan"), 10 ** 400):
+        with pytest.raises(GqmInputError):
+            parse_state_doc({"type": "action", "potential": {"+": bad}},
+                            qubit)
 
 
 def test_state_roundtrip(qubit, rng):
@@ -127,7 +136,8 @@ def test_state_roundtrip(qubit, rng):
 
 def test_complex_parsing():
     assert parse_complex([1.5, -2.0]) == 1.5 - 2j
-    for bad in (1.5, [1], [1, 2, 3], ["a", 0], [True, 0]):
+    for bad in (1.5, [1], [1, 2, 3], ["a", 0], [True, 0],
+                [float("inf"), 0], [0, float("nan")], [10 ** 400, 0]):
         with pytest.raises(GqmInputError):
             parse_complex(bad)
 
