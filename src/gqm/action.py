@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoherence import DecoherenceFunctional, normalization_scale
-from .errors import ActionInconsistencyError, GqmInputError, MathPropertyError
+from .errors import (
+    ActionInconsistencyError,
+    GqmInputError,
+    MathPropertyError,
+    first_of,
+)
 from .groupoid import FiniteGroupoid, QuiverSpec, pair_label, unit_label
 from .states import DEFAULT_TOL, CharacteristicFunction
 
@@ -80,37 +85,31 @@ def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
     if missing:
         raise GqmInputError("potential misses events: %s"
                             % ", ".join(sorted(missing)))
-    values = np.zeros(g.order, dtype=float)
-    for t in g.transitions:
-        values[g.transition_index[t]] = (
-            potential[g.target[t]] - potential[g.source[t]]
-        )
-    return ActionFunction(g, values)
+    src, tgt = g.index_arrays()[:2]
+    u = np.array([potential[x] for x in g.events], dtype=float)
+    return ActionFunction(g, u[tgt] - u[src])
 
 
 def is_action(s: ActionFunction, tol=DEFAULT_TOL):
     """Exhaustive check of the three action laws; returns (ok, violations)."""
     g = s.groupoid
-    violations = []
-    for x in g.events:
-        v = s.value(g.unit_of[x])
-        if abs(v) > tol:
-            violations.append("unit value s(%r) = %.17g != 0"
-                              % (g.unit_of[x], v))
-    for t in g.transitions:
-        v = s.value(t) + s.value(g.inverse[t])
-        if abs(v) > tol:
-            violations.append(
-                "inversion law fails: s(%r) + s(%r) = %.17g"
-                % (t, g.inverse[t], v)
-            )
-    for o, i, r in g.composition_triples():
-        dev = s.values[r] - s.values[o] - s.values[i]
-        if abs(dev) > tol:
-            violations.append(
-                "additivity fails on (%r, %r): deviation %.17g"
-                % (g.transitions[o], g.transitions[i], dev)
-            )
+    ts = g.transitions
+    src, tgt, inv, unit = g.index_arrays()
+    outer, inner, result = g.composition_index()
+    v = s.values
+    violations = [
+        "unit value s(%r) = %.17g != 0" % (ts[unit[x]], v[unit[x]])
+        for x in np.flatnonzero(np.abs(v[unit]) > tol)]
+    inversion = v + v[inv]
+    violations += [
+        "inversion law fails: s(%r) + s(%r) = %.17g"
+        % (ts[t], ts[inv[t]], inversion[t])
+        for t in np.flatnonzero(np.abs(inversion) > tol)]
+    dev = v[result] - v[outer] - v[inner]
+    violations += [
+        "additivity fails on (%r, %r): deviation %.17g"
+        % (ts[outer[k]], ts[inner[k]], dev[k])
+        for k in np.flatnonzero(np.abs(dev) > tol)]
     return (not violations), violations
 
 
@@ -194,9 +193,8 @@ def dynamical_state(s: ActionFunction, normalization="unit-events",
     reproducing, unit-events scaling makes it normalized."""
     ok, violations = is_action(s, tol)
     if not ok:
-        raise MathPropertyError(
-            "not a valid action:\n" + "\n".join(violations[:5])
-        )
+        raise MathPropertyError("not a valid action: "
+                                + first_of(violations))
     scale = normalization_scale(normalization, s.groupoid)
     return CharacteristicFunction(s.groupoid, scale * np.exp(1j * s.values))
 
@@ -214,34 +212,29 @@ def is_factorizable(phi: CharacteristicFunction,
     phi(alpha^-1) = conj(phi(alpha)) on the phase part (values rescaled so
     units sit at 1); a vanishing unit value is an immediate failure."""
     g = phi.groupoid
-    for x in g.events:
-        if abs(phi.value(g.unit_of[x])) == 0.0:
-            return FactorizabilityReport(
-                ok=False,
-                violations=["phi(%r) = 0" % g.unit_of[x]],
-                unit_modulus=False,
-            )
+    ts = g.transitions
+    src, tgt, inv, unit = g.index_arrays()
+    outer, inner, result = g.composition_index()
+    unit_vals = phi.values[unit]
+    zero = np.flatnonzero(unit_vals == 0)
+    if zero.size:
+        return FactorizabilityReport(
+            ok=False,
+            violations=["phi(%r) = 0" % ts[unit[zero[0]]]],
+            unit_modulus=False,
+        )
     # factorizable functions are constant-modulus on units; rescale by the
     # value at the source unit of each transition
-    unit_val = {x: phi.value(g.unit_of[x]) for x in g.events}
-    rescaled = np.array([
-        phi.value(t) / unit_val[g.source[t]] for t in g.transitions
-    ])
-    violations = []
-    ix = g.transition_index
-    for o, i, r in g.composition_triples():
-        dev = abs(rescaled[r] - rescaled[o] * rescaled[i])
-        if dev > tol:
-            violations.append(
-                "factorization fails on (%r, %r): |deviation| = %.3e"
-                % (g.transitions[o], g.transitions[i], dev)
-            )
-    for t in g.transitions:
-        dev = abs(rescaled[ix[g.inverse[t]]] - np.conj(rescaled[ix[t]]))
-        if dev > tol:
-            violations.append(
-                "unitarity fails at %r: |deviation| = %.3e" % (t, dev)
-            )
+    rescaled = phi.values / unit_vals[src]
+    dev = np.abs(rescaled[result] - rescaled[outer] * rescaled[inner])
+    violations = [
+        "factorization fails on (%r, %r): |deviation| = %.3e"
+        % (ts[outer[k]], ts[inner[k]], dev[k])
+        for k in np.flatnonzero(dev > tol)]
+    dev = np.abs(rescaled[inv] - np.conj(rescaled))
+    violations += [
+        "unitarity fails at %r: |deviation| = %.3e" % (ts[t], dev[t])
+        for t in np.flatnonzero(dev > tol)]
     unit_modulus = bool(np.max(np.abs(np.abs(rescaled) - 1.0)) <= tol)
     return FactorizabilityReport(
         ok=not violations, violations=violations, unit_modulus=unit_modulus

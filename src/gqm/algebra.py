@@ -89,10 +89,26 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     outer∘inner = gamma of a(outer) b(inner)."""
     a._check_same(b)
     g = a.groupoid
-    out = np.zeros(g.order, dtype=complex)
-    for o, i, r in g.composition_triples():
-        out[r] += a.coeffs[o] * b.coeffs[i]
+    outer, inner, result = g.composition_index()
+    x, y = a.coeffs[outer], b.coeffs[inner]
+    # the textbook complex product, term by term: numpy's vectorized one
+    # may fuse multiply-adds and round differently
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scatter_add(result, x.real * y.real - x.imag * y.imag,
+                          x.real * y.imag + x.imag * y.real, g.order)
+    if not np.all(np.isfinite(out)):
+        raise GqmInputError("the product has a coefficient too large for "
+                            "floating point")
     return AlgebraElement(g, out)
+
+
+def scatter_add(index, re, im, n):
+    """Complex vector of length n with (re + i im)[k] added at index[k],
+    in the order of k."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(index, re, minlength=n)
+    out.imag = np.bincount(index, im, minlength=n)
+    return out
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:

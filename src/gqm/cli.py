@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -223,13 +222,23 @@ def cmd_gns(args):
     state = _characteristic(_load_state(args.state, g, quiver),
                             "gns needs a characteristic-style state")
     mass = state.unit_mass()
+    if not np.isfinite(mass):
+        raise GqmInputError(
+            "gns needs a state of finite unit mass, got %r" % mass
+        )
     if abs(mass) <= args.tolerance:
         raise GqmInputError(
             "gns needs a state of nonzero unit mass, got %r" % mass
         )
     if abs(mass - 1.0) > args.tolerance:
         # pure phases from action specs are normalized here
-        state = CharacteristicFunction(g, state.values / mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = state.values / mass
+        if not np.all(np.isfinite(values)):
+            raise GqmInputError(
+                "state values overflow when divided by the unit mass %r"
+                % mass)
+        state = CharacteristicFunction(g, values)
     report = gns_report(state, args.tolerance)
     report["dim"] = int(report["dim"])
     report["gram_rank_tolerance"] = format_real(report["gram_rank_tolerance"])
@@ -281,7 +290,10 @@ def cmd_example(args):
     return 0
 
 
-def _worker_count():
+def _check_threads():
+    """Reject a malformed GQM_THREADS.  Trials run one after another
+    whatever its value: they hold the interpreter lock, so a thread pool
+    only added overhead."""
     env = os.environ.get("GQM_THREADS")
     if env:
         try:
@@ -290,8 +302,6 @@ def _worker_count():
             raise GqmInputError("GQM_THREADS must be an integer")
         if n < 1:
             raise GqmInputError("GQM_THREADS must be positive")
-        return n
-    return os.cpu_count() or 1
 
 
 def cmd_sweep(args):
@@ -306,8 +316,8 @@ def cmd_sweep(args):
         potential = rng.normal(size=n_events)
         trials.append((n_events, potential.tolist()))
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(is_reproducing_sweep_trial, trials))
+    _check_threads()
+    results = [is_reproducing_sweep_trial(trial) for trial in trials]
 
     worst_eig = min(r[0] for r in results)
     worst_rep = max(r[1] for r in results)

@@ -27,6 +27,17 @@ from .states import (
     is_positive_semidefinite,
 )
 
+
+def _finite_sum(values, what):
+    """complex(np.sum(values)); an input error, not a warning, when the sum
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.sum(values))
+    if not np.isfinite(total):
+        raise GqmInputError("%s is too large for floating point" % what)
+    return total
+
+
 NORMALIZATIONS = ("none", "unit-events", "idempotent", "per-transition",
                   "global")
 
@@ -41,7 +52,7 @@ def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
     if tag == "per-transition":
         return 1.0 / g.order
     if tag == "global":
-        total = complex(np.sum(raw_matrix))
+        total = _finite_sum(raw_matrix, "D(G, G)")
         if abs(total) <= DEFAULT_TOL:
             raise MathPropertyError(
                 "global normalization impossible: D(G, G) = 0"
@@ -108,7 +119,12 @@ def decoherence_from_characteristic(phi, normalization="none",
         )
     raw = check.matrix
     scale = normalization_scale(normalization, phi.groupoid, raw)
-    return DecoherenceFunctional(phi.groupoid, scale * raw, normalization)
+    with np.errstate(over="ignore"):
+        matrix = scale * raw
+    if not np.all(np.isfinite(matrix)):
+        raise GqmInputError("the %s-normalized decoherence matrix is too "
+                            "large for floating point" % normalization)
+    return DecoherenceFunctional(phi.groupoid, matrix, normalization)
 
 
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
@@ -158,7 +174,7 @@ def quantum_measure(d: DecoherenceFunctional, members,
     """mu(A) = D(A, A): the diagonal block sum, clamped at zero."""
     labels = _resolve_set(d, members)
     idx = [d.index(lab) for lab in labels]
-    total = complex(np.sum(d.matrix[np.ix_(idx, idx)])) if idx else 0j
+    total = _finite_sum(d.matrix[np.ix_(idx, idx)], "the measure value")
     if abs(total.imag) > tol:
         raise MathPropertyError(
             "measure value is not real: %r (matrix is not Hermitian?)" % total
@@ -206,6 +222,9 @@ def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
         for combo in combinations(range(n), k):
             union = [lab for i in combo for lab in resolved[i]]
             total += sign * quantum_measure(d, union, tol).raw_value
+    if not np.isfinite(total):
+        raise GqmInputError("the interference value is too large for "
+                            "floating point")
     return total
 
 

@@ -5,6 +5,13 @@ MathPropertyError -> 2, I/O problems -> 3.
 """
 
 
+def first_of(messages):
+    """One line for a non-empty list: the first message, and how many
+    follow it."""
+    more = len(messages) - 1
+    return messages[0] + (" (and %d more)" % more if more else "")
+
+
 class GqmError(Exception):
     """Base class for all package errors."""
 
@@ -14,13 +21,13 @@ class GqmInputError(GqmError):
 
 
 class GroupoidValidationError(GqmInputError):
-    """A groupoid axiom failed; carries the full violation list."""
+    """A groupoid axiom failed; the message names the first violation and
+    how many follow, ``violations`` holds them all."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__(
-            "groupoid validation failed:\n" + "\n".join(self.violations)
-        )
+        super().__init__("groupoid validation failed: "
+                         + first_of(self.violations))
 
 
 class MathPropertyError(GqmError):

@@ -17,11 +17,10 @@ from .algebra import (
     AlgebraElement,
     fundamental_rep,
     fundamental_rep_inverse,
-    regular_rep,
     unit_element,
 )
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, group_indices
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -71,7 +70,7 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     check = assert_state(phi, tol)
     gram = check.matrix
     eigvals, eigvecs = check.eigh
-    cutoff = RANK_TOL * max(float(eigvals[-1]), 1.0)
+    cutoff = RANK_TOL * max(float(np.max(eigvals)), 1.0)
     keep = [k for k in range(len(eigvals)) if eigvals[k] > cutoff]
     keep.sort(key=lambda k: -eigvals[k])
 
@@ -87,10 +86,12 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis, gram=gram,
                      projector=projector)
 
-    matrices = {}
-    for t in g.transitions:
-        left = regular_rep(AlgebraElement.basis(g, t))
-        matrices[t] = projector @ left @ basis
+    # left multiplication by t sends inner to t∘inner, so projector @ L_t
+    # @ basis gathers the result columns of projector and inner rows of basis
+    outer, inner, result = g.composition_index()
+    matrices = {t: projector[:, result[k]] @ basis[inner[k], :]
+                for t, k in zip(g.transitions,
+                                group_indices(outer, g.order))}
     ground = projector @ unit_element(g).coeffs
     return GnsRepresentation(space=space, matrices=matrices, ground=ground)
 

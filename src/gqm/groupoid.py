@@ -85,8 +85,9 @@ class FiniteGroupoid:
     def __post_init__(self):
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
-        self._comp_triples = None
-        self._comp_index = None
+        self._arrays = None
+        self._comp_rows = None
+        self._comp_table = None
 
     # -- label handling -------------------------------------------------
 
@@ -121,21 +122,55 @@ class FiniteGroupoid:
                 "transitions not composable: %r after %r" % (outer, inner)
             ) from None
 
-    def composition_triples(self):
-        """All (outer_idx, inner_idx, result_idx) with outer∘inner defined."""
-        if self._comp_triples is None:
+    def index_arrays(self):
+        """(src, tgt, inv, unit) int arrays in canonical order: the event
+        index of each transition's source and target, the transition index
+        of its inverse, and the transition index of each event's unit."""
+        if self._arrays is None:
+            ev, tx = self.event_index, self.transition_index
+            ts = self.transitions
+            self._arrays = (
+                np.array([ev[self.source[t]] for t in ts], dtype=np.intp),
+                np.array([ev[self.target[t]] for t in ts], dtype=np.intp),
+                np.array([tx[self.inverse[t]] for t in ts], dtype=np.intp),
+                np.array([tx[self.unit_of[x]] for x in self.events],
+                         dtype=np.intp),
+            )
+        return self._arrays
+
+    def _composition_rows(self):
+        """One (outer, inner, result) index row per `composition` entry, in
+        its order; an operand that is not a transition is -1, a result -2."""
+        if self._comp_rows is None:
             tx = self.transition_index
-            self._comp_triples = [
-                (tx[o], tx[i], tx[r]) for (o, i), r in self.composition.items()
-            ]
-        return self._comp_triples
+            self._comp_rows = np.array(
+                [(tx.get(o, -1), tx.get(i, -1), tx.get(r, -2))
+                 for (o, i), r in self.composition.items()],
+                dtype=np.intp).reshape(-1, 3)
+        return self._comp_rows
 
     def composition_index(self):
-        """`composition_triples` as three int arrays: outer, inner, result."""
-        if self._comp_index is None:
-            self._comp_index = tuple(np.array(
-                self.composition_triples(), dtype=np.intp).reshape(-1, 3).T)
-        return self._comp_index
+        """Every defined outer∘inner as three int arrays (outer, inner,
+        result), in the order of `composition`."""
+        rows = self._composition_rows()
+        return tuple(rows[np.all(rows >= 0, axis=1)].T)
+
+    def composition_table(self):
+        """|G| x |G| int array: comp[outer, inner] is the index of
+        outer∘inner, -1 where it is undefined and -2 where its result is
+        not a transition (which `validate` rejects)."""
+        if self._comp_table is None:
+            rows = self._composition_rows()
+            rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
+            comp = np.full((self.order, self.order), -1, dtype=np.intp)
+            comp[rows[:, 0], rows[:, 1]] = rows[:, 2]
+            self._comp_table = comp
+        return self._comp_table
+
+    def target_blocks(self):
+        """Transition indices grouped by target, one ascending array per
+        event in event order."""
+        return group_indices(self.index_arrays()[1], len(self.events))
 
     # -- structural queries ---------------------------------------------
 
@@ -180,14 +215,21 @@ class FiniteGroupoid:
 
     def is_pair_groupoid(self):
         """True iff there is exactly one transition per ordered event pair."""
-        if self.order != len(self.events) ** 2:
+        n = len(self.events)
+        if self.order != n * n:
             return False
-        return all(
-            len(self.hom_set(x, y)) == 1 for x in self.events for y in self.events
-        )
+        src, tgt = self.index_arrays()[:2]
+        return bool(np.all(np.bincount(tgt * n + src, minlength=n * n) == 1))
 
     def units(self):
         return tuple(self.unit_of[x] for x in self.events)
+
+
+def group_indices(keys, n):
+    """The positions of ``keys`` (ints in 0..n-1) grouped by key: one
+    ascending array per key value."""
+    counts = np.bincount(keys, minlength=n)
+    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +239,7 @@ class FiniteGroupoid:
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; violations carry witnesses."""
     rep = ValidationReport()
-
-    def bad(msg):
-        rep.violations.append(msg)
+    bad = rep.violations.append
 
     tset = set(g.transitions)
     for t in g.transitions:
@@ -223,65 +263,82 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     if rep.violations:
         return rep
 
-    # composition domain: defined iff composable
-    for o in g.transitions:
-        for i in g.transitions:
-            rep.checks += 1
-            defined = (o, i) in g.composition
-            should = g.composable(o, i)
-            if defined and not should:
-                bad("compose(%r, %r) defined but endpoints mismatch" % (o, i))
-            elif should and not defined:
-                bad("compose(%r, %r) missing" % (o, i))
-            elif defined:
-                r = g.composition[(o, i)]
-                if r not in tset:
-                    bad("compose(%r, %r) = %r is not a transition" % (o, i, r))
-                elif (g.source[r] != g.source[i]) or (g.target[r] != g.target[o]):
-                    bad(
-                        "compose(%r, %r) = %r has wrong endpoints" % (o, i, r)
-                    )
+    src, tgt, inv, unit = g.index_arrays()
+    comp = g.composition_table()
+    n = g.order
+    ts = g.transitions
+    idx = np.arange(n)
+
+    # composition domain: defined iff composable, with the right endpoints
+    rep.checks += n * n
+    should = tgt[None, :] == src[:, None]
+    defined = comp != -1
+    code = (defined & ~should).astype(np.int8) + 2 * (should & ~defined)
+    o, i = np.nonzero(defined & should)
+    r = comp[o, i]
+    code[o[r == -2], i[r == -2]] = 3
+    wrong = (r >= 0) & ((src[r] != src[i]) | (tgt[r] != tgt[o]))
+    code[o[wrong], i[wrong]] = 4
+    for o, i in zip(*np.nonzero(code)):
+        args = (ts[o], ts[i])
+        if code[o, i] >= 3:
+            args += (g.composition[args],)
+        bad(_DOMAIN_MESSAGES[code[o, i]] % args)
     if rep.violations:
         return rep
 
     # unit laws
-    for a in g.transitions:
-        rep.checks += 2
-        if g.composition[(a, g.unit_of[g.source[a]])] != a:
-            bad("right unit law fails at %r" % a)
-        if g.composition[(g.unit_of[g.target[a]], a)] != a:
-            bad("left unit law fails at %r" % a)
+    rep.checks += 2 * n
+    right = comp[idx, unit[src]] != idx
+    left = comp[unit[tgt], idx] != idx
+    for a in np.flatnonzero(right | left):
+        if right[a]:
+            bad("right unit law fails at %r" % ts[a])
+        if left[a]:
+            bad("left unit law fails at %r" % ts[a])
 
     # inverse laws
-    for a in g.transitions:
-        rep.checks += 3
-        inv = g.inverse[a]
-        if g.source[inv] != g.target[a] or g.target[inv] != g.source[a]:
-            bad("inverse of %r has wrong endpoints" % a)
+    rep.checks += 3 * n
+    ends = (src[inv] != tgt) | (tgt[inv] != src)
+    first = comp[inv, idx] != unit[src]
+    second = comp[idx, inv] != unit[tgt]
+    involutive = inv[inv] == idx
+    for a in np.flatnonzero(ends | first | second | ~involutive):
+        if ends[a]:
+            bad("inverse of %r has wrong endpoints" % ts[a])
             continue
-        if g.composition[(inv, a)] != g.unit_of[g.source[a]]:
-            bad("inverse law fails: %r^-1 o %r != unit at source" % (a, a))
-        if g.composition[(a, inv)] != g.unit_of[g.target[a]]:
-            bad("inverse law fails: %r o %r^-1 != unit at target" % (a, a))
-        if g.inverse[inv] != a:
-            bad("inverse is not involutive at %r" % a)
+        if first[a]:
+            bad("inverse law fails: %r^-1 o %r != unit at source"
+                % (ts[a], ts[a]))
+        if second[a]:
+            bad("inverse law fails: %r o %r^-1 != unit at target"
+                % (ts[a], ts[a]))
+        if not involutive[a]:
+            bad("inverse is not involutive at %r" % ts[a])
 
-    # associativity on all composable triples
-    for c in g.transitions:
-        for b in g.transitions:
-            if not g.composable(b, c):
-                continue
-            bc = g.composition[(b, c)]
-            for a in g.transitions:
-                if not g.composable(a, b):
-                    continue
-                rep.checks += 1
-                ab = g.composition[(a, b)]
-                if g.composition[(a, bc)] != g.composition[(ab, c)]:
-                    bad(
-                        "associativity fails on triple (%r, %r, %r)" % (a, b, c)
-                    )
+    # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: for
+    # each event x, the c with target x against every a∘b with source x
+    a, b = np.nonzero(comp >= 0)
+    ab = comp[a, b]
+    fails = []
+    for cs, k in zip(g.target_blocks(), group_indices(src[b], len(g.events))):
+        bc = comp[:, cs]  # bc[b, j] = b∘cs[j]
+        lhs = comp[a[k, None], bc[b[k]]]
+        rep.checks += lhs.size
+        p, j = np.nonzero(lhs != bc[ab[k]])
+        fails += zip(cs[j], b[k[p]], a[k[p]])
+    for c, b, a in sorted(fails):  # in (c, b, a) order
+        bad("associativity fails on triple (%r, %r, %r)"
+            % (ts[a], ts[b], ts[c]))
     return rep
+
+
+_DOMAIN_MESSAGES = {
+    1: "compose(%r, %r) defined but endpoints mismatch",
+    2: "compose(%r, %r) missing",
+    3: "compose(%r, %r) = %r is not a transition",
+    4: "compose(%r, %r) = %r has wrong endpoints",
+}
 
 
 def _canonical_order(events, transitions, source, target, units):
@@ -295,10 +352,15 @@ def _canonical_order(events, transitions, source, target, units):
 
 def _build(events, transitions, source, target, unit_of, inverse, composition,
            aliases=None):
-    order = _canonical_order(
-        tuple(events), transitions, source, target,
-        [unit_of[x] for x in events],
-    )
+    if not events:
+        raise GqmInputError("a groupoid needs at least one event")
+    try:
+        order = _canonical_order(
+            tuple(events), transitions, source, target,
+            [unit_of[x] for x in events],
+        )
+    except KeyError:  # incomplete tables, which `validate` reports
+        order = tuple(transitions)
     g = FiniteGroupoid(
         events=tuple(events),
         transitions=order,
@@ -447,5 +509,10 @@ def from_explicit(events, transitions, source, target, unit_of, inverse,
     """Groupoid from fully explicit tables; rejects any axiom violation."""
     _check_labels(events, "event")
     _check_labels(transitions, "transition")
+    tset = set(transitions)
+    for pair in composition:
+        if not set(pair) <= tset:
+            raise GqmInputError("composition entry %r names an unknown "
+                                "transition" % (pair,))
     return _build(events, list(transitions), source, target, unit_of, inverse,
                   composition)

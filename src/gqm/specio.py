@@ -58,6 +58,17 @@ def _string_list(value, what):
     return list(value)
 
 
+def _string(value, what):
+    if not isinstance(value, str):
+        raise GqmInputError("%s must be a string" % what)
+    return value
+
+
+def _strings(row, names, what):
+    """The values of ``names`` in ``row``, each of which must be a string."""
+    return tuple(_string(row[f], "%s %s" % (what, f)) for f in names)
+
+
 def _string_map(value, what):
     if not isinstance(value, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in value.items()
@@ -127,7 +138,8 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
             entry = _require_object(entry, "arrow %d" % k)
             a = _take(entry, ("label", "source", "target"),
                       ("label", "source", "target"), "arrow %d" % k)
-            arrows.append((a["label"], a["source"], a["target"]))
+            arrows.append(_strings(a, ("label", "source", "target"),
+                                   "arrow %d" % k))
         return from_quiver(
             QuiverSpec(_string_list(fields["events"], "'events'"), arrows)
         )
@@ -145,13 +157,16 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
             entry = _require_object(entry, "table entry %d" % k)
             row = _take(entry, ("left", "right", "result"),
                         ("left", "right", "result"), "table entry %d" % k)
-            key = (row["left"], row["right"])
-            if key in table:
-                raise GqmInputError("duplicate table entry for %r" % (key,))
-            table[key] = row["result"]
+            left, right, result = _strings(
+                row, ("left", "right", "result"), "table entry %d" % k)
+            if (left, right) in table:
+                raise GqmInputError("duplicate table entry for %r"
+                                    % ((left, right),))
+            table[(left, right)] = result
         return group_as_groupoid(
             _string_list(fields["elements"], "'elements'"),
-            table, fields["identity"], event=events[0],
+            table, _string(fields["identity"], "'identity'"),
+            event=events[0],
         )
     # kind == "explicit"
     fields = _take(
@@ -169,10 +184,12 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
         entry = _require_object(entry, "compose entry %d" % k)
         row = _take(entry, ("inner", "outer", "result"),
                     ("inner", "outer", "result"), "compose entry %d" % k)
-        key = (row["outer"], row["inner"])
-        if key in composition:
-            raise GqmInputError("duplicate compose entry for %r" % (key,))
-        composition[key] = row["result"]
+        outer, inner, result = _strings(
+            row, ("outer", "inner", "result"), "compose entry %d" % k)
+        if (outer, inner) in composition:
+            raise GqmInputError("duplicate compose entry for %r"
+                                % ((outer, inner),))
+        composition[(outer, inner)] = result
     return from_explicit(
         _string_list(fields["events"], "'events'"),
         _string_list(fields["transitions"], "'transitions'"),
@@ -212,7 +229,7 @@ def parse_state_doc(doc, g: FiniteGroupoid):
     if kind == "delta":
         fields = _take(doc, ("type", "event"), ("type", "event"),
                        "delta state spec")
-        return delta_state(g, fields["event"])
+        return delta_state(g, _string(fields["event"], "'event'"))
     if kind == "action":
         fields = _take(doc, ("type", "potential"), ("type", "potential"),
                        "action state spec")

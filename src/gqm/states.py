@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, fundamental_rep, multiply, regular_rep
+from .algebra import AlgebraElement, fundamental_rep, multiply, scatter_add
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid
 
@@ -45,10 +45,12 @@ class CharacteristicFunction:
         return complex(self.values[g.transition_index[g.resolve(label)]])
 
     def unit_mass(self):
-        g = self.groupoid
-        return complex(
-            sum(self.values[g.transition_index[u]] for u in g.units())
-        )
+        """Sum of the unit values, in event order; inf, never a warning,
+        when it overflows."""
+        mass = 0j
+        for v in self.values[self.groupoid.index_arrays()[3]].tolist():
+            mass += v
+        return mass
 
     def as_algebra_element(self):
         return AlgebraElement(self.groupoid, self.values.copy())
@@ -61,7 +63,9 @@ class PsdCheck:
 
     ``matrix`` is the invariance matrix that was tested and ``eigh`` the
     (eigenvalues, eigenvectors) of its Hermitian part, kept so callers
-    that go on to use them need not recompute either."""
+    that go on to use them need not recompute either.  They come one
+    target block at a time, put together at full size: each eigenvector
+    is zero outside its block, and eigenvalues ascend within a block."""
 
     ok: bool
     hermitian: bool
@@ -75,36 +79,46 @@ class PsdCheck:
 def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
     """The |G| x |G| matrix M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b)."""
     g = phi.groupoid
-    n = g.order
-    mat = np.zeros((n, n), dtype=complex)
-    for a in g.transitions:
-        ia = g.transition_index[a]
-        inv_a = g.inverse[a]
-        for b in g.transitions:
-            if g.target[a] != g.target[b]:
-                continue
-            ib = g.transition_index[b]
-            comp = g.composition[(inv_a, b)]
-            mat[ia, ib] = phi.values[g.transition_index[comp]]
+    inv = g.index_arrays()[2]
+    # a^-1 ∘ b is defined exactly when t(a) = t(b)
+    comp = g.composition_table()[inv]
+    a, b = np.nonzero(comp >= 0)
+    mat = np.zeros((g.order, g.order), dtype=complex)
+    mat[a, b] = phi.values[comp[a, b]]
     return mat
 
 
 def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
     """Complete PSD check: every finite family's Gram matrix is a principal
     submatrix (with duplications) of the full matrix, so checking the full
-    matrix suffices."""
+    matrix suffices.  The matrix is block diagonal by target, so each
+    target block is tested on its own."""
     if tol <= 0:
         raise GqmInputError("tolerance must be positive")
+    g = phi.groupoid
     mat = invariance_matrix(phi)
-    herm = bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
-    sym = 0.5 * (mat + mat.conj().T)  # suppress roundoff asymmetry
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    min_eig = float(eigvals[0])
+    eigvals = np.zeros(g.order)
+    eigvecs = np.zeros((g.order, g.order), dtype=complex)
+    defect = 0.0
+    start = 0
+    for idx in g.target_blocks():
+        # halves first, so that huge finite entries cannot overflow
+        half = 0.5 * mat[np.ix_(idx, idx)]
+        half_h = half.conj().T
+        defect = max(defect, float(np.max(np.abs(half - half_h))))
+        cols = slice(start, start + idx.size)
+        eigvals[cols], eigvecs[idx, cols] = np.linalg.eigh(half + half_h)
+        start += idx.size
+    if not np.all(np.isfinite(eigvals)):
+        raise GqmInputError("the invariance matrix has an eigenvalue too "
+                            "large for floating point")
+    herm = defect <= 0.5 * tol
+    k = int(np.argmin(eigvals))
+    min_eig = float(eigvals[k])
     ok = herm and min_eig >= -tol
     witness = None
     if not ok:
-        g = phi.groupoid
-        vec = eigvecs[:, 0]
+        vec = eigvecs[:, k]
         witness = [
             (g.transitions[i], complex(vec[i]))
             for i in range(g.order)
@@ -184,8 +198,8 @@ def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     density = w @ w.conj().T
     density /= np.trace(density).real
-    values = np.array([
-        np.trace(density @ regular_rep(AlgebraElement.basis(g, t)))
-        for t in g.transitions
-    ])
-    return CharacteristicFunction(g, values)
+    # Tr(density L_t), with L_t the left multiplication by t
+    outer, inner, result = g.composition_index()
+    terms = density[inner, result]
+    return CharacteristicFunction(g, scatter_add(outer, terms.real,
+                                                 terms.imag, n))

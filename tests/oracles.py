@@ -1,0 +1,187 @@
+"""Plain loop versions of the vectorized kernels in ``gqm``: the oracles
+the property tests in ``test_oracles.py`` compare them with.
+
+Each one follows the definition directly, over labels and dicts, and reads
+nothing the kernel it checks computes (the GNS products take the basis and
+projector of the space they check).
+"""
+
+import numpy as np
+
+from gqm.groupoid import ValidationReport
+
+
+def validate_loop(g):
+    """Every groupoid axiom checked label by label, in loop order."""
+    rep = ValidationReport()
+
+    def bad(msg):
+        rep.violations.append(msg)
+
+    tset = set(g.transitions)
+    for t in g.transitions:
+        rep.checks += 1
+        if g.source.get(t) not in g.event_index:
+            bad("transition %r has invalid source %r" % (t, g.source.get(t)))
+        if g.target.get(t) not in g.event_index:
+            bad("transition %r has invalid target %r" % (t, g.target.get(t)))
+        if g.inverse.get(t) not in tset:
+            bad("transition %r has no inverse" % t)
+    if rep.violations:
+        return rep
+
+    for x in g.events:
+        rep.checks += 1
+        u = g.unit_of.get(x)
+        if u not in tset:
+            bad("event %r has no unit transition" % x)
+        elif g.source[u] != x or g.target[u] != x:
+            bad("unit %r of event %r is not a loop at it" % (u, x))
+    if rep.violations:
+        return rep
+
+    # composition domain: defined iff composable
+    for o in g.transitions:
+        for i in g.transitions:
+            rep.checks += 1
+            defined = (o, i) in g.composition
+            should = g.composable(o, i)
+            if defined and not should:
+                bad("compose(%r, %r) defined but endpoints mismatch" % (o, i))
+            elif should and not defined:
+                bad("compose(%r, %r) missing" % (o, i))
+            elif defined:
+                r = g.composition[(o, i)]
+                if r not in tset:
+                    bad("compose(%r, %r) = %r is not a transition" % (o, i, r))
+                elif (g.source[r] != g.source[i]) or (g.target[r] != g.target[o]):
+                    bad(
+                        "compose(%r, %r) = %r has wrong endpoints" % (o, i, r)
+                    )
+    if rep.violations:
+        return rep
+
+    # unit laws
+    for a in g.transitions:
+        rep.checks += 2
+        if g.composition[(a, g.unit_of[g.source[a]])] != a:
+            bad("right unit law fails at %r" % a)
+        if g.composition[(g.unit_of[g.target[a]], a)] != a:
+            bad("left unit law fails at %r" % a)
+
+    # inverse laws
+    for a in g.transitions:
+        rep.checks += 3
+        inv = g.inverse[a]
+        if g.source[inv] != g.target[a] or g.target[inv] != g.source[a]:
+            bad("inverse of %r has wrong endpoints" % a)
+            continue
+        if g.composition[(inv, a)] != g.unit_of[g.source[a]]:
+            bad("inverse law fails: %r^-1 o %r != unit at source" % (a, a))
+        if g.composition[(a, inv)] != g.unit_of[g.target[a]]:
+            bad("inverse law fails: %r o %r^-1 != unit at target" % (a, a))
+        if g.inverse[inv] != a:
+            bad("inverse is not involutive at %r" % a)
+
+    # associativity on all composable triples
+    for c in g.transitions:
+        for b in g.transitions:
+            if not g.composable(b, c):
+                continue
+            bc = g.composition[(b, c)]
+            for a in g.transitions:
+                if not g.composable(a, b):
+                    continue
+                rep.checks += 1
+                ab = g.composition[(a, b)]
+                if g.composition[(a, bc)] != g.composition[(ab, c)]:
+                    bad(
+                        "associativity fails on triple (%r, %r, %r)" % (a, b, c)
+                    )
+    return rep
+
+
+def invariance_matrix_loop(phi):
+    """M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b), entry by entry."""
+    g = phi.groupoid
+    mat = np.zeros((g.order, g.order), dtype=complex)
+    for a in g.transitions:
+        for b in g.transitions:
+            if g.target[a] == g.target[b]:
+                comp = g.composition[(g.inverse[a], b)]
+                mat[g.transition_index[a], g.transition_index[b]] = (
+                    phi.values[g.transition_index[comp]])
+    return mat
+
+
+def psd_full(phi, tol):
+    """(ok, hermitian, eigenvalues) from one eigensolve of the whole
+    invariance matrix."""
+    mat = invariance_matrix_loop(phi)
+    herm = bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
+    eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+    return herm and eigvals[0] >= -tol, herm, eigvals
+
+
+def gns_dim_full(phi, rank_tol):
+    """GNS dimension: eigenvalues of the whole Gram matrix above
+    ``rank_tol`` times max(largest eigenvalue, 1)."""
+    eigvals = psd_full(phi, 1.0)[2]
+    return int(np.sum(eigvals > rank_tol * max(eigvals[-1], 1.0)))
+
+
+def regular_rep_loop(a):
+    """M[r, i] summed over every composable pair o∘i = r."""
+    g = a.groupoid
+    ix = g.transition_index
+    mat = np.zeros((g.order, g.order), dtype=complex)
+    for (o, i), r in g.composition.items():
+        mat[ix[r], ix[i]] += a.coeffs[ix[o]]
+    return mat
+
+
+def gns_matrices_dense(space):
+    """projector @ L_t @ basis for every transition t, with L_t the dense
+    regular representation of t."""
+    from gqm.algebra import AlgebraElement
+
+    g = space.groupoid
+    return {t: space.projector
+            @ regular_rep_loop(AlgebraElement.basis(g, t)) @ space.basis
+            for t in g.transitions}
+
+
+def multiply_loop(a, b):
+    """(a.b)(r) accumulated over the composition table in its order."""
+    g = a.groupoid
+    ix = g.transition_index
+    out = np.zeros(g.order, dtype=complex)
+    for (o, i), r in g.composition.items():
+        out[ix[r]] += a.coeffs[ix[o]] * b.coeffs[ix[i]]
+    return out
+
+
+def is_action_loop(s, tol):
+    """(ok, violations) of the unit, inversion and additivity laws."""
+    g = s.groupoid
+    violations = []
+    for x in g.events:
+        v = s.value(g.unit_of[x])
+        if abs(v) > tol:
+            violations.append("unit value s(%r) = %.17g != 0"
+                              % (g.unit_of[x], v))
+    for t in g.transitions:
+        v = s.value(t) + s.value(g.inverse[t])
+        if abs(v) > tol:
+            violations.append(
+                "inversion law fails: s(%r) + s(%r) = %.17g"
+                % (t, g.inverse[t], v)
+            )
+    ix = g.transition_index
+    for (o, i), r in g.composition.items():
+        dev = s.values[ix[r]] - s.values[ix[o]] - s.values[ix[i]]
+        if abs(dev) > tol:
+            violations.append(
+                "additivity fails on (%r, %r): deviation %.17g" % (o, i, dev)
+            )
+    return (not violations), violations

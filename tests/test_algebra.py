@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_element
+from oracles import regular_rep_loop
 from gqm.algebra import (
     AlgebraElement,
     fundamental_rep,
@@ -150,25 +151,16 @@ def test_fundamental_rep_inverse_needs_pair(z3):
         fundamental_rep_inverse(z3, np.eye(1))
 
 
-def _regular_rep_loop(a):
-    """Reference: M[r, i] summed over every composable pair o∘i = r."""
-    g = a.groupoid
-    mat = np.zeros((g.order, g.order), dtype=complex)
-    for o, i, r in g.composition_triples():
-        mat[r, i] += a.coeffs[o]
-    return mat
-
-
 def test_regular_rep(corpus, rng):
     for g in corpus:
         assert np.allclose(regular_rep(unit_element(g)), np.eye(g.order))
         for t in g.transitions:
             basis = AlgebraElement.basis(g, t)
-            assert np.array_equal(regular_rep(basis), _regular_rep_loop(basis))
+            assert np.array_equal(regular_rep(basis), regular_rep_loop(basis))
         for _ in range(10):
             a = random_element(g, rng)
             b = random_element(g, rng)
-            assert np.array_equal(regular_rep(a), _regular_rep_loop(a))
+            assert np.array_equal(regular_rep(a), regular_rep_loop(a))
             lhs = regular_rep(multiply(a, b))
             rhs = regular_rep(a) @ regular_rep(b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12

@@ -283,3 +283,105 @@ def test_global_normalization_rejected_on_arrows(capsys, quiver_file,
     line = run_rejected(capsys, ["measure", quiver_file, ga_file, "--set",
                                  "alpha", "--normalization", "global"])
     assert "global" in line
+
+
+def test_validation_error_is_one_line(capsys, tmp_path):
+    """A Latin square that is no group: 36 associativity failures, one
+    stderr line."""
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    spec = write(tmp_path / "loop5.json", {
+        "kind": "group", "events": ["*"],
+        "elements": ["h%d" % k for k in range(5)], "identity": "h0",
+        "table": [{"left": "h%d" % i, "right": "h%d" % j,
+                   "result": "h%d" % loop[i][j]}
+                  for i in range(5) for j in range(5)]})
+    line = run_rejected(capsys, ["validate", spec])
+    assert line == ("error: groupoid validation failed: associativity fails "
+                    "on triple ('h2', 'h1', 'h1') (and 35 more)")
+
+
+def test_empty_groupoid_rejected(capsys, tmp_path):
+    empty = write(tmp_path / "empty.json",
+                  {"kind": "quiver", "events": [], "arrows": []})
+    assert "at least one event" in run_rejected(capsys, ["validate", empty])
+
+
+HUGE = {
+    "units": {"1_a": [1e308, 0], "1_b": [1e308, 0]},
+    "all": {"1_a": [1e308, 0], "1_b": [1e308, 0], "a->b": [1e308, 0],
+            "b->a": [1e308, 0]},
+}
+
+
+@pytest.mark.parametrize("values, argv, code", [
+    ("units", ["psd-check"], 0),
+    ("all", ["psd-check"], 1),
+    ("units", ["decoherence"], 0),
+    ("units", ["decoherence", "--normalization", "global"], 1),
+    ("all", ["decoherence"], 1),
+    ("units", ["measure", "--set", "1_a,1_b,a->b"], 0),
+    ("units", ["measure", "--set", "1_a,1_b", "--normalization", "none"], 1),
+    ("all", ["measure", "--set", "1_a"], 1),
+    ("units", ["interference", "--order", "2", "--sets", "1_a;1_b",
+               "--normalization", "none"], 1),
+    ("all", ["interference", "--order", "1", "--sets", "1_a"], 1),
+    ("units", ["gns"], 1),
+    ("all", ["gns"], 1),
+])
+def test_huge_finite_values_never_give_nan(capsys, tmp_path, values, argv,
+                                           code):
+    """Values of 1e308 overflow inside the math: that is bad input (exit 1,
+    one line), or a report with finite numbers only; never a warning."""
+    g = write(tmp_path / "g.json", {"kind": "pair", "events": ["a", "b"]})
+    state = write(tmp_path / "s.json",
+                  {"type": "characteristic", "values": HUGE[values]})
+    argv = argv[:1] + [g, state] + argv[1:]
+    if code == 1:
+        run_rejected(capsys, argv)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    json.loads(captured.out, parse_constant=pytest.fail)
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """Reports are byte-identical across interpreter hash seeds."""
+    import os
+    import subprocess
+    import sys
+
+    import gqm
+
+    quiver = write(tmp_path / "q.json", {
+        "kind": "quiver", "events": ["a", "b", "c", "d"],
+        "arrows": [{"label": "f", "source": "a", "target": "b"},
+                   {"label": "h", "source": "c", "target": "b"},
+                   {"label": "k", "source": "d", "target": "d"}]})
+    units = {"1_a": [0.3, 0], "1_b": [0.3, 0], "1_c": [0.3, 0],
+             "1_d": [0.1, 0]}
+    psd = write(tmp_path / "psd.json", {
+        "type": "characteristic",
+        "values": {**units, "a->b": [0.1, 0.05], "b->a": [0.1, -0.05],
+                   "c->b": [0.1, 0], "b->c": [0.1, 0]}})
+    indefinite = write(tmp_path / "indefinite.json", {
+        "type": "characteristic",
+        "values": {**units, "a->b": [0.5, 0.2], "b->a": [0.5, -0.2]}})
+    script = ("from gqm.cli import main\n"
+              "for argv in %r:\n    assert main(argv) in (0, 2)\n" % ([
+                  ["decoherence", quiver, psd],
+                  ["psd-check", quiver, psd],
+                  ["psd-check", quiver, indefinite],
+                  ["sweep", "thm52", "--n", "4", "--trials", "6"]],))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(gqm.__file__)))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b'"rows"') == outputs[0].count(b'"witness"') == 1

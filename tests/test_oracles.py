@@ -1,0 +1,205 @@
+"""The vectorized kernels against the plain loop versions in ``oracles``.
+
+Validation must give the same violations, in the same order, and the same
+check count; products, invariance matrices and action checks must agree
+exactly; eigen-derived numbers within 1e-12 of their scale.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gqm.action import ActionFunction, action_from_potential, is_action
+from gqm.algebra import AlgebraElement, multiply
+from gqm.examples import corpus_groupoids
+from gqm.gns import RANK_TOL, gns_build
+from gqm.groupoid import (
+    FiniteGroupoid,
+    QuiverSpec,
+    from_explicit,
+    from_quiver,
+    validate,
+)
+from gqm.states import (
+    CharacteristicFunction,
+    invariance_matrix,
+    is_positive_semidefinite,
+    random_state,
+)
+from oracles import (
+    gns_dim_full,
+    gns_matrices_dense,
+    invariance_matrix_loop,
+    is_action_loop,
+    multiply_loop,
+    psd_full,
+    validate_loop,
+)
+
+
+def pair_times_z2():
+    """The pair groupoid on {p, q} times Z_2: one orbit, isotropy Z_2."""
+    events = ["p", "q"]
+    label = {(x, y, k): "%s%s%d" % (x, y, k)
+             for x in events for y in events for k in (0, 1)}
+    transitions = list(label.values())
+    return from_explicit(
+        events, transitions,
+        {lab: x for (x, y, k), lab in label.items()},
+        {lab: y for (x, y, k), lab in label.items()},
+        {x: label[(x, x, 0)] for x in events},
+        {lab: label[(y, x, k)] for (x, y, k), lab in label.items()},
+        {(label[(y, z, k)], label[(x, y, j)]): label[(x, z, (j + k) % 2)]
+         for x in events for y in events for z in events
+         for j in (0, 1) for k in (0, 1)})
+
+
+SYSTEMS = corpus_groupoids() + [
+    pair_times_z2(),
+    from_quiver(QuiverSpec(["a", "b", "c", "d", "e"],
+                           [("f", "a", "b"), ("h", "d", "c"),
+                            ("k", "c", "e")])),
+]
+system = st.sampled_from(SYSTEMS)
+
+
+def copy_of(g, **changes):
+    """A fresh, unvalidated groupoid with the tables of ``g``, some of them
+    replaced."""
+    tables = dict(events=g.events, transitions=g.transitions,
+                  source=dict(g.source), target=dict(g.target),
+                  unit_of=dict(g.unit_of), inverse=dict(g.inverse),
+                  composition=dict(g.composition))
+    tables.update(changes)
+    return FiniteGroupoid(**tables)
+
+
+def assert_same_validation(g):
+    fast, slow = validate(g), validate_loop(copy_of(g))
+    assert fast.violations == slow.violations
+    assert fast.checks == slow.checks
+
+
+def test_validate_matches_loop_on_systems():
+    for g in SYSTEMS:
+        assert_same_validation(copy_of(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_matches_loop_on_group_tables(data):
+    """Cyclic tables under a random relabelling, with some entries then
+    overwritten at random, which mostly breaks associativity."""
+    n = data.draw(st.integers(1, 5))
+    perm = data.draw(st.permutations(range(n)))
+    table = {(perm[i], perm[j]): perm[(i + j) % n]
+             for i in range(n) for j in range(n)}
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = (data.draw(st.integers(0, n - 1)),
+               data.draw(st.integers(0, n - 1)))
+        table[key] = data.draw(st.integers(0, n - 1))
+    el = ["h%d" % k for k in range(n)]
+    inverse = {el[perm[i]]: el[perm[-i % n]] for i in range(n)}
+    assert_same_validation(FiniteGroupoid(
+        events=("*",), transitions=tuple(el),
+        source=dict.fromkeys(el, "*"), target=dict.fromkeys(el, "*"),
+        unit_of={"*": el[perm[0]]}, inverse=inverse,
+        composition={(el[i], el[j]): el[r] for (i, j), r in table.items()}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system, st.data())
+def test_validate_matches_loop_on_corrupted_tables(g, data):
+    ts, evs = list(g.transitions), list(g.events)
+    kind = data.draw(st.sampled_from(
+        ["inverse", "unit", "result", "drop", "add", "source", "target",
+         "order"]))
+    t = data.draw(st.sampled_from(ts))
+    label = data.draw(st.sampled_from(ts + ["bogus"]))
+    comp = dict(g.composition)
+    key = data.draw(st.sampled_from(sorted(comp)))
+    if kind == "inverse":
+        bad = copy_of(g, inverse={**g.inverse, t: label})
+    elif kind == "unit":
+        x = data.draw(st.sampled_from(evs))
+        bad = copy_of(g, unit_of={**g.unit_of, x: label})
+    elif kind == "result":
+        bad = copy_of(g, composition={**comp, key: label})
+    elif kind == "drop":
+        del comp[key]
+        bad = copy_of(g, composition=comp)
+    elif kind == "add":
+        inner = data.draw(st.sampled_from(ts))
+        bad = copy_of(g, composition={**comp, (t, inner): label})
+    elif kind in ("source", "target"):
+        x = data.draw(st.sampled_from(evs + ["nowhere"]))
+        table = dict(getattr(g, kind))
+        table[t] = x
+        bad = copy_of(g, **{kind: table})
+    else:  # a non-canonical transition order
+        bad = copy_of(g, transitions=tuple(data.draw(st.permutations(ts))))
+    assert_same_validation(bad)
+
+
+def random_values(g, rng):
+    return rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system, st.integers(0, 2**32 - 1))
+def test_kernels_match_loops(g, seed):
+    rng = np.random.default_rng(seed)
+    a = AlgebraElement(g, random_values(g, rng))
+    b = AlgebraElement(g, random_values(g, rng))
+    assert np.array_equal(multiply(a, b).coeffs, multiply_loop(a, b))
+    phi = CharacteristicFunction(g, random_values(g, rng))
+    assert np.array_equal(invariance_matrix(phi), invariance_matrix_loop(phi))
+
+    s = ActionFunction(g, rng.normal(size=g.order))
+    assert is_action(s) == is_action_loop(s, 1e-10)
+    if g.is_pair_groupoid():
+        s = action_from_potential(g, dict(zip(g.events,
+                                              rng.normal(size=len(g.events)))))
+        assert is_action(s) == is_action_loop(s, 1e-10) == (True, [])
+        s.values[rng.integers(g.order)] += 0.5
+        assert is_action(s) == is_action_loop(s, 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(system, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 0.5]))
+def test_psd_matches_full_matrix(g, seed, noise):
+    rng = np.random.default_rng(seed)
+    values = random_state(g, rng).values + noise * random_values(g, rng)
+    phi = CharacteristicFunction(g, values)
+    check = is_positive_semidefinite(phi)
+    ok, hermitian, eigvals = psd_full(phi, 1e-10)
+    scale = max(1.0, float(np.max(np.abs(eigvals))))
+    assert (check.ok, check.hermitian) == (ok, hermitian)
+    assert abs(check.min_eigenvalue - eigvals[0]) <= 1e-12 * scale
+    if check.witness is not None:
+        vec = np.zeros(g.order, dtype=complex)
+        for label, z in check.witness:
+            vec[g.transition_index[label]] = z
+        sym = 0.5 * (check.matrix + check.matrix.conj().T)
+        residual = sym @ vec - check.min_eigenvalue * vec
+        assert np.max(np.abs(residual)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(system, st.integers(0, 2**32 - 1))
+def test_gns_matches_dense_products(g, seed):
+    phi = random_state(g, np.random.default_rng(seed))
+    rep = gns_build(phi)
+    assert rep.space.dim == gns_dim_full(phi, RANK_TOL)
+    dense = gns_matrices_dense(rep.space)
+    for t in g.transitions:
+        assert np.max(np.abs(rep.matrices[t] - dense[t]),
+                      initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("g", SYSTEMS[:3])
+def test_gns_rank_deficient_dimension(g):
+    """A unit-supported state: most of the Gram matrix is null."""
+    phi = CharacteristicFunction.from_dict(g, {g.units()[0]: 1.0})
+    assert gns_build(phi).space.dim == gns_dim_full(phi, RANK_TOL)
