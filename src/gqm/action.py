@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import multiply
 from .decoherence import DecoherenceFunctional, normalization_scale
 from .errors import (
     ActionInconsistencyError,
@@ -25,8 +26,18 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import FiniteGroupoid, QuiverSpec, pair_label, unit_label
-from .states import DEFAULT_TOL, CharacteristicFunction
+from .groupoid import (
+    FiniteGroupoid,
+    QuiverSpec,
+    pair_groupoid,
+    pair_label,
+    unit_label,
+)
+from .states import (
+    DEFAULT_TOL,
+    CharacteristicFunction,
+    is_positive_semidefinite,
+)
 
 
 @dataclass(eq=False)
@@ -41,14 +52,10 @@ class ActionFunction:
 
     @classmethod
     def from_dict(cls, g, values):
-        vec = np.zeros(g.order, dtype=float)
-        for label, value in values.items():
-            vec[g.transition_index[g.resolve(label)]] = value
-        return cls(g, vec)
+        return cls(g, g.vector(values, float))
 
     def value(self, label):
-        g = self.groupoid
-        return float(self.values[g.transition_index[g.resolve(label)]])
+        return float(self.values[self.groupoid.index(label)])
 
 
 @dataclass
@@ -85,6 +92,11 @@ def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
     if missing:
         raise GqmInputError("potential misses events: %s"
                             % ", ".join(sorted(missing)))
+    return _coboundary(g, potential)
+
+
+def _coboundary(g: FiniteGroupoid, potential) -> ActionFunction:
+    """The action u(target) - u(source) of the potential {event: u}."""
     src, tgt = g.index_arrays()[:2]
     u = np.array([potential[x] for x in g.events], dtype=float)
     return ActionFunction(g, u[tgt] - u[src])
@@ -168,13 +180,7 @@ def extend_generator_action(g: FiniteGroupoid,
                         residual = -residual
                         cycle = [(lab, -sg) for lab, sg in reversed(cycle)]
                     raise ActionInconsistencyError(cycle, residual)
-
-    values = {}
-    for x in g.events:
-        values[g.unit_of[x]] = 0.0
-    for t in g.transitions:
-        values[t] = potential[g.target[t]] - potential[g.source[t]]
-    return ActionFunction.from_dict(g, values)
+    return _coboundary(g, potential)
 
 
 def _tree_path(parent, node, root):
@@ -277,16 +283,11 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
                                  labels=tuple(a[0] for a in arrows))
 
 
-def is_reproducing_sweep_trial(trial):
+def is_reproducing_sweep_trial(n_events, potential_values):
     """One trial of the random-potential sweep: builds the dynamical state
     of a random potential on a pair groupoid and returns (min eigenvalue of
     its PSD matrix, max entrywise |phi*phi - phi| under the idempotent
-    scaling).  Pure function of its argument, safe for worker pools."""
-    from .algebra import multiply
-    from .groupoid import pair_groupoid
-    from .states import is_positive_semidefinite
-
-    n_events, potential_values = trial
+    scaling)."""
     g = pair_groupoid(["e%d" % k for k in range(n_events)])
     u = {x: potential_values[k] for k, x in enumerate(g.events)}
     s = action_from_potential(g, u)

@@ -39,10 +39,7 @@ class AlgebraElement:
     @classmethod
     def from_dict(cls, g, values):
         """Build from {label: complex}; omitted labels are zero."""
-        coeffs = np.zeros(g.order, dtype=complex)
-        for label, value in values.items():
-            coeffs[g.transition_index[g.resolve(label)]] = value
-        return cls(g, coeffs)
+        return cls(g, g.vector(values, complex))
 
     @classmethod
     def basis(cls, g, label):
@@ -73,8 +70,7 @@ class AlgebraElement:
     __rmul__ = scale
 
     def coeff(self, label):
-        g = self.groupoid
-        return complex(self.coeffs[g.transition_index[g.resolve(label)]])
+        return complex(self.coeffs[self.groupoid.index(label)])
 
     def _check_same(self, other):
         if other.groupoid is not self.groupoid:
@@ -114,11 +110,8 @@ def scatter_add(index, re, im, n):
 def involution(a: AlgebraElement) -> AlgebraElement:
     """a* = sum of conj(a_alpha) alpha^-1."""
     g = a.groupoid
-    out = np.zeros(g.order, dtype=complex)
-    for t in g.transitions:
-        i = g.transition_index[t]
-        out[g.transition_index[g.inverse[t]]] = np.conj(a.coeffs[i])
-    return AlgebraElement(g, out)
+    inv = g.index_arrays()[2]  # an involution, so a*[k] = conj(a[inv[k]])
+    return AlgebraElement(g, np.conj(a.coeffs[inv]))
 
 
 # -- distinguished elements ---------------------------------------------
@@ -126,8 +119,7 @@ def involution(a: AlgebraElement) -> AlgebraElement:
 
 def unit_element(g: FiniteGroupoid) -> AlgebraElement:
     coeffs = np.zeros(g.order, dtype=complex)
-    for u in g.units():
-        coeffs[g.transition_index[u]] = 1.0
+    coeffs[g.index_arrays()[3]] = 1.0
     return AlgebraElement(g, coeffs)
 
 
@@ -152,11 +144,10 @@ def spray_char(g: FiniteGroupoid, a, sign="+") -> AlgebraElement:
 def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     """|events| x |events| matrix M[t(alpha), s(alpha)] += a_alpha."""
     g = a.groupoid
+    src, tgt = g.index_arrays()[:2]
     n = len(g.events)
     mat = np.zeros((n, n), dtype=complex)
-    for t in g.transitions:
-        i = g.transition_index[t]
-        mat[g.event_index[g.target[t]], g.event_index[g.source[t]]] += a.coeffs[i]
+    np.add.at(mat, (tgt, src), a.coeffs)  # in canonical order, as a loop
     return mat
 
 
@@ -171,11 +162,8 @@ def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:
     if mat.shape != (n, n):
         raise GqmInputError("matrix shape %r does not match |events| = %d"
                             % (mat.shape, n))
-    coeffs = np.zeros(g.order, dtype=complex)
-    for t in g.transitions:
-        i = g.transition_index[t]
-        coeffs[i] = mat[g.event_index[g.target[t]], g.event_index[g.source[t]]]
-    return AlgebraElement(g, coeffs)
+    src, tgt = g.index_arrays()[:2]
+    return AlgebraElement(g, mat[tgt, src])
 
 
 def regular_rep(a: AlgebraElement) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +36,6 @@ from .examples import (
     qubit_decoherence,
 )
 from .gns import FrameChange, gns_report, transformation_function
-from .groupoid import QuiverSpec
 from .specio import (
     algebra_to_doc,
     bind_generator_action,
@@ -49,6 +47,7 @@ from .specio import (
     matrix_to_json,
     parse_algebra_doc,
     parse_groupoid_doc,
+    parse_quiver_doc,
     parse_state_doc,
     parse_unitary_doc,
 )
@@ -71,13 +70,7 @@ class _IoFailure(Exception):
 def _load_groupoid(path):
     doc = _read_json(path)
     g = parse_groupoid_doc(doc)
-    quiver = None
-    if isinstance(doc, dict) and doc.get("kind") == "quiver":
-        quiver = QuiverSpec(
-            list(doc["events"]),
-            [(a["label"], a["source"], a["target"]) for a in doc["arrows"]],
-        )
-    return g, quiver
+    return g, parse_quiver_doc(doc) if doc["kind"] == "quiver" else None
 
 
 def _load_state(path, g, quiver):
@@ -277,7 +270,7 @@ def cmd_example(args):
         doc = {"system": "double-slit", "delta": format_real(args.delta)}
     doc.update(normalization=args.normalization, order=list(d.labels),
                matrix=matrix_to_json(d.matrix))
-    if args.set:
+    if args.set is not None:
         rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
         doc["measure"] = {"set": list(rep.members),
                           "value": format_real(rep.value)}
@@ -290,25 +283,13 @@ def cmd_example(args):
     return 0
 
 
-def _check_threads():
-    """Reject a malformed GQM_THREADS.  Trials run one after another
-    whatever its value: they hold the interpreter lock, so a thread pool
-    only added overhead."""
-    env = os.environ.get("GQM_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise GqmInputError("GQM_THREADS must be an integer")
-        if n < 1:
-            raise GqmInputError("GQM_THREADS must be positive")
-
-
 def cmd_sweep(args):
-    if args.target != "thm52":
-        raise GqmInputError("unknown sweep target %r" % args.target)
     if args.n < 2:
         raise GqmInputError("--n must be at least 2")
+    if args.trials < 1:
+        raise GqmInputError("--trials must be at least 1")
+    if args.seed < 0:
+        raise GqmInputError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     trials = []
     for k in range(args.trials):
@@ -316,8 +297,7 @@ def cmd_sweep(args):
         potential = rng.normal(size=n_events)
         trials.append((n_events, potential.tolist()))
 
-    _check_threads()
-    results = [is_reproducing_sweep_trial(trial) for trial in trials]
+    results = [is_reproducing_sweep_trial(*trial) for trial in trials]
 
     worst_eig = min(r[0] for r in results)
     worst_rep = max(r[1] for r in results)

@@ -133,19 +133,12 @@ def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
     if d.labels != g.transitions:
         raise GqmInputError("invariance needs a decoherence functional over "
                             "all transitions")
-    ix = g.transition_index
-    for alpha in g.transitions:
-        for beta in g.transitions:
-            if not g.composable(alpha, beta):
-                continue
-            ab = g.composition[(alpha, beta)]
-            for beta2 in g.transitions:
-                if not g.composable(alpha, beta2):
-                    continue
-                ab2 = g.composition[(alpha, beta2)]
-                if abs(d.matrix[ix[ab], ix[ab2]]
-                       - d.matrix[ix[beta], ix[beta2]]) > tol:
-                    return False
+    m = d.matrix
+    for row in g.composition_table():  # row[beta] = alpha∘beta, or -1
+        beta = np.flatnonzero(row >= 0)
+        ab = row[beta]
+        if np.any(np.abs(m[np.ix_(ab, ab)] - m[np.ix_(beta, beta)]) > tol):
+            return False
     return True
 
 
@@ -158,10 +151,8 @@ def characteristic_from_bivariate(d: DecoherenceFunctional,
             "function exists"
         )
     g = d.groupoid
-    values = np.zeros(g.order, dtype=complex)
-    for t in g.transitions:
-        values[g.transition_index[t]] = d.entry(g.unit_of[g.target[t]], t)
-    return CharacteristicFunction(g, values)
+    _, tgt, _, unit = g.index_arrays()
+    return CharacteristicFunction(g, d.matrix[unit[tgt], np.arange(g.order)])
 
 
 def _resolve_set(d, members):
@@ -254,11 +245,11 @@ def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):
         raise MathPropertyError(
             "decoherence matrix is not PSD (min eigenvalue %.3e)" % eigvals[0]
         )
-    target = [g.target[g.resolve(lab)] for lab in d.labels]
-    for i, a in enumerate(d.labels):
-        for j, b in enumerate(d.labels):
-            if target[i] != target[j] and abs(m[i, j]) > tol:
-                raise MathPropertyError(
-                    "entries with different targets must vanish: "
-                    "(%r, %r)" % (a, b)
-                )
+    target = g.index_arrays()[1][[g.index(lab) for lab in d.labels]]
+    bad = np.argwhere((target[:, None] != target) & (np.abs(m) > tol))
+    if bad.size:  # the first in row-major order
+        i, j = bad[0]
+        raise MathPropertyError(
+            "entries with different targets must vanish: "
+            "(%r, %r)" % (d.labels[i], d.labels[j])
+        )

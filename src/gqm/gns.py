@@ -54,12 +54,10 @@ class GnsRepresentation:
     ground: np.ndarray               # quotient coordinates of [1]
 
     def matrix_of(self, a: AlgebraElement) -> np.ndarray:
-        g = self.space.groupoid
+        ts = self.space.groupoid.transitions
         out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for t in g.transitions:
-            c = a.coeffs[g.transition_index[t]]
-            if c != 0:
-                out += c * self.matrices[t]
+        for k in np.flatnonzero(a.coeffs):
+            out += a.coeffs[k] * self.matrices[ts[k]]
         return out
 
 
@@ -115,27 +113,27 @@ class RepMatrices:
 
     def check(self, tol=DEFAULT_TOL):
         g = self.groupoid
-        for t in g.transitions:
+        ts = g.transitions
+        for t in ts:
             m = self.matrices.get(t)
             if m is None or m.shape != (self.dim, self.dim):
                 raise GqmInputError("representation misses transition %r" % t)
-        for (o, i), r in g.composition.items():
-            dev = np.max(np.abs(
-                self.matrices[o] @ self.matrices[i] - self.matrices[r]
-            ))
+        mats = [self.matrices[t] for t in ts]
+        for o, i, r in zip(*g.composition_index()):
+            dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]))
             if dev > tol:
                 raise MathPropertyError(
-                    "not a homomorphism on (%r, %r): defect %.3e" % (o, i, dev)
+                    "not a homomorphism on (%r, %r): defect %.3e"
+                    % (ts[o], ts[i], dev)
                 )
-        for t in g.transitions:
-            dev = np.max(np.abs(
-                self.matrices[g.inverse[t]] - self.matrices[t].conj().T
-            ))
+        inv, unit = g.index_arrays()[2:]
+        for t, m, k in zip(ts, mats, inv):
+            dev = np.max(np.abs(mats[k] - m.conj().T))
             if dev > tol:
                 raise MathPropertyError(
                     "star-compatibility fails at %r: defect %.3e" % (t, dev)
                 )
-        unit_sum = sum(self.matrices[u] for u in g.units())
+        unit_sum = sum(mats[u] for u in unit)
         if np.max(np.abs(unit_sum - np.eye(self.dim))) > tol:
             raise MathPropertyError("unit transitions do not sum to identity")
 
@@ -263,28 +261,25 @@ def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
     simple state at ``a``: evaluates delta_state(a) on the transported unit
     of ``b`` and exposes the corresponding vector in the GNS space of a."""
     moved = frame_transported_unit(g, fc, b)
-    g.require_event(a)
+    x = g.event_index[g.require_event(a)]
+    src, _, _, unit = g.index_arrays()
 
     # evaluate rho_a: the coefficient of the unit at a
-    value = moved.coeff(g.unit_of[a])
+    value = complex(moved.coeffs[unit[x]])
     if abs(value.imag) > DEFAULT_TOL:
         raise MathPropertyError("transported projector has non-real "
                                 "diagonal: %r" % value)
 
     # H_a is the space of functions on the spray at a; the class of any
     # element is its coefficient restriction to that spray
-    spray = sorted(
-        g.g_plus(a), key=lambda t: g.transition_index[t]
-    )
-    vec = np.array([moved.coeff(t) for t in spray])
-    ground = np.array([
-        1.0 + 0j if t == g.unit_of[a] else 0.0 for t in spray
-    ])
+    spray = np.flatnonzero(src == x)
+    vec = moved.coeffs[spray]
+    ground = (spray == unit[x]).astype(complex)
     amplitude = complex(np.vdot(vec, ground))
     return TransformationResult(
         value=value.real,
         amplitude=amplitude,
-        gns_basis=tuple(spray),
+        gns_basis=tuple(g.transitions[k] for k in spray),
         gns_vector=vec,
     )
 

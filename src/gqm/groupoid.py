@@ -99,6 +99,20 @@ class FiniteGroupoid:
             return self.aliases[label]
         raise GqmInputError("unknown transition label %r" % label)
 
+    def index(self, label):
+        """Canonical index of a transition label or alias."""
+        return self.transition_index[self.resolve(label)]
+
+    def vector(self, values, dtype):
+        """Vector over the canonical order from {label: value}; omitted
+        labels are zero, and of two labels naming one transition the
+        later one wins (numpy leaves the order of repeated indices in a
+        fancy assignment unspecified)."""
+        vec = np.zeros(self.order, dtype=dtype)
+        for label, value in values.items():
+            vec[self.index(label)] = value
+        return vec
+
     def require_event(self, x):
         if x not in self.event_index:
             raise GqmInputError("unknown event label %r" % x)

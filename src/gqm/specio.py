@@ -35,19 +35,19 @@ def _require_object(doc, what):
     return doc
 
 
-def _take(doc, allowed, required, what):
-    """Strict field extraction: every required key present, nothing else."""
-    unknown = sorted(set(doc) - set(allowed))
+def _take(doc, names, what):
+    """Strict field extraction: exactly the keys ``names``, nothing else."""
+    unknown = sorted(set(doc) - set(names))
     if unknown:
         raise GqmInputError(
             "unknown field(s) in %s: %s" % (what, ", ".join(unknown))
         )
-    missing = sorted(set(required) - set(doc))
+    missing = sorted(set(names) - set(doc))
     if missing:
         raise GqmInputError(
             "missing field(s) in %s: %s" % (what, ", ".join(missing))
         )
-    return {k: doc[k] for k in doc}
+    return doc
 
 
 def _string_list(value, what):
@@ -64,9 +64,28 @@ def _string(value, what):
     return value
 
 
-def _strings(row, names, what):
-    """The values of ``names`` in ``row``, each of which must be a string."""
-    return tuple(_string(row[f], "%s %s" % (what, f)) for f in names)
+def _records(value, key, what, names):
+    """Yield each object of the array ``value`` (the field ``key``) as the
+    tuple of its fields ``names``, which must be exactly its fields and
+    all strings; ``what`` names one object in messages."""
+    if not isinstance(value, list):
+        raise GqmInputError("'%s' must be an array" % key)
+    for k, entry in enumerate(value):
+        label = "%s %d" % (what, k)
+        row = _take(_require_object(entry, label), names, label)
+        yield tuple(_string(row[f], "%s %s" % (label, f)) for f in names)
+
+
+def _binary_table(value, key, what, names):
+    """{(first, second): third} over `_records`; a repeated pair is an
+    input error."""
+    table = {}
+    for first, second, third in _records(value, key, what, names):
+        if (first, second) in table:
+            raise GqmInputError("duplicate %s for %r"
+                                % (what, (first, second)))
+        table[(first, second)] = third
+    return table
 
 
 def _string_map(value, what):
@@ -125,44 +144,18 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
             "groupoid spec 'kind' must be one of %s" % ", ".join(GROUPOID_KINDS)
         )
     if kind == "pair":
-        fields = _take(doc, ("kind", "events"), ("kind", "events"),
-                       "pair groupoid spec")
+        fields = _take(doc, ("kind", "events"), "pair groupoid spec")
         return pair_groupoid(_string_list(fields["events"], "'events'"))
     if kind == "quiver":
-        fields = _take(doc, ("kind", "events", "arrows"),
-                       ("kind", "events", "arrows"), "quiver spec")
-        arrows = []
-        if not isinstance(fields["arrows"], list):
-            raise GqmInputError("'arrows' must be an array")
-        for k, entry in enumerate(fields["arrows"]):
-            entry = _require_object(entry, "arrow %d" % k)
-            a = _take(entry, ("label", "source", "target"),
-                      ("label", "source", "target"), "arrow %d" % k)
-            arrows.append(_strings(a, ("label", "source", "target"),
-                                   "arrow %d" % k))
-        return from_quiver(
-            QuiverSpec(_string_list(fields["events"], "'events'"), arrows)
-        )
+        return from_quiver(parse_quiver_doc(doc))
     if kind == "group":
         fields = _take(doc, ("kind", "events", "elements", "identity", "table"),
-                       ("kind", "events", "elements", "identity", "table"),
                        "group spec")
         events = _string_list(fields["events"], "'events'")
         if len(events) != 1:
             raise GqmInputError("a group spec declares exactly one event")
-        table = {}
-        if not isinstance(fields["table"], list):
-            raise GqmInputError("'table' must be an array")
-        for k, entry in enumerate(fields["table"]):
-            entry = _require_object(entry, "table entry %d" % k)
-            row = _take(entry, ("left", "right", "result"),
-                        ("left", "right", "result"), "table entry %d" % k)
-            left, right, result = _strings(
-                row, ("left", "right", "result"), "table entry %d" % k)
-            if (left, right) in table:
-                raise GqmInputError("duplicate table entry for %r"
-                                    % ((left, right),))
-            table[(left, right)] = result
+        table = _binary_table(fields["table"], "table", "table entry",
+                              ("left", "right", "result"))
         return group_as_groupoid(
             _string_list(fields["elements"], "'elements'"),
             table, _string(fields["identity"], "'identity'"),
@@ -173,23 +166,10 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
         doc,
         ("kind", "events", "transitions", "source", "target", "units",
          "inverse", "compose"),
-        ("kind", "events", "transitions", "source", "target", "units",
-         "inverse", "compose"),
         "explicit groupoid spec",
     )
-    composition = {}
-    if not isinstance(fields["compose"], list):
-        raise GqmInputError("'compose' must be an array")
-    for k, entry in enumerate(fields["compose"]):
-        entry = _require_object(entry, "compose entry %d" % k)
-        row = _take(entry, ("inner", "outer", "result"),
-                    ("inner", "outer", "result"), "compose entry %d" % k)
-        outer, inner, result = _strings(
-            row, ("outer", "inner", "result"), "compose entry %d" % k)
-        if (outer, inner) in composition:
-            raise GqmInputError("duplicate compose entry for %r"
-                                % ((outer, inner),))
-        composition[(outer, inner)] = result
+    composition = _binary_table(fields["compose"], "compose", "compose entry",
+                                ("outer", "inner", "result"))
     return from_explicit(
         _string_list(fields["events"], "'events'"),
         _string_list(fields["transitions"], "'transitions'"),
@@ -199,6 +179,15 @@ def parse_groupoid_doc(doc) -> FiniteGroupoid:
         _string_map(fields["inverse"], "'inverse'"),
         composition,
     )
+
+
+def parse_quiver_doc(doc) -> QuiverSpec:
+    """The events and arrows of a quiver-kind groupoid spec."""
+    fields = _take(_require_object(doc, "groupoid spec"),
+                   ("kind", "events", "arrows"), "quiver spec")
+    arrows = list(_records(fields["arrows"], "arrows", "arrow",
+                           ("label", "source", "target")))
+    return QuiverSpec(_string_list(fields["events"], "'events'"), arrows)
 
 
 def parse_groupoid_text(text) -> FiniteGroupoid:
@@ -219,28 +208,24 @@ def parse_state_doc(doc, g: FiniteGroupoid):
             "state spec 'type' must be one of %s" % ", ".join(STATE_TYPES)
         )
     if kind == "characteristic":
-        fields = _take(doc, ("type", "values"), ("type", "values"),
-                       "characteristic state spec")
+        fields = _take(doc, ("type", "values"), "characteristic state spec")
         values = _require_object(fields["values"], "'values'")
         return CharacteristicFunction.from_dict(g, {
             label: parse_complex(v, "value of %r" % label)
             for label, v in values.items()
         })
     if kind == "delta":
-        fields = _take(doc, ("type", "event"), ("type", "event"),
-                       "delta state spec")
+        fields = _take(doc, ("type", "event"), "delta state spec")
         return delta_state(g, _string(fields["event"], "'event'"))
     if kind == "action":
-        fields = _take(doc, ("type", "potential"), ("type", "potential"),
-                       "action state spec")
+        fields = _take(doc, ("type", "potential"), "action state spec")
         pot = _require_object(fields["potential"], "'potential'")
         return {
             "type": "action",
             "potential": {x: _real(v, "potential at %r" % x)
                           for x, v in pot.items()},
         }
-    fields = _take(doc, ("type", "values"), ("type", "values"),
-                   "generator-action state spec")
+    fields = _take(doc, ("type", "values"), "generator-action state spec")
     values = _require_object(fields["values"], "'values'")
     return {
         "type": "generator-action",
@@ -257,7 +242,7 @@ def bind_generator_action(payload, quiver: QuiverSpec) -> GeneratorAction:
 
 def parse_unitary_doc(doc) -> np.ndarray:
     doc = _require_object(doc, "frame spec")
-    fields = _take(doc, ("unitary",), ("unitary",), "frame spec")
+    fields = _take(doc, ("unitary",), "frame spec")
     rows = fields["unitary"]
     if not isinstance(rows, list) or not rows:
         raise GqmInputError("'unitary' must be a non-empty array of rows")
@@ -272,7 +257,7 @@ def parse_unitary_doc(doc) -> np.ndarray:
 
 def parse_algebra_doc(doc, g: FiniteGroupoid) -> AlgebraElement:
     doc = _require_object(doc, "algebra element spec")
-    fields = _take(doc, ("coeffs",), ("coeffs",), "algebra element spec")
+    fields = _take(doc, ("coeffs",), "algebra element spec")
     coeffs = _require_object(fields["coeffs"], "'coeffs'")
     return AlgebraElement.from_dict(g, {
         label: parse_complex(v, "coefficient of %r" % label)
@@ -314,24 +299,19 @@ def matrix_to_csv(mat) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonzero_entries(g: FiniteGroupoid, vec) -> dict:
+    """{transition label: [re, im]} of the nonzero entries of ``vec``."""
+    return {g.transitions[k]: complex_pair(vec[k])
+            for k in np.flatnonzero(vec)}
+
+
 def algebra_to_doc(a: AlgebraElement) -> dict:
-    g = a.groupoid
-    coeffs = {}
-    for t in g.transitions:
-        z = a.coeffs[g.transition_index[t]]
-        if z != 0:
-            coeffs[t] = complex_pair(z)
-    return {"coeffs": coeffs}
+    return {"coeffs": _nonzero_entries(a.groupoid, a.coeffs)}
 
 
 def state_to_doc(phi: CharacteristicFunction) -> dict:
-    g = phi.groupoid
-    values = {}
-    for t in g.transitions:
-        z = phi.values[g.transition_index[t]]
-        if z != 0:
-            values[t] = complex_pair(z)
-    return {"type": "characteristic", "values": values}
+    return {"type": "characteristic",
+            "values": _nonzero_entries(phi.groupoid, phi.values)}
 
 
 def groupoid_to_doc(g: FiniteGroupoid) -> dict:

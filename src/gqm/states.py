@@ -35,14 +35,10 @@ class CharacteristicFunction:
 
     @classmethod
     def from_dict(cls, g, values):
-        vec = np.zeros(g.order, dtype=complex)
-        for label, value in values.items():
-            vec[g.transition_index[g.resolve(label)]] = value
-        return cls(g, vec)
+        return cls(g, g.vector(values, complex))
 
     def value(self, label):
-        g = self.groupoid
-        return complex(self.values[g.transition_index[g.resolve(label)]])
+        return complex(self.values[self.groupoid.index(label)])
 
     def unit_mass(self):
         """Sum of the unit values, in event order; inf, never a warning,
@@ -155,8 +151,10 @@ def state_eval(phi, a: AlgebraElement, tol=DEFAULT_TOL) -> complex:
 
 def delta_state(g: FiniteGroupoid, x) -> CharacteristicFunction:
     """The simple state supported on the unit at x."""
-    g.require_event(x)
-    return CharacteristicFunction.from_dict(g, {g.unit_of[x]: 1.0})
+    unit = g.index_arrays()[3]
+    values = np.zeros(g.order, dtype=complex)
+    values[unit[g.event_index[g.require_event(x)]]] = 1.0
+    return CharacteristicFunction(g, values)
 
 
 def transition_amplitude(phi, a, b) -> complex:

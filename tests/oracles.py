@@ -185,3 +185,67 @@ def is_action_loop(s, tol):
                 "additivity fails on (%r, %r): deviation %.17g" % (o, i, dev)
             )
     return (not violations), violations
+
+
+def involution_loop(a):
+    """a*: conj(a_t) placed at t^-1, transition by transition."""
+    g = a.groupoid
+    out = np.zeros(g.order, dtype=complex)
+    for t in g.transitions:
+        i = g.transition_index[t]
+        out[g.transition_index[g.inverse[t]]] = np.conj(a.coeffs[i])
+    return out
+
+
+def fundamental_rep_loop(a):
+    """M[t(alpha), s(alpha)] += a_alpha, in canonical order."""
+    g = a.groupoid
+    n = len(g.events)
+    mat = np.zeros((n, n), dtype=complex)
+    for t in g.transitions:
+        i = g.transition_index[t]
+        mat[g.event_index[g.target[t]], g.event_index[g.source[t]]] += (
+            a.coeffs[i])
+    return mat
+
+
+def is_invariant_loop(d, tol):
+    """D(alpha∘beta, alpha∘beta') = D(beta, beta') over every alpha and
+    every pair beta, beta' composable with it."""
+    g = d.groupoid
+    ix = g.transition_index
+    for alpha in g.transitions:
+        for beta in g.transitions:
+            if not g.composable(alpha, beta):
+                continue
+            ab = g.composition[(alpha, beta)]
+            for beta2 in g.transitions:
+                if not g.composable(alpha, beta2):
+                    continue
+                ab2 = g.composition[(alpha, beta2)]
+                if abs(d.matrix[ix[ab], ix[ab2]]
+                       - d.matrix[ix[beta], ix[beta2]]) > tol:
+                    return False
+    return True
+
+
+def bivariate_values_loop(d):
+    """phi(alpha) = D(1_{t(alpha)}, alpha), transition by transition."""
+    g = d.groupoid
+    values = np.zeros(g.order, dtype=complex)
+    for t in g.transitions:
+        values[g.transition_index[t]] = d.entry(g.unit_of[g.target[t]], t)
+    return values
+
+
+def target_block_violation_loop(d, tol):
+    """The first pair of labels, in row-major order, whose targets differ
+    and whose entry exceeds ``tol``; None if there is none."""
+    g = d.groupoid
+    m = d.matrix
+    target = [g.target[g.resolve(lab)] for lab in d.labels]
+    for i, a in enumerate(d.labels):
+        for j, b in enumerate(d.labels):
+            if target[i] != target[j] and abs(m[i, j]) > tol:
+                return a, b
+    return None

@@ -196,8 +196,7 @@ def test_example_double_slit(capsys):
     assert doc["measure"]["value"] == 0.0
 
 
-def test_sweep_deterministic(capsys, monkeypatch):
-    monkeypatch.setenv("GQM_THREADS", "2")
+def test_sweep_deterministic(capsys):
     code, first = run(capsys, ["sweep", "thm52", "--n", "4",
                                "--trials", "12", "--seed", "7"])
     assert code == 0
@@ -210,9 +209,15 @@ def test_sweep_deterministic(capsys, monkeypatch):
     assert doc["min_eigenvalue"] >= -1e-10
 
 
-def test_sweep_rejects_bad_threads(monkeypatch):
-    monkeypatch.setenv("GQM_THREADS", "zero")
-    assert main(["sweep", "thm52", "--trials", "1"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["sweep", "thm52", "--trials", "0"],
+    ["sweep", "thm52", "--trials", "-3"],
+    ["sweep", "thm52", "--seed", "-1"],
+    ["example", "qubit", "--set", ""],
+    ["example", "double-slit", "--set", ""],
+])
+def test_bad_option_values_exit_cleanly(capsys, argv):
+    run_rejected(capsys, argv)
 
 
 def test_gns_rejects_zero_unit_mass(capsys, pair3_file, tmp_path):

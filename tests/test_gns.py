@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gqm.algebra import AlgebraElement, multiply
 from gqm.decoherence import decoherence_from_characteristic
 from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import qubit_state
@@ -86,6 +87,14 @@ def test_gns_structure(corpus, rng):
         for t in g.transitions:
             dev = rep.matrices[g.inverse[t]] - rep.matrices[t].conj().T
             assert np.max(np.abs(dev)) <= 1e-10
+            assert np.array_equal(
+                rep.matrix_of(AlgebraElement.basis(g, t)), rep.matrices[t])
+        a, b = (AlgebraElement(g, rng.normal(size=g.order)
+                               + 1j * rng.normal(size=g.order))
+                for _ in range(2))
+        dev = (rep.matrix_of(multiply(a, b))
+               - rep.matrix_of(a) @ rep.matrix_of(b))
+        assert np.max(np.abs(dev)) <= 1e-9
 
 
 def test_reconstruction(corpus, qubit, rng):

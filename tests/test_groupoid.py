@@ -78,6 +78,11 @@ def test_from_quiver_double_slit(double_slit):
     # arrow labels resolve as aliases of pair transitions
     assert double_slit.resolve("alpha") == "A->D"
     assert double_slit.resolve("beta_bar") == "B->Dbar"
+    # the label codec: of two labels naming one transition, the later wins
+    assert double_slit.index("alpha") == double_slit.index("A->D")
+    vec = double_slit.vector({"alpha": 1.0, "A->D": 2.0, "beta": 3.0}, float)
+    assert vec[double_slit.index("A->D")] == 2.0
+    assert vec[double_slit.index("B->D")] == 3.0 and vec.sum() == 5.0
 
 
 def test_from_quiver_single_arrow():

@@ -1,7 +1,8 @@
 """The vectorized kernels against the plain loop versions in ``oracles``.
 
 Validation must give the same violations, in the same order, and the same
-check count; products, invariance matrices and action checks must agree
+check count; products, involutions, representations, invariance matrices,
+action and decoherence checks and their first violations must agree
 exactly; eigen-derived numbers within 1e-12 of their scale.
 """
 
@@ -11,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqm.action import ActionFunction, action_from_potential, is_action
-from gqm.algebra import AlgebraElement, multiply
+from gqm.algebra import AlgebraElement, fundamental_rep, involution, multiply
+from gqm.decoherence import (
+    DecoherenceFunctional,
+    characteristic_from_bivariate,
+    check_decoherence_axioms,
+    decoherence_from_characteristic,
+    is_invariant,
+)
+from gqm.errors import MathPropertyError
 from gqm.examples import corpus_groupoids
 from gqm.gns import RANK_TOL, gns_build
 from gqm.groupoid import (
@@ -28,12 +37,17 @@ from gqm.states import (
     random_state,
 )
 from oracles import (
+    bivariate_values_loop,
+    fundamental_rep_loop,
     gns_dim_full,
     gns_matrices_dense,
     invariance_matrix_loop,
+    involution_loop,
     is_action_loop,
+    is_invariant_loop,
     multiply_loop,
     psd_full,
+    target_block_violation_loop,
     validate_loop,
 )
 
@@ -153,6 +167,12 @@ def test_kernels_match_loops(g, seed):
     a = AlgebraElement(g, random_values(g, rng))
     b = AlgebraElement(g, random_values(g, rng))
     assert np.array_equal(multiply(a, b).coeffs, multiply_loop(a, b))
+    # magnitudes far apart, so a different summation order would show
+    c = AlgebraElement(g, random_values(g, rng)
+                       * 10.0 ** rng.uniform(-8, 8, g.order))
+    for x in (a, c):
+        assert np.array_equal(involution(x).coeffs, involution_loop(x))
+        assert np.array_equal(fundamental_rep(x), fundamental_rep_loop(x))
     phi = CharacteristicFunction(g, random_values(g, rng))
     assert np.array_equal(invariance_matrix(phi), invariance_matrix_loop(phi))
 
@@ -164,6 +184,61 @@ def test_kernels_match_loops(g, seed):
         assert is_action(s) == is_action_loop(s, 1e-10) == (True, [])
         s.values[rng.integers(g.order)] += 0.5
         assert is_action(s) == is_action_loop(s, 1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system, st.integers(0, 2**32 - 1))
+def test_invariance_matches_loop(g, seed):
+    """A state's functional, which is invariant, and the same with one
+    entry moved by about the tolerance, mostly inside a target block."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    d = decoherence_from_characteristic(random_state(g, rng))
+    moved = d.matrix.copy()
+    i = rng.integers(g.order)
+    block = next(b for b in g.target_blocks() if i in b)
+    j = rng.choice(block) if rng.random() < 0.8 else rng.integers(g.order)
+    moved[i, j] += 10.0 ** rng.uniform(-11, -9) * np.exp(2j * np.pi
+                                                        * rng.random())
+    for mat in (d.matrix, moved):
+        e = DecoherenceFunctional(g, mat)
+        verdict = is_invariant(e, tol)
+        assert verdict == is_invariant_loop(e, tol)
+        if verdict:
+            assert np.array_equal(characteristic_from_bivariate(e, tol).values,
+                                  bivariate_values_loop(e))
+        else:
+            with pytest.raises(MathPropertyError):
+                characteristic_from_bivariate(e, tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system, st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3))
+def test_target_check_matches_loop(g, seed, arrows, rank):
+    """Hermitian PSD matrices: a state's functional (or zero, over arrow
+    labels) plus V V^H for a sparse V with entries near the tolerance, so
+    the first entry across target blocks above it is the first violation
+    check_decoherence_axioms reports."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    if arrows and g.aliases:
+        labels = tuple(sorted(g.aliases))
+        base = np.zeros((len(labels), len(labels)), dtype=complex)
+    else:
+        labels = g.transitions
+        base = decoherence_from_characteristic(random_state(g, rng)).matrix
+    n = len(labels)
+    v = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))) * (
+        10.0 ** rng.uniform(-6, -4, (n, rank)) * (rng.random((n, rank)) < 0.4))
+    e = DecoherenceFunctional(g, base + v @ v.conj().T, labels=labels)
+    first = target_block_violation_loop(e, tol)
+    if first is None:
+        check_decoherence_axioms(e, tol)
+    else:
+        with pytest.raises(MathPropertyError) as err:
+            check_decoherence_axioms(e, tol)
+        assert str(err.value) == ("entries with different targets must "
+                                  "vanish: (%r, %r)" % first)
 
 
 @settings(max_examples=60, deadline=None)
