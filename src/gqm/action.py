@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import multiply
 from .decoherence import DecoherenceFunctional, normalization_scale
 from .errors import (
     ActionInconsistencyError,
@@ -37,6 +36,7 @@ from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
     is_positive_semidefinite,
+    reproducing_deviation,
 )
 
 
@@ -293,10 +293,7 @@ def is_reproducing_sweep_trial(n_events, potential_values):
     s = action_from_potential(g, u)
     phi = dynamical_state(s, normalization="idempotent")
     check = is_positive_semidefinite(phi)
-    elem = phi.as_algebra_element()
-    square = multiply(elem, elem)
-    deviation = float(np.max(np.abs(square.coeffs - elem.coeffs)))
-    return check.min_eigenvalue, deviation
+    return check.min_eigenvalue, reproducing_deviation(phi)
 
 
 def recover_potential(s: ActionFunction, base_event=None):

@@ -17,8 +17,6 @@ import numpy as np
 from .action import (
     GeneratorAction,
     action_from_potential,
-    dynamical_state,
-    extend_generator_action,
     is_reproducing_sweep_trial,
     quiver_decoherence,
 )
@@ -233,7 +231,6 @@ def cmd_gns(args):
                 % mass)
         state = CharacteristicFunction(g, values)
     report = gns_report(state, args.tolerance)
-    report["dim"] = int(report["dim"])
     report["gram_rank_tolerance"] = format_real(report["gram_rank_tolerance"])
     report["reconstruction_max_error"] = format_real(
         report["reconstruction_max_error"]
@@ -415,14 +412,16 @@ def main(argv=None):
     except MathPropertyError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except GqmInputError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
     except _IoFailure as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
     except GqmError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except MemoryError as exc:
+        # an input too large for this machine is bad input, not a crash
+        sys.stderr.write("error: out of memory: %s\n"
+                         % (str(exc) or "allocation failed"))
         return 1
 
 

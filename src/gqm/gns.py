@@ -17,10 +17,12 @@ from .algebra import (
     AlgebraElement,
     fundamental_rep,
     fundamental_rep_inverse,
+    regular_rep,
+    scatter_add,
     unit_element,
 )
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, group_indices
+from .groupoid import FiniteGroupoid
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -50,15 +52,11 @@ class GnsSpace:
 @dataclass(eq=False)
 class GnsRepresentation:
     space: GnsSpace
-    matrices: dict[str, np.ndarray]  # transition label -> dim x dim
-    ground: np.ndarray               # quotient coordinates of [1]
+    ground: np.ndarray  # quotient coordinates of [1]
 
     def matrix_of(self, a: AlgebraElement) -> np.ndarray:
-        ts = self.space.groupoid.transitions
-        out = np.zeros((self.space.dim, self.space.dim), dtype=complex)
-        for k in np.flatnonzero(a.coeffs):
-            out += a.coeffs[k] * self.matrices[ts[k]]
-        return out
+        """pi(a): left multiplication by ``a``, in quotient coordinates."""
+        return self.space.projector @ regular_rep(a) @ self.space.basis
 
 
 def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation:
@@ -83,15 +81,8 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     projector = basis.conj().T @ gram
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis, gram=gram,
                      projector=projector)
-
-    # left multiplication by t sends inner to t∘inner, so projector @ L_t
-    # @ basis gathers the result columns of projector and inner rows of basis
-    outer, inner, result = g.composition_index()
-    matrices = {t: projector[:, result[k]] @ basis[inner[k], :]
-                for t, k in zip(g.transitions,
-                                group_indices(outer, g.order))}
-    ground = projector @ unit_element(g).coeffs
-    return GnsRepresentation(space=space, matrices=matrices, ground=ground)
+    return GnsRepresentation(space=space,
+                             ground=projector @ unit_element(g).coeffs)
 
 
 def verify_reconstruction(phi: CharacteristicFunction,
@@ -156,8 +147,11 @@ def fundamental_matrices(g: FiniteGroupoid) -> RepMatrices:
 
 
 def gns_matrices(rep: GnsRepresentation) -> RepMatrices:
-    return RepMatrices(groupoid=rep.space.groupoid, matrices=rep.matrices,
-                       dim=rep.space.dim)
+    """pi(t) for every transition t, tabulated from ``rep.matrix_of``."""
+    g = rep.space.groupoid
+    mats = {t: rep.matrix_of(AlgebraElement.basis(g, t))
+            for t in g.transitions}
+    return RepMatrices(groupoid=g, matrices=mats, dim=rep.space.dim)
 
 
 def smeared_character(rep: RepMatrices, density,
@@ -240,7 +234,8 @@ class TransformationResult:
 def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
                            b) -> AlgebraElement:
     """The algebra element whose fundamental matrix is U^dagger P_b U."""
-    if not g.is_pair_groupoid() or not g.is_connected():
+    # one transition per ordered event pair: a pair groupoid is connected
+    if not g.is_pair_groupoid():
         raise GqmInputError(
             "frame changes require a connected pair groupoid"
         )
@@ -288,15 +283,18 @@ def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
     """The summary emitted by the CLI: dimension, tolerance, reconstruction
     error and ground norm."""
     rep = gns_build(phi, tol)
-    g = phi.groupoid
-    worst = 0.0
-    for t in g.transitions:
-        amp = complex(rep.ground.conj() @ rep.matrices[t] @ rep.ground)
-        worst = max(worst, abs(amp - phi.value(t)))
+    space, g = rep.space, phi.groupoid
+    # <0|pi(t)|0> sums left[t∘inner] right[inner] over the inner composable
+    # with t, since left multiplication by t sends inner to t∘inner
+    left = rep.ground.conj() @ space.projector
+    right = space.basis @ rep.ground
+    outer, inner, result = g.composition_index()
+    terms = left[result] * right[inner]
+    amps = scatter_add(outer, terms.real, terms.imag, g.order)
     return {
-        "dim": rep.space.dim,
+        "dim": space.dim,
         "gram_rank_tolerance": RANK_TOL,
-        "reconstruction_max_error": worst,
+        "reconstruction_max_error": float(np.max(np.abs(amps - phi.values))),
         "ground_norm": float(np.linalg.norm(rep.ground)),
     }
 

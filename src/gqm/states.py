@@ -182,11 +182,15 @@ def observable_amplitude(f: AlgebraElement, a_to, a_from,
     return complex(sum(f.coeff(t) for t in sorted(g.hom_set(a_from, a_to))))
 
 
+def reproducing_deviation(phi) -> float:
+    """Max entrywise |phi * phi - phi| under convolution."""
+    elem = phi.as_algebra_element()
+    return float(np.max(np.abs(multiply(elem, elem).coeffs - elem.coeffs)))
+
+
 def is_reproducing(phi, tol=DEFAULT_TOL) -> bool:
     """Idempotency under convolution: phi * phi == phi."""
-    elem = phi.as_algebra_element()
-    square = multiply(elem, elem)
-    return bool(np.max(np.abs(square.coeffs - elem.coeffs)) <= tol)
+    return reproducing_deviation(phi) <= tol
 
 
 def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:

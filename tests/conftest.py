@@ -1,6 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gqm
 from gqm.examples import (
     build_qubit,
     corpus_groupoids,
@@ -51,3 +57,20 @@ def random_element(g, rng):
     re = rng.uniform(-1, 1, size=g.order)
     im = rng.uniform(-1, 1, size=g.order)
     return AlgebraElement(g, re + 1j * im)
+
+
+def run_capped(argv, mib):
+    """Run ``python -m gqm.cli`` with ``argv`` in a child process whose
+    address space is capped at ``mib`` MiB; returns (exit code, stdout,
+    stderr)."""
+    limit = mib * 2**20
+
+    def cap():  # runs in the child only, between fork and exec
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(gqm.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "gqm.cli", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=cap,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import run_capped
 from gqm.cli import main
 
 
@@ -351,6 +352,38 @@ def test_huge_finite_values_never_give_nan(capsys, tmp_path, values, argv,
     captured = capsys.readouterr()
     assert captured.err == ""
     json.loads(captured.out, parse_constant=pytest.fail)
+
+
+def pair_files(tmp_path, n):
+    """A pair groupoid on n events and its unit-indicator state, whose Gram
+    matrix is the identity over n: a full-rank state, GNS dimension n^2."""
+    events = ["e%d" % k for k in range(n)]
+    g = write(tmp_path / "pair.json", {"kind": "pair", "events": events})
+    state = write(tmp_path / "units.json", {
+        "type": "characteristic",
+        "values": {"1_%s" % x: [1.0 / n, 0] for x in events}})
+    return g, state
+
+
+def test_out_of_memory_is_one_line(tmp_path):
+    """pair64 validation needs |G|^2 = 2^24 table cells, more than the cap
+    leaves: bad input, one line, no traceback."""
+    g, _ = pair_files(tmp_path, 64)
+    code, out, err = run_capped(["validate", g], 256)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_gns_full_rank_fits_in_memory(tmp_path):
+    """A GNS report without |G| dim x dim matrices: on pair24 at full rank
+    they would take 576^3 complex doubles, about 3 GB."""
+    code, out, err = run_capped(["gns", *pair_files(tmp_path, 24)], 512)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 576
+    assert doc["reconstruction_max_error"] <= 1e-12
 
 
 def test_output_independent_of_hash_seed(tmp_path):

@@ -81,14 +81,15 @@ def test_gns_structure(corpus, rng):
         # ground vector has unit norm
         assert np.linalg.norm(rep.ground) == pytest.approx(1.0, abs=1e-12)
         # representation property on all composable pairs
+        matrices = gns_matrices(rep).matrices
         for (o, i), r in g.composition.items():
-            dev = rep.matrices[o] @ rep.matrices[i] - rep.matrices[r]
+            dev = matrices[o] @ matrices[i] - matrices[r]
             assert np.max(np.abs(dev)) <= 1e-10
         for t in g.transitions:
-            dev = rep.matrices[g.inverse[t]] - rep.matrices[t].conj().T
+            dev = matrices[g.inverse[t]] - matrices[t].conj().T
             assert np.max(np.abs(dev)) <= 1e-10
             assert np.array_equal(
-                rep.matrix_of(AlgebraElement.basis(g, t)), rep.matrices[t])
+                rep.matrix_of(AlgebraElement.basis(g, t)), matrices[t])
         a, b = (AlgebraElement(g, rng.normal(size=g.order)
                                + 1j * rng.normal(size=g.order))
                 for _ in range(2))

@@ -22,7 +22,7 @@ from gqm.decoherence import (
 )
 from gqm.errors import MathPropertyError
 from gqm.examples import corpus_groupoids
-from gqm.gns import RANK_TOL, gns_build
+from gqm.gns import RANK_TOL, gns_build, gns_matrices, gns_report
 from gqm.groupoid import (
     FiniteGroupoid,
     QuiverSpec,
@@ -268,9 +268,25 @@ def test_gns_matches_dense_products(g, seed):
     rep = gns_build(phi)
     assert rep.space.dim == gns_dim_full(phi, RANK_TOL)
     dense = gns_matrices_dense(rep.space)
+    matrices = gns_matrices(rep).matrices
     for t in g.transitions:
-        assert np.max(np.abs(rep.matrices[t] - dense[t]),
+        assert np.max(np.abs(matrices[t] - dense[t]),
                       initial=0.0) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(system, st.integers(0, 2**32 - 1))
+def test_gns_report_matches_dense_reconstruction(g, seed):
+    """The scatter in ``gns_report`` against <0|pi(t)|0> from the dense
+    matrices of every transition."""
+    phi = random_state(g, np.random.default_rng(seed))
+    rep = gns_build(phi)
+    dense = gns_matrices_dense(rep.space)
+    errors = [abs(rep.ground.conj() @ dense[t] @ rep.ground - phi.value(t))
+              for t in g.transitions]
+    scale = max(1.0, float(np.max(np.abs(phi.values))))
+    assert abs(gns_report(phi)["reconstruction_max_error"]
+               - max(errors)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("g", SYSTEMS[:3])
