@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, group_indices
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -134,9 +134,9 @@ def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
         raise GqmInputError("invariance needs a decoherence functional over "
                             "all transitions")
     m = d.matrix
-    for row in g.composition_table():  # row[beta] = alpha∘beta, or -1
-        beta = np.flatnonzero(row >= 0)
-        ab = row[beta]
+    outer, inner, result = g.composition_index()
+    for k in group_indices(outer, g.order):  # every beta after one alpha
+        beta, ab = inner[k], result[k]
         if np.any(np.abs(m[np.ix_(ab, ab)] - m[np.ix_(beta, beta)]) > tol):
             return False
     return True

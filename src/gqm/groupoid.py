@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,8 +87,6 @@ class FiniteGroupoid:
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
         self._arrays = None
-        self._comp_rows = None
-        self._comp_table = None
 
     # -- label handling -------------------------------------------------
 
@@ -152,34 +151,20 @@ class FiniteGroupoid:
             )
         return self._arrays
 
+    @cached_property
     def _composition_rows(self):
         """One (outer, inner, result) index row per `composition` entry, in
         its order; an operand that is not a transition is -1, a result -2."""
-        if self._comp_rows is None:
-            tx = self.transition_index
-            self._comp_rows = np.array(
-                [(tx.get(o, -1), tx.get(i, -1), tx.get(r, -2))
-                 for (o, i), r in self.composition.items()],
-                dtype=np.intp).reshape(-1, 3)
-        return self._comp_rows
+        tx = self.transition_index
+        return np.array([(tx.get(o, -1), tx.get(i, -1), tx.get(r, -2))
+                         for (o, i), r in self.composition.items()],
+                        dtype=np.intp).reshape(-1, 3)
 
     def composition_index(self):
-        """Every defined outer∘inner as three int arrays (outer, inner,
-        result), in the order of `composition`."""
-        rows = self._composition_rows()
+        """Every defined outer∘inner, one per composable pair, as three int
+        arrays (outer, inner, result) in the order of `composition`."""
+        rows = self._composition_rows
         return tuple(rows[np.all(rows >= 0, axis=1)].T)
-
-    def composition_table(self):
-        """|G| x |G| int array: comp[outer, inner] is the index of
-        outer∘inner, -1 where it is undefined and -2 where its result is
-        not a transition (which `validate` rejects)."""
-        if self._comp_table is None:
-            rows = self._composition_rows()
-            rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
-            comp = np.full((self.order, self.order), -1, dtype=np.intp)
-            comp[rows[:, 0], rows[:, 1]] = rows[:, 2]
-            self._comp_table = comp
-        return self._comp_table
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -215,14 +200,14 @@ class FiniteGroupoid:
                          if self.source[t] == x)
 
     def orbits(self):
-        remaining = set(self.events)
-        parts = []
-        for x in self.events:
-            if x in remaining:
-                orb = self.orbit(x)
-                parts.append(orb)
-                remaining -= orb
-        return parts
+        """Frozensets of event labels, in the order of their first events:
+        y is filed under the least source of the transitions into it."""
+        src, tgt = self.index_arrays()[:2]
+        n = len(self.events)
+        root = np.full(n, n)
+        np.minimum.at(root, tgt, src)
+        return [frozenset(self.events[k] for k in block)
+                for block in group_indices(root, n) if block.size]
 
     def is_connected(self):
         return len(self.orbits()) == 1
@@ -251,7 +236,8 @@ def group_indices(keys, n):
 
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
-    """Exhaustively check every groupoid axiom; violations carry witnesses."""
+    """Exhaustively check every groupoid axiom; violations carry witnesses.
+    The composition is held in one slot per composable pair, not |G|^2."""
     rep = ValidationReport()
     bad = rep.violations.append
 
@@ -278,44 +264,57 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         return rep
 
     src, tgt, inv, unit = g.index_arrays()
-    comp = g.composition_table()
     n = g.order
     ts = g.transitions
     idx = np.arange(n)
 
+    # one slot per composable pair (o, i), row-major, at off[o] + rank[i]
+    blocks = g.target_blocks()
+    rank = np.empty(n, dtype=np.intp)  # the place in the target block
+    for cs in blocks:
+        rank[cs] = np.arange(cs.size)
+    width = np.bincount(tgt, minlength=len(g.events))[src]
+    off = np.cumsum(width) - width
+    outer = np.repeat(idx, width)
+    inner = np.concatenate([idx[:0]] + [blocks[x] for x in src])
+
     # composition domain: defined iff composable, with the right endpoints
     rep.checks += n * n
-    should = tgt[None, :] == src[:, None]
-    defined = comp != -1
-    code = (defined & ~should).astype(np.int8) + 2 * (should & ~defined)
-    o, i = np.nonzero(defined & should)
-    r = comp[o, i]
-    code[o[r == -2], i[r == -2]] = 3
-    wrong = (r >= 0) & ((src[r] != src[i]) | (tgt[r] != tgt[o]))
-    code[o[wrong], i[wrong]] = 4
-    for o, i in zip(*np.nonzero(code)):
-        args = (ts[o], ts[i])
-        if code[o, i] >= 3:
+    rows = g._composition_rows
+    o, i, r = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)].T
+    should = tgt[i] == src[o]
+    comp = np.full(outer.size, -1, dtype=np.intp)  # -1: missing
+    comp[off[o[should]] + rank[i[should]]] = r[should]
+    wrong = (comp >= 0) & ((src[comp] != src[inner])  # reads at -1, -2
+                           | (tgt[comp] != tgt[outer]))
+    code = np.select([comp == -1, comp == -2, wrong], [2, 3, 4])
+    k = np.flatnonzero(code)
+    found = [(a, b, 1) for a, b in zip(o[~should], i[~should])]
+    found += zip(outer[k], inner[k], code[k])
+    for a, b, c in sorted(found):  # row-major
+        args = (ts[a], ts[b])
+        if c >= 3:
             args += (g.composition[args],)
-        bad(_DOMAIN_MESSAGES[code[o, i]] % args)
+        bad(_DOMAIN_MESSAGES[c] % args)
     if rep.violations:
         return rep
 
     # unit laws
     rep.checks += 2 * n
-    right = comp[idx, unit[src]] != idx
-    left = comp[unit[tgt], idx] != idx
+    right = comp[off + rank[unit[src]]] != idx
+    left = comp[off[unit[tgt]] + rank] != idx
     for a in np.flatnonzero(right | left):
         if right[a]:
             bad("right unit law fails at %r" % ts[a])
         if left[a]:
             bad("left unit law fails at %r" % ts[a])
 
-    # inverse laws
+    # inverse laws; slot 0 stands in for the pairs that `ends` makes
+    # uncomposable, where only the endpoints are reported
     rep.checks += 3 * n
     ends = (src[inv] != tgt) | (tgt[inv] != src)
-    first = comp[inv, idx] != unit[src]
-    second = comp[idx, inv] != unit[tgt]
+    first = comp[np.where(ends, 0, off[inv] + rank)] != unit[src]
+    second = comp[np.where(ends, 0, off + rank[inv])] != unit[tgt]
     involutive = inv[inv] == idx
     for a in np.flatnonzero(ends | first | second | ~involutive):
         if ends[a]:
@@ -332,15 +331,16 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
     # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: for
     # each event x, the c with target x against every a∘b with source x
-    a, b = np.nonzero(comp >= 0)
-    ab = comp[a, b]
     fails = []
-    for cs, k in zip(g.target_blocks(), group_indices(src[b], len(g.events))):
-        bc = comp[:, cs]  # bc[b, j] = b∘cs[j]
-        lhs = comp[a[k, None], bc[b[k]]]
+    sources = group_indices(src, len(g.events))  # ascending, like blocks
+    by_src = group_indices(src[inner], len(g.events))
+    for cs, bs, k in zip(blocks, sources, by_src):
+        a, b, ab = outer[k], inner[k], comp[k]
+        bc = comp[off[bs, None] + np.arange(cs.size)]  # bs[m]∘cs[j]
+        lhs = comp[off[a, None] + rank[bc][np.searchsorted(bs, b)]]
         rep.checks += lhs.size
-        p, j = np.nonzero(lhs != bc[ab[k]])
-        fails += zip(cs[j], b[k[p]], a[k[p]])
+        p, j = np.nonzero(lhs != bc[np.searchsorted(bs, ab)])
+        fails += zip(cs[j], b[p], a[p])
     for c, b, a in sorted(fails):  # in (c, b, a) order
         bad("associativity fails on triple (%r, %r, %r)"
             % (ts[a], ts[b], ts[c]))

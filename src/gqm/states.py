@@ -76,11 +76,10 @@ def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
     """The |G| x |G| matrix M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b)."""
     g = phi.groupoid
     inv = g.index_arrays()[2]
-    # a^-1 ∘ b is defined exactly when t(a) = t(b)
-    comp = g.composition_table()[inv]
-    a, b = np.nonzero(comp >= 0)
+    # each composable outer∘inner is a^-1 ∘ b with a = outer^-1, b = inner
+    outer, inner, result = g.composition_index()
     mat = np.zeros((g.order, g.order), dtype=complex)
-    mat[a, b] = phi.values[comp[a, b]]
+    mat[inv[outer], inner] = phi.values[result]
     return mat
 
 

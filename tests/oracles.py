@@ -101,6 +101,18 @@ def validate_loop(g):
     return rep
 
 
+def orbits_loop(g):
+    """The orbits, each grown from the first event not yet placed."""
+    remaining = set(g.events)
+    parts = []
+    for x in g.events:
+        if x in remaining:
+            orb = g.orbit(x)
+            parts.append(orb)
+            remaining -= orb
+    return parts
+
+
 def invariance_matrix_loop(phi):
     """M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b), entry by entry."""
     g = phi.groupoid

@@ -1,10 +1,12 @@
-"""Labels stay at the I/O boundary.
+"""Labels stay at the I/O boundary, and the composition has one int view.
 
 ``groupoid.py`` owns the label-keyed tables (``source``, ``target``,
 ``unit_of``, ``inverse``, ``composition``) and ``specio.py`` reads and
 writes them as documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
-(`FiniteGroupoid.index` and `FiniteGroupoid.vector`).
+(`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  Kernels read the
+composition as the triples of `FiniteGroupoid.composition_index`; the raw
+rows behind them stay inside ``groupoid.py``.
 """
 
 import ast
@@ -43,3 +45,27 @@ def test_one_label_lookup():
     lookups = [name for name, tree in modules()
                for node in ast.walk(tree) if is_label_lookup(node)]
     assert lookups == ["groupoid.py"]
+
+
+def names(tree):
+    """(line, identifier) of every function defined and every attribute
+    or variable read in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name):
+            yield node.lineno, node.id
+
+
+def test_one_composition_view():
+    """No second composition view (a dense table, say) is defined or
+    called anywhere, and `_composition_rows` is read in ``groupoid.py``
+    only."""
+    allowed = {"composition", "composition_index"}
+    views = ["%s:%d %s" % (name, line, ident)
+             for name, tree in modules() for line, ident in names(tree)
+             if "composition" in ident and ident not in allowed
+             and (name, ident) != ("groupoid.py", "_composition_rows")]
+    assert views == []

@@ -366,14 +366,29 @@ def pair_files(tmp_path, n):
 
 
 def test_out_of_memory_is_one_line(tmp_path):
-    """pair64 validation needs |G|^2 = 2^24 table cells, more than the cap
-    leaves: bad input, one line, no traceback."""
+    """psd-check on pair64 forms the dense 4096 x 4096 complex invariance
+    matrix, 256 MiB on its own, which cannot fit under a 256 MiB cap: bad
+    input, one line, no traceback."""
     g, _ = pair_files(tmp_path, 64)
-    code, out, err = run_capped(["validate", g], 256)
+    state = write(tmp_path / "action.json", {
+        "type": "action",
+        "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
+    code, out, err = run_capped(["psd-check", g, state], 256)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
+
+
+def test_validate_pair64_fits_in_memory(tmp_path):
+    """Validation reads the composition one slot per composable pair: on
+    pair64 that is 64^3 = 262,144 slots, where a dense |G| x |G| table
+    would be 2^24 cells (128 MiB), so it fits under 256 MiB."""
+    g, _ = pair_files(tmp_path, 64)
+    code, out, err = run_capped(["validate", g], 256)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ok": True, "events": 64, "order": 4096,
+                               "connected": True}
 
 
 def test_gns_full_rank_fits_in_memory(tmp_path):

@@ -46,6 +46,7 @@ from oracles import (
     is_action_loop,
     is_invariant_loop,
     multiply_loop,
+    orbits_loop,
     psd_full,
     target_block_violation_loop,
     validate_loop,
@@ -154,6 +155,19 @@ def test_validate_matches_loop_on_corrupted_tables(g, data):
     else:  # a non-canonical transition order
         bad = copy_of(g, transitions=tuple(data.draw(st.permutations(ts))))
     assert_same_validation(bad)
+
+
+def test_orbits_match_loop():
+    """Orbits in the order of their first events, also where an orbit's
+    first event is an arrow's target and where events carry no arrow."""
+    isolated = from_quiver(QuiverSpec(
+        ["a", "b", "c", "d", "e", "f"],
+        [("f", "c", "a"), ("h", "e", "e"), ("k", "f", "c")]))
+    for g in SYSTEMS + [isolated]:
+        assert g.orbits() == orbits_loop(g)
+        assert g.is_connected() == (len(orbits_loop(g)) == 1)
+    assert isolated.orbits() == [frozenset("acf"), frozenset("b"),
+                                 frozenset("d"), frozenset("e")]
 
 
 def random_values(g, rng):
