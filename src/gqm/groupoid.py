@@ -285,8 +285,8 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     should = tgt[i] == src[o]
     comp = np.full(outer.size, -1, dtype=np.intp)  # -1: missing
     comp[off[o[should]] + rank[i[should]]] = r[should]
-    wrong = (comp >= 0) & ((src[comp] != src[inner])  # reads at -1, -2
-                           | (tgt[comp] != tgt[outer]))
+    s = np.maximum(comp, 0)  # endpoints are read only where comp >= 0
+    wrong = (comp >= 0) & ((src[s] != src[inner]) | (tgt[s] != tgt[outer]))
     code = np.select([comp == -1, comp == -2, wrong], [2, 3, 4])
     k = np.flatnonzero(code)
     found = [(a, b, 1) for a, b in zip(o[~should], i[~should])]

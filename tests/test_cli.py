@@ -307,6 +307,18 @@ def test_validation_error_is_one_line(capsys, tmp_path):
                     "on triple ('h2', 'h1', 'h1') (and 35 more)")
 
 
+def test_foreign_result_is_one_line(capsys, tmp_path):
+    """A one-transition groupoid whose only composition is no transition."""
+    spec = write(tmp_path / "one.json", {
+        "kind": "explicit", "events": ["x"], "transitions": ["e"],
+        "source": {"e": "x"}, "target": {"e": "x"}, "units": {"x": "e"},
+        "inverse": {"e": "e"},
+        "compose": [{"outer": "e", "inner": "e", "result": "zzz"}]})
+    line = run_rejected(capsys, ["validate", spec])
+    assert line == ("error: groupoid validation failed: compose('e', 'e') = "
+                    "'zzz' is not a transition")
+
+
 def test_empty_groupoid_rejected(capsys, tmp_path):
     empty = write(tmp_path / "empty.json",
                   {"kind": "quiver", "events": [], "arrows": []})

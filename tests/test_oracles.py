@@ -123,6 +123,24 @@ def test_validate_matches_loop_on_group_tables(data):
         composition={(el[i], el[j]): el[r] for (i, j), r in table.items()}))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_validate_matches_loop_on_foreign_results(n, data):
+    """Cyclic tables with some results outside the group, down to the
+    one-transition groupoid, where no index into its tables wraps round."""
+    el = ["h%d" % k for k in range(n)]
+    comp = {(el[i], el[j]): el[(i + j) % n]
+            for i in range(n) for j in range(n)}
+    for key in data.draw(st.lists(st.sampled_from(sorted(comp)),
+                                  min_size=1, max_size=3)):
+        comp[key] = "zzz"
+    assert_same_validation(FiniteGroupoid(
+        events=("*",), transitions=tuple(el),
+        source=dict.fromkeys(el, "*"), target=dict.fromkeys(el, "*"),
+        unit_of={"*": el[0]}, inverse={el[i]: el[-i % n] for i in range(n)},
+        composition=comp))
+
+
 @settings(max_examples=150, deadline=None)
 @given(system, st.data())
 def test_validate_matches_loop_on_corrupted_tables(g, data):
