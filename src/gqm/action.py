@@ -28,7 +28,6 @@ from .errors import (
 from .groupoid import (
     FiniteGroupoid,
     QuiverSpec,
-    pair_groupoid,
     pair_label,
     unit_label,
 )
@@ -283,14 +282,13 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
                                  labels=tuple(a[0] for a in arrows))
 
 
-def is_reproducing_sweep_trial(n_events, potential_values):
-    """One trial of the random-potential sweep: builds the dynamical state
-    of a random potential on a pair groupoid and returns (min eigenvalue of
-    its PSD matrix, max entrywise |phi*phi - phi| under the idempotent
-    scaling)."""
-    g = pair_groupoid(["e%d" % k for k in range(n_events)])
-    u = {x: potential_values[k] for k, x in enumerate(g.events)}
-    s = action_from_potential(g, u)
+def is_reproducing_sweep_trial(g, potential_values):
+    """One trial of the random-potential sweep on the pair groupoid ``g``:
+    builds the dynamical state of the potential (one value per event, in
+    event order) and returns (min eigenvalue of its PSD matrix, max
+    entrywise |phi*phi - phi| under the idempotent scaling).  The PSD
+    check is one ``eigh`` call on the stacked n x n target blocks."""
+    s = action_from_potential(g, dict(zip(g.events, potential_values)))
     phi = dynamical_state(s, normalization="idempotent")
     check = is_positive_semidefinite(phi)
     return check.min_eigenvalue, reproducing_deviation(phi)

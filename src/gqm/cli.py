@@ -34,6 +34,7 @@ from .examples import (
     qubit_decoherence,
 )
 from .gns import FrameChange, gns_report, transformation_function
+from .groupoid import pair_groupoid
 from .specio import (
     algebra_to_doc,
     bind_generator_action,
@@ -288,13 +289,17 @@ def cmd_sweep(args):
     if args.seed < 0:
         raise GqmInputError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
-    trials = []
-    for k in range(args.trials):
-        n_events = 2 + k % (args.n - 1)
-        potential = rng.normal(size=n_events)
-        trials.append((n_events, potential.tolist()))
+    sizes = [2 + k % (args.n - 1) for k in range(args.trials)]
+    potentials = [rng.normal(size=n_events).tolist() for n_events in sizes]
 
-    results = [is_reproducing_sweep_trial(*trial) for trial in trials]
+    # min and max do not depend on the order of the trials, so they run
+    # size by size on one validated groupoid, one groupoid alive at a time
+    results = []
+    for n_events in sorted(set(sizes)):
+        g = pair_groupoid(["e%d" % k for k in range(n_events)])
+        results += [is_reproducing_sweep_trial(g, u)
+                    for n, u in zip(sizes, potentials) if n == n_events]
+        del g
 
     worst_eig = min(r[0] for r in results)
     worst_rep = max(r[1] for r in results)

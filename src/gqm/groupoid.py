@@ -162,9 +162,17 @@ class FiniteGroupoid:
 
     def composition_index(self):
         """Every defined outer∘inner, one per composable pair, as three int
-        arrays (outer, inner, result) in the order of `composition`."""
+        arrays (outer, inner, result) in the order of `composition`.
+        Computed once per groupoid; the arrays are shared by every caller,
+        so they are read-only."""
+        return self._triples
+
+    @cached_property
+    def _triples(self):
         rows = self._composition_rows
-        return tuple(rows[np.all(rows >= 0, axis=1)].T)
+        triples = rows[np.all(rows >= 0, axis=1)].T.copy()
+        triples.setflags(write=False)
+        return tuple(triples)
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per

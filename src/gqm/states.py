@@ -59,9 +59,11 @@ class PsdCheck:
 
     ``matrix`` is the invariance matrix that was tested and ``eigh`` the
     (eigenvalues, eigenvectors) of its Hermitian part, kept so callers
-    that go on to use them need not recompute either.  They come one
-    target block at a time, put together at full size: each eigenvector
-    is zero outside its block, and eigenvalues ascend within a block."""
+    that go on to use them need not recompute either.  They come from one
+    ``eigh`` call per block size, on the target blocks of that size
+    stacked, and are put together at full size in event order: block x
+    holds the next |G^x| columns, each eigenvector is zero outside its
+    block, and eigenvalues ascend within a block."""
 
     ok: bool
     hermitian: bool
@@ -87,7 +89,8 @@ def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
     """Complete PSD check: every finite family's Gram matrix is a principal
     submatrix (with duplications) of the full matrix, so checking the full
     matrix suffices.  The matrix is block diagonal by target, so each
-    target block is tested on its own."""
+    target block is tested on its own: the blocks of one size are stacked
+    and go through one ``eigh`` call, so a pair groupoid makes one."""
     if tol <= 0:
         raise GqmInputError("tolerance must be positive")
     g = phi.groupoid
@@ -95,15 +98,22 @@ def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
     eigvals = np.zeros(g.order)
     eigvecs = np.zeros((g.order, g.order), dtype=complex)
     defect = 0.0
-    start = 0
-    for idx in g.target_blocks():
+    blocks = g.target_blocks()
+    sizes = [idx.size for idx in blocks]
+    starts = np.cumsum(sizes) - sizes
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for size in sorted(set(sizes)):
+        ks = [k for k, s in enumerate(sizes) if s == size]
+        # rows[j] holds block ks[j]'s transitions, cols[j] its columns of
+        # the assembled eigendecomposition
+        rows = np.stack([blocks[k] for k in ks])
+        cols = starts[ks, None] + np.arange(size)
         # halves first, so that huge finite entries cannot overflow
-        half = 0.5 * mat[np.ix_(idx, idx)]
-        half_h = half.conj().T
+        half = 0.5 * mat[rows[:, :, None], rows[:, None, :]]
+        half_h = half.conj().transpose(0, 2, 1)
         defect = max(defect, float(np.max(np.abs(half - half_h))))
-        cols = slice(start, start + idx.size)
-        eigvals[cols], eigvecs[idx, cols] = np.linalg.eigh(half + half_h)
-        start += idx.size
+        eigvals[cols], eigvecs[rows[:, :, None], cols[:, None, :]] = (
+            np.linalg.eigh(half + half_h))
     if not np.all(np.isfinite(eigvals)):
         raise GqmInputError("the invariance matrix has an eigenvalue too "
                             "large for floating point")

@@ -8,7 +8,9 @@ projector of the space they check).
 
 import numpy as np
 
-from gqm.groupoid import ValidationReport
+from gqm.action import action_from_potential, dynamical_state
+from gqm.groupoid import ValidationReport, pair_groupoid
+from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviation
 
 
 def validate_loop(g):
@@ -133,6 +135,53 @@ def psd_full(phi, tol):
     herm = bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
     eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     return herm and eigvals[0] >= -tol, herm, eigvals
+
+
+def psd_blocks_loop(phi, tol):
+    """The PSD check with one ``eigh`` call per target block, block after
+    block in event order, assembled at full size as `PsdCheck` lays it
+    out: block x takes the next |G^x| columns."""
+    g = phi.groupoid
+    mat = invariance_matrix_loop(phi)
+    eigvals = np.zeros(g.order)
+    eigvecs = np.zeros((g.order, g.order), dtype=complex)
+    defect = 0.0
+    start = 0
+    for x in g.events:
+        idx = np.array([g.transition_index[t] for t in g.transitions
+                        if g.target[t] == x])
+        half = 0.5 * mat[np.ix_(idx, idx)]
+        half_h = half.conj().T
+        defect = max(defect, float(np.max(np.abs(half - half_h))))
+        cols = slice(start, start + idx.size)
+        eigvals[cols], eigvecs[idx, cols] = np.linalg.eigh(half + half_h)
+        start += idx.size
+    herm = defect <= 0.5 * tol
+    k = int(np.argmin(eigvals))
+    ok = herm and eigvals[k] >= -tol
+    witness = None
+    if not ok:
+        witness = [(t, complex(eigvecs[i, k]))
+                   for i, t in enumerate(g.transitions)
+                   if abs(eigvecs[i, k]) > 1e-14]
+    return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=float(eigvals[k]),
+                    witness=witness, matrix=mat, eigh=(eigvals, eigvecs))
+
+
+def sweep_loop(n, trials, seed, tol):
+    """``gqm sweep thm52`` trial by trial, each on a freshly built pair
+    groupoid: (min eigenvalue, max reproducing deviation, ok)."""
+    rng = np.random.default_rng(seed)
+    worst_eig, worst_rep = np.inf, -np.inf
+    for k in range(trials):
+        n_events = 2 + k % (n - 1)
+        g = pair_groupoid(["e%d" % j for j in range(n_events)])
+        u = dict(zip(g.events, rng.normal(size=n_events).tolist()))
+        phi = dynamical_state(action_from_potential(g, u), "idempotent")
+        worst_eig = min(worst_eig,
+                        psd_blocks_loop(phi, DEFAULT_TOL).min_eigenvalue)
+        worst_rep = max(worst_rep, reproducing_deviation(phi))
+    return worst_eig, worst_rep, worst_eig >= -tol and worst_rep <= tol
 
 
 def gns_dim_full(phi, rank_tol):

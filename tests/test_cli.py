@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+import gqm.cli
 from conftest import run_capped
 from gqm.cli import main
+from gqm.groupoid import pair_groupoid
+from oracles import sweep_loop
 
 
 def write(path, doc):
@@ -208,6 +211,37 @@ def test_sweep_deterministic(capsys):
     doc = json.loads(first)
     assert doc["ok"] is True
     assert doc["min_eigenvalue"] >= -1e-10
+
+
+@pytest.mark.parametrize("n, trials", [(5, 13), (12, 4), (2, 3)])
+def test_sweep_builds_one_groupoid_per_size(capsys, monkeypatch, n, trials):
+    """Trial k runs on 2 + k % (n - 1) events; each size is built and
+    validated once, also when there are fewer trials than sizes."""
+    built = []
+
+    def counting(events):
+        built.append(len(events))
+        return pair_groupoid(events)
+
+    monkeypatch.setattr(gqm.cli, "pair_groupoid", counting)
+    code, _ = run(capsys, ["sweep", "thm52", "--n", str(n),
+                           "--trials", str(trials)])
+    assert code == 0
+    assert built == sorted({2 + k % (n - 1) for k in range(trials)})
+
+
+@pytest.mark.parametrize("n, trials, seed", [(6, 17, 0), (9, 40, 3),
+                                             (2, 5, 11), (12, 7, 5)])
+def test_sweep_matches_fresh_build_loop(capsys, n, trials, seed):
+    """The per-size sweep reports exactly what building a groupoid for
+    every trial and running the trials in order reports."""
+    code, out = run(capsys, ["sweep", "thm52", "--n", str(n), "--trials",
+                             str(trials), "--seed", str(seed)])
+    doc = json.loads(out)
+    eig, rep, ok = sweep_loop(n, trials, seed, 1e-10)
+    assert (doc["min_eigenvalue"], doc["max_reproducing_deviation"],
+            doc["ok"]) == (eig, rep, ok)
+    assert code == (0 if ok else 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -151,6 +151,19 @@ def test_validate_passes_constructors(pair4, z3):
     assert validate(z3).ok
 
 
+def test_composition_index_is_shared_and_read_only(pair3, z3):
+    """The triples are computed once per groupoid and handed to every
+    caller, so no caller may write to them."""
+    for g in (pair3, z3):
+        triples = g.composition_index()
+        assert all(a is b for a, b in zip(triples, g.composition_index()))
+        for arr in triples:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+
 def test_spray_sizes_pair_groupoid(pair3):
     for x in pair3.events:
         assert len(pair3.g_plus(x)) == 3
