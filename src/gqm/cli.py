@@ -1,9 +1,9 @@
 """Command-line interface: spec-file parsing, dispatch, report emission.
 
 Exit codes: 0 success, 1 malformed input or validation failure, 2 violated
-mathematical property (e.g. a PSD check), 3 I/O failure.  All numeric
-output uses 17 significant digits; complex numbers are [re, im] pairs;
-angles are radians.
+mathematical property (e.g. a PSD check), 3 I/O failure.  JSON prints
+each float as its shortest round-tripping ``repr``, CSV with ``%.17g``;
+complex numbers are [re, im] pairs; angles are radians.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .specio import (
     bind_generator_action,
     complex_pair,
     dump_json,
-    format_real,
     load_json,
     matrix_to_csv,
     matrix_to_json,
@@ -152,8 +151,8 @@ def cmd_psd_check(args):
     doc = {
         "ok": check.ok,
         "hermitian": check.hermitian,
-        "min_eigenvalue": format_real(check.min_eigenvalue),
-        "tolerance": format_real(args.tolerance),
+        "min_eigenvalue": check.min_eigenvalue,
+        "tolerance": args.tolerance,
     }
     if check.witness is not None:
         doc["witness"] = {lab: complex_pair(z) for lab, z in check.witness}
@@ -179,10 +178,10 @@ def cmd_measure(args):
     d = _decoherence(args)
     rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
     _emit(dump_json({
-        "value": format_real(rep.value),
-        "raw_value": format_real(rep.raw_value),
+        "value": rep.value,
+        "raw_value": rep.raw_value,
         "normalization": args.normalization,
-        "tolerance": format_real(args.tolerance),
+        "tolerance": args.tolerance,
     }))
     return 0
 
@@ -202,9 +201,9 @@ def cmd_interference(args):
     value = interference(d, sets, args.tolerance)
     _emit(dump_json({
         "order": args.order,
-        "value": format_real(value),
+        "value": value,
         "normalization": args.normalization,
-        "tolerance": format_real(args.tolerance),
+        "tolerance": args.tolerance,
     }))
     return 0
 
@@ -231,13 +230,7 @@ def cmd_gns(args):
                 "state values overflow when divided by the unit mass %r"
                 % mass)
         state = CharacteristicFunction(g, values)
-    report = gns_report(state, args.tolerance)
-    report["gram_rank_tolerance"] = format_real(report["gram_rank_tolerance"])
-    report["reconstruction_max_error"] = format_real(
-        report["reconstruction_max_error"]
-    )
-    report["ground_norm"] = format_real(report["ground_norm"])
-    _emit(dump_json(report))
+    _emit(dump_json(gns_report(state, args.tolerance)))
     return 0
 
 
@@ -251,7 +244,7 @@ def cmd_frame(args):
             pairs.append({
                 "from": a,
                 "to": b,
-                "value": format_real(res.value),
+                "value": res.value,
                 "amplitude": complex_pair(res.amplitude),
             })
     _emit(dump_json({"pairs": pairs}))
@@ -261,19 +254,19 @@ def cmd_frame(args):
 def cmd_example(args):
     if args.system == "qubit":
         d = qubit_decoherence(build_qubit(), args.S, args.normalization)
-        doc = {"system": "qubit", "S": format_real(args.S)}
+        doc = {"system": "qubit", "S": args.S}
     else:
         d = double_slit_decoherence(args.delta,
                                     normalization=args.normalization)
-        doc = {"system": "double-slit", "delta": format_real(args.delta)}
+        doc = {"system": "double-slit", "delta": args.delta}
     doc.update(normalization=args.normalization, order=list(d.labels),
                matrix=matrix_to_json(d.matrix))
     if args.set is not None:
         rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
         doc["measure"] = {"set": list(rep.members),
-                          "value": format_real(rep.value)}
+                          "value": rep.value}
         if args.system == "double-slit":
-            doc["measure"]["raw_value"] = format_real(rep.raw_value)
+            doc["measure"]["raw_value"] = rep.raw_value
     if args.format == "csv":
         _emit_matrix(args, d.matrix)
     else:
@@ -308,9 +301,9 @@ def cmd_sweep(args):
         "target": "thm52",
         "trials": args.trials,
         "seed": args.seed,
-        "min_eigenvalue": format_real(worst_eig),
-        "max_reproducing_deviation": format_real(worst_rep),
-        "tolerance": format_real(args.tolerance),
+        "min_eigenvalue": worst_eig,
+        "max_reproducing_deviation": worst_rep,
+        "tolerance": args.tolerance,
         "ok": ok,
     }))
     return 0 if ok else 2

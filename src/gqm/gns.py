@@ -16,7 +16,6 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     fundamental_rep,
-    fundamental_rep_inverse,
     regular_rep,
     scatter_add,
     unit_element,
@@ -65,18 +64,24 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     g = phi.groupoid
     check = assert_state(phi, tol)
     gram = check.matrix
-    eigvals, eigvecs = check.eigh
-    cutoff = RANK_TOL * max(float(np.max(eigvals)), 1.0)
-    keep = [k for k in range(len(eigvals)) if eigvals[k] > cutoff]
-    keep.sort(key=lambda k: -eigvals[k])
+    tgt = g.index_arrays()[1]
+    top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
+    cutoff = RANK_TOL * max(top, 1.0)
+    # (eigenvalue, event, position, rows, eigenvector) of each kept column,
+    # by descending eigenvalue, ties in event order and then position
+    keep = sorted(((vals[j, p], tgt[rows[j, 0]], p, rows[j], vecs[j, :, p])
+                   for rows, vals, vecs in check.blocks
+                   for j, p in zip(*np.nonzero(vals > cutoff))),
+                  key=lambda c: (-c[0], c[1], c[2]))
 
     basis = np.zeros((g.order, len(keep)), dtype=complex)
-    for col, k in enumerate(keep):
-        v = eigvecs[:, k]
+    for col, (val, _, _, rows, vec) in enumerate(keep):
+        v = np.zeros(g.order, dtype=complex)
+        v[rows] = vec
         nz = np.flatnonzero(np.abs(v) > 1e-10)
         if nz.size:  # deterministic phase: first sizable coordinate > 0
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-        basis[:, col] = v / np.sqrt(eigvals[k])
+        basis[:, col] = v / np.sqrt(val)
 
     projector = basis.conj().T @ gram
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis, gram=gram,
@@ -233,7 +238,8 @@ class TransformationResult:
 
 def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
                            b) -> AlgebraElement:
-    """The algebra element whose fundamental matrix is U^dagger P_b U."""
+    """The algebra element whose fundamental matrix is U^dagger P_b U: its
+    coefficient at x -> y is conj(U[b, y]) U[b, x]."""
     # one transition per ordered event pair: a pair groupoid is connected
     if not g.is_pair_groupoid():
         raise GqmInputError(
@@ -241,13 +247,14 @@ def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
         )
     if fc.dim != len(g.events):
         raise GqmInputError("frame dimension does not match |events|")
-    g.require_event(b)
-    n = len(g.events)
-    proj = np.zeros((n, n), dtype=complex)
-    bi = g.event_index[b]
-    proj[bi, bi] = 1.0
-    mat = fc.unitary.conj().T @ proj @ fc.unitary
-    return fundamental_rep_inverse(g, mat)
+    row = fc.unitary[g.event_index[g.require_event(b)]]
+    src, tgt = g.index_arrays()[:2]
+    x, y = row[tgt].conj(), row[src]
+    # the textbook complex product, term by term, so that conj(z) z is real
+    coeffs = np.empty(g.order, dtype=complex)
+    coeffs.real = x.real * y.real - x.imag * y.imag
+    coeffs.imag = x.real * y.imag + x.imag * y.real
+    return AlgebraElement(g, coeffs)
 
 
 def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,

@@ -86,7 +86,6 @@ class FiniteGroupoid:
     def __post_init__(self):
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
-        self._arrays = None
 
     # -- label handling -------------------------------------------------
 
@@ -138,18 +137,17 @@ class FiniteGroupoid:
     def index_arrays(self):
         """(src, tgt, inv, unit) int arrays in canonical order: the event
         index of each transition's source and target, the transition index
-        of its inverse, and the transition index of each event's unit."""
-        if self._arrays is None:
-            ev, tx = self.event_index, self.transition_index
-            ts = self.transitions
-            self._arrays = (
-                np.array([ev[self.source[t]] for t in ts], dtype=np.intp),
-                np.array([ev[self.target[t]] for t in ts], dtype=np.intp),
-                np.array([tx[self.inverse[t]] for t in ts], dtype=np.intp),
-                np.array([tx[self.unit_of[x]] for x in self.events],
-                         dtype=np.intp),
-            )
+        of its inverse, and the transition index of each event's unit.
+        Computed once per groupoid and shared, so they are read-only."""
         return self._arrays
+
+    @cached_property
+    def _arrays(self):
+        ev, tx, ts = self.event_index, self.transition_index, self.transitions
+        return tuple(_read_only(np.array(a, dtype=np.intp)) for a in (
+            [ev[self.source[t]] for t in ts], [ev[self.target[t]] for t in ts],
+            [tx[self.inverse[t]] for t in ts],
+            [tx[self.unit_of[x]] for x in self.events]))
 
     @cached_property
     def _composition_rows(self):
@@ -170,14 +168,16 @@ class FiniteGroupoid:
     @cached_property
     def _triples(self):
         rows = self._composition_rows
-        triples = rows[np.all(rows >= 0, axis=1)].T.copy()
-        triples.setflags(write=False)
-        return tuple(triples)
+        return tuple(_read_only(rows[np.all(rows >= 0, axis=1)].T.copy()))
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
-        event in event order."""
-        return group_indices(self.index_arrays()[1], len(self.events))
+        event in event order; computed once per groupoid, read-only."""
+        return self._blocks
+
+    @cached_property
+    def _blocks(self):
+        return tuple(group_indices(self.index_arrays()[1], len(self.events)))
 
     # -- structural queries ---------------------------------------------
 
@@ -232,11 +232,19 @@ class FiniteGroupoid:
         return tuple(self.unit_of[x] for x in self.events)
 
 
+def _read_only(a):
+    """Make ``a`` read-only and return a view of it: neither that view nor
+    any view taken of it can be written or made writeable again."""
+    a.setflags(write=False)
+    return a.view()
+
+
 def group_indices(keys, n):
     """The positions of ``keys`` (ints in 0..n-1) grouped by key: one
-    ascending array per key value."""
+    ascending, read-only array per key value."""
     counts = np.bincount(keys, minlength=n)
-    return np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
+    return np.split(_read_only(np.argsort(keys, kind="stable")),
+                    np.cumsum(counts)[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 All external documents are UTF-8 JSON.  Parsing is strict: unknown fields
 are rejected, complex numbers are always [re, im] pairs, angles are
-radians.  Serialization renders every float with 17 significant digits so
-repeated runs produce byte-identical reports.
+radians.  Serialization is deterministic, so repeated runs produce
+byte-identical reports: JSON prints each float as its shortest
+round-tripping ``repr``, and CSV cells print each part with ``%.17g``,
+which round-trips as well.
 """
 
 from __future__ import annotations
@@ -268,35 +270,23 @@ def parse_algebra_doc(doc, g: FiniteGroupoid) -> AlgebraElement:
 # -- serialization -------------------------------------------------------
 
 
-def format_real(x) -> float:
-    """Round-trippable float for JSON: emitted via a 17-significant-digit
-    decimal so identical runs give identical bytes."""
-    return float("%.17g" % float(x))
-
-
 def complex_pair(z):
     z = complex(z)
-    return [format_real(z.real), format_real(z.imag)]
+    return [z.real, z.imag]
 
 
 def matrix_to_json(mat) -> dict:
     mat = np.asarray(mat, dtype=complex)
     return {
         "dim": int(mat.shape[0]),
-        "rows": [[complex_pair(z) for z in row] for row in mat],
+        "rows": [[[z.real, z.imag] for z in row.tolist()] for row in mat],
     }
 
 
 def matrix_to_csv(mat) -> str:
     mat = np.asarray(mat, dtype=complex)
-    lines = []
-    for row in mat:
-        cells = []
-        for z in row:
-            re, im = format_real(z.real), format_real(z.imag)
-            cells.append("%.17g%+.17gj" % (re, im))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join("%.17g%+.17gj" % (z.real, z.imag)
+                              for z in row.tolist()) for row in mat) + "\n"
 
 
 def _nonzero_entries(g: FiniteGroupoid, vec) -> dict:

@@ -57,13 +57,14 @@ class PsdCheck:
     """Result of the PSD test; on failure ``witness`` pairs transition
     labels with the coefficients of the offending eigenvector.
 
-    ``matrix`` is the invariance matrix that was tested and ``eigh`` the
-    (eigenvalues, eigenvectors) of its Hermitian part, kept so callers
-    that go on to use them need not recompute either.  They come from one
-    ``eigh`` call per block size, on the target blocks of that size
-    stacked, and are put together at full size in event order: block x
-    holds the next |G^x| columns, each eigenvector is zero outside its
-    block, and eigenvalues ascend within a block."""
+    ``matrix`` is the invariance matrix that was tested and ``blocks`` the
+    eigendecomposition of its Hermitian part, kept so callers that go on
+    to use them need not recompute either.  ``blocks`` holds what
+    ``np.linalg.eigh`` returned, one ``(rows, eigenvalues, eigenvectors)``
+    stack per block size: ``rows[j]`` lists one target block's
+    transitions in ascending order, ``eigenvalues[j]`` ascends, and column
+    p of ``eigenvectors[j]`` is the eigenvector of ``eigenvalues[j, p]``
+    over ``rows[j]``.  Within a stack the blocks follow event order."""
 
     ok: bool
     hermitian: bool
@@ -71,7 +72,7 @@ class PsdCheck:
     witness: list[tuple[str, complex]] | None = None
     matrix: np.ndarray | None = field(default=None, repr=False,
                                       compare=False)
-    eigh: tuple | None = field(default=None, repr=False, compare=False)
+    blocks: list | None = field(default=None, repr=False, compare=False)
 
 
 def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
@@ -95,42 +96,36 @@ def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
         raise GqmInputError("tolerance must be positive")
     g = phi.groupoid
     mat = invariance_matrix(phi)
-    eigvals = np.zeros(g.order)
-    eigvecs = np.zeros((g.order, g.order), dtype=complex)
-    defect = 0.0
+    tgt = g.index_arrays()[1]
     blocks = g.target_blocks()
-    sizes = [idx.size for idx in blocks]
-    starts = np.cumsum(sizes) - sizes
+    stacks = []
+    defect = 0.0
     # sorted(set()) rather than np.unique, which imports numpy.ma
-    for size in sorted(set(sizes)):
-        ks = [k for k, s in enumerate(sizes) if s == size]
-        # rows[j] holds block ks[j]'s transitions, cols[j] its columns of
-        # the assembled eigendecomposition
-        rows = np.stack([blocks[k] for k in ks])
-        cols = starts[ks, None] + np.arange(size)
+    for size in sorted({idx.size for idx in blocks}):
+        rows = np.stack([idx for idx in blocks if idx.size == size])
         # halves first, so that huge finite entries cannot overflow
         half = 0.5 * mat[rows[:, :, None], rows[:, None, :]]
         half_h = half.conj().transpose(0, 2, 1)
         defect = max(defect, float(np.max(np.abs(half - half_h))))
-        eigvals[cols], eigvecs[rows[:, :, None], cols[:, None, :]] = (
-            np.linalg.eigh(half + half_h))
-    if not np.all(np.isfinite(eigvals)):
+        stacks.append((rows, *np.linalg.eigh(half + half_h)))
+    if not all(np.all(np.isfinite(vals)) for _, vals, _ in stacks):
         raise GqmInputError("the invariance matrix has an eigenvalue too "
                             "large for floating point")
     herm = defect <= 0.5 * tol
-    k = int(np.argmin(eigvals))
-    min_eig = float(eigvals[k])
+    # eigh's eigenvalues ascend, so a block's least comes first: take the
+    # least of those, then the first block in event order
+    min_eig, _, idx, vec = min(
+        ((float(vals[j, 0]), tgt[rows[j, 0]], rows[j], vecs[j, :, 0])
+         for rows, vals, vecs in stacks for j in range(len(rows))),
+        key=lambda c: c[:2])
     ok = herm and min_eig >= -tol
     witness = None
     if not ok:
-        vec = eigvecs[:, k]
-        witness = [
-            (g.transitions[i], complex(vec[i]))
-            for i in range(g.order)
-            if abs(vec[i]) > 1e-14
-        ]
+        witness = [(g.transitions[i], complex(vec[p]))
+                   for p, i in enumerate(idx.tolist())
+                   if abs(vec[p]) > 1e-14]
     return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=min_eig,
-                    witness=witness, matrix=mat, eigh=(eigvals, eigvecs))
+                    witness=witness, matrix=mat, blocks=stacks)
 
 
 def assert_state(phi, tol=DEFAULT_TOL):

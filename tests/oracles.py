@@ -139,8 +139,9 @@ def psd_full(phi, tol):
 
 def psd_blocks_loop(phi, tol):
     """The PSD check with one ``eigh`` call per target block, block after
-    block in event order, assembled at full size as `PsdCheck` lays it
-    out: block x takes the next |G^x| columns."""
+    block in event order: the `PsdCheck` without its blocks, and the
+    eigendecomposition assembled at full size, where block x takes the
+    next |G^x| columns and each eigenvector is zero outside its block."""
     g = phi.groupoid
     mat = invariance_matrix_loop(phi)
     eigvals = np.zeros(g.order)
@@ -164,8 +165,27 @@ def psd_blocks_loop(phi, tol):
         witness = [(t, complex(eigvecs[i, k]))
                    for i, t in enumerate(g.transitions)
                    if abs(eigvecs[i, k]) > 1e-14]
-    return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=float(eigvals[k]),
-                    witness=witness, matrix=mat, eigh=(eigvals, eigvecs))
+    check = PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=float(eigvals[k]),
+                     witness=witness, matrix=mat)
+    return check, (eigvals, eigvecs)
+
+
+def gns_basis_loop(eigvals, eigvecs, rank_tol):
+    """The GNS basis from the assembled eigendecomposition: the columns
+    above ``rank_tol`` times max(largest eigenvalue, 1), by descending
+    eigenvalue (ties in column order), each with its first coordinate
+    above 1e-10 made positive and scaled to unit Gram norm."""
+    cutoff = rank_tol * max(float(np.max(eigvals)), 1.0)
+    keep = sorted((k for k in range(len(eigvals)) if eigvals[k] > cutoff),
+                  key=lambda k: -eigvals[k])
+    basis = np.zeros((len(eigvals), len(keep)), dtype=complex)
+    for col, k in enumerate(keep):
+        v = eigvecs[:, k]
+        nz = np.flatnonzero(np.abs(v) > 1e-10)
+        if nz.size:
+            v = v * (np.abs(v[nz[0]]) / v[nz[0]])
+        basis[:, col] = v / np.sqrt(eigvals[k])
+    return basis
 
 
 def sweep_loop(n, trials, seed, tol):
@@ -179,7 +199,7 @@ def sweep_loop(n, trials, seed, tol):
         u = dict(zip(g.events, rng.normal(size=n_events).tolist()))
         phi = dynamical_state(action_from_potential(g, u), "idempotent")
         worst_eig = min(worst_eig,
-                        psd_blocks_loop(phi, DEFAULT_TOL).min_eigenvalue)
+                        psd_blocks_loop(phi, DEFAULT_TOL)[0].min_eigenvalue)
         worst_rep = max(worst_rep, reproducing_deviation(phi))
     return worst_eig, worst_rep, worst_eig >= -tol and worst_rep <= tol
 

@@ -10,6 +10,8 @@ rows behind them stay inside ``groupoid.py``.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import gqm
@@ -69,3 +71,26 @@ def test_one_composition_view():
              if "composition" in ident and ident not in allowed
              and (name, ident) != ("groupoid.py", "_composition_rows")]
     assert views == []
+
+
+def test_tracer_names_exist():
+    """Every function ``perfbench/tracer.py`` wraps (``LAYERS``) or counts
+    (``COUNTERS``) still exists, and every counted one is wrapped: a
+    missing name would fail ``--trace 1`` with an AttributeError.  The
+    tracer is read from its file and run in a bare module, so nothing is
+    written next to it."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         tracer.__dict__)
+    wrapped = {"%s.%s" % (module, name)
+               for module, functions in tracer.LAYERS.values()
+               for name in functions}
+    counted = set(tracer.COUNTERS) | {tracer.SWEEP_TRIAL,
+                                      tracer.SWEEP_COMMAND}
+    assert counted <= wrapped
+    missing = [qualname for qualname in sorted(wrapped)
+               if not callable(getattr(importlib.import_module(
+                   qualname.rsplit(".", 1)[0]), qualname.rsplit(".", 1)[1],
+                   None))]
+    assert missing == []

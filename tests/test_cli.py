@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +427,20 @@ def test_out_of_memory_is_one_line(tmp_path):
     assert "Traceback" not in err
 
 
+def test_psd_check_pair64_fits_in_memory(tmp_path):
+    """The eigendecomposition stays in eigh's per-block stacks, 64 blocks
+    of 64 x 64 on pair64, beside the 256 MiB invariance matrix: no second
+    4096 x 4096 complex array, so psd-check fits under 576 MiB."""
+    g, _ = pair_files(tmp_path, 64)
+    state = write(tmp_path / "action.json", {
+        "type": "action",
+        "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
+    code, out, err = run_capped(["psd-check", g, state], 576)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["hermitian"] is True
+
+
 def test_validate_pair64_fits_in_memory(tmp_path):
     """Validation reads the composition one slot per composable pair: on
     pair64 that is 64^3 = 262,144 slots, where a dense |G| x |G| table
@@ -484,3 +499,27 @@ def test_output_independent_of_hash_seed(tmp_path):
             check=True).stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b'"rows"') == outputs[0].count(b'"witness"') == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("psd-check", ["psd-check", "blocks.json", "indefinite.json"], 2),
+    ("gns", ["gns", "blocks.json", "state.json"], 0),
+    ("gns-action", ["gns", "pair4.json", "action.json"], 0),
+    ("decoherence-json", ["decoherence", "blocks.json", "state.json"], 0),
+    ("decoherence-csv", ["--format", "csv", "decoherence", "blocks.json",
+                         "state.json"], 0),
+    ("measure", ["measure", "blocks.json", "state.json",
+                 "--set", "1_a,f,c->b,b->c,e->d"], 0),
+])
+def test_reports_match_golden_bytes(capsys, name, argv, code):
+    """Reports on full-precision inputs, byte for byte as the CLI printed
+    them before the eigendecomposition was kept in per-block stacks and
+    the float rounding before serialization was dropped.  ``blocks.json``
+    is a quiver with target blocks of sizes 3 and 2 in interleaved event
+    order; ``indefinite.json`` fails the PSD check with a witness."""
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
+        encoding="utf-8"))

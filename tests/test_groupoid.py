@@ -152,16 +152,18 @@ def test_validate_passes_constructors(pair4, z3):
 
 
 def test_composition_index_is_shared_and_read_only(pair3, z3):
-    """The triples are computed once per groupoid and handed to every
-    caller, so no caller may write to them."""
+    """The triples, the index arrays and the target blocks are computed
+    once per groupoid and handed to every caller, so no caller may write
+    to them."""
     for g in (pair3, z3):
-        triples = g.composition_index()
-        assert all(a is b for a, b in zip(triples, g.composition_index()))
-        for arr in triples:
-            with pytest.raises(ValueError):
-                arr[0] = 0
-            with pytest.raises(ValueError):
-                arr.setflags(write=True)
+        for view in (g.composition_index, g.index_arrays, g.target_blocks):
+            arrays = view()
+            assert all(a is b for a, b in zip(arrays, view()))
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
 
 
 def test_spray_sizes_pair_groupoid(pair3):

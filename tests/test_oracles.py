@@ -42,6 +42,7 @@ from gqm.states import (
 from oracles import (
     bivariate_values_loop,
     fundamental_rep_loop,
+    gns_basis_loop,
     gns_dim_full,
     gns_matrices_dense,
     invariance_matrix_loop,
@@ -322,9 +323,11 @@ def blocks_of_mixed_sizes():
        st.sampled_from(["state", "indefinite", "non-hermitian"]))
 def test_psd_matches_block_loop(g, seed, kind):
     """One ``eigh`` per block size gives, bit for bit, what one ``eigh``
-    per block gave: verdicts, minimum, witness and the assembled
+    per block gave: verdicts, minimum and witness, and in each stack the
+    eigenvalues and eigenvectors of the block's columns in the assembled
     eigendecomposition, on states, on Hermitian functions that are not
-    PSD and on functions that are not Hermitian."""
+    PSD and on functions that are not Hermitian.  On states the GNS basis
+    is the one built from the assembled eigendecomposition."""
     rng = np.random.default_rng(seed)
     values = random_state(g, rng).values
     noise = random_values(g, rng)
@@ -333,11 +336,29 @@ def test_psd_matches_block_loop(g, seed, kind):
     elif kind == "non-hermitian":
         values = values + 1e-3 * noise
     phi = CharacteristicFunction(g, values)
-    fast, slow = is_positive_semidefinite(phi), psd_blocks_loop(phi, 1e-10)
+    fast = is_positive_semidefinite(phi)
+    slow, (eigvals, eigvecs) = psd_blocks_loop(phi, 1e-10)
     assert (fast.ok, fast.hermitian, fast.min_eigenvalue, fast.witness) == (
         slow.ok, slow.hermitian, slow.min_eigenvalue, slow.witness)
-    assert np.array_equal(fast.eigh[0], slow.eigh[0])
-    assert np.array_equal(fast.eigh[1], slow.eigh[1])
+    tgt = g.index_arrays()[1]
+    covered = []
+    for rows, vals, vecs in fast.blocks:
+        assert vals.shape == rows.shape and vecs.shape == rows.shape + (
+            rows.shape[1],)
+        assert np.all(np.diff(tgt[rows[:, 0]]) > 0)  # blocks in event order
+        for j, idx in enumerate(rows):
+            x = tgt[idx[0]]
+            assert np.array_equal(idx, np.flatnonzero(tgt == x))
+            cols = np.count_nonzero(tgt < x) + np.arange(idx.size)
+            assert vals[j].tobytes() == eigvals[cols].tobytes()
+            assert vecs[j].tobytes() == eigvecs[np.ix_(idx, cols)].tobytes()
+            covered.append(x)
+    assert sorted(covered) == list(range(len(g.events)))
+    if kind == "state":
+        fast_basis = gns_build(phi).space.basis
+        slow_basis = gns_basis_loop(eigvals, eigvecs, RANK_TOL)
+        assert (fast_basis.shape, fast_basis.tobytes()) == (
+            slow_basis.shape, slow_basis.tobytes())
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gqm.algebra import AlgebraElement
 from gqm.errors import GqmInputError
@@ -178,3 +181,26 @@ def test_complex_pair_precision():
     val = complex_pair(np.pi + 1j / 3)
     assert val[0] == pytest.approx(np.pi, abs=0)
     assert val[1] == pytest.approx(1 / 3, abs=0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@given(finite, finite)
+def test_floats_round_trip(re, im):
+    """Every finite double, ±0, subnormals and ±max included, is printed
+    by `dump_json` as its ``repr`` and parsed back with the same bits,
+    from JSON and from a CSV cell."""
+    z = complex(re, im)
+    for x in (re, im):
+        assert dump_json({"x": x}) == '{\n  "x": %s\n}\n' % repr(x)
+    doc = json.loads(dump_json({"pair": complex_pair(z),
+                                "matrix": matrix_to_json([[z]])}))
+    for got in (doc["pair"], doc["matrix"]["rows"][0][0]):
+        assert list(map(bits, got)) == [bits(re), bits(im)]
+    cell = complex(matrix_to_csv([[z]]).strip())
+    assert (bits(cell.real), bits(cell.imag)) == (bits(re), bits(im))
