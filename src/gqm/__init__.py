@@ -1,5 +1,14 @@
 """Finite groupoids, their *-algebras, states, quantum measures, and GNS
-representations."""
+representations.
+
+``gqm.gns`` and ``gqm.examples`` are in ``sys.modules`` from the start, but
+their code runs on first use, so that a command which needs neither does
+not load them; the names this package takes from ``gqm.gns`` resolve on
+first access.
+"""
+
+import importlib.util
+import sys
 
 from .action import (
     ActionFunction,
@@ -44,21 +53,6 @@ from .errors import (
     GroupoidValidationError,
     MathPropertyError,
 )
-from .gns import (
-    FrameChange,
-    GnsRepresentation,
-    GnsSpace,
-    RepMatrices,
-    frame_compose,
-    fundamental_matrices,
-    gns_build,
-    gns_matrices,
-    gram_matrix,
-    smeared_character,
-    transformation_function,
-    vector_valued_measure,
-    verify_reconstruction,
-)
 from .groupoid import (
     FiniteGroupoid,
     QuiverSpec,
@@ -84,3 +78,30 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy(name):
+    """The submodule ``name``, registered in ``sys.modules``; its code runs
+    when an attribute of it is first read."""
+    spec = importlib.util.find_spec("%s.%s" % (__name__, name))
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gns = _lazy("gns")
+examples = _lazy("examples")
+
+_FROM_GNS = frozenset({
+    "FrameChange", "GnsRepresentation", "GnsSpace", "RepMatrices",
+    "frame_compose", "fundamental_matrices", "gns_build", "gns_matrices",
+    "gram_matrix", "smeared_character", "transformation_function",
+    "vector_valued_measure", "verify_reconstruction"})
+
+
+def __getattr__(name):
+    if name in _FROM_GNS:
+        return getattr(gns, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -34,8 +34,8 @@ from .groupoid import (
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
-    is_positive_semidefinite,
-    reproducing_deviation,
+    psd_spectra,
+    reproducing_deviations,
 )
 
 
@@ -96,32 +96,43 @@ def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
 
 def _coboundary(g: FiniteGroupoid, potential) -> ActionFunction:
     """The action u(target) - u(source) of the potential {event: u}."""
-    src, tgt = g.index_arrays()[:2]
     u = np.array([potential[x] for x in g.events], dtype=float)
-    return ActionFunction(g, u[tgt] - u[src])
+    return ActionFunction(g, coboundaries(g, u))
+
+
+def coboundaries(g: FiniteGroupoid, u):
+    """The action values u(target) - u(source) of each row of a (T,
+    |events|) stack of potentials in event order."""
+    src, tgt = g.index_arrays()[:2]
+    return u[..., tgt] - u[..., src]
 
 
 def is_action(s: ActionFunction, tol=DEFAULT_TOL):
     """Exhaustive check of the three action laws; returns (ok, violations)."""
-    g = s.groupoid
+    violations = action_violations(s.groupoid, s.values[None], tol)[0]
+    return (not violations), violations
+
+
+def action_violations(g: FiniteGroupoid, values, tol=DEFAULT_TOL):
+    """The violations of the three action laws by each row of a (T, |G|)
+    stack of real values, one list per row."""
     ts = g.transitions
     src, tgt, inv, unit = g.index_arrays()
     outer, inner, result = g.composition_index()
-    v = s.values
-    violations = [
-        "unit value s(%r) = %.17g != 0" % (ts[unit[x]], v[unit[x]])
-        for x in np.flatnonzero(np.abs(v[unit]) > tol)]
-    inversion = v + v[inv]
-    violations += [
-        "inversion law fails: s(%r) + s(%r) = %.17g"
-        % (ts[t], ts[inv[t]], inversion[t])
-        for t in np.flatnonzero(np.abs(inversion) > tol)]
-    dev = v[result] - v[outer] - v[inner]
-    violations += [
-        "additivity fails on (%r, %r): deviation %.17g"
-        % (ts[outer[k]], ts[inner[k]], dev[k])
-        for k in np.flatnonzero(np.abs(dev) > tol)]
-    return (not violations), violations
+    found = [[] for _ in values]
+    at_units = values[:, unit]
+    for r, x in zip(*np.nonzero(np.abs(at_units) > tol)):
+        found[r].append("unit value s(%r) = %.17g != 0"
+                        % (ts[unit[x]], at_units[r, x]))
+    inversion = values + values[:, inv]
+    for r, t in zip(*np.nonzero(np.abs(inversion) > tol)):
+        found[r].append("inversion law fails: s(%r) + s(%r) = %.17g"
+                        % (ts[t], ts[inv[t]], inversion[r, t]))
+    dev = values[:, result] - values[:, outer] - values[:, inner]
+    for r, k in zip(*np.nonzero(np.abs(dev) > tol)):
+        found[r].append("additivity fails on (%r, %r): deviation %.17g"
+                        % (ts[outer[k]], ts[inner[k]], dev[r, k]))
+    return found
 
 
 def _require_generated(g: FiniteGroupoid, ga: GeneratorAction):
@@ -196,12 +207,19 @@ def dynamical_state(s: ActionFunction, normalization="unit-events",
                     tol=DEFAULT_TOL) -> CharacteristicFunction:
     """phi(alpha) = c exp(i s(alpha)); idempotent scaling makes it
     reproducing, unit-events scaling makes it normalized."""
-    ok, violations = is_action(s, tol)
-    if not ok:
-        raise MathPropertyError("not a valid action: "
-                                + first_of(violations))
-    scale = normalization_scale(normalization, s.groupoid)
-    return CharacteristicFunction(s.groupoid, scale * np.exp(1j * s.values))
+    return CharacteristicFunction(s.groupoid, dynamical_values(
+        s.groupoid, s.values[None], normalization, tol)[0])
+
+
+def dynamical_values(g: FiniteGroupoid, values, normalization="unit-events",
+                     tol=DEFAULT_TOL):
+    """`dynamical_state` of each row of a (T, |G|) stack of action values;
+    raises on the first row that is not an action."""
+    for violations in action_violations(g, values, tol):
+        if violations:
+            raise MathPropertyError("not a valid action: "
+                                    + first_of(violations))
+    return normalization_scale(normalization, g) * np.exp(1j * values)
 
 
 @dataclass
@@ -282,16 +300,38 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
                                  labels=tuple(a[0] for a in arrows))
 
 
-def is_reproducing_sweep_trial(g, potential_values):
-    """One trial of the random-potential sweep on the pair groupoid ``g``:
-    builds the dynamical state of the potential (one value per event, in
-    event order) and returns (min eigenvalue of its PSD matrix, max
-    entrywise |phi*phi - phi| under the idempotent scaling).  The PSD
-    check is one ``eigh`` call on the stacked n x n target blocks."""
-    s = action_from_potential(g, dict(zip(g.events, potential_values)))
-    phi = dynamical_state(s, normalization="idempotent")
-    check = is_positive_semidefinite(phi)
-    return check.min_eigenvalue, reproducing_deviation(phi)
+# entries per part of a stack in `is_reproducing_sweep_trial`: a part's
+# convolution holds a few arrays of trials x composable pairs, and its
+# eigensolve a few of trials x n x n, so each stays well under a MiB
+SWEEP_PART = 1 << 12
+
+
+def is_reproducing_sweep_trial(g, potentials):
+    """The trials of the random-potential sweep that run on the pair
+    groupoid ``g``, as one stack: ``potentials`` is a (T, |events|) array,
+    one potential per row in event order.  Builds each trial's dynamical
+    state under the idempotent scaling and returns two arrays of length
+    T: the least eigenvalue of its invariance matrix and its max entrywise
+    |phi*phi - phi|.  A pair groupoid has one orbit, so the eigensolve is
+    one ``eigh`` call on T n x n matrices; the convolutions, and the
+    eigensolves of stacks larger than `SWEEP_PART` entries, go through
+    in parts."""
+    if not g.is_pair_groupoid():
+        raise GqmInputError("potentials define actions on pair groupoids only")
+    u = np.asarray(potentials, dtype=float)
+    if u.ndim != 2 or u.shape[1] != len(g.events):
+        raise GqmInputError("each potential needs one value per event")
+    values, deviation = [], []
+    step = max(1, SWEEP_PART // g.composition_index()[0].size)
+    for k in range(0, len(u), step):
+        values.append(dynamical_values(g, coboundaries(g, u[k:k + step]),
+                                       "idempotent"))
+        deviation.append(reproducing_deviations(g, values[-1]))
+    values = np.concatenate(values)
+    step = max(1, SWEEP_PART // g.order)
+    least = [psd_spectra(g, values[k:k + step])[1]
+             for k in range(0, len(values), step)]
+    return np.concatenate(least), np.concatenate(deviation)
 
 
 def recover_potential(s: ActionFunction, base_event=None):

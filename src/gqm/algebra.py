@@ -13,6 +13,7 @@ pi(a*) is the conjugate transpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,14 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution / formal product: (a.b)(gamma) = sum over
     outer∘inner = gamma of a(outer) b(inner)."""
     a._check_same(b)
-    g = a.groupoid
+    return AlgebraElement(a.groupoid, convolve(a.groupoid, a.coeffs, b.coeffs))
+
+
+def convolve(g: FiniteGroupoid, a, b):
+    """`multiply` on coefficient arrays of shape (..., |G|): row by row,
+    each slot summed in the order of `composition_index`."""
     outer, inner, result = g.composition_index()
-    x, y = a.coeffs[outer], b.coeffs[inner]
+    x, y = a[..., outer], b[..., inner]
     # the textbook complex product, term by term: numpy's vectorized one
     # may fuse multiply-adds and round differently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -95,15 +101,20 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if not np.all(np.isfinite(out)):
         raise GqmInputError("the product has a coefficient too large for "
                             "floating point")
-    return AlgebraElement(g, out)
+    return out
 
 
 def scatter_add(index, re, im, n):
-    """Complex vector of length n with (re + i im)[k] added at index[k],
-    in the order of k."""
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(index, re, minlength=n)
-    out.imag = np.bincount(index, im, minlength=n)
+    """Complex array of shape re.shape[:-1] + (n,): (re + i im)[..., k]
+    added at [..., index[k]], in the order of k.  The rows of a stack go
+    through one ``bincount``, each at its own offset, so each sums as it
+    would alone."""
+    shape = re.shape[:-1] + (n,)
+    rows = math.prod(re.shape[:-1])
+    at = (index + n * np.arange(rows)[:, None]).ravel()
+    out = np.empty(shape, dtype=complex)
+    out.real = np.bincount(at, re.ravel(), minlength=rows * n).reshape(shape)
+    out.imag = np.bincount(at, im.ravel(), minlength=rows * n).reshape(shape)
     return out
 
 

@@ -28,12 +28,6 @@ from .decoherence import (
     quantum_measure,
 )
 from .errors import GqmError, GqmInputError, MathPropertyError
-from .examples import (
-    double_slit_decoherence,
-    build_qubit,
-    qubit_decoherence,
-)
-from .gns import FrameChange, gns_report, transformation_function
 from .groupoid import pair_groupoid
 from .specio import (
     algebra_to_doc,
@@ -49,7 +43,11 @@ from .specio import (
     parse_state_doc,
     parse_unitary_doc,
 )
-from .states import CharacteristicFunction, is_positive_semidefinite
+from .states import (
+    CharacteristicFunction,
+    assert_psd,
+    is_positive_semidefinite,
+)
 
 
 def _read_json(path):
@@ -209,6 +207,8 @@ def cmd_interference(args):
 
 
 def cmd_gns(args):
+    from .gns import gns_report
+
     g, quiver = _load_groupoid(args.groupoid)
     state = _characteristic(_load_state(args.state, g, quiver),
                             "gns needs a characteristic-style state")
@@ -222,19 +222,25 @@ def cmd_gns(args):
             "gns needs a state of nonzero unit mass, got %r" % mass
         )
     if abs(mass - 1.0) > args.tolerance:
-        # pure phases from action specs are normalized here
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = state.values / mass
-        if not np.all(np.isfinite(values)):
-            raise GqmInputError(
-                "state values overflow when divided by the unit mass %r"
-                % mass)
-        state = CharacteristicFunction(g, values)
+        # the unit mass of a PSD function is real and positive, so only
+        # such a mass may normalize; pure phases from action specs need it
+        if abs(mass.imag) > args.tolerance or mass.real <= 0:
+            assert_psd(state, args.tolerance)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = state.values / mass
+            if not np.all(np.isfinite(values)):
+                raise GqmInputError(
+                    "state values overflow when divided by the unit mass %r"
+                    % mass)
+            state = CharacteristicFunction(g, values)
     _emit(dump_json(gns_report(state, args.tolerance)))
     return 0
 
 
 def cmd_frame(args):
+    from .gns import FrameChange, transformation_function
+
     g, _ = _load_groupoid(args.groupoid)
     fc = FrameChange(parse_unitary_doc(_read_json(args.unitary)))
     pairs = []
@@ -252,6 +258,12 @@ def cmd_frame(args):
 
 
 def cmd_example(args):
+    from .examples import (
+        build_qubit,
+        double_slit_decoherence,
+        qubit_decoherence,
+    )
+
     if args.system == "qubit":
         d = qubit_decoherence(build_qubit(), args.S, args.normalization)
         doc = {"system": "qubit", "S": args.S}
@@ -283,19 +295,20 @@ def cmd_sweep(args):
         raise GqmInputError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     sizes = [2 + k % (args.n - 1) for k in range(args.trials)]
-    potentials = [rng.normal(size=n_events).tolist() for n_events in sizes]
+    potentials = [rng.normal(size=n_events) for n_events in sizes]
 
     # min and max do not depend on the order of the trials, so they run
-    # size by size on one validated groupoid, one groupoid alive at a time
-    results = []
+    # size by size, as one stack on one validated groupoid, one groupoid
+    # alive at a time
+    worst_eig, worst_rep = math.inf, -math.inf
     for n_events in sorted(set(sizes)):
         g = pair_groupoid(["e%d" % k for k in range(n_events)])
-        results += [is_reproducing_sweep_trial(g, u)
-                    for n, u in zip(sizes, potentials) if n == n_events]
+        eig, rep = is_reproducing_sweep_trial(g, np.stack(
+            [u for n, u in zip(sizes, potentials) if n == n_events]))
+        worst_eig = min(worst_eig, float(eig.min()))
+        worst_rep = max(worst_rep, float(rep.max()))
         del g
 
-    worst_eig = min(r[0] for r in results)
-    worst_rep = max(r[1] for r in results)
     ok = worst_eig >= -args.tolerance and worst_rep <= args.tolerance
     _emit(dump_json({
         "target": "thm52",

@@ -24,6 +24,7 @@ from .groupoid import FiniteGroupoid, group_indices
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
+    invariance_matrix,
     is_positive_semidefinite,
 )
 
@@ -117,7 +118,7 @@ def decoherence_from_characteristic(phi, normalization="none",
             "(min eigenvalue %.3e)" % check.min_eigenvalue,
             witness=check.witness,
         )
-    raw = check.matrix
+    raw = invariance_matrix(phi)
     scale = normalization_scale(normalization, phi.groupoid, raw)
     with np.errstate(over="ignore"):
         matrix = scale * raw

@@ -27,6 +27,7 @@ from .states import (
     CharacteristicFunction,
     assert_state,
     delta_state,
+    invariance_matrix,
     is_positive_semidefinite,
 )
 
@@ -36,7 +37,8 @@ RANK_TOL = 1e-10
 def gram_matrix(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> np.ndarray:
     """M(alpha, beta) = delta(t(alpha), t(beta)) phi(alpha^-1 ∘ beta); the
     inner product of basis-transition classes."""
-    return assert_state(phi, tol).matrix
+    assert_state(phi, tol)
+    return invariance_matrix(phi)
 
 
 @dataclass(eq=False)
@@ -63,15 +65,17 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     orthonormalize the rest, and represent by left multiplication."""
     g = phi.groupoid
     check = assert_state(phi, tol)
-    gram = check.matrix
-    tgt = g.index_arrays()[1]
     top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
     cutoff = RANK_TOL * max(top, 1.0)
     # (eigenvalue, event, position, rows, eigenvector) of each kept column,
-    # by descending eigenvalue, ties in event order and then position
-    keep = sorted(((vals[j, p], tgt[rows[j, 0]], p, rows[j], vecs[j, :, p])
-                   for rows, vals, vecs in check.blocks
-                   for j, p in zip(*np.nonzero(vals > cutoff))),
+    # by descending eigenvalue, ties in event order and then position: an
+    # orbit's eigenvector is one for the block of each of its events, over
+    # that event's translated rows
+    keep = sorted(((vals[j, p], x, p, rows, vecs[j, :, p])
+                   for orbits, vals, vecs in check.blocks
+                   for j, o in enumerate(orbits)
+                   for p in np.flatnonzero(vals[j] > cutoff)
+                   for x, rows in zip(o.events, o.rows)),
                   key=lambda c: (-c[0], c[1], c[2]))
 
     basis = np.zeros((g.order, len(keep)), dtype=complex)
@@ -83,6 +87,7 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
         basis[:, col] = v / np.sqrt(val)
 
+    gram = invariance_matrix(phi)
     projector = basis.conj().T @ gram
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis, gram=gram,
                      projector=projector)

@@ -66,6 +66,24 @@ class ValidationReport:
         return not self.violations
 
 
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """The target blocks of one orbit, read through its representative,
+    the orbit's first event.
+
+    ``events`` lists the orbit's events in event order, the representative
+    first.  ``rows[0]`` is the representative's target block, ascending,
+    and ``rows[k]`` is the block of ``events[k]`` in translated order:
+    ``rows[k, q] = gamma ∘ rows[0, q]``, gamma the first representative ->
+    ``events[k]`` transition in canonical order.  ``gather[p, q]`` is the
+    index of ``rows[0, p]^-1 ∘ rows[0, q]``, and since (gamma a)^-1 ∘
+    (gamma b) = a^-1 ∘ b, also that of ``rows[k, p]^-1 ∘ rows[k, q]``."""
+
+    events: np.ndarray
+    rows: np.ndarray
+    gather: np.ndarray
+
+
 @dataclass(eq=False)
 class FiniteGroupoid:
     """Immutable-by-convention carrier of the groupoid structure.
@@ -179,6 +197,40 @@ class FiniteGroupoid:
     def _blocks(self):
         return tuple(group_indices(self.index_arrays()[1], len(self.events)))
 
+    def orbit_table(self):
+        """One `Orbit` per orbit, in the order of their first events;
+        computed once per groupoid from `composition_index`, read-only."""
+        return self._orbit_table
+
+    @cached_property
+    def _orbit_table(self):
+        src, tgt, inv = self.index_arrays()[:3]
+        outer, inner, result = self.composition_index()
+        n = len(self.events)
+        keys = outer * self.order + inner
+        # the sort `group_indices` uses: numpy's default sort is other,
+        # large machine code, ~0.3 MiB more resident in every process
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+
+        def compose(o, i):  # outer∘inner for composable index arrays
+            at = np.searchsorted(sorted_keys, o * self.order + i)
+            return _read_only(result[by_key[at]])
+
+        rep = self._representatives
+        # the first rep(y) -> y transition of each y; units come first
+        gamma = np.full(n, self.order)
+        hops = np.flatnonzero(src == rep[tgt])
+        np.minimum.at(gamma, tgt[hops], hops)
+        table = []
+        for events in group_indices(rep, n):
+            if events.size:
+                block = self.target_blocks()[events[0]]
+                table.append(Orbit(events=events,
+                                   rows=compose(gamma[events, None], block),
+                                   gather=compose(inv[block, None], block)))
+        return tuple(table)
+
     # -- structural queries ---------------------------------------------
 
     def g_plus(self, x):
@@ -208,14 +260,19 @@ class FiniteGroupoid:
                          if self.source[t] == x)
 
     def orbits(self):
-        """Frozensets of event labels, in the order of their first events:
-        y is filed under the least source of the transitions into it."""
-        src, tgt = self.index_arrays()[:2]
-        n = len(self.events)
-        root = np.full(n, n)
-        np.minimum.at(root, tgt, src)
+        """Frozensets of event labels, in the order of their first events."""
         return [frozenset(self.events[k] for k in block)
-                for block in group_indices(root, n) if block.size]
+                for block in group_indices(self._representatives,
+                                           len(self.events)) if block.size]
+
+    @cached_property
+    def _representatives(self):
+        """The first event of each event's orbit: the least source of the
+        transitions into it."""
+        src, tgt = self.index_arrays()[:2]
+        rep = np.full(len(self.events), len(self.events))
+        np.minimum.at(rep, tgt, src)
+        return _read_only(rep)
 
     def is_connected(self):
         return len(self.orbits()) == 1

@@ -4,7 +4,10 @@ A characteristic function assigns a complex value to every transition.  It
 qualifies as a state when it is normalized (values at units sum to 1) and
 positive semi-definite, which for a finite groupoid is fully captured by
 one |G| x |G| Gram-type matrix: M(alpha, beta) = phi(alpha^-1 ∘ beta) when
-the targets agree, 0 otherwise.
+the targets agree, 0 otherwise.  That matrix is block diagonal by target,
+one block per orbit up to a permutation, and the PSD test solves only
+those.  The kernels take a leading stack axis, so that many functions on
+one groupoid go through them at once; the object API is the stack of one.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, fundamental_rep, multiply, scatter_add
+from .algebra import AlgebraElement, convolve, fundamental_rep, scatter_add
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid
 
@@ -57,21 +60,21 @@ class PsdCheck:
     """Result of the PSD test; on failure ``witness`` pairs transition
     labels with the coefficients of the offending eigenvector.
 
-    ``matrix`` is the invariance matrix that was tested and ``blocks`` the
-    eigendecomposition of its Hermitian part, kept so callers that go on
-    to use them need not recompute either.  ``blocks`` holds what
-    ``np.linalg.eigh`` returned, one ``(rows, eigenvalues, eigenvectors)``
-    stack per block size: ``rows[j]`` lists one target block's
-    transitions in ascending order, ``eigenvalues[j]`` ascends, and column
-    p of ``eigenvectors[j]`` is the eigenvector of ``eigenvalues[j, p]``
-    over ``rows[j]``.  Within a stack the blocks follow event order."""
+    ``blocks`` is the eigendecomposition of the Hermitian part of the
+    invariance matrix, kept so callers that go on to use it need not
+    recompute it.  The blocks of one orbit are one matrix with permuted
+    rows and columns, so ``blocks`` holds one ``(orbits, eigenvalues,
+    eigenvectors)`` stack per representative block size, as
+    ``np.linalg.eigh`` returned it: ``orbits[j]`` is a
+    `gqm.groupoid.Orbit`, ``eigenvalues[j]`` ascends, and column p of
+    ``eigenvectors[j]`` is the eigenvector of ``eigenvalues[j, p]`` over
+    ``orbits[j].rows[k]``, for the block of every event of the orbit.
+    Within a stack the orbits follow event order."""
 
     ok: bool
     hermitian: bool
     min_eigenvalue: float
     witness: list[tuple[str, complex]] | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False,
-                                      compare=False)
     blocks: list | None = field(default=None, repr=False, compare=False)
 
 
@@ -86,46 +89,60 @@ def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
     return mat
 
 
-def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
-    """Complete PSD check: every finite family's Gram matrix is a principal
-    submatrix (with duplications) of the full matrix, so checking the full
-    matrix suffices.  The matrix is block diagonal by target, so each
-    target block is tested on its own: the blocks of one size are stacked
-    and go through one ``eigh`` call, so a pair groupoid makes one."""
-    if tol <= 0:
-        raise GqmInputError("tolerance must be positive")
-    g = phi.groupoid
-    mat = invariance_matrix(phi)
-    tgt = g.index_arrays()[1]
-    blocks = g.target_blocks()
+def psd_spectra(g: FiniteGroupoid, values):
+    """The eigensolve of the PSD test for a (T, |G|) stack of functions:
+    the hermiticity defect and the least eigenvalue of each, and stacks as
+    in `PsdCheck.blocks` with a leading trial axis.  Only the orbits'
+    representative blocks are formed, and those of one size go through
+    one ``eigh`` call."""
+    orbits = g.orbit_table()
+    defect = np.zeros(len(values))
     stacks = []
-    defect = 0.0
     # sorted(set()) rather than np.unique, which imports numpy.ma
-    for size in sorted({idx.size for idx in blocks}):
-        rows = np.stack([idx for idx in blocks if idx.size == size])
+    for size in sorted({o.gather.shape[0] for o in orbits}):
+        group = tuple(o for o in orbits if o.gather.shape[0] == size)
         # halves first, so that huge finite entries cannot overflow
-        half = 0.5 * mat[rows[:, :, None], rows[:, None, :]]
-        half_h = half.conj().transpose(0, 2, 1)
-        defect = max(defect, float(np.max(np.abs(half - half_h))))
-        stacks.append((rows, *np.linalg.eigh(half + half_h)))
+        half = 0.5 * values[:, np.stack([o.gather for o in group])]
+        half_h = half.conj().swapaxes(-1, -2)
+        defect = np.maximum(defect, np.max(np.abs(half - half_h),
+                                           axis=(1, 2, 3)))
+        stacks.append((group, *np.linalg.eigh(half + half_h)))
     if not all(np.all(np.isfinite(vals)) for _, vals, _ in stacks):
         raise GqmInputError("the invariance matrix has an eigenvalue too "
                             "large for floating point")
-    herm = defect <= 0.5 * tol
-    # eigh's eigenvalues ascend, so a block's least comes first: take the
-    # least of those, then the first block in event order
-    min_eig, _, idx, vec = min(
-        ((float(vals[j, 0]), tgt[rows[j, 0]], rows[j], vecs[j, :, 0])
-         for rows, vals, vecs in stacks for j in range(len(rows))),
-        key=lambda c: c[:2])
+    # eigh's eigenvalues ascend, so a block's least comes first
+    least = np.min([vals[:, :, 0].min(axis=1) for _, vals, _ in stacks],
+                   axis=0)
+    return defect, least, stacks
+
+
+def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
+    """Complete PSD check: every finite family's Gram matrix is a principal
+    submatrix (with duplications) of the full matrix, so checking the full
+    matrix suffices.  The matrix is block diagonal by target, and the
+    blocks of one orbit are one matrix with rows and columns permuted,
+    since (gamma a)^-1 ∘ (gamma b) = a^-1 ∘ b: so one eigensolve per orbit
+    decides, and `psd_spectra` makes one ``eigh`` call per block size."""
+    if tol <= 0:
+        raise GqmInputError("tolerance must be positive")
+    g = phi.groupoid
+    defect, least, stacks = psd_spectra(g, phi.values[None])
+    herm = float(defect[0]) <= 0.5 * tol
+    min_eig = float(least[0])
     ok = herm and min_eig >= -tol
     witness = None
-    if not ok:
+    if not ok:  # over the first orbit in event order with that eigenvalue
+        _, rows, vec = min(
+            ((o.events[0], o.rows[0], vecs[0, j, :, 0])
+             for orbits, vals, vecs in stacks for j, o in enumerate(orbits)
+             if vals[0, j, 0] == min_eig), key=lambda c: c[0])
         witness = [(g.transitions[i], complex(vec[p]))
-                   for p, i in enumerate(idx.tolist())
+                   for p, i in enumerate(rows.tolist())
                    if abs(vec[p]) > 1e-14]
     return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=min_eig,
-                    witness=witness, matrix=mat, blocks=stacks)
+                    witness=witness,
+                    blocks=[(orbits, vals[0], vecs[0])
+                            for orbits, vals, vecs in stacks])
 
 
 def assert_state(phi, tol=DEFAULT_TOL):
@@ -135,6 +152,12 @@ def assert_state(phi, tol=DEFAULT_TOL):
         raise MathPropertyError(
             "characteristic function is not normalized: unit mass %r" % mass
         )
+    return assert_psd(phi, tol)
+
+
+def assert_psd(phi, tol=DEFAULT_TOL):
+    """Raise unless phi is positive semi-definite; the `PsdCheck` if it
+    is."""
     check = is_positive_semidefinite(phi, tol)
     if not check.ok:
         raise MathPropertyError(
@@ -188,8 +211,12 @@ def observable_amplitude(f: AlgebraElement, a_to, a_from,
 
 def reproducing_deviation(phi) -> float:
     """Max entrywise |phi * phi - phi| under convolution."""
-    elem = phi.as_algebra_element()
-    return float(np.max(np.abs(multiply(elem, elem).coeffs - elem.coeffs)))
+    return float(reproducing_deviations(phi.groupoid, phi.values[None])[0])
+
+
+def reproducing_deviations(g: FiniteGroupoid, values):
+    """`reproducing_deviation` of each row of a (T, |G|) stack."""
+    return np.max(np.abs(convolve(g, values, values) - values), axis=-1)
 
 
 def is_reproducing(phi, tol=DEFAULT_TOL) -> bool:

@@ -137,37 +137,72 @@ def psd_full(phi, tol):
     return herm and eigvals[0] >= -tol, herm, eigvals
 
 
-def psd_blocks_loop(phi, tol):
-    """The PSD check with one ``eigh`` call per target block, block after
-    block in event order: the `PsdCheck` without its blocks, and the
-    eigendecomposition assembled at full size, where block x takes the
-    next |G^x| columns and each eigenvector is zero outside its block."""
+def orbit_blocks_loop(g):
+    """Per orbit, in the order of first events: its events in event order
+    and, for each event y, the labels of its target block in translated
+    order: gamma ∘ a for a over the first event's block in canonical
+    order, with gamma the first transition from the first event to y in
+    canonical order."""
+    parts = []
+    for orb in orbits_loop(g):
+        events = [x for x in g.events if x in orb]
+        block = [t for t in g.transitions if g.target[t] == events[0]]
+        rows = []
+        for y in events:
+            gamma = next(t for t in g.transitions
+                         if g.source[t] == events[0] and g.target[t] == y)
+            rows.append([g.composition[(gamma, a)] for a in block])
+        parts.append((events, rows))
+    return parts
+
+
+def psd_orbits_loop(phi, tol):
+    """The PSD check with one ``eigh`` call per orbit, on the block of its
+    first event, orbit after orbit: the `PsdCheck` without its blocks, and
+    per orbit (events, translated rows, eigenvalues, eigenvectors) as in
+    `orbit_blocks_loop`.  The witness is the eigenvector of the least
+    eigenvalue of the first orbit that has it."""
     g = phi.groupoid
     mat = invariance_matrix_loop(phi)
-    eigvals = np.zeros(g.order)
-    eigvecs = np.zeros((g.order, g.order), dtype=complex)
+    ix = g.transition_index
     defect = 0.0
-    start = 0
-    for x in g.events:
-        idx = np.array([g.transition_index[t] for t in g.transitions
-                        if g.target[t] == x])
+    spectra = []
+    for events, rows in orbit_blocks_loop(g):
+        idx = [ix[t] for t in rows[0]]
         half = 0.5 * mat[np.ix_(idx, idx)]
         half_h = half.conj().T
         defect = max(defect, float(np.max(np.abs(half - half_h))))
-        cols = slice(start, start + idx.size)
-        eigvals[cols], eigvecs[idx, cols] = np.linalg.eigh(half + half_h)
-        start += idx.size
+        spectra.append((events, rows, *np.linalg.eigh(half + half_h)))
     herm = defect <= 0.5 * tol
-    k = int(np.argmin(eigvals))
-    ok = herm and eigvals[k] >= -tol
+    least = min(vals[0] for _, _, vals, _ in spectra)
+    ok = herm and least >= -tol
     witness = None
     if not ok:
-        witness = [(t, complex(eigvecs[i, k]))
-                   for i, t in enumerate(g.transitions)
-                   if abs(eigvecs[i, k]) > 1e-14]
-    check = PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=float(eigvals[k]),
-                     witness=witness, matrix=mat)
-    return check, (eigvals, eigvecs)
+        _, rows, _, vecs = next(s for s in spectra if s[2][0] == least)
+        witness = [(t, complex(vecs[p, 0])) for p, t in enumerate(rows[0])
+                   if abs(vecs[p, 0]) > 1e-14]
+    check = PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=float(least),
+                     witness=witness)
+    return check, spectra
+
+
+def assembled(g, spectra):
+    """The eigendecomposition of the whole matrix from `psd_orbits_loop`
+    spectra: block x takes the next |G^x| columns, in event order, and
+    its orbit's eigenvectors over its translated rows."""
+    ix = g.transition_index
+    block_of = {x: (rows, vals, vecs) for events, all_rows, vals, vecs
+                in spectra for x, rows in zip(events, all_rows)}
+    eigvals = np.zeros(g.order)
+    eigvecs = np.zeros((g.order, g.order), dtype=complex)
+    start = 0
+    for x in g.events:
+        rows, vals, vecs = block_of[x]
+        cols = slice(start, start + len(rows))
+        eigvals[cols] = vals
+        eigvecs[[ix[t] for t in rows], cols] = vecs
+        start += len(rows)
+    return eigvals, eigvecs
 
 
 def gns_basis_loop(eigvals, eigvecs, rank_tol):
@@ -199,7 +234,7 @@ def sweep_loop(n, trials, seed, tol):
         u = dict(zip(g.events, rng.normal(size=n_events).tolist()))
         phi = dynamical_state(action_from_potential(g, u), "idempotent")
         worst_eig = min(worst_eig,
-                        psd_blocks_loop(phi, DEFAULT_TOL)[0].min_eigenvalue)
+                        psd_orbits_loop(phi, DEFAULT_TOL)[0].min_eigenvalue)
         worst_rep = max(worst_rep, reproducing_deviation(phi))
     return worst_eig, worst_rep, worst_eig >= -tol and worst_rep <= tol
 

@@ -11,6 +11,10 @@ rows behind them stay inside ``groupoid.py``.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -94,3 +98,29 @@ def test_tracer_names_exist():
                    qualname.rsplit(".", 1)[0]), qualname.rsplit(".", 1)[1],
                    None))]
     assert missing == []
+
+
+def test_cli_import_runs_neither_gns_nor_examples():
+    """A cold ``import gqm.cli`` does not run ``gqm.gns`` or
+    ``gqm.examples``: the commands that use them import them when they
+    run.  Both modules are in ``sys.modules`` from the start, where
+    ``perfbench/tracer.py`` looks them up, but their code runs on first
+    use, as ``from gqm import gns_build`` shows."""
+    script = (
+        "import json, sys, types\n"
+        "import gqm.cli\n"
+        "def ran():\n"
+        "    return sorted(n for n, m in sys.modules.items()\n"
+        "                  if n.startswith('gqm') and type(m) is\n"
+        "                  types.ModuleType)\n"
+        "cold = ran()\n"
+        "known = sorted(n for n in sys.modules if n.startswith('gqm'))\n"
+        "from gqm import gns_build\n"
+        "print(json.dumps([cold, known, ran(), gns_build.__module__]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gqm.__file__).parents[1]))
+    cold, known, warm, home = json.loads(subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True).stdout)
+    assert "gqm.cli" in cold
+    assert sorted(set(known) - set(cold)) == ["gqm.examples", "gqm.gns"]
+    assert (warm, home) == (sorted(cold + ["gqm.gns"]), "gqm.gns")

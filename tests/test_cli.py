@@ -413,14 +413,14 @@ def pair_files(tmp_path, n):
 
 
 def test_out_of_memory_is_one_line(tmp_path):
-    """psd-check on pair64 forms the dense 4096 x 4096 complex invariance
+    """decoherence on pair64 forms the dense 4096 x 4096 complex invariance
     matrix, 256 MiB on its own, which cannot fit under a 256 MiB cap: bad
     input, one line, no traceback."""
     g, _ = pair_files(tmp_path, 64)
     state = write(tmp_path / "action.json", {
         "type": "action",
         "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
-    code, out, err = run_capped(["psd-check", g, state], 256)
+    code, out, err = run_capped(["decoherence", g, state], 256)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
@@ -428,14 +428,14 @@ def test_out_of_memory_is_one_line(tmp_path):
 
 
 def test_psd_check_pair64_fits_in_memory(tmp_path):
-    """The eigendecomposition stays in eigh's per-block stacks, 64 blocks
-    of 64 x 64 on pair64, beside the 256 MiB invariance matrix: no second
-    4096 x 4096 complex array, so psd-check fits under 576 MiB."""
+    """The PSD check solves one 64 x 64 block for the one orbit of pair64
+    and forms no 4096 x 4096 array, so psd-check fits under 256 MiB, where
+    the dense invariance matrix alone would not."""
     g, _ = pair_files(tmp_path, 64)
     state = write(tmp_path / "action.json", {
         "type": "action",
         "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
-    code, out, err = run_capped(["psd-check", g, state], 576)
+    code, out, err = run_capped(["psd-check", g, state], 256)
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["ok"] is True and doc["hermitian"] is True
@@ -515,11 +515,33 @@ GOLDEN = Path(__file__).parent / "golden"
                  "--set", "1_a,f,c->b,b->c,e->d"], 0),
 ])
 def test_reports_match_golden_bytes(capsys, name, argv, code):
-    """Reports on full-precision inputs, byte for byte as the CLI printed
-    them before the eigendecomposition was kept in per-block stacks and
-    the float rounding before serialization was dropped.  ``blocks.json``
+    """Reports on full-precision inputs, byte for byte.  ``blocks.json``
     is a quiver with target blocks of sizes 3 and 2 in interleaved event
-    order; ``indefinite.json`` fails the PSD check with a witness."""
+    order; ``indefinite.json`` fails the PSD check with a witness.  The
+    ``gns`` reports were recorded with one eigensolve per orbit; the
+    others are as the CLI printed them when each target block had its
+    own."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))
+
+
+@pytest.mark.parametrize("factor", [-1, 1j], ids=["negated", "times-i"])
+def test_gns_rescales_by_a_real_positive_mass_only(capsys, tmp_path, factor):
+    """The unit mass of a PSD function is real and positive, so gns
+    normalizes only by such a mass: -phi and i phi of a state are not
+    PSD, and gns rejects them with the PSD check's message (exit 2)
+    instead of dividing them by their mass -1 or i into a state."""
+    doc = json.loads((GOLDEN / "state.json").read_text(encoding="utf-8"))
+    doc["values"] = {label: [(factor * complex(*z)).real,
+                             (factor * complex(*z)).imag]
+                     for label, z in doc["values"].items()}
+    g, state = str(GOLDEN / "blocks.json"), write(tmp_path / "s.json", doc)
+    assert main(["psd-check", g, state]) == 2
+    check = json.loads(capsys.readouterr().out)
+    assert main(["gns", g, state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: characteristic function is not positive semi-definite "
+        "(min eigenvalue %.3e)\n" % check["min_eigenvalue"])

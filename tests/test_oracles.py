@@ -13,8 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqm.action import ActionFunction, action_from_potential, is_action
-from gqm.algebra import AlgebraElement, fundamental_rep, involution, multiply
+import gqm.action
+from gqm.action import (
+    ActionFunction,
+    action_from_potential,
+    action_violations,
+    dynamical_state,
+    is_action,
+    is_reproducing_sweep_trial,
+)
+from gqm.algebra import (
+    AlgebraElement,
+    convolve,
+    fundamental_rep,
+    involution,
+    multiply,
+)
 from gqm.decoherence import (
     DecoherenceFunctional,
     characteristic_from_bivariate,
@@ -35,10 +49,15 @@ from gqm.groupoid import (
 )
 from gqm.states import (
     CharacteristicFunction,
+    delta_state,
     invariance_matrix,
     is_positive_semidefinite,
+    psd_spectra,
     random_state,
+    reproducing_deviation,
+    reproducing_deviations,
 )
+from groupoids import composite_groupoids
 from oracles import (
     bivariate_values_loop,
     fundamental_rep_loop,
@@ -51,8 +70,10 @@ from oracles import (
     is_invariant_loop,
     multiply_loop,
     orbits_loop,
-    psd_blocks_loop,
+    assembled,
+    orbit_blocks_loop,
     psd_full,
+    psd_orbits_loop,
     target_block_violation_loop,
     validate_loop,
 )
@@ -90,6 +111,8 @@ def systems():
 
 
 system = st.deferred(lambda: st.sampled_from(systems()))
+# besides: groupoids with isotropy, several orbits and shuffled events
+any_system = system | composite_groupoids()
 
 
 def copy_of(g, **changes):
@@ -287,7 +310,8 @@ def test_target_check_matches_loop(g, seed, arrows, rank):
 
 
 @settings(max_examples=60, deadline=None)
-@given(system, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 0.5]))
+@given(any_system, st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-3, 0.5]))
 def test_psd_matches_full_matrix(g, seed, noise):
     rng = np.random.default_rng(seed)
     values = random_state(g, rng).values + noise * random_values(g, rng)
@@ -301,7 +325,8 @@ def test_psd_matches_full_matrix(g, seed, noise):
         vec = np.zeros(g.order, dtype=complex)
         for label, z in check.witness:
             vec[g.transition_index[label]] = z
-        sym = 0.5 * (check.matrix + check.matrix.conj().T)
+        mat = invariance_matrix_loop(phi)
+        sym = 0.5 * (mat + mat.conj().T)
         residual = sym @ vec - check.min_eigenvalue * vec
         assert np.max(np.abs(residual)) <= 1e-12 * scale
 
@@ -316,49 +341,171 @@ def blocks_of_mixed_sizes():
             pair_groupoid(["e%d" % k for k in range(9)])]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.deferred(lambda: st.sampled_from(systems()
-                                           + blocks_of_mixed_sizes())),
-       st.integers(0, 2**32 - 1),
-       st.sampled_from(["state", "indefinite", "non-hermitian"]))
-def test_psd_matches_block_loop(g, seed, kind):
-    """One ``eigh`` per block size gives, bit for bit, what one ``eigh``
-    per block gave: verdicts, minimum and witness, and in each stack the
-    eigenvalues and eigenvectors of the block's columns in the assembled
-    eigendecomposition, on states, on Hermitian functions that are not
-    PSD and on functions that are not Hermitian.  On states the GNS basis
-    is the one built from the assembled eigendecomposition."""
-    rng = np.random.default_rng(seed)
+@settings(max_examples=60, deadline=None)
+@given(any_system)
+def test_orbit_table_matches_loop(g):
+    """The orbit table holds each orbit's events, the translated rows of
+    each of its events and the representative's products a^-1 ∘ b; every
+    block, read in translated order, is its representative's block byte
+    for byte, and holds the event's whole target block."""
+    ix = g.transition_index
+    table = g.orbit_table()
+    loop = orbit_blocks_loop(g)
+    assert len(table) == len(loop)
+    phi = CharacteristicFunction(g, random_values(g, np.random.default_rng(
+        g.order)))
+    mat = invariance_matrix_loop(phi)
+    tgt = g.index_arrays()[1]
+    for o, (events, rows) in zip(table, loop):
+        assert o.events.tolist() == [g.event_index[x] for x in events]
+        assert o.rows.tolist() == [[ix[t] for t in r] for r in rows]
+        block = rows[0]
+        assert o.gather.tolist() == [
+            [ix[g.composition[(g.inverse[a], b)]] for b in block]
+            for a in block]
+        first = mat[np.ix_(o.rows[0], o.rows[0])].tobytes()
+        for x, r in zip(o.events, o.rows):
+            assert sorted(r) == np.flatnonzero(tgt == x).tolist()
+            assert mat[np.ix_(r, r)].tobytes() == first
+    with pytest.raises(ValueError):
+        table[0].rows[0, 0] = 0
+
+
+def blocks_of_mixed_sizes():
+    """Besides ``systems()``: a quiver with components of 2, 3 and 2
+    events, interleaved in event order so that blocks of one size are not
+    adjacent, and the pair groupoid on 9 events."""
+    return [from_quiver(QuiverSpec(["a", "c", "f", "b", "d", "g", "e"],
+                                   [("p", "a", "b"), ("q", "c", "d"),
+                                    ("r", "d", "e"), ("s", "g", "f")])),
+            pair_groupoid(["e%d" % k for k in range(9)])]
+
+
+def function_of_kind(g, rng, kind):
+    """A random state, a Hermitian function that is not PSD, or a function
+    that is not Hermitian."""
     values = random_state(g, rng).values
     noise = random_values(g, rng)
     if kind == "indefinite":  # phi(t^-1) = conj(phi(t)) keeps M Hermitian
         values = values + 0.25 * (noise + noise[g.index_arrays()[2]].conj())
     elif kind == "non-hermitian":
         values = values + 1e-3 * noise
-    phi = CharacteristicFunction(g, values)
+    return values
+
+
+kinds = st.sampled_from(["state", "indefinite", "non-hermitian"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.deferred(lambda: st.sampled_from(systems()
+                                           + blocks_of_mixed_sizes()))
+       | composite_groupoids(), st.integers(0, 2**32 - 1), kinds)
+def test_psd_matches_block_loop(g, seed, kind):
+    """One ``eigh`` per block size over the orbits' representative blocks
+    gives, bit for bit, what one ``eigh`` per orbit gives: verdicts,
+    minimum and witness, and in each stack each orbit's translated rows,
+    eigenvalues and eigenvectors, on states, on Hermitian functions that
+    are not PSD and on functions that are not Hermitian.  On states the
+    GNS basis is the one built from the assembled eigendecomposition."""
+    phi = CharacteristicFunction(g, function_of_kind(
+        g, np.random.default_rng(seed), kind))
     fast = is_positive_semidefinite(phi)
-    slow, (eigvals, eigvecs) = psd_blocks_loop(phi, 1e-10)
+    slow, spectra = psd_orbits_loop(phi, 1e-10)
     assert (fast.ok, fast.hermitian, fast.min_eigenvalue, fast.witness) == (
         slow.ok, slow.hermitian, slow.min_eigenvalue, slow.witness)
-    tgt = g.index_arrays()[1]
+    ix = g.transition_index
+    by_first = {g.event_index[events[0]]: (rows, vals, vecs)
+                for events, rows, vals, vecs in spectra}
     covered = []
-    for rows, vals, vecs in fast.blocks:
-        assert vals.shape == rows.shape and vecs.shape == rows.shape + (
-            rows.shape[1],)
-        assert np.all(np.diff(tgt[rows[:, 0]]) > 0)  # blocks in event order
-        for j, idx in enumerate(rows):
-            x = tgt[idx[0]]
-            assert np.array_equal(idx, np.flatnonzero(tgt == x))
-            cols = np.count_nonzero(tgt < x) + np.arange(idx.size)
-            assert vals[j].tobytes() == eigvals[cols].tobytes()
-            assert vecs[j].tobytes() == eigvecs[np.ix_(idx, cols)].tobytes()
-            covered.append(x)
-    assert sorted(covered) == list(range(len(g.events)))
+    for orbits, vals, vecs in fast.blocks:
+        s = orbits[0].rows.shape[1]
+        assert vals.shape == (len(orbits), s)
+        assert vecs.shape == (len(orbits), s, s)
+        firsts = [int(o.events[0]) for o in orbits]
+        assert firsts == sorted(firsts)  # orbits in event order
+        for j, o in enumerate(orbits):
+            rows, slow_vals, slow_vecs = by_first[firsts[j]]
+            assert o.rows.tolist() == [[ix[t] for t in r] for r in rows]
+            assert vals[j].tobytes() == slow_vals.tobytes()
+            assert vecs[j].tobytes() == slow_vecs.tobytes()
+            covered.append(firsts[j])
+    assert sorted(covered) == sorted(by_first)
     if kind == "state":
         fast_basis = gns_build(phi).space.basis
-        slow_basis = gns_basis_loop(eigvals, eigvecs, RANK_TOL)
+        slow_basis = gns_basis_loop(*assembled(g, spectra), RANK_TOL)
         assert (fast_basis.shape, fast_basis.tobytes()) == (
             slow_basis.shape, slow_basis.tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_system, st.integers(0, 2**32 - 1), st.integers(1, 4), kinds)
+def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
+    """The kernels that take a leading stack axis give each row, bit for
+    bit, what the object API gives for that row alone."""
+    rng = np.random.default_rng(seed)
+    values = np.stack([function_of_kind(g, rng, kind)
+                       for _ in range(trials)])
+    defect, least, stacks = psd_spectra(g, values)
+    deviations = reproducing_deviations(g, values)
+    other = np.stack([random_values(g, rng) for _ in range(trials)])
+    products = convolve(g, values, other)
+    actions = rng.normal(size=(trials, g.order))
+    actions[0] = 0.0  # the zero action satisfies every law
+    violations = action_violations(g, actions)
+    for t in range(trials):
+        phi = CharacteristicFunction(g, values[t])
+        check = is_positive_semidefinite(phi)
+        assert check.hermitian == (defect[t] <= 0.5e-10)
+        assert least[t].tobytes() == np.float64(check.min_eigenvalue).tobytes()
+        for (orbits, vals, vecs), one in zip(stacks, check.blocks):
+            assert orbits == one[0]
+            assert vals[t].tobytes() == one[1].tobytes()
+            assert vecs[t].tobytes() == one[2].tobytes()
+        assert deviations[t] == reproducing_deviation(phi)
+        assert products[t].tobytes() == multiply(
+            AlgebraElement(g, values[t]),
+            AlgebraElement(g, other[t])).coeffs.tobytes()
+        assert (not violations[t], violations[t]) == is_action(
+            ActionFunction(g, actions[t]))
+    assert violations[0] == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_sweep_stack_matches_trials(n, trials, seed, parts):
+    """`is_reproducing_sweep_trial` on a stack of potentials, whole or in
+    parts of one trial, gives each trial's least eigenvalue and reproducing
+    deviation bit for bit as the object API does trial by trial."""
+    g = pair_groupoid(["e%d" % k for k in range(n)])
+    u = np.random.default_rng(seed).normal(size=(trials, n))
+    limit = gqm.action.SWEEP_PART
+    gqm.action.SWEEP_PART = 1 if parts else limit
+    try:
+        least, deviation = is_reproducing_sweep_trial(g, u)
+    finally:
+        gqm.action.SWEEP_PART = limit
+    for t in range(trials):
+        phi = dynamical_state(action_from_potential(
+            g, dict(zip(g.events, u[t]))), "idempotent")
+        assert least[t] == is_positive_semidefinite(phi).min_eigenvalue
+        assert deviation[t] == reproducing_deviation(phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(composite_groupoids(), st.integers(0, 2**32 - 1), st.booleans())
+def test_gns_dimension_is_rank_on_composites(g, seed, delta):
+    """The GNS dimension is the rank of the whole invariance matrix, for
+    random states and for the delta state of an event, whose GNS space is
+    spanned by its spray."""
+    rng = np.random.default_rng(seed)
+    if delta:
+        x = g.events[rng.integers(len(g.events))]
+        phi = delta_state(g, x)
+        assert gns_build(phi).space.dim == len(g.g_plus(x))
+    else:
+        phi = random_state(g, rng)
+    assert gns_build(phi).space.dim == gns_dim_full(phi, RANK_TOL)
 
 
 @settings(max_examples=30, deadline=None)
