@@ -42,7 +42,6 @@ from .decoherence import (
     check_decoherence_axioms,
     decoherence_from_characteristic,
     interference,
-    interference_recursive_check,
     is_invariant,
     quantum_measure,
 )
@@ -69,7 +68,6 @@ from .states import (
     assert_state,
     delta_state,
     is_positive_semidefinite,
-    is_reproducing,
     observable_amplitude,
     random_state,
     state_eval,
@@ -97,8 +95,7 @@ examples = _lazy("examples")
 _FROM_GNS = frozenset({
     "FrameChange", "GnsRepresentation", "GnsSpace", "RepMatrices",
     "frame_compose", "fundamental_matrices", "gns_build", "gns_matrices",
-    "gram_matrix", "smeared_character", "transformation_function",
-    "vector_valued_measure", "verify_reconstruction"})
+    "smeared_character", "transformation_function"})
 
 
 def __getattr__(name):

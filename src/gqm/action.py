@@ -340,25 +340,9 @@ def recover_potential(s: ActionFunction, base_event=None):
     g = s.groupoid
     if not g.is_pair_groupoid():
         raise GqmInputError("potential recovery needs a pair groupoid")
-    base = base_event if base_event is not None else g.events[0]
-    g.require_event(base)
-    potential = {}
-    for x in g.events:
-        t = next(iter(g.hom_set(base, x)))
-        potential[x] = s.value(t)
-    return potential
-
-
-__all__ = [
-    "ActionFunction",
-    "FactorizabilityReport",
-    "GeneratorAction",
-    "action_from_potential",
-    "dynamical_state",
-    "extend_generator_action",
-    "is_action",
-    "is_factorizable",
-    "is_reproducing_sweep_trial",
-    "quiver_decoherence",
-    "recover_potential",
-]
+    base = 0 if base_event is None else g.require_event(base_event)
+    src, tgt = g.index_arrays()[:2]
+    # the one transition base -> x of each event x
+    u = np.empty(len(g.events))
+    u[tgt[src == base]] = s.values[src == base]
+    return dict(zip(g.events, u.tolist()))

@@ -46,10 +46,6 @@ class AlgebraElement:
     def basis(cls, g, label):
         return cls.from_dict(g, {label: 1.0})
 
-    @classmethod
-    def zero(cls, g):
-        return cls(g, np.zeros(g.order, dtype=complex))
-
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other):
@@ -139,14 +135,16 @@ def incidence_element(g: FiniteGroupoid) -> AlgebraElement:
 
 
 def isotropy_char(g: FiniteGroupoid, a) -> AlgebraElement:
-    return AlgebraElement.from_dict(g, {t: 1.0 for t in g.isotropy(a)})
+    src, tgt = g.index_arrays()[:2]
+    x = g.require_event(a)
+    return AlgebraElement(g, (src == x) & (tgt == x))
 
 
 def spray_char(g: FiniteGroupoid, a, sign="+") -> AlgebraElement:
     if sign not in ("+", "-"):
         raise GqmInputError("spray sign must be '+' or '-'")
-    members = g.g_plus(a) if sign == "+" else g.g_minus(a)
-    return AlgebraElement.from_dict(g, {t: 1.0 for t in members})
+    ends = g.index_arrays()[0 if sign == "+" else 1]
+    return AlgebraElement(g, ends == g.require_event(a))
 
 
 # -- representations ----------------------------------------------------

@@ -184,7 +184,15 @@ def quantum_measure(d: DecoherenceFunctional, members,
 MAX_INTERFERENCE_ORDER = 6
 
 
-def _check_disjoint(d, sets):
+def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
+    """The order-n inclusion-exclusion interference of pairwise disjoint
+    sets: sum over non-empty subfamilies S of (-1)^(n-|S|) mu(union of S)."""
+    n = len(sets)
+    if not 1 <= n <= MAX_INTERFERENCE_ORDER:
+        raise GqmInputError(
+            "interference order must be between 1 and %d"
+            % MAX_INTERFERENCE_ORDER
+        )
     resolved = [_resolve_set(d, s) for s in sets]
     seen = {}
     for k, labels in enumerate(resolved):
@@ -195,19 +203,6 @@ def _check_disjoint(d, sets):
                     % (seen[lab], k, lab)
                 )
             seen[lab] = k
-    return resolved
-
-
-def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
-    """The order-n inclusion-exclusion interference of pairwise disjoint
-    sets: sum over non-empty subfamilies S of (-1)^(n-|S|) mu(union of S)."""
-    n = len(sets)
-    if not 1 <= n <= MAX_INTERFERENCE_ORDER:
-        raise GqmInputError(
-            "interference order must be between 1 and %d"
-            % MAX_INTERFERENCE_ORDER
-        )
-    resolved = _check_disjoint(d, sets)
     total = 0.0
     for k in range(1, n + 1):
         sign = (-1.0) ** (n - k)
@@ -218,20 +213,6 @@ def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
         raise GqmInputError("the interference value is too large for "
                             "floating point")
     return total
-
-
-def interference_recursive_check(d, sets, tol=1e-9) -> bool:
-    """Self-test of the inclusion-exclusion implementation: I_{n+1} computed
-    directly must equal the recursive combination of I_n terms."""
-    if len(sets) < 2:
-        raise GqmInputError("recursive check needs at least two sets")
-    resolved = _check_disjoint(d, sets)
-    a0, a1, rest = resolved[0], resolved[1], list(resolved[2:])
-    direct = interference(d, resolved, tol)
-    merged = interference(d, [tuple(a0) + tuple(a1)] + rest, tol)
-    drop0 = interference(d, [a0] + rest, tol)
-    drop1 = interference(d, [a1] + rest, tol)
-    return abs(direct - (merged - drop0 - drop1)) <= tol
 
 
 def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):

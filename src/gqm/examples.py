@@ -7,6 +7,8 @@ and the decoherence pipeline end to end.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .action import (
@@ -20,6 +22,7 @@ from .decoherence import (
     DecoherenceFunctional,
     decoherence_from_characteristic,
 )
+from .errors import GqmInputError
 from .groupoid import (
     FiniteGroupoid,
     QuiverSpec,
@@ -121,8 +124,8 @@ def double_slit_decoherence(delta, S1=0.0, S2=0.0,
 
 def cyclic_group_groupoid(n) -> FiniteGroupoid:
     """Z_n as a single-event groupoid; supplies nontrivial isotropy."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise GqmInputError("Z_n needs an integer n >= 1, got %r" % (n,))
     elements = ["g%d" % k for k in range(n)]
     table = {
         (elements[i], elements[j]): elements[(i + j) % n]

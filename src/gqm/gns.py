@@ -1,10 +1,10 @@
 """GNS construction, smeared characters, vector-valued measures, and frame
 changes.
 
-From a state the construction yields: the Gram matrix of the state-induced
-inner product on coefficient vectors, the null space (Gelfand ideal), an
-orthonormal basis of the quotient Hilbert space, representation matrices by
-left multiplication, and the ground vector (the class of the algebra unit).
+From a state the construction yields: the null space of the state-induced
+inner product on coefficient vectors (the Gelfand ideal), an orthonormal
+basis of the quotient Hilbert space, representation matrices by left
+multiplication, and the ground vector (the class of the algebra unit).
 """
 
 from __future__ import annotations
@@ -15,18 +15,16 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    fundamental_rep,
     regular_rep,
     scatter_add,
     unit_element,
 )
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, group_indices, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
     assert_state,
-    delta_state,
     invariance_matrix,
     is_positive_semidefinite,
 )
@@ -34,19 +32,11 @@ from .states import (
 RANK_TOL = 1e-10
 
 
-def gram_matrix(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> np.ndarray:
-    """M(alpha, beta) = delta(t(alpha), t(beta)) phi(alpha^-1 ∘ beta); the
-    inner product of basis-transition classes."""
-    assert_state(phi, tol)
-    return invariance_matrix(phi)
-
-
 @dataclass(eq=False)
 class GnsSpace:
     groupoid: FiniteGroupoid
     dim: int
     basis: np.ndarray       # |G| x dim, columns are coset representatives
-    gram: np.ndarray        # |G| x |G|
     projector: np.ndarray   # dim x |G|: raw coordinates -> quotient coords
 
 
@@ -61,8 +51,9 @@ class GnsRepresentation:
 
 
 def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation:
-    """Quotient by the Gelfand ideal (null eigenvectors of the Gram form),
-    orthonormalize the rest, and represent by left multiplication."""
+    """Quotient by the Gelfand ideal (null eigenvectors of the Gram form
+    M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b)), orthonormalize the rest,
+    and represent by left multiplication."""
     g = phi.groupoid
     check = assert_state(phi, tol)
     top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
@@ -87,81 +78,98 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
         basis[:, col] = v / np.sqrt(val)
 
-    gram = invariance_matrix(phi)
-    projector = basis.conj().T @ gram
-    space = GnsSpace(groupoid=g, dim=len(keep), basis=basis, gram=gram,
+    projector = basis.conj().T @ invariance_matrix(phi)
+    space = GnsSpace(groupoid=g, dim=len(keep), basis=basis,
                      projector=projector)
     return GnsRepresentation(space=space,
                              ground=projector @ unit_element(g).coeffs)
 
 
-def verify_reconstruction(phi: CharacteristicFunction,
-                          tol=DEFAULT_TOL) -> float:
-    """Max over transitions of |<0| pi(alpha) |0> - phi(alpha)|."""
-    return gns_report(phi, tol)["reconstruction_max_error"]
-
-
 # -- representations given as explicit matrices --------------------------
+
+CHECK_PART = 1 << 16  # matrix entries per part of `RepMatrices.check`
 
 
 @dataclass(eq=False)
 class RepMatrices:
-    """A unitary representation presented by one matrix per transition."""
+    """A unitary representation presented by one matrix per transition:
+    ``matrices[k]`` is pi of the k-th transition in canonical order, a
+    read-only copy of the (|G|, d, d) stack it was given."""
 
     groupoid: FiniteGroupoid
-    matrices: dict[str, np.ndarray]
-    dim: int
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        mats = np.array(self.matrices, dtype=complex, ndmin=1)
+        d = mats.shape[-1]
+        if d == 0 or mats.shape != (self.groupoid.order, d, d):
+            raise GqmInputError("a representation needs one d x d matrix per "
+                                "transition, not a stack of shape %r"
+                                % (mats.shape,))
+        self.matrices = read_only(mats)
 
     def check(self, tol=DEFAULT_TOL):
-        g = self.groupoid
+        """Raise on the first pair in `composition_index` order with
+        pi(outer) pi(inner) != pi(outer∘inner), then on the first t with
+        pi(t^-1) != pi(t)^H, then unless the units sum to the identity."""
+        g, mats = self.groupoid, self.matrices
         ts = g.transitions
-        for t in ts:
-            m = self.matrices.get(t)
-            if m is None or m.shape != (self.dim, self.dim):
-                raise GqmInputError("representation misses transition %r" % t)
-        mats = [self.matrices[t] for t in ts]
-        for o, i, r in zip(*g.composition_index()):
-            dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]))
-            if dev > tol:
+        outer, inner, result = g.composition_index()
+        step = max(1, CHECK_PART // mats[0].size)
+        for k in range(0, outer.size, step):
+            o, i, r = (a[k:k + step] for a in (outer, inner, result))
+            dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]), axis=(1, 2))
+            bad = np.flatnonzero(dev > tol)
+            if bad.size:  # the first in composition order
+                j = bad[0]
                 raise MathPropertyError(
                     "not a homomorphism on (%r, %r): defect %.3e"
-                    % (ts[o], ts[i], dev)
+                    % (ts[o[j]], ts[i[j]], dev[j])
                 )
         inv, unit = g.index_arrays()[2:]
-        for t, m, k in zip(ts, mats, inv):
-            dev = np.max(np.abs(mats[k] - m.conj().T))
-            if dev > tol:
-                raise MathPropertyError(
-                    "star-compatibility fails at %r: defect %.3e" % (t, dev)
-                )
-        unit_sum = sum(mats[u] for u in unit)
-        if np.max(np.abs(unit_sum - np.eye(self.dim))) > tol:
+        dev = np.max(np.abs(mats[inv] - mats.conj().swapaxes(1, 2)),
+                     axis=(1, 2))
+        bad = np.flatnonzero(dev > tol)
+        if bad.size:
+            t = bad[0]
+            raise MathPropertyError(
+                "star-compatibility fails at %r: defect %.3e" % (ts[t], dev[t])
+            )
+        identity = np.eye(mats.shape[1])
+        if np.max(np.abs(mats[unit].sum(axis=0) - identity)) > tol:
             raise MathPropertyError("unit transitions do not sum to identity")
 
     def apply(self, members, psi):
+        """nu(A) psi, the vector-valued measure of the set ``members``: the
+        sum of pi(t) psi over its transitions; finitely additive."""
         psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (self.dim,):
+        if psi.shape != self.matrices.shape[1:2]:
             raise GqmInputError("vector dimension does not match the "
                                 "representation")
-        out = np.zeros(self.dim, dtype=complex)
-        for m in members:
-            out += self.matrices[self.groupoid.resolve(m)] @ psi
-        return out
+        at = [self.groupoid.index(m) for m in members]
+        return np.sum(self.matrices[at] @ psi, axis=0)
 
 
 def fundamental_matrices(g: FiniteGroupoid) -> RepMatrices:
-    mats = {
-        t: fundamental_rep(AlgebraElement.basis(g, t)) for t in g.transitions
-    }
-    return RepMatrices(groupoid=g, matrices=mats, dim=len(g.events))
+    """The matrix unit E[t(a), s(a)] of every transition a."""
+    src, tgt = g.index_arrays()[:2]
+    n = len(g.events)
+    mats = np.zeros((g.order, n, n), dtype=complex)
+    mats[np.arange(g.order), tgt, src] = 1.0
+    return RepMatrices(groupoid=g, matrices=mats)
 
 
 def gns_matrices(rep: GnsRepresentation) -> RepMatrices:
-    """pi(t) for every transition t, tabulated from ``rep.matrix_of``."""
-    g = rep.space.groupoid
-    mats = {t: rep.matrix_of(AlgebraElement.basis(g, t))
-            for t in g.transitions}
-    return RepMatrices(groupoid=g, matrices=mats, dim=rep.space.dim)
+    """pi(t) for every transition t.  Left multiplication by t sends each
+    inner composable with it to t∘inner, so pi(t) is
+    projector[:, results] @ basis[inners] over t's composition triples."""
+    space = rep.space
+    g = space.groupoid
+    outer, inner, result = g.composition_index()
+    mats = np.empty((g.order, space.dim, space.dim), dtype=complex)
+    for t, k in enumerate(group_indices(outer, g.order)):
+        mats[t] = space.projector[:, result[k]] @ space.basis[inner[k]]
+    return RepMatrices(groupoid=g, matrices=mats)
 
 
 def smeared_character(rep: RepMatrices, density,
@@ -170,7 +178,7 @@ def smeared_character(rep: RepMatrices, density,
     re-checked before returning."""
     rep.check(tol)
     density = np.asarray(density, dtype=complex)
-    if density.shape != (rep.dim, rep.dim):
+    if density.shape != rep.matrices.shape[1:]:
         raise GqmInputError("density matrix dimension mismatch")
     if np.max(np.abs(density - density.conj().T)) > tol:
         raise GqmInputError("density matrix is not Hermitian")
@@ -180,11 +188,8 @@ def smeared_character(rep: RepMatrices, density,
     if abs(np.trace(density).real - 1.0) > tol:
         raise GqmInputError("density matrix trace must be 1")
 
-    g = rep.groupoid
-    values = np.array([
-        np.trace(density @ rep.matrices[t]) for t in g.transitions
-    ])
-    phi = CharacteristicFunction(g, values)
+    phi = CharacteristicFunction(rep.groupoid, np.einsum(
+        "ij,tji->t", density, rep.matrices))
     check = is_positive_semidefinite(phi, tol)
     if not check.ok:
         raise MathPropertyError(
@@ -192,11 +197,6 @@ def smeared_character(rep: RepMatrices, density,
             "(min eigenvalue %.3e)" % check.min_eigenvalue
         )
     return phi
-
-
-def vector_valued_measure(rep: RepMatrices, psi, members) -> np.ndarray:
-    """nu(A) = sum over alpha in A of pi(alpha) psi; finitely additive."""
-    return rep.apply(members, psi)
 
 
 # -- frame changes -------------------------------------------------------
@@ -252,7 +252,7 @@ def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
         )
     if fc.dim != len(g.events):
         raise GqmInputError("frame dimension does not match |events|")
-    row = fc.unitary[g.event_index[g.require_event(b)]]
+    row = fc.unitary[g.require_event(b)]
     src, tgt = g.index_arrays()[:2]
     x, y = row[tgt].conj(), row[src]
     # the textbook complex product, term by term, so that conj(z) z is real
@@ -268,7 +268,7 @@ def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
     simple state at ``a``: evaluates delta_state(a) on the transported unit
     of ``b`` and exposes the corresponding vector in the GNS space of a."""
     moved = frame_transported_unit(g, fc, b)
-    x = g.event_index[g.require_event(a)]
+    x = g.require_event(a)
     src, _, _, unit = g.index_arrays()
 
     # evaluate rho_a: the coefficient of the unit at a
@@ -310,8 +310,3 @@ def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
         "ground_norm": float(np.linalg.norm(rep.ground)),
     }
 
-
-def delta_gns_dimension(g: FiniteGroupoid, x) -> int:
-    """dim of the GNS space of the simple state at x (equals |spray(x)|)."""
-    rep = gns_build(delta_state(g, x))
-    return rep.space.dim

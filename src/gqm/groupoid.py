@@ -130,9 +130,10 @@ class FiniteGroupoid:
         return vec
 
     def require_event(self, x):
+        """Position of the event label ``x`` in event order."""
         if x not in self.event_index:
             raise GqmInputError("unknown event label %r" % x)
-        return x
+        return self.event_index[x]
 
     @property
     def order(self):
@@ -162,7 +163,7 @@ class FiniteGroupoid:
     @cached_property
     def _arrays(self):
         ev, tx, ts = self.event_index, self.transition_index, self.transitions
-        return tuple(_read_only(np.array(a, dtype=np.intp)) for a in (
+        return tuple(read_only(np.array(a, dtype=np.intp)) for a in (
             [ev[self.source[t]] for t in ts], [ev[self.target[t]] for t in ts],
             [tx[self.inverse[t]] for t in ts],
             [tx[self.unit_of[x]] for x in self.events]))
@@ -186,7 +187,7 @@ class FiniteGroupoid:
     @cached_property
     def _triples(self):
         rows = self._composition_rows
-        return tuple(_read_only(rows[np.all(rows >= 0, axis=1)].T.copy()))
+        return tuple(read_only(rows[np.all(rows >= 0, axis=1)].T.copy()))
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -215,7 +216,7 @@ class FiniteGroupoid:
 
         def compose(o, i):  # outer∘inner for composable index arrays
             at = np.searchsorted(sorted_keys, o * self.order + i)
-            return _read_only(result[by_key[at]])
+            return read_only(result[by_key[at]])
 
         rep = self._representatives
         # the first rep(y) -> y transition of each y; units come first
@@ -231,33 +232,33 @@ class FiniteGroupoid:
                                    gather=compose(inv[block, None], block)))
         return tuple(table)
 
-    # -- structural queries ---------------------------------------------
+    # -- structural queries: masks over the index arrays ----------------
+
+    def _members(self, mask):
+        """The labels of the transitions where ``mask`` is true."""
+        return frozenset(self.transitions[k] for k in np.flatnonzero(mask))
 
     def g_plus(self, x):
-        self.require_event(x)
-        return frozenset(t for t in self.transitions if self.source[t] == x)
+        return self._members(self.index_arrays()[0] == self.require_event(x))
 
     def g_minus(self, y):
-        self.require_event(y)
-        return frozenset(t for t in self.transitions if self.target[t] == y)
+        return self._members(self.index_arrays()[1] == self.require_event(y))
 
     def isotropy(self, x):
-        return self.g_plus(x) & self.g_minus(x)
+        src, tgt = self.index_arrays()[:2]
+        k = self.require_event(x)
+        return self._members((src == k) & (tgt == k))
 
     def hom_set(self, x, y):
         """Transitions x -> y (the set G(y, x))."""
-        self.require_event(x)
-        self.require_event(y)
-        return frozenset(
-            t
-            for t in self.transitions
-            if self.source[t] == x and self.target[t] == y
-        )
+        src, tgt = self.index_arrays()[:2]
+        return self._members((src == self.require_event(x))
+                             & (tgt == self.require_event(y)))
 
     def orbit(self, x):
-        self.require_event(x)
-        return frozenset(self.target[t] for t in self.transitions
-                         if self.source[t] == x)
+        src, tgt = self.index_arrays()[:2]
+        return frozenset(self.events[k]
+                         for k in tgt[src == self.require_event(x)].tolist())
 
     def orbits(self):
         """Frozensets of event labels, in the order of their first events."""
@@ -272,7 +273,7 @@ class FiniteGroupoid:
         src, tgt = self.index_arrays()[:2]
         rep = np.full(len(self.events), len(self.events))
         np.minimum.at(rep, tgt, src)
-        return _read_only(rep)
+        return read_only(rep)
 
     def is_connected(self):
         return len(self.orbits()) == 1
@@ -289,7 +290,7 @@ class FiniteGroupoid:
         return tuple(self.unit_of[x] for x in self.events)
 
 
-def _read_only(a):
+def read_only(a):
     """Make ``a`` read-only and return a view of it: neither that view nor
     any view taken of it can be written or made writeable again."""
     a.setflags(write=False)
@@ -300,7 +301,7 @@ def group_indices(keys, n):
     """The positions of ``keys`` (ints in 0..n-1) grouped by key: one
     ascending, read-only array per key value."""
     counts = np.bincount(keys, minlength=n)
-    return np.split(_read_only(np.argsort(keys, kind="stable")),
+    return np.split(read_only(np.argsort(keys, kind="stable")),
                     np.cumsum(counts)[:-1])
 
 

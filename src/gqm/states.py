@@ -180,14 +180,15 @@ def delta_state(g: FiniteGroupoid, x) -> CharacteristicFunction:
     """The simple state supported on the unit at x."""
     unit = g.index_arrays()[3]
     values = np.zeros(g.order, dtype=complex)
-    values[unit[g.event_index[g.require_event(x)]]] = 1.0
+    values[unit[g.require_event(x)]] = 1.0
     return CharacteristicFunction(g, values)
 
 
 def transition_amplitude(phi, a, b) -> complex:
-    """Sum of phi over transitions a -> b."""
+    """Sum of phi over transitions a -> b, read off the amplitude matrix."""
     g = phi.groupoid
-    return complex(sum(phi.value(t) for t in sorted(g.hom_set(a, b))))
+    x, y = g.require_event(a), g.require_event(b)
+    return complex(transition_amplitude_matrix(phi)[y, x])
 
 
 def transition_amplitude_matrix(phi) -> np.ndarray:
@@ -206,22 +207,18 @@ def observable_amplitude(f: AlgebraElement, a_to, a_from,
         raise MathPropertyError(
             "element is not self-adjoint (largest deviation at %r)" % worst
         )
-    return complex(sum(f.coeff(t) for t in sorted(g.hom_set(a_from, a_to))))
+    x, y = g.require_event(a_from), g.require_event(a_to)
+    return complex(fundamental_rep(f)[y, x])
 
 
 def reproducing_deviation(phi) -> float:
-    """Max entrywise |phi * phi - phi| under convolution."""
+    """Max entrywise |phi * phi - phi|: 0 when phi is reproducing."""
     return float(reproducing_deviations(phi.groupoid, phi.values[None])[0])
 
 
 def reproducing_deviations(g: FiniteGroupoid, values):
     """`reproducing_deviation` of each row of a (T, |G|) stack."""
     return np.max(np.abs(convolve(g, values, values) - values), axis=-1)
-
-
-def is_reproducing(phi, tol=DEFAULT_TOL) -> bool:
-    """Idempotency under convolution: phi * phi == phi."""
-    return reproducing_deviation(phi) <= tol
 
 
 def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:

@@ -3,12 +3,14 @@ the property tests in ``test_oracles.py`` compare them with.
 
 Each one follows the definition directly, over labels and dicts, and reads
 nothing the kernel it checks computes (the GNS products take the basis and
-projector of the space they check).
+projector of the space they check).  `interference_recursive_check`
+recombines lower interference orders instead.
 """
 
 import numpy as np
 
 from gqm.action import action_from_potential, dynamical_state
+from gqm.decoherence import interference
 from gqm.groupoid import ValidationReport, pair_groupoid
 from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviation
 
@@ -103,13 +105,50 @@ def validate_loop(g):
     return rep
 
 
+def g_plus_loop(g, x):
+    """The transitions out of x."""
+    return frozenset(t for t in g.transitions if g.source[t] == x)
+
+
+def g_minus_loop(g, y):
+    """The transitions into y."""
+    return frozenset(t for t in g.transitions if g.target[t] == y)
+
+
+def isotropy_loop(g, x):
+    return g_plus_loop(g, x) & g_minus_loop(g, x)
+
+
+def hom_set_loop(g, x, y):
+    """The transitions x -> y."""
+    return frozenset(t for t in g.transitions
+                     if g.source[t] == x and g.target[t] == y)
+
+
+def orbit_loop(g, x):
+    """The targets of the transitions out of x."""
+    return frozenset(g.target[t] for t in g.transitions if g.source[t] == x)
+
+
+def transition_amplitude_loop(phi, a, b):
+    """Sum of phi over the transitions a -> b, in label order."""
+    return complex(sum(phi.value(t)
+                       for t in sorted(hom_set_loop(phi.groupoid, a, b))))
+
+
+def observable_amplitude_loop(f, a_to, a_from):
+    """Sum of the coefficients of f over a_from -> a_to, in label order."""
+    return complex(sum(f.coeff(t)
+                       for t in sorted(hom_set_loop(f.groupoid, a_from, a_to))))
+
+
 def orbits_loop(g):
     """The orbits, each grown from the first event not yet placed."""
     remaining = set(g.events)
     parts = []
     for x in g.events:
         if x in remaining:
-            orb = g.orbit(x)
+            orb = orbit_loop(g, x)
             parts.append(orb)
             remaining -= orb
     return parts
@@ -265,6 +304,39 @@ def gns_matrices_dense(space):
     return {t: space.projector
             @ regular_rep_loop(AlgebraElement.basis(g, t)) @ space.basis
             for t in g.transitions}
+
+
+def rep_check_loop(rep, tol):
+    """The message of the first law of a `RepMatrices` that fails: the
+    homomorphism law pair by pair in the order of the composition table,
+    then the star law transition by transition, then the unit sum; None
+    when all hold."""
+    g = rep.groupoid
+    mats = {t: rep.matrices[g.transition_index[t]] for t in g.transitions}
+    for (o, i), r in g.composition.items():
+        dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]))
+        if dev > tol:
+            return "not a homomorphism on (%r, %r): defect %.3e" % (o, i, dev)
+    for t in g.transitions:
+        dev = np.max(np.abs(mats[g.inverse[t]] - mats[t].conj().T))
+        if dev > tol:
+            return "star-compatibility fails at %r: defect %.3e" % (t, dev)
+    unit_sum = sum(mats[g.unit_of[x]] for x in g.events)
+    if np.max(np.abs(unit_sum - np.eye(len(unit_sum)))) > tol:
+        return "unit transitions do not sum to identity"
+    return None
+
+
+def interference_recursive_check(d, sets, tol=1e-9):
+    """The order-n interference of disjoint sets computed directly equals
+    the recursive combination I(A0 ∪ A1, ...) - I(A0, ...) - I(A1, ...) of
+    lower-order terms."""
+    a0, a1, *rest = [list(s) for s in sets]
+    direct = interference(d, sets, tol)
+    merged = interference(d, [a0 + a1] + rest, tol)
+    drop0 = interference(d, [a0] + rest, tol)
+    drop1 = interference(d, [a1] + rest, tol)
+    return abs(direct - (merged - drop0 - drop1)) <= tol
 
 
 def multiply_loop(a, b):

@@ -8,7 +8,6 @@ import time
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from gqm.action import (
     action_from_potential,
@@ -18,7 +17,7 @@ from gqm.action import (
 from gqm.algebra import AlgebraElement, fundamental_rep, involution, \
     multiply, regular_rep
 from gqm.decoherence import decoherence_from_characteristic, interference, \
-    interference_recursive_check, quantum_measure
+    quantum_measure
 from gqm.errors import ActionInconsistencyError
 from gqm.examples import (
     build_qubit,
@@ -29,11 +28,12 @@ from gqm.examples import (
     qubit_decoherence,
     qubit_state,
 )
-from gqm.gns import FrameChange, frame_compose, gns_build, \
-    transformation_function, verify_reconstruction
+from gqm.gns import FrameChange, frame_compose, gns_build, gns_report, \
+    transformation_function
 from gqm.groupoid import pair_groupoid
 from gqm.states import delta_state, is_positive_semidefinite, \
-    is_reproducing, random_state, transition_amplitude
+    random_state, reproducing_deviation, transition_amplitude
+from oracles import interference_recursive_check
 
 
 def report(number, label, ok, detail=""):
@@ -136,7 +136,7 @@ def reproducing_corpus():
 def test_criterion_4_chapman_kolmogorov():
     worst = 0.0
     for phi in reproducing_corpus():
-        assert is_reproducing(phi)
+        assert reproducing_deviation(phi) <= 1e-10
         g = phi.groupoid
         for a in g.events:
             for b in g.events:
@@ -178,6 +178,10 @@ def test_criterion_5_grade_two():
     report(5, "third-order interference vanishes",
            worst <= 1e-9 and recursive_ok,
            "max |I3| %.2e" % worst)
+
+
+def verify_reconstruction(phi):
+    return gns_report(phi)["reconstruction_max_error"]
 
 
 def test_criterion_6_reconstruction():

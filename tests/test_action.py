@@ -9,7 +9,6 @@ from gqm.action import (
     extend_generator_action,
     is_action,
     is_factorizable,
-    quiver_decoherence,
     recover_potential,
 )
 from gqm.decoherence import check_decoherence_axioms, quantum_measure
@@ -17,11 +16,14 @@ from gqm.errors import ActionInconsistencyError, GqmInputError
 from gqm.examples import (
     double_slit_action,
     double_slit_decoherence,
-    double_slit_groupoid,
     qubit_action,
 )
 from gqm.groupoid import QuiverSpec, from_quiver, pair_groupoid
-from gqm.states import delta_state, is_positive_semidefinite, is_reproducing
+from gqm.states import (
+    delta_state,
+    is_positive_semidefinite,
+    reproducing_deviation,
+)
 
 
 def test_qubit_action_from_potential(qubit):
@@ -111,7 +113,7 @@ def test_dynamical_state_idempotent_uniform(pair4):
     u = {x: 0.0 for x in pair4.events}
     phi = dynamical_state(action_from_potential(pair4, u), "idempotent")
     assert np.allclose(phi.values, 0.25)
-    assert is_reproducing(phi)
+    assert reproducing_deviation(phi) <= 1e-10
 
 
 def test_dynamical_state_rejects_invalid_action(qubit):
@@ -129,7 +131,7 @@ def test_theorem_sweep_sample(rng):
             u = dict(zip(g.events, rng.normal(size=n)))
             phi = dynamical_state(action_from_potential(g, u), "idempotent")
             assert is_positive_semidefinite(phi).min_eigenvalue >= -1e-10
-            assert is_reproducing(phi)
+            assert reproducing_deviation(phi) <= 1e-10
 
 
 def test_is_factorizable(qubit):

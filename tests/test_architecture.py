@@ -4,9 +4,15 @@
 ``unit_of``, ``inverse``, ``composition``) and ``specio.py`` reads and
 writes them as documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
-(`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  Kernels read the
-composition as the triples of `FiniteGroupoid.composition_index`; the raw
-rows behind them stay inside ``groupoid.py``.
+(`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
+loops over the transitions or calls the label-set queries, so no table
+keyed by label is built there.  Kernels read the composition as the
+triples of `FiniteGroupoid.composition_index`; the raw rows behind them
+stay inside ``groupoid.py``.
+
+Two lint checks run here over the package and the tests, so that they
+need no linter: no module-level name is defined twice, and every
+imported name is read.
 """
 
 import ast
@@ -45,6 +51,73 @@ def test_only_the_owners_read_label_tables():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in TABLES]
     assert reads == []
+
+
+def test_no_transition_loops_or_label_queries():
+    """Outside the owners no ``for`` loop or comprehension iterates
+    ``.transitions``, and no module calls ``hom_set``, ``g_plus`` or
+    ``g_minus``."""
+    found = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.For, ast.comprehension))
+                    and name not in OWNERS
+                    and any(isinstance(n, ast.Attribute)
+                            and n.attr == "transitions"
+                            for n in ast.walk(node.iter))):
+                found.append("%s:%d loop" % (name, node.iter.lineno))
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in {"hom_set", "g_plus", "g_minus"}):
+                found.append("%s:%d %s" % (name, node.lineno,
+                                           node.func.attr))
+    assert found == []
+
+
+def sources():
+    """(path relative to the repository, tree) of every module of the
+    package and of the tests."""
+    root = Path(__file__).parents[1]
+    for path in sorted([*Path(gqm.__file__).parent.glob("*.py"),
+                        *Path(__file__).parent.glob("*.py")]):
+        yield (path.relative_to(root).as_posix(),
+               ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_no_module_level_name_defined_twice():
+    twice = []
+    for name, tree in sources():
+        seen = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    twice.append("%s:%d %s" % (name, node.lineno, node.name))
+                seen.add(node.name)
+    assert twice == []
+
+
+def test_every_import_is_read():
+    """Every name an import binds is read somewhere in its module, except
+    ``from __future__`` and the re-exports of ``gqm/__init__.py`` (its
+    relative imports)."""
+    unread = []
+    for name, tree in sources():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"
+                  and not (name.endswith("gqm/__init__.py") and node.level)):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += ["%s:%d %s" % (name, node.lineno, b)
+                       for b in bound if b not in read]
+    assert unread == []
 
 
 def test_one_label_lookup():

@@ -9,19 +9,14 @@ from gqm.decoherence import (
     check_decoherence_axioms,
     decoherence_from_characteristic,
     interference,
-    interference_recursive_check,
     is_invariant,
     normalization_scale,
     quantum_measure,
 )
 from gqm.errors import GqmInputError, MathPropertyError
-from gqm.examples import (
-    build_qubit,
-    double_slit_decoherence,
-    qubit_decoherence,
-    qubit_phase,
-)
+from gqm.examples import double_slit_decoherence, qubit_decoherence
 from gqm.states import CharacteristicFunction, delta_state, random_state
+from oracles import interference_recursive_check
 
 
 def test_qubit_matrix_golden(qubit):

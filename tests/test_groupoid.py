@@ -195,3 +195,10 @@ def test_unknown_labels_raise(qubit):
         qubit.resolve("nope")
     with pytest.raises(GqmInputError):
         qubit.require_event("nope")
+
+
+def test_cyclic_group_groupoid_rejects_bad_orders():
+    assert cyclic_group_groupoid(1).order == 1
+    for n in (0, -2, 2.0, 2.5, "3", None):
+        with pytest.raises(GqmInputError):
+            cyclic_group_groupoid(n)

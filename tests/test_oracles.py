@@ -27,7 +27,9 @@ from gqm.algebra import (
     convolve,
     fundamental_rep,
     involution,
+    isotropy_char,
     multiply,
+    spray_char,
 )
 from gqm.decoherence import (
     DecoherenceFunctional,
@@ -36,9 +38,16 @@ from gqm.decoherence import (
     decoherence_from_characteristic,
     is_invariant,
 )
-from gqm.errors import MathPropertyError
+from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import corpus_groupoids
-from gqm.gns import RANK_TOL, gns_build, gns_matrices, gns_report
+from gqm.gns import (
+    RANK_TOL,
+    RepMatrices,
+    fundamental_matrices,
+    gns_build,
+    gns_matrices,
+    gns_report,
+)
 from gqm.groupoid import (
     FiniteGroupoid,
     QuiverSpec,
@@ -52,29 +61,39 @@ from gqm.states import (
     delta_state,
     invariance_matrix,
     is_positive_semidefinite,
+    observable_amplitude,
     psd_spectra,
     random_state,
     reproducing_deviation,
     reproducing_deviations,
+    transition_amplitude,
 )
 from groupoids import composite_groupoids
 from oracles import (
+    assembled,
     bivariate_values_loop,
     fundamental_rep_loop,
+    g_minus_loop,
+    g_plus_loop,
     gns_basis_loop,
     gns_dim_full,
     gns_matrices_dense,
+    hom_set_loop,
     invariance_matrix_loop,
     involution_loop,
     is_action_loop,
     is_invariant_loop,
+    isotropy_loop,
     multiply_loop,
-    orbits_loop,
-    assembled,
+    observable_amplitude_loop,
     orbit_blocks_loop,
+    orbit_loop,
+    orbits_loop,
     psd_full,
     psd_orbits_loop,
+    rep_check_loop,
     target_block_violation_loop,
+    transition_amplitude_loop,
     validate_loop,
 )
 
@@ -228,6 +247,82 @@ def random_values(g, rng):
     return rng.normal(size=g.order) + 1j * rng.normal(size=g.order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(any_system, st.integers(0, 2**32 - 1))
+def test_queries_and_amplitudes_match_loops(g, seed):
+    """The structural queries, read as masks over the index arrays, give
+    the label loops' sets on every event and event pair, and the
+    amplitudes, read from the fundamental representation, their sums over
+    the hom set in label order."""
+    rng = np.random.default_rng(seed)
+    phi = CharacteristicFunction(g, random_values(g, rng))
+    f = AlgebraElement(g, random_values(g, rng))
+    f = f + f.star()
+    scale = max(1.0, float(np.max(np.abs(f.coeffs))),
+                float(np.max(np.abs(phi.values))))
+    ix = g.transition_index
+    for x in g.events:
+        assert g.g_plus(x) == g_plus_loop(g, x)
+        assert g.g_minus(x) == g_minus_loop(g, x)
+        assert g.isotropy(x) == isotropy_loop(g, x)
+        assert g.orbit(x) == orbit_loop(g, x)
+        plus, iso = spray_char(g, x).coeffs, isotropy_char(g, x).coeffs
+        assert np.flatnonzero(plus).tolist() == sorted(
+            ix[t] for t in g_plus_loop(g, x))
+        assert np.flatnonzero(iso).tolist() == sorted(
+            ix[t] for t in isotropy_loop(g, x))
+        for y in g.events:
+            assert g.hom_set(x, y) == hom_set_loop(g, x, y)
+            assert abs(transition_amplitude(phi, x, y)
+                       - transition_amplitude_loop(phi, x, y)) <= 1e-12 * scale
+            assert abs(observable_amplitude(f, y, x)
+                       - observable_amplitude_loop(f, y, x)) <= 1e-12 * scale
+    x = g.events[0]
+    for query in (g.g_plus, g.g_minus, g.isotropy, g.orbit,
+                  lambda y: g.hom_set(x, y), lambda y: g.hom_set(y, x),
+                  lambda y: transition_amplitude(phi, x, y)):
+        with pytest.raises(GqmInputError):
+            query("nowhere")
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_system, st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["none", "homomorphism", "star", "unit"]))
+def test_rep_check_matches_loop(g, seed, gns, law):
+    """`RepMatrices.check`, batched over the composition triples, raises
+    the message the pair-by-pair loop gives, on the fundamental matrices
+    or the GNS matrices of a random state, intact or with one law broken:
+    one matrix moved, every matrix conjugated by one invertible matrix
+    that is not unitary, or a zero row and column added."""
+    rng = np.random.default_rng(seed)
+    if gns and g.order <= 36:
+        rep = gns_matrices(gns_build(random_state(g, rng)))
+    else:
+        rep = fundamental_matrices(g)
+    mats = np.array(rep.matrices)
+    d = mats.shape[1]
+    if law == "homomorphism":
+        mats[rng.integers(g.order)] += 0.1 * (
+            rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    elif law == "star":
+        s = np.eye(d) + 0.3 / np.sqrt(d) * rng.normal(size=(d, d))
+        mats = s @ mats @ np.linalg.inv(s)
+    elif law == "unit":
+        mats = np.pad(mats, ((0, 0), (0, 1), (0, 1)))
+    broken = RepMatrices(g, mats)
+    expected = rep_check_loop(broken, 1e-10)
+    if expected is None:
+        assert law in ("none", "star")
+        broken.check()
+    else:
+        assert expected.startswith({
+            "homomorphism": "not a homomorphism", "star": "star-",
+            "unit": "unit transitions"}[law])
+        with pytest.raises(MathPropertyError) as err:
+            broken.check()
+        assert str(err.value) == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(system, st.integers(0, 2**32 - 1))
 def test_kernels_match_loops(g, seed):
@@ -329,16 +424,6 @@ def test_psd_matches_full_matrix(g, seed, noise):
         sym = 0.5 * (mat + mat.conj().T)
         residual = sym @ vec - check.min_eigenvalue * vec
         assert np.max(np.abs(residual)) <= 1e-12 * scale
-
-
-def blocks_of_mixed_sizes():
-    """Besides ``systems()``: a quiver with components of 2, 3 and 2
-    events, interleaved in event order so that blocks of one size are not
-    adjacent, and the pair groupoid on 9 events."""
-    return [from_quiver(QuiverSpec(["a", "c", "f", "b", "d", "g", "e"],
-                                   [("p", "a", "b"), ("q", "c", "d"),
-                                    ("r", "d", "e"), ("s", "g", "f")])),
-            pair_groupoid(["e%d" % k for k in range(9)])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,7 +602,7 @@ def test_gns_matches_dense_products(g, seed):
     dense = gns_matrices_dense(rep.space)
     matrices = gns_matrices(rep).matrices
     for t in g.transitions:
-        assert np.max(np.abs(matrices[t] - dense[t]),
+        assert np.max(np.abs(matrices[g.transition_index[t]] - dense[t]),
                       initial=0.0) <= 1e-12
 
 

@@ -12,15 +12,14 @@ from gqm.algebra import (
 )
 from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import build_qubit, qubit_phase, qubit_state
-from gqm.groupoid import pair_groupoid
 from gqm.states import (
     CharacteristicFunction,
     assert_state,
     delta_state,
     is_positive_semidefinite,
-    is_reproducing,
     observable_amplitude,
     random_state,
+    reproducing_deviation,
     state_eval,
     transition_amplitude,
     transition_amplitude_matrix,
@@ -110,7 +109,7 @@ def test_chapman_kolmogorov_for_reproducing(pair4):
 
     u = {x: 0.3 * k for k, x in enumerate(pair4.events)}
     phi = dynamical_state(action_from_potential(pair4, u), "idempotent")
-    assert is_reproducing(phi)
+    assert reproducing_deviation(phi) <= 1e-10
     for a in pair4.events:
         for b in pair4.events:
             direct = transition_amplitude(phi, a, b)
@@ -137,11 +136,11 @@ def test_observable_amplitude(qubit, pair3):
 
 
 def test_is_reproducing(qubit):
-    assert is_reproducing(
+    assert reproducing_deviation(
         CharacteristicFunction.from_dict(qubit, {"1_+": 1.0, "1_-": 1.0})
-    )
-    assert not is_reproducing(qubit_phase(qubit, 0.7))
-    assert is_reproducing(qubit_state(qubit, 0.7, "idempotent"))
+    ) <= 1e-10
+    assert reproducing_deviation(qubit_phase(qubit, 0.7)) > 1e-10
+    assert reproducing_deviation(qubit_state(qubit, 0.7, "idempotent")) <= 1e-10
 
 
 def test_random_state_is_state(corpus, rng):
