@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    regular_rep,
-    scatter_add,
-    unit_element,
-)
+from .algebra import AlgebraElement, scatter_add, unit_element
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, group_indices, read_only
+from .groupoid import FiniteGroupoid, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -46,8 +41,14 @@ class GnsRepresentation:
     ground: np.ndarray  # quotient coordinates of [1]
 
     def matrix_of(self, a: AlgebraElement) -> np.ndarray:
-        """pi(a): left multiplication by ``a``, in quotient coordinates."""
-        return self.space.projector @ regular_rep(a) @ self.space.basis
+        """pi(a): left multiplication by ``a``, in quotient coordinates.  It
+        sends the inner of each composition triple to the result, weighted
+        by a's coefficient at the outer."""
+        space = self.space
+        outer, inner, result = space.groupoid.composition_index()
+        k = np.flatnonzero(a.coeffs[outer])
+        return space.projector[:, result[k]] @ (
+            a.coeffs[outer[k], None] * space.basis[inner[k]])
 
 
 def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation:
@@ -93,11 +94,18 @@ CHECK_PART = 1 << 16  # matrix entries per part of `RepMatrices.check`
 @dataclass(eq=False)
 class RepMatrices:
     """A unitary representation presented by one matrix per transition:
-    ``matrices[k]`` is pi of the k-th transition in canonical order, a
-    read-only copy of the (|G|, d, d) stack it was given."""
+    ``matrices[k]`` is pi of the k-th transition in canonical order, in
+    one read-only (|G|, d, d) stack; a stack passed in is copied."""
 
     groupoid: FiniteGroupoid
     matrices: np.ndarray
+
+    @classmethod
+    def _own(cls, g: FiniteGroupoid, mats: np.ndarray) -> RepMatrices:
+        """Wrap a (|G|, d, d) complex stack built here, without a copy."""
+        rep = cls.__new__(cls)
+        rep.groupoid, rep.matrices = g, read_only(mats)
+        return rep
 
     def __post_init__(self):
         mats = np.array(self.matrices, dtype=complex, ndmin=1)
@@ -156,20 +164,16 @@ def fundamental_matrices(g: FiniteGroupoid) -> RepMatrices:
     n = len(g.events)
     mats = np.zeros((g.order, n, n), dtype=complex)
     mats[np.arange(g.order), tgt, src] = 1.0
-    return RepMatrices(groupoid=g, matrices=mats)
+    return RepMatrices._own(g, mats)
 
 
 def gns_matrices(rep: GnsRepresentation) -> RepMatrices:
-    """pi(t) for every transition t.  Left multiplication by t sends each
-    inner composable with it to t∘inner, so pi(t) is
-    projector[:, results] @ basis[inners] over t's composition triples."""
-    space = rep.space
-    g = space.groupoid
-    outer, inner, result = g.composition_index()
-    mats = np.empty((g.order, space.dim, space.dim), dtype=complex)
-    for t, k in enumerate(group_indices(outer, g.order)):
-        mats[t] = space.projector[:, result[k]] @ space.basis[inner[k]]
-    return RepMatrices(groupoid=g, matrices=mats)
+    """pi(t) of every transition t, by `matrix_of`."""
+    g, dim = rep.space.groupoid, rep.space.dim
+    mats = np.empty((g.order, dim, dim), dtype=complex)
+    for t in range(g.order):
+        mats[t] = rep.matrix_of(AlgebraElement(g, np.arange(g.order) == t))
+    return RepMatrices._own(g, mats)
 
 
 def smeared_character(rep: RepMatrices, density,

@@ -99,8 +99,8 @@ def test_gns_structure(corpus, rng):
         for t in g.transitions:
             dev = matrices[ix[g.inverse[t]]] - matrices[ix[t]].conj().T
             assert np.max(np.abs(dev)) <= 1e-10
-            dev = rep.matrix_of(AlgebraElement.basis(g, t)) - matrices[ix[t]]
-            assert np.max(np.abs(dev)) <= 1e-12
+            assert np.array_equal(rep.matrix_of(AlgebraElement.basis(g, t)),
+                                  matrices[ix[t]])
         a, b = (AlgebraElement(g, rng.normal(size=g.order)
                                + 1j * rng.normal(size=g.order))
                 for _ in range(2))
@@ -167,14 +167,17 @@ def test_smeared_character_input_checks(qubit):
 
 
 def test_rep_matrices_stack(qubit):
-    """The stack is a read-only copy, and one of another shape than
-    (|G|, d, d) with d >= 1 is an input error."""
+    """A stack passed in is copied, every stack is read-only, and one of
+    another shape than (|G|, d, d) with d >= 1 is an input error."""
     stack = np.array(fundamental_matrices(qubit).matrices)
     rep = RepMatrices(qubit, stack)
     stack[0] = 0.0
     assert rep.matrices[0, 0, 0] == 1.0
-    with pytest.raises(ValueError):
-        rep.matrices[0, 0, 0] = 2.0
+    built = gns_matrices(gns_build(qubit_state(qubit, 2.2)))
+    for mats in (rep.matrices, fundamental_matrices(qubit).matrices,
+                 built.matrices):
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 2.0
     for shape in ((3, 2, 2), (5, 2, 2), (4, 2, 3), (4, 2), (4, 0, 0)):
         with pytest.raises(GqmInputError):
             RepMatrices(qubit, np.zeros(shape))

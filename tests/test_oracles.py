@@ -7,6 +7,7 @@ exactly; eigen-derived numbers within 1e-12 of their scale.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gqm.action
+import gqm.gns
 from gqm.action import (
     ActionFunction,
     action_from_potential,
@@ -287,13 +289,16 @@ def test_queries_and_amplitudes_match_loops(g, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(any_system, st.integers(0, 2**32 - 1), st.booleans(),
-       st.sampled_from(["none", "homomorphism", "star", "unit"]))
-def test_rep_check_matches_loop(g, seed, gns, law):
+       st.sampled_from(["none", "homomorphism", "star", "unit"]),
+       st.sampled_from([1, 3, None]))
+def test_rep_check_matches_loop(g, seed, gns, law, part):
     """`RepMatrices.check`, batched over the composition triples, raises
     the message the pair-by-pair loop gives, on the fundamental matrices
     or the GNS matrices of a random state, intact or with one law broken:
     one matrix moved, every matrix conjugated by one invertible matrix
-    that is not unitary, or a zero row and column added."""
+    that is not unitary, or a zero row and column added.  ``part`` triples
+    per part of the check, or the default part size, so that the first
+    failure is also found past a part boundary."""
     rng = np.random.default_rng(seed)
     if gns and g.order <= 36:
         rep = gns_matrices(gns_build(random_state(g, rng)))
@@ -311,16 +316,18 @@ def test_rep_check_matches_loop(g, seed, gns, law):
         mats = np.pad(mats, ((0, 0), (0, 1), (0, 1)))
     broken = RepMatrices(g, mats)
     expected = rep_check_loop(broken, 1e-10)
-    if expected is None:
-        assert law in ("none", "star")
-        broken.check()
-    else:
-        assert expected.startswith({
-            "homomorphism": "not a homomorphism", "star": "star-",
-            "unit": "unit transitions"}[law])
-        with pytest.raises(MathPropertyError) as err:
+    size = gqm.gns.CHECK_PART if part is None else part * mats[0].size
+    with mock.patch.object(gqm.gns, "CHECK_PART", size):
+        if expected is None:
+            assert law in ("none", "star")
             broken.check()
-        assert str(err.value) == expected
+        else:
+            assert expected.startswith({
+                "homomorphism": "not a homomorphism", "star": "star-",
+                "unit": "unit transitions"}[law])
+            with pytest.raises(MathPropertyError) as err:
+                broken.check()
+            assert str(err.value) == expected
 
 
 @settings(max_examples=40, deadline=None)
