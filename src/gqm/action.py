@@ -25,12 +25,7 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import (
-    FiniteGroupoid,
-    QuiverSpec,
-    pair_label,
-    unit_label,
-)
+from .groupoid import FiniteGroupoid
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -59,25 +54,24 @@ class ActionFunction:
 
 @dataclass
 class GeneratorAction:
-    """Action values on the arrows of a quiver only."""
+    """Action values on the arrows of a quiver, by arrow label; the arrows
+    are those of the groupoid it generates (`from_quiver`'s aliases)."""
 
-    quiver: QuiverSpec
     values: dict[str, float]
 
-    def validate(self):
-        self.quiver.validate()
-        labels = {a[0] for a in self.quiver.arrows}
-        missing = labels - set(self.values)
-        if missing:
-            raise GqmInputError(
-                "generator action misses arrows: %s" % ", ".join(sorted(missing))
-            )
-        extra = set(self.values) - labels
-        if extra:
-            raise GqmInputError(
-                "generator action has unknown arrows: %s"
-                % ", ".join(sorted(extra))
-            )
+    def arrows(self, g: FiniteGroupoid):
+        """(labels, src, tgt) of the arrows of the quiver that generated
+        ``g``, in arrow order: their labels and the event indices of their
+        endpoints.  Raises unless ``values`` names exactly these arrows."""
+        labels = tuple(g.aliases)
+        for fault, names in (("misses", set(labels) - set(self.values)),
+                             ("has unknown", set(self.values) - set(labels))):
+            if names:
+                raise GqmInputError("generator action %s arrows: %s"
+                                    % (fault, ", ".join(sorted(names))))
+        k = np.array([g.index(label) for label in labels], dtype=np.intp)
+        src, tgt = g.index_arrays()[:2]
+        return labels, src[k], tgt[k]
 
 
 def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
@@ -91,13 +85,21 @@ def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
     if missing:
         raise GqmInputError("potential misses events: %s"
                             % ", ".join(sorted(missing)))
-    return _coboundary(g, potential)
+    return _coboundary(g, [potential[x] for x in g.events])
 
 
-def _coboundary(g: FiniteGroupoid, potential) -> ActionFunction:
-    """The action u(target) - u(source) of the potential {event: u}."""
-    u = np.array([potential[x] for x in g.events], dtype=float)
-    return ActionFunction(g, coboundaries(g, u))
+def _coboundary(g: FiniteGroupoid, u) -> ActionFunction:
+    """The action u(target) - u(source) of the potential ``u``, one value
+    per event in event order; a difference that overflows is an input
+    error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = coboundaries(g, np.array(u, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise GqmInputError("the action on %r overflows: u(target) - "
+                            "u(source) is not finite"
+                            % g.transitions[bad[0]])
+    return ActionFunction(g, values)
 
 
 def coboundaries(g: FiniteGroupoid, u):
@@ -135,16 +137,6 @@ def action_violations(g: FiniteGroupoid, values, tol=DEFAULT_TOL):
     return found
 
 
-def _require_generated(g: FiniteGroupoid, ga: GeneratorAction):
-    for label, src, tgt in ga.quiver.arrows:
-        expected = unit_label(src) if src == tgt else pair_label(src, tgt)
-        if g.aliases.get(label) != expected and label not in g.transition_index:
-            raise GqmInputError(
-                "groupoid was not generated from this quiver (arrow %r)"
-                % label
-            )
-
-
 def extend_generator_action(g: FiniteGroupoid,
                             ga: GeneratorAction) -> ActionFunction:
     """Propagate arrow values to the whole quiver-generated groupoid.
@@ -153,30 +145,30 @@ def extend_generator_action(g: FiniteGroupoid,
     every arrow on each component; otherwise raises
     ActionInconsistencyError carrying the obstructing cycle.
     """
-    ga.validate()
-    _require_generated(g, ga)
-    arrows = list(ga.quiver.arrows)
+    labels, src, tgt = ga.arrows(g)
 
     # solve the potential system by BFS over the arrow graph
-    edges = {x: [] for x in ga.quiver.events}
-    for label, src, tgt in arrows:
-        edges[src].append((label, tgt, +1))
-        edges[tgt].append((label, src, -1))
+    edges = [[] for _ in g.events]
+    for label, x, y in zip(labels, src.tolist(), tgt.tolist()):
+        edges[x].append((label, y, +1))
+        edges[y].append((label, x, -1))
 
-    potential = {}
-    parent = {}  # event -> (prev_event, arrow_label, sign)
-    for root in ga.quiver.events:
-        if root in potential:
+    potential = [None] * len(g.events)
+    parent = [None] * len(g.events)  # event -> (prev_event, arrow, sign)
+    for root in range(len(g.events)):
+        if potential[root] is not None:
             continue
         potential[root] = 0.0
-        parent[root] = None
         queue = deque([root])
         while queue:
             v = queue.popleft()
             for label, w, sign in edges[v]:
                 step = sign * ga.values[label]
-                if w not in potential:
+                if potential[w] is None:
                     potential[w] = potential[v] + step
+                    if not np.isfinite(potential[w]):
+                        raise GqmInputError("the potential at %r overflows"
+                                            % g.events[w])
                     parent[w] = (v, label, sign)
                     queue.append(w)
                     continue
@@ -275,29 +267,26 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
     Well-defined even when no global action extension exists: entries only
     use pairwise phase differences of composable-by-target arrow pairs.
     """
-    ga.validate()
-    _require_generated(g, ga)
+    labels, src, tgt = ga.arrows(g)
     if normalization == "global":
-        raise GqmInputError(
-            "unknown normalization tag %r for quiver decoherence"
-            % normalization
-        )
+        raise GqmInputError("unknown normalization tag %r for quiver "
+                            "decoherence" % normalization)
     scale = normalization_scale(normalization, g)
-    q = ga.quiver
-    ev_ix = {x: i for i, x in enumerate(q.events)}
-    arrows = sorted(
-        q.arrows, key=lambda a: (ev_ix[a[2]], ev_ix[a[1]], a[0])
-    )
-    n = len(arrows)
-    mat = np.zeros((n, n), dtype=complex)
-    for i, (la, _, ta) in enumerate(arrows):
-        for j, (lb, _, tb) in enumerate(arrows):
-            if ta == tb:
-                mat[i, j] = scale * np.exp(
-                    1j * (ga.values[lb] - ga.values[la])
-                )
-    return DecoherenceFunctional(g, mat, normalization,
-                                 labels=tuple(a[0] for a in arrows))
+    order = sorted(range(len(labels)),
+                   key=lambda k: (tgt[k], src[k], labels[k]))
+    labels = tuple(labels[k] for k in order)
+    v = np.array([ga.values[label] for label in labels], dtype=float)
+    same = tgt[order][:, None] == tgt[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.where(same, v - v[:, None], 0.0)  # s(b) - s(a) at (a, b)
+    bad = np.argwhere(~np.isfinite(diff))
+    if bad.size:
+        a, b = bad[0]
+        raise GqmInputError("the action difference s(%r) - s(%r) is not "
+                            "finite" % (labels[b], labels[a]))
+    return DecoherenceFunctional(
+        g, np.where(same, scale * np.exp(1j * diff), 0), normalization,
+        labels=labels)
 
 
 # entries per part of a stack in `is_reproducing_sweep_trial`: a part's

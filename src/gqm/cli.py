@@ -16,7 +16,6 @@ import numpy as np
 
 from .action import (
     GeneratorAction,
-    action_from_potential,
     is_reproducing_sweep_trial,
     quiver_decoherence,
 )
@@ -39,7 +38,6 @@ from .specio import (
     matrix_to_json,
     parse_algebra_doc,
     parse_groupoid_doc,
-    parse_quiver_doc,
     parse_state_doc,
     parse_unitary_doc,
 )
@@ -65,28 +63,19 @@ class _IoFailure(Exception):
 
 def _load_groupoid(path):
     doc = _read_json(path)
-    g = parse_groupoid_doc(doc)
-    return g, parse_quiver_doc(doc) if doc["kind"] == "quiver" else None
+    return parse_groupoid_doc(doc), doc["kind"] == "quiver"
 
 
-def _load_state(path, g, quiver):
-    """Returns a CharacteristicFunction or a GeneratorAction.
-
-    Action specs are turned into the unnormalized pure phase e^{is};
-    generator actions stay at the arrow level so the pairwise decoherence
-    path remains available when no global extension exists.
-    """
-    parsed = parse_state_doc(_read_json(path), g)
-    if isinstance(parsed, CharacteristicFunction):
-        return parsed
-    if parsed["type"] == "action":
-        s = action_from_potential(g, parsed["potential"])
-        return CharacteristicFunction(g, np.exp(1j * s.values))
-    if quiver is None:
-        raise GqmInputError(
-            "generator-action states need a quiver-kind groupoid spec"
-        )
-    return bind_generator_action(parsed, quiver)
+def _load_state(path, g, is_quiver):
+    """A CharacteristicFunction, or a GeneratorAction bound to ``g``: it
+    stays at the arrow level, where no global extension need exist."""
+    state = parse_state_doc(_read_json(path), g)
+    if not isinstance(state, GeneratorAction):
+        return state
+    if not is_quiver:
+        raise GqmInputError("generator-action states need a quiver-kind "
+                            "groupoid spec")
+    return bind_generator_action(state, g)
 
 
 def _characteristic(state, message):
@@ -142,8 +131,8 @@ def cmd_algebra_mult(args):
 
 
 def cmd_psd_check(args):
-    g, quiver = _load_groupoid(args.groupoid)
-    state = _characteristic(_load_state(args.state, g, quiver),
+    g, is_quiver = _load_groupoid(args.groupoid)
+    state = _characteristic(_load_state(args.state, g, is_quiver),
                             "psd-check needs a characteristic-style state")
     check = is_positive_semidefinite(state, args.tolerance)
     doc = {
@@ -159,8 +148,8 @@ def cmd_psd_check(args):
 
 
 def _decoherence(args):
-    g, quiver = _load_groupoid(args.groupoid)
-    state = _load_state(args.state, g, quiver)
+    g, is_quiver = _load_groupoid(args.groupoid)
+    state = _load_state(args.state, g, is_quiver)
     if isinstance(state, GeneratorAction):
         return quiver_decoherence(g, state, args.normalization)
     return decoherence_from_characteristic(state, args.normalization,
@@ -185,9 +174,9 @@ def cmd_measure(args):
 
 
 def cmd_interference(args):
-    g, quiver = _load_groupoid(args.groupoid)
+    g, is_quiver = _load_groupoid(args.groupoid)
     state = _characteristic(
-        _load_state(args.state, g, quiver),
+        _load_state(args.state, g, is_quiver),
         "interference needs a state defined on the whole groupoid")
     d = decoherence_from_characteristic(state, args.normalization,
                                         args.tolerance)
@@ -209,8 +198,8 @@ def cmd_interference(args):
 def cmd_gns(args):
     from .gns import gns_report
 
-    g, quiver = _load_groupoid(args.groupoid)
-    state = _characteristic(_load_state(args.state, g, quiver),
+    g, is_quiver = _load_groupoid(args.groupoid)
+    state = _characteristic(_load_state(args.state, g, is_quiver),
                             "gns needs a characteristic-style state")
     mass = state.unit_mass()
     if not np.isfinite(mass):

@@ -103,7 +103,7 @@ def double_slit_groupoid() -> FiniteGroupoid:
 def double_slit_action(delta, S1=0.0, S2=0.0) -> GeneratorAction:
     """Arrow values s(alpha) = S1, s(beta) = S1 - delta, and S2 on both
     barred arrows; delta is the phase difference at the detector D."""
-    return GeneratorAction(double_slit_quiver(), {
+    return GeneratorAction({
         "alpha": float(S1),
         "beta": float(S1) - float(delta),
         "alpha_bar": float(S2),

@@ -488,6 +488,10 @@ def _pair_tables(components):
         for x in comp:
             for y in comp:
                 lab = unit_label(x) if x == y else pair_label(x, y)
+                if lab in source:
+                    raise GqmInputError(
+                        "event pairs %r and %r both generate the label %r"
+                        % ((source[lab], target[lab]), (x, y), lab))
                 transitions.append(lab)
                 source[lab], target[lab] = x, y
                 by_pair[(x, y)] = lab

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .action import GeneratorAction
+from .action import GeneratorAction, action_from_potential
 from .algebra import AlgebraElement
 from .errors import GqmInputError
 from .groupoid import (
@@ -200,9 +200,11 @@ STATE_TYPES = ("characteristic", "delta", "action", "generator-action")
 
 
 def parse_state_doc(doc, g: FiniteGroupoid):
-    """Returns a CharacteristicFunction for 'characteristic'/'delta', a
-    potential dict for 'action', and a GeneratorAction payload dict for
-    'generator-action' (the caller binds it to its quiver)."""
+    """The state a state spec defines on ``g``: a CharacteristicFunction
+    for 'characteristic', 'delta' and 'action' (the unnormalized pure
+    phase e^{is} of the potential's action s), and an unbound
+    GeneratorAction for 'generator-action', which `bind_generator_action`
+    checks against the quiver that generated ``g``."""
     doc = _require_object(doc, "state spec")
     kind = doc.get("type")
     if kind not in STATE_TYPES:
@@ -222,23 +224,19 @@ def parse_state_doc(doc, g: FiniteGroupoid):
     if kind == "action":
         fields = _take(doc, ("type", "potential"), "action state spec")
         pot = _require_object(fields["potential"], "'potential'")
-        return {
-            "type": "action",
-            "potential": {x: _real(v, "potential at %r" % x)
-                          for x, v in pot.items()},
-        }
+        s = action_from_potential(g, {x: _real(v, "potential at %r" % x)
+                                      for x, v in pot.items()})
+        return CharacteristicFunction(g, np.exp(1j * s.values))
     fields = _take(doc, ("type", "values"), "generator-action state spec")
     values = _require_object(fields["values"], "'values'")
-    return {
-        "type": "generator-action",
-        "values": {label: _real(v, "action on %r" % label)
-                   for label, v in values.items()},
-    }
+    return GeneratorAction({label: _real(v, "action on %r" % label)
+                            for label, v in values.items()})
 
 
-def bind_generator_action(payload, quiver: QuiverSpec) -> GeneratorAction:
-    ga = GeneratorAction(quiver, dict(payload["values"]))
-    ga.validate()
+def bind_generator_action(ga, g: FiniteGroupoid) -> GeneratorAction:
+    """``ga`` once it names exactly the arrows of the quiver that
+    generated ``g``."""
+    ga.arrows(g)
     return ga
 
 

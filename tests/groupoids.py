@@ -1,5 +1,5 @@
-"""Finite groupoids with isotropy and several orbits, as a Hypothesis
-strategy.
+"""Finite groupoids with isotropy and several orbits, and quivers with
+generator actions, as Hypothesis strategies.
 
 A connected finite groupoid is isomorphic to pair(O) x H, with O its
 events and H the isotropy group of any of them, and every finite groupoid
@@ -15,7 +15,11 @@ import json
 
 from hypothesis import strategies as st
 
-from gqm.specio import parse_groupoid_text
+from gqm.specio import (
+    bind_generator_action,
+    parse_groupoid_text,
+    parse_state_doc,
+)
 
 
 def cyclic(n):
@@ -88,3 +92,38 @@ def composite_groupoids(draw, max_components=3):
         draw(st.permutations(range(total))),
         draw(st.permutations(["t%d" % k for k in range(total)])))
     return parse_groupoid_text(json.dumps(doc))
+
+
+@st.composite
+def generator_actions(draw):
+    """A quiver on 1 to 8 shuffled events with up to 12 random arrows,
+    self-loops and parallel arrows among them, random labels and random
+    arrow values of at most 1e3, +-0.0 included; half of the draws take
+    their values from a potential, so that they extend to an action.  The
+    quiver and the generator-action spec go through ``specio``.  Returns
+    (groupoid, arrows, action) with ``arrows`` the (label, source,
+    target) triples in arrow order."""
+    count = draw(st.integers(1, 8))
+    events = draw(st.permutations(["v%d" % k for k in range(count)]))
+    ends = draw(st.lists(st.tuples(st.sampled_from(events),
+                                   st.sampled_from(events)), max_size=12))
+    labels = draw(st.lists(st.text("abcdef_", min_size=1, max_size=3),
+                           min_size=len(ends), max_size=len(ends),
+                           unique=True))
+    real = st.floats(-1e3, 1e3)
+    if draw(st.booleans()):
+        u = dict(zip(events, draw(st.lists(real, min_size=count,
+                                           max_size=count))))
+        values = [u[y] - u[x] for x, y in ends]
+    else:
+        values = draw(st.lists(real, min_size=len(ends),
+                               max_size=len(ends)))
+    arrows = [(label, x, y) for label, (x, y) in zip(labels, ends)]
+    g = parse_groupoid_text(json.dumps({
+        "kind": "quiver", "events": events,
+        "arrows": [{"label": a, "source": x, "target": y}
+                   for a, x, y in arrows]}))
+    ga = parse_state_doc(json.loads(json.dumps({
+        "type": "generator-action", "values": dict(zip(labels, values))})),
+        g)
+    return g, arrows, bind_generator_action(ga, g)

@@ -10,7 +10,7 @@ recombines lower interference orders instead.
 import numpy as np
 
 from gqm.action import action_from_potential, dynamical_state
-from gqm.decoherence import interference
+from gqm.decoherence import interference, normalization_scale
 from gqm.groupoid import ValidationReport, pair_groupoid
 from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviation
 
@@ -437,3 +437,19 @@ def target_block_violation_loop(d, tol):
             if target[i] != target[j] and abs(m[i, j]) > tol:
                 return a, b
     return None
+
+
+def quiver_decoherence_loop(g, arrows, values, normalization):
+    """(labels, matrix) of the arrow-level decoherence functional, entry by
+    entry: the (label, source, target) ``arrows`` sorted by (target index,
+    source index, label), and entry (a, b) = c exp(i (s(b) - s(a))) where
+    a and b share their target, else 0."""
+    ev_ix = {x: i for i, x in enumerate(g.events)}
+    arrows = sorted(arrows, key=lambda a: (ev_ix[a[2]], ev_ix[a[1]], a[0]))
+    scale = normalization_scale(normalization, g)
+    mat = np.zeros((len(arrows), len(arrows)), dtype=complex)
+    for i, (la, _, ta) in enumerate(arrows):
+        for j, (lb, _, tb) in enumerate(arrows):
+            if ta == tb:
+                mat[i, j] = scale * np.exp(1j * (values[lb] - values[la]))
+    return tuple(a[0] for a in arrows), mat

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gqm.action import (
     ActionFunction,
@@ -20,10 +23,12 @@ from gqm.examples import (
 )
 from gqm.groupoid import QuiverSpec, from_quiver, pair_groupoid
 from gqm.states import (
+    DEFAULT_TOL,
     delta_state,
     is_positive_semidefinite,
     reproducing_deviation,
 )
+from groupoids import generator_actions
 
 
 def test_qubit_action_from_potential(qubit):
@@ -81,24 +86,66 @@ def test_extension_fails_at_nonzero_delta(double_slit):
 
 
 def test_extension_tree_quiver_always_consistent():
-    q = QuiverSpec(["x", "y"], [("f", "x", "y")])
-    g = from_quiver(q)
-    s = extend_generator_action(g, GeneratorAction(q, {"f": 5.0}))
+    g = from_quiver(QuiverSpec(["x", "y"], [("f", "x", "y")]))
+    s = extend_generator_action(g, GeneratorAction({"f": 5.0}))
     assert s.value("f") == pytest.approx(5.0)
 
 
 def test_extension_rejects_foreign_groupoid(pair3):
-    q = QuiverSpec(["x", "y"], [("f", "x", "y")])
-    with pytest.raises(GqmInputError):
-        extend_generator_action(pair3, GeneratorAction(q, {"f": 1.0}))
+    with pytest.raises(GqmInputError, match="unknown arrows: f"):
+        extend_generator_action(pair3, GeneratorAction({"f": 1.0}))
+
+
+@pytest.mark.parametrize("arrows, values, message", [
+    ([("f", "x", "y"), ("g", "y", "z")], {"f": 1e308, "g": 1e308},
+     "the potential at 'z' overflows"),
+    ([("f", "x", "y"), ("g", "x", "z")], {"f": 1e308, "g": -1e308},
+     "the action on 'z->y' overflows: u(target) - u(source) is not finite"),
+])
+def test_extension_rejects_overflow(arrows, values, message):
+    """A consistent tree quiver whose potential or action overflows is bad
+    input, not an inconsistent cycle, and raises no warning."""
+    g = from_quiver(QuiverSpec(["x", "y", "z"], arrows))
+    with warnings.catch_warnings(), pytest.raises(GqmInputError) as err:
+        warnings.simplefilter("error")
+        extend_generator_action(g, GeneratorAction(values))
+    assert str(err.value) == message
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_actions())
+def test_extension_is_an_action_or_a_cycle(drawn):
+    """On a random quiver, the extension is an action that reproduces
+    every arrow value, or the reported cycle is a closed signed walk over
+    the arrows whose values add up to its signed sum."""
+    g, arrows, ga = drawn
+    try:
+        s = extend_generator_action(g, ga)
+    except ActionInconsistencyError as err:
+        ends = {label: (x, y) for label, x, y in arrows}
+        # (from, to) of each step: a sign of -1 walks the arrow backwards
+        steps = [ends[label][::sign] for label, sign in err.cycle]
+        assert [b for a, b in steps] == [a for a, b in steps[1:] + steps[:1]]
+        total = sum(sign * ga.values[label] for label, sign in err.cycle)
+        size = sum(abs(ga.values[label]) for label, _ in err.cycle)
+        assert err.signed_sum > DEFAULT_TOL
+        assert abs(total - err.signed_sum) <= 1e-9 * max(1.0, size)
+        return
+    assert is_action(s)[0]
+    for label, value in ga.values.items():
+        assert abs(s.value(label) - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_generator_action_validation():
-    q = QuiverSpec(["x", "y"], [("f", "x", "y")])
-    with pytest.raises(GqmInputError):
-        GeneratorAction(q, {}).validate()
-    with pytest.raises(GqmInputError):
-        GeneratorAction(q, {"f": 1.0, "g": 2.0}).validate()
+    g = from_quiver(QuiverSpec(["y", "x"], [("f", "x", "y"),
+                                           ("e", "y", "y")]))
+    labels, src, tgt = GeneratorAction({"e": 0.0, "f": 1.0}).arrows(g)
+    assert labels == ("f", "e")
+    assert (src.tolist(), tgt.tolist()) == ([1, 0], [0, 0])
+    with pytest.raises(GqmInputError, match="misses arrows: e, f"):
+        GeneratorAction({}).arrows(g)
+    with pytest.raises(GqmInputError, match="unknown arrows: g"):
+        GeneratorAction({"e": 0.0, "f": 1.0, "g": 2.0}).arrows(g)
 
 
 def test_dynamical_state_qubit(qubit):

@@ -10,6 +10,9 @@ keyed by label is built there.  Kernels read the composition as the
 triples of `FiniteGroupoid.composition_index`; the raw rows behind them
 stay inside ``groupoid.py``.
 
+Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
+once, and the groupoid it generates is the only record of its arrows.
+
 Two lint checks run here over the package and the tests, so that they
 need no linter: no module-level name is defined twice, and every
 imported name is read.
@@ -148,6 +151,29 @@ def test_one_composition_view():
              if "composition" in ident and ident not in allowed
              and (name, ident) != ("groupoid.py", "_composition_rows")]
     assert views == []
+
+
+def test_quivers_stay_at_the_boundary():
+    """The quiver is read once, by ``specio.py``, and built into its
+    groupoid, which keeps its arrows as aliases: `QuiverSpec` appears only
+    where quivers are made, `parse_quiver_doc` only in ``specio.py``, and
+    the generated labels `pair_label` and `unit_label` only in
+    ``groupoid.py``."""
+    allowed = {
+        "pair_label": {"groupoid.py"},
+        "unit_label": {"groupoid.py"},
+        "QuiverSpec": {"groupoid.py", "specio.py", "examples.py",
+                       "__init__.py"},
+        "parse_quiver_doc": {"specio.py"},
+    }
+    found = []
+    for name, tree in modules():
+        imported = [(node.lineno, a.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for a in node.names]
+        found += ["%s:%d %s" % (name, line, ident)
+                  for line, ident in [*names(tree), *imported]
+                  if name not in allowed.get(ident, {name})]
+    assert found == []
 
 
 def test_tracer_names_exist():

@@ -8,7 +8,7 @@ import pytest
 import gqm.cli
 from conftest import run_capped
 from gqm.cli import main
-from gqm.groupoid import pair_groupoid
+from gqm.groupoid import QuiverSpec, pair_groupoid
 from oracles import sweep_loop
 
 
@@ -319,6 +319,17 @@ def test_repeated_labels_count_once(capsys, quiver_file, ga_file):
     assert twice == once
 
 
+def test_quiver_read_once(capsys, monkeypatch, quiver_file, ga_file):
+    """A generator-action op checks the quiver once, when it builds the
+    groupoid; the action is then checked against that groupoid."""
+    calls = []
+    check = QuiverSpec.validate
+    monkeypatch.setattr(QuiverSpec, "validate",
+                        lambda q: calls.append(q) or check(q))
+    code, _ = run(capsys, ["decoherence", quiver_file, ga_file])
+    assert (code, len(calls)) == (0, 1)
+
+
 def test_global_normalization_rejected_on_arrows(capsys, quiver_file,
                                                  ga_file):
     line = run_rejected(capsys, ["measure", quiver_file, ga_file, "--set",
@@ -399,6 +410,38 @@ def test_huge_finite_values_never_give_nan(capsys, tmp_path, values, argv,
     captured = capsys.readouterr()
     assert captured.err == ""
     json.loads(captured.out, parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["psd-check"], ["decoherence"], ["measure", "--set", "a->b"],
+    ["interference", "--order", "1", "--sets", "1_a"], ["gns"],
+])
+def test_overflowing_action_rejected(capsys, tmp_path, argv):
+    """A potential of +-1e308 has u(a) - u(b) = inf: bad input, named in
+    one line, never a warning."""
+    g = write(tmp_path / "g.json", {"kind": "pair", "events": ["a", "b"]})
+    state = write(tmp_path / "s.json", {
+        "type": "action", "potential": {"a": 1e308, "b": -1e308}})
+    line = run_rejected(capsys, argv[:1] + [g, state] + argv[1:])
+    assert line == ("error: the action on 'b->a' overflows: u(target) - "
+                    "u(source) is not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decoherence"], ["measure", "--set", "f"],
+])
+def test_overflowing_generator_action_rejected(capsys, tmp_path, argv):
+    """Two parallel arrows valued +-1e308: their phase difference is not
+    finite, which is bad input rather than NaN in the report."""
+    q = write(tmp_path / "q.json", {
+        "kind": "quiver", "events": ["x", "y"],
+        "arrows": [{"label": "f", "source": "x", "target": "y"},
+                   {"label": "g", "source": "x", "target": "y"}]})
+    ga = write(tmp_path / "ga.json", {
+        "type": "generator-action", "values": {"f": 1e308, "g": -1e308}})
+    line = run_rejected(capsys, argv[:1] + [q, ga] + argv[1:])
+    assert line == ("error: the action difference s('g') - s('f') is not "
+                    "finite")
 
 
 def pair_files(tmp_path, n):

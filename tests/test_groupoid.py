@@ -11,6 +11,7 @@ from gqm.groupoid import (
     pair_groupoid,
     validate,
 )
+from gqm.specio import parse_groupoid_doc
 
 
 def test_pair_groupoid_orders():
@@ -103,6 +104,24 @@ def test_from_quiver_disjoint_components():
 def test_from_quiver_rejects_undeclared_event():
     with pytest.raises(GqmInputError):
         from_quiver(QuiverSpec(["a"], [("f", "a", "b")]))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "pair", "events": ["a", "b->c", "a->b", "c"]},
+     "event pairs ('a', 'b->c') and ('a->b', 'c') both generate the label "
+     "'a->b->c'"),
+    ({"kind": "quiver", "events": ["1_p", "q", "p->q"],
+      "arrows": [{"label": "f", "source": "1_p", "target": "q"}]},
+     "event pairs ('1_p', 'q') and ('p->q', 'p->q') both generate the label "
+     "'1_p->q'"),
+])
+def test_colliding_generated_labels_rejected(doc, message):
+    """A pair label that repeats another pair label, or a unit label of
+    another component, names two transitions: an input error that names
+    both event pairs, raised before validation."""
+    with pytest.raises(GqmInputError) as err:
+        parse_groupoid_doc(doc)
+    assert str(err.value) == message
 
 
 def test_from_explicit_qubit_matches_pair():

@@ -23,6 +23,7 @@ from gqm.action import (
     dynamical_state,
     is_action,
     is_reproducing_sweep_trial,
+    quiver_decoherence,
 )
 from gqm.algebra import (
     AlgebraElement,
@@ -70,7 +71,7 @@ from gqm.states import (
     reproducing_deviations,
     transition_amplitude,
 )
-from groupoids import composite_groupoids
+from groupoids import composite_groupoids, generator_actions
 from oracles import (
     assembled,
     bivariate_values_loop,
@@ -93,6 +94,7 @@ from oracles import (
     orbits_loop,
     psd_full,
     psd_orbits_loop,
+    quiver_decoherence_loop,
     rep_check_loop,
     target_block_violation_loop,
     transition_amplitude_loop,
@@ -634,3 +636,18 @@ def test_gns_rank_deficient_dimension(k):
     g = systems()[k]
     phi = CharacteristicFunction.from_dict(g, {g.units()[0]: 1.0})
     assert gns_build(phi).space.dim == gns_dim_full(phi, RANK_TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_actions(),
+       st.sampled_from(["none", "unit-events", "idempotent",
+                        "per-transition"]))
+def test_quiver_decoherence_matches_loop(drawn, normalization):
+    """The same-target mask against the double loop over the arrows, bit
+    for bit, on random quivers."""
+    g, arrows, ga = drawn
+    d = quiver_decoherence(g, ga, normalization)
+    labels, mat = quiver_decoherence_loop(g, arrows, ga.values,
+                                          normalization)
+    assert d.labels == labels
+    assert d.matrix.tobytes() == mat.tobytes()

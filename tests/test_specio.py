@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gqm.algebra import AlgebraElement
 from gqm.errors import GqmInputError
-from gqm.examples import build_qubit, double_slit_quiver
+from gqm.examples import build_qubit, double_slit_groupoid, double_slit_quiver
 from gqm.specio import (
     algebra_to_doc,
     bind_generator_action,
@@ -112,15 +112,18 @@ def test_state_docs(qubit):
     action = parse_state_doc(
         {"type": "action", "potential": {"+": 1.0, "-": 0.0}}, qubit
     )
-    assert action["potential"]["+"] == 1.0
-    payload = parse_state_doc(
+    assert action.value("alpha") == np.exp(1j)  # s(alpha) = u(+) - u(-)
+    assert action.value("1_-") == 1.0
+    ga = parse_state_doc(
         {"type": "generator-action", "values": {"alpha": 0.5, "beta": 0.1,
                                                 "alpha_bar": 0.0,
                                                 "beta_bar": 0.0}},
         qubit,
     )
-    ga = bind_generator_action(payload, double_slit_quiver())
+    assert bind_generator_action(ga, double_slit_groupoid()) is ga
     assert ga.values["alpha"] == 0.5
+    with pytest.raises(GqmInputError, match="unknown arrows"):
+        bind_generator_action(ga, qubit)
     with pytest.raises(GqmInputError):
         parse_state_doc({"type": "nope"}, qubit)
     for bad in ("x", float("inf"), float("nan"), 10 ** 400):
