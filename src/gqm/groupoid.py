@@ -6,17 +6,21 @@ the function-style convention: ``compose(outer, inner)`` is defined exactly
 when ``target(inner) == source(outer)`` and realizes "inner first, then
 outer".
 
-Every constructor validates the axioms exhaustively before returning, so an
-invalid groupoid cannot circulate.  Canonical transition ordering is: units
-first (in event order), then non-units sorted by (target index, source
-index, label).  This ordering is what makes matrix layouts reproducible and
-matches the natural block structure of decoherence matrices (transitions
-grouped by target).
+No invalid groupoid can circulate.  The constructors from tables
+(`from_explicit`, `group_as_groupoid`) validate the axioms exhaustively
+before returning.  The generated kinds (`pair_groupoid`, `from_quiver`)
+build their index arrays by arithmetic, whose axioms hold by construction
+and are proven in the tests, so they check only what their input can
+break: labels, arrow endpoints and labels that collide.
+
+Canonical transition ordering is: units first (in event order), then
+non-units sorted by (target index, source index, label).  This ordering is
+what makes matrix layouts reproducible and matches the natural block
+structure of decoherence matrices (transitions grouped by target).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,26 +88,59 @@ class Orbit:
     gather: np.ndarray
 
 
-@dataclass(eq=False)
 class FiniteGroupoid:
     """Immutable-by-convention carrier of the groupoid structure.
+
+    The keyword constructor takes label tables: ``source`` and ``target``
+    (transition -> event), ``unit_of`` (event -> transition), ``inverse``
+    and ``composition`` ((outer, inner) -> result); the index arrays are
+    derived from them on first read.  `_indexed` builds a groupoid the
+    other way round, from its index arrays, and its label tables are then
+    derived on first read, ``composition`` in the order of the triples.
 
     ``aliases`` maps external labels (e.g. quiver arrow names) onto
     transition labels; they are accepted anywhere a transition label is.
     """
 
-    events: tuple[str, ...]
-    transitions: tuple[str, ...]
-    source: dict[str, str]
-    target: dict[str, str]
-    unit_of: dict[str, str]
-    inverse: dict[str, str]
-    composition: dict[tuple[str, str], str]  # (outer, inner) -> result
-    aliases: dict[str, str] = field(default_factory=dict)
+    def __init__(self, events, transitions, source, target, unit_of, inverse,
+                 composition, aliases=None):
+        self.source, self.target, self.unit_of = source, target, unit_of
+        self.inverse, self.composition = inverse, composition
+        self._label(events, transitions, aliases)
 
-    def __post_init__(self):
+    @classmethod
+    def _indexed(cls, events, transitions, arrays, triples):
+        """From the (src, tgt, inv, unit) arrays of `index_arrays` and a
+        (3, m) array of composition triples, both trusted."""
+        g = cls.__new__(cls)
+        g._arrays = tuple(read_only(a) for a in arrays)
+        g._triples = tuple(read_only(triples))
+        g._composition_rows = triples.T
+        g._label(events, transitions, None)
+        return g
+
+    def _label(self, events, transitions, aliases):
+        self.events, self.transitions = events, transitions
+        self.aliases = {} if aliases is None else aliases
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
+
+    # the label tables of an index-built groupoid, derived on first read
+    source = cached_property(lambda g: g._labelled(g.transitions, g.events, 0))
+    target = cached_property(lambda g: g._labelled(g.transitions, g.events, 1))
+    inverse = cached_property(
+        lambda g: g._labelled(g.transitions, g.transitions, 2))
+    unit_of = cached_property(lambda g: g._labelled(g.events, g.transitions, 3))
+
+    def _labelled(self, keys, labels, k):
+        return dict(zip(keys, map(labels.__getitem__,
+                                  self.index_arrays()[k].tolist())))
+
+    @cached_property
+    def composition(self):
+        ts = self.transitions
+        o, i, r = (a.tolist() for a in self.composition_index())
+        return {(ts[a], ts[b]): ts[c] for a, b, c in zip(o, i, r)}
 
     # -- label handling -------------------------------------------------
 
@@ -438,8 +475,7 @@ def _canonical_order(events, transitions, source, target, units):
     return tuple(list(units) + non_units)
 
 
-def _build(events, transitions, source, target, unit_of, inverse, composition,
-           aliases=None):
+def _build(events, transitions, source, target, unit_of, inverse, composition):
     if not events:
         raise GqmInputError("a groupoid needs at least one event")
     try:
@@ -457,7 +493,6 @@ def _build(events, transitions, source, target, unit_of, inverse, composition,
         unit_of=dict(unit_of),
         inverse=dict(inverse),
         composition=dict(composition),
-        aliases=dict(aliases or {}),
     )
     rep = validate(g)
     if not rep.ok:
@@ -477,32 +512,45 @@ def pair_label(src, tgt):
     return "%s->%s" % (src, tgt)
 
 
-def _pair_tables(components):
-    """Tables of the disjoint union of the pair groupoids on ``components``
-    (lists of events): (transitions, source, target, unit_of, inverse,
-    composition), composition keyed (outer, inner) in outer-major order."""
-    source, target, unit_of, inverse, composition = {}, {}, {}, {}, {}
-    transitions = []
-    for comp in components:
-        by_pair = {}
-        for x in comp:
-            for y in comp:
-                lab = unit_label(x) if x == y else pair_label(x, y)
-                if lab in source:
-                    raise GqmInputError(
-                        "event pairs %r and %r both generate the label %r"
-                        % ((source[lab], target[lab]), (x, y), lab))
-                transitions.append(lab)
-                source[lab], target[lab] = x, y
-                by_pair[(x, y)] = lab
-        for x in comp:
-            unit_of[x] = by_pair[(x, x)]
-        for (x, y), lab in by_pair.items():
-            inverse[lab] = by_pair[(y, x)]
-        for (x, y), outer in by_pair.items():
-            for w in comp:  # inner: w -> x
-                composition[(outer, by_pair[(w, x)])] = by_pair[(w, y)]
-    return transitions, source, target, unit_of, inverse, composition
+def _pair_components(events, components):
+    """The disjoint union of the pair groupoids on ``components``, ascending
+    arrays of event indices in the order of their first events, built by
+    index arithmetic: (x -> y)∘(w -> x) = (w -> y).  The triples run by
+    component, then over x, y and w in event order.  A generated label
+    that repeats an earlier one, in that order, is an input error."""
+    n = len(events)
+    into = np.zeros(n, dtype=np.intp)  # the non-units into each event
+    for c in components:
+        into[c] = c.size - 1
+    first = n + np.cumsum(into) - into  # units first, then by target
+    triples = np.empty((3, sum(c.size ** 3 for c in components)),
+                       dtype=np.intp)
+    done, labels, parts = 0, [], []
+    for c in components:
+        m = c.size
+        i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
+        idx = np.where(i == j, c[i], first[c[j]] + i - (i > j))
+        names = [events[k] for k in c.tolist()]
+        labels += [unit_label(x) if x == y else pair_label(x, y)
+                   for x in names for y in names]
+        parts.append((c[i].ravel(), c[j].ravel(), idx.T.ravel(), idx.ravel()))
+        cube = triples[:, done:done + m ** 3].reshape(3, m, m, m)  # a view
+        cube[0], cube[1], cube[2] = idx[:, :, None], idx.T[:, None], idx.T
+        done += m ** 3
+    src, tgt, inv, place = (np.concatenate(p) for p in zip(*parts))
+    seen = {}
+    for k, lab in enumerate(labels):
+        if seen.setdefault(lab, k) != k:
+            q = seen[lab]
+            raise GqmInputError(
+                "event pairs %r and %r both generate the label %r"
+                % ((events[src[q]], events[tgt[q]]),
+                   (events[src[k]], events[tgt[k]]), lab))
+    # generated -> canonical order; stable, the sort of `group_indices`
+    order = np.argsort(place, kind="stable")
+    return FiniteGroupoid._indexed(
+        tuple(events), tuple(map(labels.__getitem__, order.tolist())),
+        [src[order], tgt[order], inv[order], np.arange(n)], triples)
 
 
 def pair_groupoid(events) -> FiniteGroupoid:
@@ -511,7 +559,7 @@ def pair_groupoid(events) -> FiniteGroupoid:
     if not events:
         raise GqmInputError("pair groupoid needs at least one event")
     _check_labels(events, "event")
-    return _build(events, *_pair_tables([events]))
+    return _pair_components(events, [np.arange(len(events))])
 
 
 def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
@@ -561,39 +609,32 @@ def from_quiver(q: QuiverSpec) -> FiniteGroupoid:
     Arrow labels become aliases for their pair transitions.
     """
     q.validate()
+    if not q.events:
+        raise GqmInputError("a groupoid needs at least one event")
+    # the (undirected) components by union-find, each root the least
+    # event index of its component
+    index = {x: k for k, x in enumerate(q.events)}
+    root = list(range(len(q.events)))
 
-    adjacency = {x: set() for x in q.events}
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]  # path halving
+        return k
+
     for _, src, tgt in q.arrows:
-        adjacency[src].add(tgt)
-        adjacency[tgt].add(src)
-
-    components = []
-    remaining = set(q.events)
-    for x in q.events:  # deterministic component order
-        if x not in remaining:
-            continue
-        comp, queue = [], deque([x])
-        remaining.discard(x)
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for w in sorted(adjacency[v]):
-                if w in remaining:
-                    remaining.discard(w)
-                    queue.append(w)
-        components.append(sorted(comp, key=q.events.index))
-
-    tables = _pair_tables(components)
-    aliases = {}
-    tset = set(tables[0])
+        low, high = sorted((find(index[src]), find(index[tgt])))
+        root[high] = low
+    roots = np.array([find(k) for k in range(len(root))])
+    g = _pair_components(q.events, [c for c in group_indices(
+        roots, len(root)) if c.size])
     for label, src, tgt in q.arrows:
         pair = unit_label(src) if src == tgt else pair_label(src, tgt)
-        if label in tset and label != pair:
+        if label in g.transition_index and label != pair:
             raise GqmInputError(
                 "arrow label %r collides with a different transition" % label
             )
-        aliases[label] = pair
-    return _build(q.events, *tables, aliases)
+        g.aliases[label] = pair
+    return g
 
 
 def from_explicit(events, transitions, source, target, unit_of, inverse,

@@ -3,12 +3,13 @@ generator actions, as Hypothesis strategies.
 
 A connected finite groupoid is isomorphic to pair(O) x H, with O its
 events and H the isotropy group of any of them, and every finite groupoid
-is a disjoint union of connected ones.  `composite_groupoids` draws
+is a disjoint union of connected ones.  `composite_specs` draws
 ⊔ pair(O_i) x H_i with each H_i one of the group tables below, shuffles
 the events of all components together, names the transitions at random
 (which decides their canonical order within a (target, source) pair) and
-builds the groupoid from an ``explicit`` spec document through
-``specio``.
+writes it as an ``explicit`` spec document, and where every H_i is
+trivial also as a ``quiver`` spec.  `composite_groupoids` builds the
+explicit one through ``specio``.
 """
 
 import json
@@ -70,14 +71,17 @@ def pair_times_group_doc(components, events, order, names):
 
 
 @st.composite
-def composite_groupoids(draw, max_components=3):
-    """⊔ pair(O_i) x H_i with 1 to ``max_components`` components, orbits
-    of 1 to 3 events (at most 2 when |H_i| > 4), events shuffled across
-    components."""
+def composite_specs(draw, max_components=3, groups=GROUPS):
+    """⊔ pair(O_i) x H_i with 1 to ``max_components`` components, H_i
+    drawn from ``groups``, orbits of 1 to 3 events (at most 2 when |H_i| >
+    4), events shuffled across components.  Returns its explicit spec
+    and, where every H_i is trivial, a quiver spec on the same events,
+    one spanning path per orbit in shuffled order, its arrows in drawn
+    directions (else None)."""
     components = []
     count = 0
     for _ in range(draw(st.integers(1, max_components))):
-        table = draw(st.sampled_from(GROUPS))
+        table = draw(st.sampled_from(groups))
         size = draw(st.integers(1, 3 if len(table) <= 4 else 2))
         components.append((count + size, table))
         count += size
@@ -87,11 +91,27 @@ def composite_groupoids(draw, max_components=3):
         parts.append((events[first:end], table))
         first = end
     total = sum(len(ev) ** 2 * len(table) for ev, table in parts)
+    shuffled = draw(st.permutations(events))
     doc = pair_times_group_doc(
-        parts, draw(st.permutations(events)),
-        draw(st.permutations(range(total))),
+        parts, shuffled, draw(st.permutations(range(total))),
         draw(st.permutations(["t%d" % k for k in range(total)])))
-    return parse_groupoid_text(json.dumps(doc))
+    if any(len(table) > 1 for _, table in parts):
+        return doc, None
+    arrows = []
+    for orbit, _ in parts:
+        path = [x for x in shuffled if x in orbit]
+        for x, y in zip(path, path[1:]):
+            x, y = draw(st.sampled_from([(x, y), (y, x)]))
+            arrows.append({"label": "p%d" % len(arrows), "source": x,
+                           "target": y})
+    return doc, {"kind": "quiver", "events": shuffled, "arrows": arrows}
+
+
+def composite_groupoids(max_components=3):
+    """The groupoids of `composite_specs`, built from their explicit
+    specs through ``specio``."""
+    return composite_specs(max_components).map(
+        lambda specs: parse_groupoid_text(json.dumps(specs[0])))
 
 
 @st.composite

@@ -7,11 +7,19 @@ projector of the space they check).  `interference_recursive_check`
 recombines lower interference orders instead.
 """
 
+from collections import deque
+
 import numpy as np
 
 from gqm.action import action_from_potential, dynamical_state
 from gqm.decoherence import interference, normalization_scale
-from gqm.groupoid import ValidationReport, pair_groupoid
+from gqm.errors import GqmInputError
+from gqm.groupoid import (
+    ValidationReport,
+    pair_groupoid,
+    pair_label,
+    unit_label,
+)
 from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviation
 
 
@@ -103,6 +111,69 @@ def validate_loop(g):
                         "associativity fails on triple (%r, %r, %r)" % (a, b, c)
                     )
     return rep
+
+
+def pair_tables_loop(components):
+    """The label tables of the disjoint union of the pair groupoids on
+    ``components`` (lists of events), filled pair by pair: (transitions,
+    source, target, unit_of, inverse, composition), transitions in
+    generation order and composition keyed (outer, inner) by component,
+    then x, y, w for (x -> y)∘(w -> x).  A generated label that repeats
+    an earlier one is an input error naming both event pairs."""
+    source, target, unit_of, inverse, composition = {}, {}, {}, {}, {}
+    for comp in components:
+        by_pair = {}
+        for x in comp:
+            for y in comp:
+                lab = unit_label(x) if x == y else pair_label(x, y)
+                if lab in source:
+                    raise GqmInputError(
+                        "event pairs %r and %r both generate the label %r"
+                        % ((source[lab], target[lab]), (x, y), lab))
+                source[lab], target[lab] = x, y
+                by_pair[(x, y)] = lab
+        for x in comp:
+            unit_of[x] = by_pair[(x, x)]
+        for (x, y), lab in by_pair.items():
+            inverse[lab] = by_pair[(y, x)]
+        for (x, y), outer in by_pair.items():
+            for w in comp:
+                composition[(outer, by_pair[(w, x)])] = by_pair[(w, y)]
+    return list(source), source, target, unit_of, inverse, composition
+
+
+def quiver_tables_loop(events, arrows):
+    """`pair_tables_loop` on the (undirected) components of a quiver,
+    found breadth first, in the order of their first events, plus the
+    arrow aliases; an arrow label that names a different transition is an
+    input error."""
+    adjacency = {x: set() for x in events}
+    for _, src, tgt in arrows:
+        adjacency[src].add(tgt)
+        adjacency[tgt].add(src)
+    components, remaining = [], set(events)
+    for x in events:
+        if x not in remaining:
+            continue
+        comp, queue = [], deque([x])
+        remaining.discard(x)
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for w in sorted(adjacency[v]):
+                if w in remaining:
+                    remaining.discard(w)
+                    queue.append(w)
+        components.append(sorted(comp, key=events.index))
+    tables = pair_tables_loop(components)
+    aliases = {}
+    for label, src, tgt in arrows:
+        pair = unit_label(src) if src == tgt else pair_label(src, tgt)
+        if label in tables[1] and label != pair:
+            raise GqmInputError(
+                "arrow label %r collides with a different transition" % label)
+        aliases[label] = pair
+    return tables + (aliases,)
 
 
 def g_plus_loop(g, x):

@@ -485,14 +485,55 @@ def test_psd_check_pair64_fits_in_memory(tmp_path):
 
 
 def test_validate_pair64_fits_in_memory(tmp_path):
-    """Validation reads the composition one slot per composable pair: on
-    pair64 that is 64^3 = 262,144 slots, where a dense |G| x |G| table
-    would be 2^24 cells (128 MiB), so it fits under 256 MiB."""
+    """A pair groupoid holds its composition one triple per composable
+    pair: on pair64 that is 64^3 = 262,144 triples, where a dense
+    |G| x |G| table would be 2^24 cells (128 MiB), so it fits under
+    256 MiB."""
     g, _ = pair_files(tmp_path, 64)
     code, out, err = run_capped(["validate", g], 256)
     assert (code, err) == (0, "")
     assert json.loads(out) == {"ok": True, "events": 64, "order": 4096,
                                "connected": True}
+
+
+def test_validate_pair128_fits_in_memory(tmp_path):
+    """pair128 is built by index arithmetic, 128^3 = 2,097,152 triples
+    (48 MiB) and no label-keyed table, and not validated again, so a cold
+    `validate` fits under 256 MiB; label tables for its 2.1M composition
+    entries would not."""
+    g, _ = pair_files(tmp_path, 128)
+    code, out, err = run_capped(["validate", g], 256)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ok": True, "events": 128, "order": 16384,
+                               "connected": True}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "pair",
+      "events": ["d", "e->f", "a", "b->c", "a->b", "c", "d->e", "f"]},
+     "event pairs ('a', 'b->c') and ('a->b', 'c') both generate the label "
+     "'a->b->c'"),
+    ({"kind": "pair",
+      "events": ["d->e", "f", "a->b", "c", "d", "e->f", "a", "b->c"]},
+     "event pairs ('d->e', 'f') and ('d', 'e->f') both generate the label "
+     "'d->e->f'"),
+    ({"kind": "quiver", "events": ["a", "b->c", "a->b", "c"],
+      "arrows": [{"label": "f", "source": "c", "target": "a->b"},
+                 {"label": "g", "source": "b->c", "target": "a"}]},
+     "event pairs ('a', 'b->c') and ('a->b', 'c') both generate the label "
+     "'a->b->c'"),
+    ({"kind": "quiver", "events": ["a", "b", "c"],
+      "arrows": [{"label": "f", "source": "a", "target": "b"},
+                 {"label": "c->a", "source": "a", "target": "b"},
+                 {"label": "1_b", "source": "b", "target": "c"}]},
+     "arrow label 'c->a' collides with a different transition"),
+])
+def test_first_collision_reported(tmp_path, capsys, doc, message):
+    """Of two collisions the first is reported: generated labels pair by
+    pair, by component, then source, then target in event order; arrow
+    labels in arrow order."""
+    g = write(tmp_path / "g.json", doc)
+    assert run_rejected(capsys, ["validate", g]) == "error: " + message
 
 
 def test_gns_full_rank_fits_in_memory(tmp_path):

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+import gqm.groupoid
+from gqm.action import is_reproducing_sweep_trial
 from gqm.errors import GqmInputError, GroupoidValidationError
 from gqm.examples import build_qubit, cyclic_group_groupoid
 from gqm.groupoid import (
@@ -122,6 +125,43 @@ def test_colliding_generated_labels_rejected(doc, message):
     with pytest.raises(GqmInputError) as err:
         parse_groupoid_doc(doc)
     assert str(err.value) == message
+
+
+class Validated(Exception):
+    pass
+
+
+def test_generated_kinds_never_validate(monkeypatch, qubit):
+    """Pair and quiver groupoids come from index arithmetic, proven in
+    ``test_oracles.py``, and their constructors never call `validate`;
+    the constructors from tables always do."""
+    def validate(g):
+        raise Validated
+
+    monkeypatch.setattr(gqm.groupoid, "validate", validate)
+    pair_groupoid(["a", "b", "c"])
+    from_quiver(QuiverSpec(["a", "b", "c"], [("f", "a", "b")]))
+    with pytest.raises(Validated):
+        from_explicit(qubit.events, qubit.transitions, qubit.source,
+                      qubit.target, qubit.unit_of, qubit.inverse,
+                      qubit.composition)
+    with pytest.raises(Validated):
+        group_as_groupoid(["e"], {("e", "e"): "e"}, "e")
+
+
+LABEL_TABLES = {"source", "target", "unit_of", "inverse", "composition"}
+
+
+def test_sweep_reads_no_label_table():
+    """A pair groupoid keeps no label-keyed table until one is read, and
+    a sweep trial reads none; once read, a table is kept."""
+    g = pair_groupoid(["e%d" % k for k in range(12)])
+    is_reproducing_sweep_trial(
+        g, np.random.default_rng(0).normal(size=(3, 12)))
+    assert not LABEL_TABLES & vars(g).keys()
+    assert g.compose("e1->e2", "e0->e1") == "e0->e2"
+    assert g.source["e0->e1"] == "e0" and g.unit_of["e3"] == "1_e3"
+    assert all(getattr(g, name) is getattr(g, name) for name in LABEL_TABLES)
 
 
 def test_from_explicit_qubit_matches_pair():

@@ -7,6 +7,7 @@ exactly; eigen-derived numbers within 1e-12 of their scale.
 """
 
 import functools
+import json
 from unittest import mock
 
 import numpy as np
@@ -59,6 +60,7 @@ from gqm.groupoid import (
     pair_groupoid,
     validate,
 )
+from gqm.specio import parse_groupoid_text
 from gqm.states import (
     CharacteristicFunction,
     delta_state,
@@ -71,7 +73,12 @@ from gqm.states import (
     reproducing_deviations,
     transition_amplitude,
 )
-from groupoids import composite_groupoids, generator_actions
+from groupoids import (
+    GROUPS,
+    composite_groupoids,
+    composite_specs,
+    generator_actions,
+)
 from oracles import (
     assembled,
     bivariate_values_loop,
@@ -92,9 +99,11 @@ from oracles import (
     orbit_blocks_loop,
     orbit_loop,
     orbits_loop,
+    pair_tables_loop,
     psd_full,
     psd_orbits_loop,
     quiver_decoherence_loop,
+    quiver_tables_loop,
     rep_check_loop,
     target_block_violation_loop,
     transition_amplitude_loop,
@@ -158,6 +167,97 @@ def assert_same_validation(g):
 def test_validate_matches_loop_on_systems():
     for g in systems():
         assert_same_validation(copy_of(g))
+
+
+def assert_same_arrays(g, h):
+    """Bit-identical transitions, index arrays, composition triples (in
+    order), target blocks and orbit tables."""
+    assert g.transitions == h.transitions
+    for view in ("index_arrays", "composition_index", "target_blocks"):
+        for a, b in zip(getattr(g, view)(), getattr(h, view)(), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b in zip(g.orbit_table(), h.orbit_table(), strict=True):
+        for x, y in zip((a.events, a.rows, a.gather),
+                        (b.events, b.rows, b.gather)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def assert_generated(g, tables):
+    """``g`` comes from index arithmetic and is not validated when built,
+    so it is proven here: `validate` and its loop pass with equal check
+    counts; its copy through the label-table constructor has the same
+    arrays; and the loop-built ``tables`` (`quiver_tables_loop`'s) equal
+    its label tables, composition in order, and go through `from_explicit`
+    to the same canonical order and arrays."""
+    fast, slow = validate(g), validate_loop(copy_of(g))
+    assert fast.ok and slow.ok and fast.checks == slow.checks
+    assert_same_arrays(g, copy_of(g))
+    transitions, *labelled, aliases = tables
+    assert [g.source, g.target, g.unit_of, g.inverse] == labelled[:4]
+    assert list(g.composition.items()) == list(labelled[4].items())
+    assert g.aliases == aliases
+    assert_same_arrays(g, from_explicit(g.events, transitions, *labelled))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_groupoids_are_proven(n):
+    events = ["e%d" % k for k in range(n)]
+    assert_generated(pair_groupoid(events),
+                     pair_tables_loop([events]) + ({},))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_actions())
+def test_quiver_groupoids_are_proven(drawn):
+    g, arrows, _ = drawn
+    assert_generated(g, quiver_tables_loop(list(g.events), arrows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(composite_specs(groups=GROUPS[:1]))
+def test_quiver_specs_match_explicit(specs):
+    """Where every H_i is trivial, the quiver spec of spanning paths
+    generates the groupoid of the explicit spec: the same events, orbits
+    and target block sizes."""
+    explicit, quiver = (parse_groupoid_text(json.dumps(doc))
+                        for doc in specs)
+    assert quiver.events == explicit.events
+    assert quiver.orbits() == explicit.orbits()
+    assert ([b.size for b in quiver.target_blocks()]
+            == [b.size for b in explicit.target_blocks()])
+    arrows = [(a["label"], a["source"], a["target"])
+              for a in specs[1]["arrows"]]
+    assert_generated(quiver, quiver_tables_loop(list(quiver.events), arrows))
+
+
+EVENT_NAMES = ["a", "b", "c", "a->b", "b->c", "c->a", "1_a", "1_b", "->",
+               "a->", "1_a->b"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(EVENT_NAMES), min_size=1, max_size=6,
+                unique=True), st.data())
+def test_generated_label_checks_match_loop(events, data):
+    """Events and arrow labels drawn to collide: the arithmetic builders
+    reject the same inputs as the loops, with the same message, naming
+    the same first offending pair or arrow; the rest build the loops'
+    groupoids."""
+    arrows = data.draw(st.lists(st.tuples(
+        st.sampled_from(EVENT_NAMES + ["f", "g"]), st.sampled_from(events),
+        st.sampled_from(events)), max_size=4, unique_by=lambda a: a[0]))
+    for build, loop in (
+            (lambda: pair_groupoid(events),
+             lambda: pair_tables_loop([events]) + ({},)),
+            (lambda: from_quiver(QuiverSpec(events, arrows)),
+             lambda: quiver_tables_loop(events, arrows))):
+        try:
+            tables = loop()
+        except GqmInputError as err:
+            with pytest.raises(GqmInputError) as got:
+                build()
+            assert str(got.value) == str(err)
+        else:
+            assert_generated(build(), tables)
 
 
 @settings(max_examples=60, deadline=None)
