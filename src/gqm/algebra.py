@@ -176,7 +176,7 @@ def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:
 
 
 def regular_rep(a: AlgebraElement) -> np.ndarray:
-    """|G| x |G| matrix of left multiplication on coefficient vectors."""
+    """|G| x |G| matrix of left multiplication: a dense view for tests."""
     g = a.groupoid
     outer, inner, result = g.composition_index()
     mat = np.zeros((g.order, g.order), dtype=complex)
@@ -186,5 +186,7 @@ def regular_rep(a: AlgebraElement) -> np.ndarray:
 
 
 def operator_norm(a: AlgebraElement) -> float:
-    """C* norm via the (always faithful) regular representation."""
-    return float(np.linalg.norm(regular_rep(a), 2))
+    """C* norm: the largest 2-norm of a[gather] over the orbits, the
+    faithful regular representation on one source block of each."""
+    return max(float(np.linalg.norm(a.coeffs[o.gather], 2))
+               for o in a.groupoid.orbit_table())

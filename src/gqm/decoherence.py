@@ -53,6 +53,9 @@ def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
     if tag == "per-transition":
         return 1.0 / g.order
     if tag == "global":
+        if raw_matrix is None:
+            raise GqmInputError("normalization tag 'global' needs a "
+                                "decoherence matrix to sum")
         total = _finite_sum(raw_matrix, "D(G, G)")
         if abs(total) <= DEFAULT_TOL:
             raise MathPropertyError(
@@ -118,10 +121,9 @@ def decoherence_from_characteristic(phi, normalization="none",
             "(min eigenvalue %.3e)" % check.min_eigenvalue,
             witness=check.witness,
         )
-    raw = invariance_matrix(phi)
-    scale = normalization_scale(normalization, phi.groupoid, raw)
+    matrix = invariance_matrix(phi)  # scaled in place: one |G| x |G| array
     with np.errstate(over="ignore"):
-        matrix = scale * raw
+        matrix *= normalization_scale(normalization, phi.groupoid, matrix)
     if not np.all(np.isfinite(matrix)):
         raise GqmInputError("the %s-normalized decoherence matrix is too "
                             "large for floating point" % normalization)

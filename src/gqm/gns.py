@@ -20,7 +20,6 @@ from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
     assert_state,
-    invariance_matrix,
     is_positive_semidefinite,
 )
 
@@ -32,7 +31,7 @@ class GnsSpace:
     groupoid: FiniteGroupoid
     dim: int
     basis: np.ndarray       # |G| x dim, columns are coset representatives
-    projector: np.ndarray   # dim x |G|: raw coordinates -> quotient coords
+    projector: np.ndarray   # dim x |G|, raw -> quotient: (basis lambda)^H
 
 
 @dataclass(eq=False)
@@ -45,6 +44,9 @@ class GnsRepresentation:
         sends the inner of each composition triple to the result, weighted
         by a's coefficient at the outer."""
         space = self.space
+        if a.groupoid is not space.groupoid:
+            raise GqmInputError("element and representation live on "
+                                "different groupoids")
         outer, inner, result = space.groupoid.composition_index()
         k = np.flatnonzero(a.coeffs[outer])
         return space.projector[:, result[k]] @ (
@@ -79,11 +81,11 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
         basis[:, col] = v / np.sqrt(val)
 
-    projector = basis.conj().T @ invariance_matrix(phi)
+    # b^H M is lambda b^H: b = v/sqrt(lambda), M v = lambda v for Hermitian M
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis,
-                     projector=projector)
+                     projector=(basis * [c[0] for c in keep]).conj().T)
     return GnsRepresentation(space=space,
-                             ground=projector @ unit_element(g).coeffs)
+                             ground=space.projector @ unit_element(g).coeffs)
 
 
 # -- representations given as explicit matrices --------------------------

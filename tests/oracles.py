@@ -356,6 +356,12 @@ def gns_dim_full(phi, rank_tol):
     return int(np.sum(eigvals > rank_tol * max(eigvals[-1], 1.0)))
 
 
+def gns_projector_dense(phi, basis):
+    """basis^H M, the GNS projector as one product with the whole Gram
+    form M, the invariance matrix."""
+    return basis.conj().T @ invariance_matrix_loop(phi)
+
+
 def regular_rep_loop(a):
     """M[r, i] summed over every composable pair o∘i = r."""
     g = a.groupoid

@@ -171,6 +171,18 @@ def test_dynamical_state_rejects_invalid_action(qubit):
         dynamical_state(s)
 
 
+def test_dynamical_state_global_is_one_line_input_error():
+    """'global' scales by D(G, G), which needs a decoherence matrix; a
+    dynamical state has none, so the tag is an input error that names
+    it, not a TypeError."""
+    g = pair_groupoid(["a", "b"])
+    s = action_from_potential(g, {"a": 0.0, "b": 0.3})
+    with pytest.raises(GqmInputError) as info:
+        dynamical_state(s, "global")
+    message = str(info.value)
+    assert "'global'" in message and "\n" not in message
+
+
 def test_theorem_sweep_sample(rng):
     for n in range(2, 7):
         g = pair_groupoid(["e%d" % k for k in range(n)])

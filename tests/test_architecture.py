@@ -13,6 +13,9 @@ stay inside ``groupoid.py``.
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
 
+Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`:
+the dense |G| x |G| views are built only for the decoherence output.
+
 Two lint checks run here over the package and the tests, so that they
 need no linter: no module-level name is defined twice, and every
 imported name is read.
@@ -174,6 +177,21 @@ def test_quivers_stay_at_the_boundary():
                   for line, ident in [*names(tree), *imported]
                   if name not in allowed.get(ident, {name})]
     assert found == []
+
+
+def test_dense_views_only():
+    """The orbit blocks carry every spectral kernel, so no module calls
+    `regular_rep`, and `invariance_matrix` is called only to build the
+    decoherence output.  Both stay defined as dense views: the tests and
+    ``perfbench/tracer.py`` read them."""
+    allowed = {"regular_rep": set(), "invariance_matrix": {"decoherence.py"}}
+    calls = ["%s:%d %s" % (name, node.lineno, ident)
+             for name, tree in modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             for ident in [getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))]
+             if ident in allowed and name not in allowed[ident]]
+    assert calls == []
 
 
 def test_tracer_names_exist():

@@ -455,30 +455,57 @@ def pair_files(tmp_path, n):
     return g, state
 
 
+def action_files(tmp_path, n):
+    """A pair groupoid on n events and an action state on it, whose Gram
+    matrix has rank one on each target block: GNS dimension n."""
+    g, _ = pair_files(tmp_path, n)
+    state = write(tmp_path / "action.json", {
+        "type": "action",
+        "potential": {"e%d" % k: 0.1 * k for k in range(n)}})
+    return g, state
+
+
 def test_out_of_memory_is_one_line(tmp_path):
     """decoherence on pair64 forms the dense 4096 x 4096 complex invariance
     matrix, 256 MiB on its own, which cannot fit under a 256 MiB cap: bad
     input, one line, no traceback."""
-    g, _ = pair_files(tmp_path, 64)
-    state = write(tmp_path / "action.json", {
-        "type": "action",
-        "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
-    code, out, err = run_capped(["decoherence", g, state], 256)
+    code, out, err = run_capped(["decoherence", *action_files(tmp_path, 64)],
+                                256)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
 
 
+def test_gns_pair64_action_fits_in_memory(tmp_path):
+    """The GNS projector comes from the kept eigenpairs, (basis lambda)^H,
+    so gns on pair64 forms no 4096 x 4096 Gram matrix (256 MiB) and fits
+    under 256 MiB."""
+    code, out, err = run_capped(["gns", *action_files(tmp_path, 64)], 256)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 64
+    assert doc["reconstruction_max_error"] <= 1e-12
+
+
+def test_measure_pair64_fits_in_memory(tmp_path):
+    """measure on pair64 scales its one 4096 x 4096 invariance matrix in
+    place, 256 MiB, so it fits under 448 MiB, where a scaled copy beside
+    it would not."""
+    code, out, err = run_capped(["measure", *action_files(tmp_path, 64),
+                                 "--set", "1_e0,e0->e1,e1->e0,1_e1"], 448)
+    assert (code, err) == (0, "")
+    # per target, |1 + exp(-0.1i)|^2 over the unit and the arrow into it
+    assert json.loads(out)["value"] == pytest.approx(
+        2 * (2 + 2 * np.cos(0.1)) / 4096, rel=1e-12)
+
+
 def test_psd_check_pair64_fits_in_memory(tmp_path):
     """The PSD check solves one 64 x 64 block for the one orbit of pair64
     and forms no 4096 x 4096 array, so psd-check fits under 256 MiB, where
     the dense invariance matrix alone would not."""
-    g, _ = pair_files(tmp_path, 64)
-    state = write(tmp_path / "action.json", {
-        "type": "action",
-        "potential": {"e%d" % k: 0.1 * k for k in range(64)}})
-    code, out, err = run_capped(["psd-check", g, state], 256)
+    code, out, err = run_capped(["psd-check", *action_files(tmp_path, 64)],
+                                256)
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["ok"] is True and doc["hermitian"] is True
@@ -602,9 +629,9 @@ def test_reports_match_golden_bytes(capsys, name, argv, code):
     """Reports on full-precision inputs, byte for byte.  ``blocks.json``
     is a quiver with target blocks of sizes 3 and 2 in interleaved event
     order; ``indefinite.json`` fails the PSD check with a witness.  The
-    ``gns`` reports were recorded with one eigensolve per orbit; the
-    others are as the CLI printed them when each target block had its
-    own."""
+    ``gns`` reports were recorded with one eigensolve per orbit and the
+    projector from its eigenpairs; the others are as the CLI printed them
+    when each target block had its own."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))

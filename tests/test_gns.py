@@ -4,7 +4,7 @@ import pytest
 from gqm.algebra import AlgebraElement, multiply
 from gqm.decoherence import decoherence_from_characteristic
 from gqm.errors import GqmInputError, MathPropertyError
-from gqm.examples import qubit_state
+from gqm.examples import cyclic_group_groupoid, qubit_state
 from gqm.gns import (
     FrameChange,
     RepMatrices,
@@ -116,6 +116,16 @@ def test_reconstruction(corpus, qubit, rng):
             assert reconstruction_error(delta_state(g, x)) <= 1e-12
         for _ in range(3):
             assert reconstruction_error(random_state(g, rng)) <= 1e-9
+
+
+def test_matrix_of_rejects_foreign_elements(pair3, rng):
+    """pi(a) needs a on the represented groupoid: an element of a smaller
+    groupoid, or of one of the same order, is an input error."""
+    rep = gns_build(delta_state(pair3, "a"))
+    for other in (pair_groupoid(["a", "b"]), cyclic_group_groupoid(9)):
+        a = AlgebraElement(other, rng.normal(size=other.order))
+        with pytest.raises(GqmInputError):
+            rep.matrix_of(a)
 
 
 def test_gns_rejects_non_state(qubit):

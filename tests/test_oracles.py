@@ -33,6 +33,7 @@ from gqm.algebra import (
     involution,
     isotropy_char,
     multiply,
+    operator_norm,
     spray_char,
 )
 from gqm.decoherence import (
@@ -88,6 +89,7 @@ from oracles import (
     gns_basis_loop,
     gns_dim_full,
     gns_matrices_dense,
+    gns_projector_dense,
     hom_set_loop,
     invariance_matrix_loop,
     involution_loop,
@@ -104,6 +106,7 @@ from oracles import (
     psd_orbits_loop,
     quiver_decoherence_loop,
     quiver_tables_loop,
+    regular_rep_loop,
     rep_check_loop,
     target_block_violation_loop,
     transition_amplitude_loop,
@@ -728,6 +731,47 @@ def test_gns_report_matches_dense_reconstruction(g, seed):
     scale = max(1.0, float(np.max(np.abs(phi.values))))
     assert abs(gns_report(phi)["reconstruction_max_error"]
                - max(errors)) <= 1e-12 * scale
+
+
+def state_of_kind(g, rng, kind):
+    """A random state, the delta state of a random event, or the dynamical
+    state of a random potential's action u(t(a)) - u(s(a))."""
+    if kind == "random":
+        return random_state(g, rng)
+    if kind == "delta":
+        return delta_state(g, g.events[rng.integers(len(g.events))])
+    src, tgt = g.index_arrays()[:2]
+    u = rng.normal(size=len(g.events))
+    return dynamical_state(ActionFunction(g, u[tgt] - u[src]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_system, st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "delta", "action"]))
+def test_gns_projector_matches_dense_product(g, seed, kind):
+    """The projector in closed form, (basis lambda)^H, against the product
+    basis^H M with the whole Gram form: they differ by basis^H (M - H),
+    H the Hermitian part, and by rounding."""
+    phi = state_of_kind(g, np.random.default_rng(seed), kind)
+    space = gns_build(phi).space
+    check = is_positive_semidefinite(phi)
+    top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
+    mat = invariance_matrix_loop(phi)
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    dense = gns_projector_dense(phi, space.basis)
+    assert space.projector.shape == dense.shape
+    assert np.max(np.abs(space.projector - dense), initial=0.0) <= (
+        1e-12 * max(1.0, top) + defect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_system, st.integers(0, 2**32 - 1))
+def test_operator_norm_matches_dense_regular_rep(g, seed):
+    """The largest 2-norm of the orbit blocks a[gather] is the 2-norm of
+    the whole regular representation."""
+    a = AlgebraElement(g, random_values(g, np.random.default_rng(seed)))
+    dense = np.linalg.norm(regular_rep_loop(a), 2)
+    assert abs(operator_norm(a) - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("k", range(3), ids=["g0", "g1", "g2"])
