@@ -284,8 +284,12 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
         a, b = bad[0]
         raise GqmInputError("the action difference s(%r) - s(%r) is not "
                             "finite" % (labels[b], labels[a]))
+    # + 0.0 turns a -0.0 into +0.0 and leaves every other float as it is:
+    # an imaginary part that underflows under the scale comes out +0.0, as
+    # in the scalar product c * exp(i d), whichever order numpy's complex
+    # loop multiplies in
     return DecoherenceFunctional(
-        g, np.where(same, scale * np.exp(1j * diff), 0), normalization,
+        g, np.where(same, scale * np.exp(1j * diff), 0) + 0.0, normalization,
         labels=labels)
 
 
