@@ -25,7 +25,7 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, finite
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -43,6 +43,7 @@ class ActionFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.groupoid.order,):
             raise GqmInputError("action vector length does not match |G|")
+        finite(self.values, "action values")
 
     @classmethod
     def from_dict(cls, g, values):
@@ -327,15 +328,15 @@ def is_reproducing_sweep_trial(g, potentials):
     return np.concatenate(least), np.concatenate(deviation)
 
 
-def recover_potential(s: ActionFunction, base_event=None):
-    """On a pair groupoid, the potential u with u(x) = s(base -> x); the
-    coboundary-completeness witness for `action_from_potential`."""
+def recover_potential(s: ActionFunction):
+    """On a pair groupoid, the potential u with u(x) = s(e -> x), e the
+    first event; the coboundary-completeness witness for
+    `action_from_potential`."""
     g = s.groupoid
     if not g.is_pair_groupoid():
         raise GqmInputError("potential recovery needs a pair groupoid")
-    base = 0 if base_event is None else g.require_event(base_event)
     src, tgt = g.index_arrays()[:2]
-    # the one transition base -> x of each event x
+    # the one transition e -> x of each event x
     u = np.empty(len(g.events))
-    u[tgt[src == base]] = s.values[src == base]
+    u[tgt[src == 0]] = s.values[src == 0]
     return dict(zip(g.events, u.tolist()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GqmInputError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, finite
 
 
 @dataclass(eq=False)
@@ -34,6 +34,7 @@ class AlgebraElement:
                 "coefficient vector length %d does not match |G| = %d"
                 % (self.coeffs.size, self.groupoid.order)
             )
+        finite(self.coeffs, "algebra coefficients")
 
     # -- construction ----------------------------------------------------
 

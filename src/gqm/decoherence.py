@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, group_indices
+from .groupoid import FiniteGroupoid, finite, group_indices
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -85,6 +85,7 @@ class DecoherenceFunctional:
         n = len(self.labels)
         if self.matrix.shape != (n, n):
             raise GqmInputError("decoherence matrix must be %d x %d" % (n, n))
+        finite(self.matrix, "decoherence matrix entries")
 
     def index(self, label):
         """Row of ``label``, looked up as given, then through
@@ -124,10 +125,12 @@ def decoherence_from_characteristic(phi, normalization="none",
     matrix = invariance_matrix(phi)  # scaled in place: one |G| x |G| array
     with np.errstate(over="ignore"):
         matrix *= normalization_scale(normalization, phi.groupoid, matrix)
-    if not np.all(np.isfinite(matrix)):
-        raise GqmInputError("the %s-normalized decoherence matrix is too "
-                            "large for floating point" % normalization)
-    return DecoherenceFunctional(phi.groupoid, matrix, normalization)
+    try:  # the shape is right, so only an entry that overflowed can fail
+        return DecoherenceFunctional(phi.groupoid, matrix, normalization)
+    except GqmInputError:
+        raise GqmInputError(
+            "the %s-normalized decoherence matrix is too large for floating "
+            "point" % normalization) from None
 
 
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:

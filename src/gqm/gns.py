@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, scatter_add, unit_element
+from .algebra import AlgebraElement, scatter_add
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, read_only
+from .groupoid import FiniteGroupoid, finite, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -30,8 +30,14 @@ RANK_TOL = 1e-10
 class GnsSpace:
     groupoid: FiniteGroupoid
     dim: int
-    basis: np.ndarray       # |G| x dim, columns are coset representatives
-    projector: np.ndarray   # dim x |G|, raw -> quotient: (basis lambda)^H
+    basis: np.ndarray        # |G| x dim, columns are coset representatives
+    eigenvalues: np.ndarray  # dim, the Gram eigenvalue of each column
+
+    @property
+    def projector(self):
+        """dim x |G|, raw -> quotient: (basis lambda)^H, a dense view for
+        tests."""
+        return (self.basis * self.eigenvalues).conj().T
 
 
 @dataclass(eq=False)
@@ -49,7 +55,7 @@ class GnsRepresentation:
                                 "different groupoids")
         outer, inner, result = space.groupoid.composition_index()
         k = np.flatnonzero(a.coeffs[outer])
-        return space.projector[:, result[k]] @ (
+        return (space.basis[result[k]] * space.eigenvalues).conj().T @ (
             a.coeffs[outer[k], None] * space.basis[inner[k]])
 
 
@@ -74,18 +80,17 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
 
     basis = np.zeros((g.order, len(keep)), dtype=complex)
     for col, (val, _, _, rows, vec) in enumerate(keep):
-        v = np.zeros(g.order, dtype=complex)
-        v[rows] = vec
-        nz = np.flatnonzero(np.abs(v) > 1e-10)
-        if nz.size:  # deterministic phase: first sizable coordinate > 0
-            v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-        basis[:, col] = v / np.sqrt(val)
+        big = np.flatnonzero(np.abs(vec) > 1e-10)
+        if big.size:  # deterministic phase: first sizable coordinate, in
+            z = vec[big[rows[big].argmin()]]  # transition order, > 0
+            vec = vec * (np.abs(z) / z)
+        basis[rows, col] = vec / np.sqrt(val)
 
     # b^H M is lambda b^H: b = v/sqrt(lambda), M v = lambda v for Hermitian M
     space = GnsSpace(groupoid=g, dim=len(keep), basis=basis,
-                     projector=(basis * [c[0] for c in keep]).conj().T)
-    return GnsRepresentation(space=space,
-                             ground=space.projector @ unit_element(g).coeffs)
+                     eigenvalues=np.array([c[0] for c in keep]))
+    return GnsRepresentation(space=space, ground=space.eigenvalues * basis[
+        g.index_arrays()[3]].sum(axis=0).conj())  # [1] sums the units' rows
 
 
 # -- representations given as explicit matrices --------------------------
@@ -116,7 +121,7 @@ class RepMatrices:
             raise GqmInputError("a representation needs one d x d matrix per "
                                 "transition, not a stack of shape %r"
                                 % (mats.shape,))
-        self.matrices = read_only(mats)
+        self.matrices = read_only(finite(mats, "representation matrices"))
 
     def check(self, tol=DEFAULT_TOL):
         """Raise on the first pair in `composition_index` order with
@@ -217,9 +222,10 @@ class FrameChange:
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=complex)
-        n = self.unitary.shape[0]
-        if self.unitary.shape != (n, n):
-            raise GqmInputError("frame matrix must be square")
+        n = self.unitary.shape[0] if self.unitary.ndim else 0
+        if n == 0 or self.unitary.shape != (n, n):
+            raise GqmInputError("frame matrix must be square and non-empty")
+        finite(self.unitary, "frame matrix entries")
         if np.max(np.abs(self.unitary.conj().T @ self.unitary
                          - np.eye(n))) > DEFAULT_TOL:
             raise GqmInputError("frame matrix is not unitary")
@@ -241,60 +247,48 @@ def frame_compose(first: FrameChange, second: FrameChange) -> FrameChange:
 
 @dataclass
 class TransformationResult:
-    value: float                       # rho_a applied to the moved projector
-    amplitude: complex                 # the GNS inner product <b|a> in H_a
-    gns_basis: tuple[str, ...]         # transitions spanning H_a
-    gns_vector: np.ndarray             # coordinates of |b> in that basis
+    value: float        # rho_a applied to the moved projector: |U[b, a]|^2
+    amplitude: complex  # the GNS inner product <b|a> in H_a, the same number
+
+
+def _frame_row(g: FiniteGroupoid, fc: FrameChange, b) -> np.ndarray:
+    """Row ``b`` of U, once ``fc`` is known to act on ``g``."""
+    # one transition per ordered event pair: a pair groupoid is connected
+    if not g.is_pair_groupoid():
+        raise GqmInputError("frame changes require a connected pair "
+                            "groupoid")
+    if fc.dim != len(g.events):
+        raise GqmInputError("frame dimension does not match |events|")
+    return fc.unitary[g.require_event(b)]
+
+
+def _times(x, y):
+    """x y as (real, imag), term by term: conj(z) z has imag exactly +0.0."""
+    return (x.real * y.real - x.imag * y.imag,
+            x.real * y.imag + x.imag * y.real)
 
 
 def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
                            b) -> AlgebraElement:
     """The algebra element whose fundamental matrix is U^dagger P_b U: its
     coefficient at x -> y is conj(U[b, y]) U[b, x]."""
-    # one transition per ordered event pair: a pair groupoid is connected
-    if not g.is_pair_groupoid():
-        raise GqmInputError(
-            "frame changes require a connected pair groupoid"
-        )
-    if fc.dim != len(g.events):
-        raise GqmInputError("frame dimension does not match |events|")
-    row = fc.unitary[g.require_event(b)]
+    row = _frame_row(g, fc, b)
     src, tgt = g.index_arrays()[:2]
-    x, y = row[tgt].conj(), row[src]
-    # the textbook complex product, term by term, so that conj(z) z is real
     coeffs = np.empty(g.order, dtype=complex)
-    coeffs.real = x.real * y.real - x.imag * y.imag
-    coeffs.imag = x.real * y.imag + x.imag * y.real
+    coeffs.real, coeffs.imag = _times(row[tgt].conj(), row[src])
     return AlgebraElement(g, coeffs)
 
 
 def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
                             b) -> TransformationResult:
     """Statistical link between outcome ``b`` in the moved frame and the
-    simple state at ``a``: evaluates delta_state(a) on the transported unit
-    of ``b`` and exposes the corresponding vector in the GNS space of a."""
-    moved = frame_transported_unit(g, fc, b)
-    x = g.require_event(a)
-    src, _, _, unit = g.index_arrays()
-
-    # evaluate rho_a: the coefficient of the unit at a
-    value = complex(moved.coeffs[unit[x]])
-    if abs(value.imag) > DEFAULT_TOL:
-        raise MathPropertyError("transported projector has non-real "
-                                "diagonal: %r" % value)
-
-    # H_a is the space of functions on the spray at a; the class of any
-    # element is its coefficient restriction to that spray
-    spray = np.flatnonzero(src == x)
-    vec = moved.coeffs[spray]
-    ground = (spray == unit[x]).astype(complex)
-    amplitude = complex(np.vdot(vec, ground))
-    return TransformationResult(
-        value=value.real,
-        amplitude=amplitude,
-        gns_basis=tuple(g.transitions[k] for k in spray),
-        gns_vector=vec,
-    )
+    simple state at ``a``: delta_state(a) on the transported unit of ``b``,
+    its coefficient at the unit of ``a``, conj(U[b, a]) U[b, a].  In the GNS
+    space of ``a`` (functions on the spray of ``a``), the class of that
+    element against the ground vector is the same real number."""
+    z = _frame_row(g, fc, b)[g.require_event(a)]
+    value = float(_times(z.conj(), z)[0])
+    return TransformationResult(value=value, amplitude=complex(value, 0.0))
 
 
 def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
@@ -304,7 +298,7 @@ def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
     space, g = rep.space, phi.groupoid
     # <0|pi(t)|0> sums left[t∘inner] right[inner] over the inner composable
     # with t, since left multiplication by t sends inner to t∘inner
-    left = rep.ground.conj() @ space.projector
+    left = (space.basis @ (space.eigenvalues * rep.ground)).conj()
     right = space.basis @ rep.ground
     outer, inner, result = g.composition_index()
     terms = left[result] * right[inner]

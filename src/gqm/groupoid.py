@@ -98,15 +98,15 @@ class FiniteGroupoid:
     other way round, from its index arrays, and its label tables are then
     derived on first read, ``composition`` in the order of the triples.
 
-    ``aliases`` maps external labels (e.g. quiver arrow names) onto
+    ``aliases`` maps quiver arrow names, set by `from_quiver`, onto
     transition labels; they are accepted anywhere a transition label is.
     """
 
     def __init__(self, events, transitions, source, target, unit_of, inverse,
-                 composition, aliases=None):
+                 composition):
         self.source, self.target, self.unit_of = source, target, unit_of
         self.inverse, self.composition = inverse, composition
-        self._label(events, transitions, aliases)
+        self._label(events, transitions)
 
     @classmethod
     def _indexed(cls, events, transitions, arrays, triples):
@@ -116,12 +116,12 @@ class FiniteGroupoid:
         g._arrays = tuple(read_only(a) for a in arrays)
         g._triples = tuple(read_only(triples))
         g._composition_rows = triples.T
-        g._label(events, transitions, None)
+        g._label(events, transitions)
         return g
 
-    def _label(self, events, transitions, aliases):
+    def _label(self, events, transitions):
         self.events, self.transitions = events, transitions
-        self.aliases = {} if aliases is None else aliases
+        self.aliases = {}
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
 
@@ -316,7 +316,12 @@ class FiniteGroupoid:
         return len(self.orbits()) == 1
 
     def is_pair_groupoid(self):
-        """True iff there is exactly one transition per ordered event pair."""
+        """True iff there is exactly one transition per ordered event pair;
+        computed once per groupoid."""
+        return self._is_pair
+
+    @cached_property
+    def _is_pair(self):
         n = len(self.events)
         if self.order != n * n:
             return False
@@ -332,6 +337,13 @@ def read_only(a):
     any view taken of it can be written or made writeable again."""
     a.setflags(write=False)
     return a.view()
+
+
+def finite(a, what):
+    """``a``, unless an entry is NaN or infinite: then an input error."""
+    if not np.all(np.isfinite(a)):
+        raise GqmInputError("%s must be finite" % what)
+    return a
 
 
 def group_indices(keys, n):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, convolve, fundamental_rep, scatter_add
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, finite
 
 DEFAULT_TOL = 1e-10
 
@@ -35,6 +35,7 @@ class CharacteristicFunction:
                 "value vector length %d does not match |G| = %d"
                 % (self.values.size, self.groupoid.order)
             )
+        finite(self.values, "characteristic function values")
 
     @classmethod
     def from_dict(cls, g, values):

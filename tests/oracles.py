@@ -14,6 +14,7 @@ import numpy as np
 from gqm.action import action_from_potential, dynamical_state
 from gqm.decoherence import interference, normalization_scale
 from gqm.errors import GqmInputError
+from gqm.gns import frame_transported_unit
 from gqm.groupoid import (
     ValidationReport,
     pair_groupoid,
@@ -299,38 +300,55 @@ def psd_orbits_loop(phi, tol):
 def assembled(g, spectra):
     """The eigendecomposition of the whole matrix from `psd_orbits_loop`
     spectra: block x takes the next |G^x| columns, in event order, and
-    its orbit's eigenvectors over its translated rows."""
+    its orbit's eigenvectors over its translated rows.  Also the rows of
+    each column's block, ascending."""
     ix = g.transition_index
     block_of = {x: (rows, vals, vecs) for events, all_rows, vals, vecs
                 in spectra for x, rows in zip(events, all_rows)}
     eigvals = np.zeros(g.order)
     eigvecs = np.zeros((g.order, g.order), dtype=complex)
+    blocks = []
     start = 0
     for x in g.events:
         rows, vals, vecs = block_of[x]
         cols = slice(start, start + len(rows))
         eigvals[cols] = vals
         eigvecs[[ix[t] for t in rows], cols] = vecs
+        blocks += [sorted(ix[t] for t in rows)] * len(rows)
         start += len(rows)
-    return eigvals, eigvecs
+    return eigvals, eigvecs, blocks
 
 
-def gns_basis_loop(eigvals, eigvecs, rank_tol):
+def gns_basis_loop(eigvals, eigvecs, blocks, rank_tol):
     """The GNS basis from the assembled eigendecomposition: the columns
     above ``rank_tol`` times max(largest eigenvalue, 1), by descending
-    eigenvalue (ties in column order), each with its first coordinate
-    above 1e-10 made positive and scaled to unit Gram norm."""
+    eigenvalue (ties in column order), each on its block's rows with its
+    first coordinate above 1e-10 made positive and scaled to unit Gram
+    norm; zero elsewhere."""
     cutoff = rank_tol * max(float(np.max(eigvals)), 1.0)
     keep = sorted((k for k in range(len(eigvals)) if eigvals[k] > cutoff),
                   key=lambda k: -eigvals[k])
     basis = np.zeros((len(eigvals), len(keep)), dtype=complex)
     for col, k in enumerate(keep):
-        v = eigvecs[:, k]
+        v = eigvecs[blocks[k], k]
         nz = np.flatnonzero(np.abs(v) > 1e-10)
         if nz.size:
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-        basis[:, col] = v / np.sqrt(eigvals[k])
+        basis[blocks[k], col] = v / np.sqrt(eigvals[k])
     return basis
+
+
+def transformation_loop(g, fc, a, b):
+    """(value, amplitude) of the transformation function as first built:
+    the simple state at ``a`` on the whole transported unit of ``b``, and
+    that element against the ground vector of H_a, the functions on the
+    spray of ``a``, by ``np.vdot``."""
+    moved = frame_transported_unit(g, fc, b).coeffs
+    ix = g.transition_index
+    unit = ix[g.unit_of[a]]
+    spray = [ix[t] for t in g.transitions if g.source[t] == a]
+    ground = np.array([k == unit for k in spray], dtype=complex)
+    return moved[unit].real, complex(np.vdot(moved[spray], ground))
 
 
 def sweep_loop(n, trials, seed, tol):

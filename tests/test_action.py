@@ -24,6 +24,7 @@ from gqm.examples import (
 from gqm.groupoid import QuiverSpec, from_quiver, pair_groupoid
 from gqm.states import (
     DEFAULT_TOL,
+    CharacteristicFunction,
     delta_state,
     is_positive_semidefinite,
     reproducing_deviation,
@@ -254,3 +255,25 @@ def test_recover_potential_roundtrip(pair4, rng):
     recovered = recover_potential(s)
     s2 = action_from_potential(pair4, recovered)
     assert np.allclose(s.values, s2.values, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_action_function_rejects_non_finite_values(bad):
+    """`is_action` compares with ``> tol``, which NaN never satisfies, so
+    an all-NaN action would pass it: such values are bad input."""
+    g = pair_groupoid(["p", "q"])
+    with pytest.raises(GqmInputError, match="^action values must be finite$"):
+        ActionFunction(g, np.full(g.order, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.inf, 0)])
+def test_factorizability_never_sees_non_finite_values(bad):
+    """`is_factorizable` on NaN values would report ``ok``: the
+    characteristic function that carries them is rejected first."""
+    g = pair_groupoid(["p", "q"])
+    values = np.ones(g.order, dtype=complex)
+    values[2] = bad
+    with pytest.raises(GqmInputError,
+                       match="^characteristic function values must be "
+                             "finite$"):
+        CharacteristicFunction(g, values)

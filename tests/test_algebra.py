@@ -180,3 +180,13 @@ def test_operator_norm(qubit):
     assert operator_norm(unit_element(qubit)) == pytest.approx(1.0)
     assert operator_norm(AlgebraElement.basis(qubit, "1_+")) == pytest.approx(1.0)
     assert operator_norm(AlgebraElement.basis(qubit, "alpha")) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_element_rejects_non_finite_coefficients(qubit, bad):
+    """A NaN or infinite coefficient is bad input, named in one line."""
+    coeffs = np.zeros(qubit.order, dtype=complex)
+    coeffs[1] = bad
+    with pytest.raises(GqmInputError,
+                       match="^algebra coefficients must be finite$"):
+        AlgebraElement(qubit, coeffs)

@@ -182,8 +182,10 @@ def test_quivers_stay_at_the_boundary():
 def test_dense_views_only():
     """The orbit blocks carry every spectral kernel, so no module calls
     `regular_rep`, and `invariance_matrix` is called only to build the
-    decoherence output.  Both stay defined as dense views: the tests and
-    ``perfbench/tracer.py`` read them."""
+    decoherence output; the GNS products read the basis and eigenvalues,
+    so no module reads the attribute ``.projector``.  All three stay
+    defined as dense views: the tests read them, and
+    ``perfbench/tracer.py`` wraps the two functions."""
     allowed = {"regular_rep": set(), "invariance_matrix": {"decoherence.py"}}
     calls = ["%s:%d %s" % (name, node.lineno, ident)
              for name, tree in modules() for node in ast.walk(tree)
@@ -191,7 +193,10 @@ def test_dense_views_only():
              for ident in [getattr(node.func, "id",
                                    getattr(node.func, "attr", None))]
              if ident in allowed and name not in allowed[ident]]
-    assert calls == []
+    reads = ["%s:%d projector" % (name, node.lineno)
+             for name, tree in modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "projector"]
+    assert calls + reads == []
 
 
 def test_tracer_names_exist():

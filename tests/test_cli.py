@@ -573,6 +573,17 @@ def test_gns_full_rank_fits_in_memory(tmp_path):
     assert doc["reconstruction_max_error"] <= 1e-12
 
 
+def test_gns_full_rank_pair64_fits_in_memory(tmp_path):
+    """At full rank on pair64 (dim 4096) the GNS space holds its basis,
+    4096 x 4096 complex doubles (256 MiB), and one eigenvalue per column,
+    no projector of the same size beside it, so it fits under 512 MiB."""
+    code, out, err = run_capped(["gns", *pair_files(tmp_path, 64)], 512)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 4096
+    assert doc["reconstruction_max_error"] <= 1e-12
+
+
 def test_output_independent_of_hash_seed(tmp_path):
     """Reports are byte-identical across interpreter hash seeds."""
     import os
@@ -629,9 +640,10 @@ def test_reports_match_golden_bytes(capsys, name, argv, code):
     """Reports on full-precision inputs, byte for byte.  ``blocks.json``
     is a quiver with target blocks of sizes 3 and 2 in interleaved event
     order; ``indefinite.json`` fails the PSD check with a witness.  The
-    ``gns`` reports were recorded with one eigensolve per orbit and the
-    projector from its eigenpairs; the others are as the CLI printed them
-    when each target block had its own."""
+    ``gns`` reports were recorded with one eigensolve per orbit, the
+    ground vector and the products from the kept eigenpairs, and no
+    stored projector; the others are as the CLI printed them when each
+    target block had its own."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))

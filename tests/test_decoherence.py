@@ -173,3 +173,12 @@ def test_axioms_reject_non_hermitian(qubit):
     mat[0, 2] = 1.0  # no conjugate partner
     with pytest.raises(MathPropertyError):
         check_decoherence_axioms(DecoherenceFunctional(qubit, mat))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_functional_rejects_non_finite_entries(qubit, bad):
+    """An all-NaN matrix would pass `is_invariant` and break the axiom
+    check with a LinAlgError: it is bad input, named in one line."""
+    with pytest.raises(GqmInputError,
+                       match="^decoherence matrix entries must be finite$"):
+        DecoherenceFunctional(qubit, np.full((4, 4), bad, dtype=complex))

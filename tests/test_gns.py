@@ -234,6 +234,43 @@ def test_frame_change_validation():
         FrameChange(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("unitary, message", [
+    ([[np.nan]], "frame matrix entries must be finite"),
+    ([[1.0, 0.0], [0.0, np.inf]], "frame matrix entries must be finite"),
+    (np.array(1.0), "frame matrix must be square and non-empty"),
+    (np.zeros((0, 0)), "frame matrix must be square and non-empty"),
+], ids=["nan", "inf", "scalar", "empty"])
+def test_frame_change_rejects_non_finite_and_empty(unitary, message):
+    """A NaN frame would pass the unitarity test (``> tol`` is never true
+    of NaN); a 0-d or empty array is not a frame.  Each is one input
+    error."""
+    with pytest.raises(GqmInputError, match="^%s$" % message):
+        FrameChange(unitary)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rep_matrices_reject_non_finite_entries(bad):
+    """An all-NaN stack would pass every law of `RepMatrices.check`: it
+    is bad input when the representation is built."""
+    g = pair_groupoid(["p", "q"])
+    with pytest.raises(GqmInputError,
+                       match="^representation matrices must be finite$"):
+        RepMatrices(g, np.full((g.order, 2, 2), bad, dtype=complex))
+
+
+def test_transformation_input_errors_in_order(z3, pair3):
+    """A groupoid that is not a pair groupoid is reported first, then a
+    frame of the wrong size, then an unknown ``b``, then an unknown
+    ``a``."""
+    cases = [(z3, np.eye(2), "x", "y", "connected pair groupoid"),
+             (pair3, np.eye(2), "x", "y", "frame dimension"),
+             (pair3, np.eye(3), "x", "y", "unknown event label 'y'"),
+             (pair3, np.eye(3), "x", "a", "unknown event label 'x'")]
+    for g, u, a, b, message in cases:
+        with pytest.raises(GqmInputError, match=message):
+            transformation_function(g, FrameChange(u), a, b)
+
+
 def test_transformation_identity_frame(pair3):
     fc = FrameChange(np.eye(3))
     for a in pair3.events:

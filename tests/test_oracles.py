@@ -47,11 +47,14 @@ from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import corpus_groupoids
 from gqm.gns import (
     RANK_TOL,
+    FrameChange,
     RepMatrices,
+    frame_transported_unit,
     fundamental_matrices,
     gns_build,
     gns_matrices,
     gns_report,
+    transformation_function,
 )
 from gqm.groupoid import (
     FiniteGroupoid,
@@ -109,6 +112,7 @@ from oracles import (
     regular_rep_loop,
     rep_check_loop,
     target_block_violation_loop,
+    transformation_loop,
     transition_amplitude_loop,
     validate_loop,
 )
@@ -772,6 +776,46 @@ def test_operator_norm_matches_dense_regular_rep(g, seed):
     a = AlgebraElement(g, random_values(g, np.random.default_rng(seed)))
     dense = np.linalg.norm(regular_rep_loop(a), 2)
     assert abs(operator_norm(a) - dense) <= 1e-12 * dense
+
+
+def frame_of_kind(n, rng, kind):
+    """An n x n unitary: random, a permutation, or a random unitary on a
+    random subset of the events beside one on the rest, so that it has
+    exact zeros wherever n > 1."""
+    def random_unitary(m):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m))
+                            + 1j * rng.normal(size=(m, m)))
+        return q
+
+    if kind == "random":
+        return random_unitary(n)
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)]
+    cut = int(rng.integers(1, n)) if n > 1 else 1
+    u = np.zeros((n, n), dtype=complex)
+    u[:cut, :cut], u[cut:, cut:] = random_unitary(cut), random_unitary(n - cut)
+    return u[rng.permutation(n)][:, rng.permutation(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "permutation", "zeros"]))
+def test_transformation_function_matches_loop(n, seed, kind):
+    """|U[b, a]|^2 from one entry of U is, bit for bit, the simple state
+    at ``a`` on the whole transported unit of ``b``, and the amplitude is
+    the same real number, within 1e-15 of the vdot over the spray."""
+    g = pair_groupoid(["e%d" % k for k in range(n)])
+    fc = FrameChange(frame_of_kind(n, np.random.default_rng(seed), kind))
+    unit = g.index_arrays()[3]
+    for b in g.events:
+        moved = frame_transported_unit(g, fc, b).coeffs[unit]
+        assert moved.imag.tobytes() == np.zeros(n).tobytes()  # +0.0
+        for a in g.events:
+            res = transformation_function(g, fc, a, b)
+            value, amplitude = transformation_loop(g, fc, a, b)
+            assert np.float64(res.value).tobytes() == value.tobytes()
+            assert res.amplitude == complex(res.value, 0.0)
+            assert abs(res.amplitude - amplitude) <= 1e-15
 
 
 @pytest.mark.parametrize("k", range(3), ids=["g0", "g1", "g2"])
