@@ -25,7 +25,7 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import FiniteGroupoid, finite
+from .groupoid import FiniteGroupoid, finite, real
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -59,6 +59,10 @@ class GeneratorAction:
     are those of the groupoid it generates (`from_quiver`'s aliases)."""
 
     values: dict[str, float]
+
+    def __post_init__(self):
+        self.values = {label: real(value, "action on %r" % label)
+                       for label, value in self.values.items()}
 
     def arrows(self, g: FiniteGroupoid):
         """(labels, src, tgt) of the arrows of the quiver that generated

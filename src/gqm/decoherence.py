@@ -225,6 +225,8 @@ def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):
     MathPropertyError on the first violation."""
     g = d.groupoid
     m = d.matrix
+    if not m.size:  # no rows: vacuously Hermitian and PSD
+        return
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise MathPropertyError("decoherence matrix is not Hermitian")
     eigvals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))

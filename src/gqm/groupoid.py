@@ -21,6 +21,7 @@ structure of decoherence matrices (transitions grouped by target).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -346,6 +347,24 @@ def finite(a, what):
     return a
 
 
+def is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def real(value, what):
+    """float(value) for an int or a float, not a bool, that is finite as a
+    float; anything else is an input error naming ``what``."""
+    if not is_number(value):
+        raise GqmInputError("%s must be a real number" % what)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the range of a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise GqmInputError("%s must be finite" % what)
+    return x
+
+
 def group_indices(keys, n):
     """The positions of ``keys`` (ints in 0..n-1) grouped by key: one
     ascending, read-only array per key value."""
@@ -478,40 +497,6 @@ _DOMAIN_MESSAGES = {
 }
 
 
-def _canonical_order(events, transitions, source, target, units):
-    """Units first in event order, then by (target idx, source idx, label)."""
-    ev_ix = {x: i for i, x in enumerate(events)}
-    unit_set = set(units)
-    non_units = [t for t in transitions if t not in unit_set]
-    non_units.sort(key=lambda t: (ev_ix[target[t]], ev_ix[source[t]], t))
-    return tuple(list(units) + non_units)
-
-
-def _build(events, transitions, source, target, unit_of, inverse, composition):
-    if not events:
-        raise GqmInputError("a groupoid needs at least one event")
-    try:
-        order = _canonical_order(
-            tuple(events), transitions, source, target,
-            [unit_of[x] for x in events],
-        )
-    except KeyError:  # incomplete tables, which `validate` reports
-        order = tuple(transitions)
-    g = FiniteGroupoid(
-        events=tuple(events),
-        transitions=order,
-        source=dict(source),
-        target=dict(target),
-        unit_of=dict(unit_of),
-        inverse=dict(inverse),
-        composition=dict(composition),
-    )
-    rep = validate(g)
-    if not rep.ok:
-        raise GroupoidValidationError(rep.violations)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -580,36 +565,45 @@ def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
     ``table`` maps (left, right) -> product; compose(outer, inner) is
     table[(outer, inner)].  Group axioms are re-checked by `validate`.
     """
+    _check_labels([event], "event")
     elements = list(elements)
     _check_labels(elements, "group element")
     if identity not in elements:
         raise GqmInputError("identity %r is not a listed element" % identity)
-    elset = set(elements)
+    order = [identity] + sorted(x for x in elements if x != identity)
+    place = {x: k for k, x in enumerate(order)}
+    rows = []
     for pair, res in table.items():
-        if len(pair) != 2 or set(pair) - elset or res not in elset:
+        try:
+            left, right = pair
+            rows.append((place[left], place[right], place[res]))
+        except (KeyError, TypeError, ValueError):
             raise GqmInputError("table entry %r -> %r is out of range"
-                               % (pair, res))
-    missing = [
-        (a, b) for a in elements for b in elements if (a, b) not in table
-    ]
+                                % (pair, res)) from None
+    n = len(order)
+    triples = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+    product = np.full((n, n), -1)  # by (left, right), -1 where missing
+    product[triples[0], triples[1]] = triples[2]
+    given = [place[x] for x in elements]  # messages follow the given order
+    missing = np.argwhere(product[np.ix_(given, given)] < 0).tolist()
     if missing:
-        raise GqmInputError("multiplication table is incomplete: %r" % missing)
+        raise GqmInputError("multiplication table is incomplete: %r"
+                            % [(elements[i], elements[j]) for i, j in missing])
 
-    inverse = {}
-    for a in elements:
-        invs = [b for b in elements if table[(a, b)] == identity]
-        if len(invs) != 1 or table[(invs[0], a)] != identity:
-            raise GqmInputError("element %r has no unique inverse" % a)
-        inverse[a] = invs[0]
+    # the inverse of a is the one b with a.b = e, and b.a = e must follow
+    ones = product == 0
+    inverse = ones.argmax(axis=1)
+    unique = (ones.sum(axis=1) == 1) & (product[inverse, np.arange(n)] == 0)
+    for k in np.flatnonzero(~unique[given]):
+        raise GqmInputError("element %r has no unique inverse" % elements[k])
 
-    source = {a: event for a in elements}
-    target = {a: event for a in elements}
-    try:
-        return _build([event], elements, source, target, {event: identity},
-                      inverse, dict(table))
-    except GroupoidValidationError as exc:
-        # an invalid table (e.g. broken associativity) is an input error
-        raise GqmInputError(str(exc)) from None
+    zeros = np.zeros(n, dtype=np.intp)  # the one event and its unit
+    g = FiniteGroupoid._indexed((event,), tuple(order),
+                                [zeros, zeros, inverse, zeros[:1]], triples)
+    report = validate(g)
+    if not report.ok:  # an invalid table (e.g. broken associativity)
+        raise GqmInputError(str(GroupoidValidationError(report.violations)))
+    return g
 
 
 def from_quiver(q: QuiverSpec) -> FiniteGroupoid:
@@ -659,5 +653,26 @@ def from_explicit(events, transitions, source, target, unit_of, inverse,
         if not set(pair) <= tset:
             raise GqmInputError("composition entry %r names an unknown "
                                 "transition" % (pair,))
-    return _build(events, list(transitions), source, target, unit_of, inverse,
-                  composition)
+    if not events:
+        raise GqmInputError("a groupoid needs at least one event")
+    ev_ix = {x: i for i, x in enumerate(events)}
+    try:  # units first in event order, then by (target idx, source idx, label)
+        units = [unit_of[x] for x in events]
+        order = tuple(units + sorted(
+            set(transitions) - set(units),
+            key=lambda t: (ev_ix[target[t]], ev_ix[source[t]], t)))
+    except KeyError:  # incomplete tables, which `validate` reports
+        order = tuple(transitions)
+    g = FiniteGroupoid(
+        events=tuple(events),
+        transitions=order,
+        source=dict(source),
+        target=dict(target),
+        unit_of=dict(unit_of),
+        inverse=dict(inverse),
+        composition=dict(composition),
+    )
+    rep = validate(g)
+    if not rep.ok:
+        raise GroupoidValidationError(rep.violations)
+    return g

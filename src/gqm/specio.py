@@ -11,7 +11,6 @@ which round-trips as well.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -24,7 +23,9 @@ from .groupoid import (
     from_explicit,
     from_quiver,
     group_as_groupoid,
+    is_number,
     pair_groupoid,
+    real,
 )
 from .states import CharacteristicFunction, delta_state
 
@@ -72,10 +73,15 @@ def _records(value, key, what, names):
     all strings; ``what`` names one object in messages."""
     if not isinstance(value, list):
         raise GqmInputError("'%s' must be an array" % key)
+    fields = frozenset(names)
     for k, entry in enumerate(value):
-        label = "%s %d" % (what, k)
-        row = _take(_require_object(entry, label), names, label)
-        yield tuple(_string(row[f], "%s %s" % (label, f)) for f in names)
+        if not (isinstance(entry, dict) and entry.keys() == fields
+                and all(isinstance(x, str) for x in entry.values())):
+            label = "%s %d" % (what, k)  # a failing record: one check raises
+            row = _take(_require_object(entry, label), names, label)
+            for f in names:
+                _string(row[f], "%s %s" % (label, f))
+        yield tuple(map(entry.get, names))
 
 
 def _binary_table(value, key, what, names):
@@ -98,32 +104,11 @@ def _string_map(value, what):
     return dict(value)
 
 
-def _is_number(value):
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-def _finite(value, what):
-    """float(value), rejecting numbers that overflow to infinity."""
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise GqmInputError("%s must be finite" % what)
-    return x
-
-
-def _real(value, what):
-    if not _is_number(value):
-        raise GqmInputError("%s must be a real number" % what)
-    return _finite(value, what)
-
-
 def parse_complex(value, what="complex value"):
     if (not isinstance(value, list) or len(value) != 2
-            or not all(map(_is_number, value))):
+            or not all(map(is_number, value))):
         raise GqmInputError("%s must be a [re, im] pair" % what)
-    return complex(_finite(value[0], what), _finite(value[1], what))
+    return complex(real(value[0], what), real(value[1], what))
 
 
 def load_json(text, what):
@@ -224,13 +209,11 @@ def parse_state_doc(doc, g: FiniteGroupoid):
     if kind == "action":
         fields = _take(doc, ("type", "potential"), "action state spec")
         pot = _require_object(fields["potential"], "'potential'")
-        s = action_from_potential(g, {x: _real(v, "potential at %r" % x)
+        s = action_from_potential(g, {x: real(v, "potential at %r" % x)
                                       for x, v in pot.items()})
         return CharacteristicFunction(g, np.exp(1j * s.values))
     fields = _take(doc, ("type", "values"), "generator-action state spec")
-    values = _require_object(fields["values"], "'values'")
-    return GeneratorAction({label: _real(v, "action on %r" % label)
-                            for label, v in values.items()})
+    return GeneratorAction(_require_object(fields["values"], "'values'"))
 
 
 def bind_generator_action(ga, g: FiniteGroupoid) -> GeneratorAction:

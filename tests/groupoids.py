@@ -7,9 +7,9 @@ is a disjoint union of connected ones.  `composite_specs` draws
 ⊔ pair(O_i) x H_i with each H_i one of the group tables below, shuffles
 the events of all components together, names the transitions at random
 (which decides their canonical order within a (target, source) pair) and
-writes it as an ``explicit`` spec document, and where every H_i is
-trivial also as a ``quiver`` spec.  `composite_groupoids` builds the
-explicit one through ``specio``.
+writes it as an ``explicit`` spec document, or on one event possibly as a
+``group`` spec, and where every H_i is trivial also as a ``quiver`` spec.
+`composite_groupoids` builds the first of these through ``specio``.
 """
 
 import json
@@ -74,10 +74,11 @@ def pair_times_group_doc(components, events, order, names):
 def composite_specs(draw, max_components=3, groups=GROUPS):
     """⊔ pair(O_i) x H_i with 1 to ``max_components`` components, H_i
     drawn from ``groups``, orbits of 1 to 3 events (at most 2 when |H_i| >
-    4), events shuffled across components.  Returns its explicit spec
-    and, where every H_i is trivial, a quiver spec on the same events,
-    one spanning path per orbit in shuffled order, its arrows in drawn
-    directions (else None)."""
+    4), events shuffled across components.  Returns its explicit spec, or
+    on one event either that or a ``group`` spec (table entries in drawn
+    order), and, where every H_i is trivial, a quiver spec on the same
+    events, one spanning path per orbit in shuffled order, its arrows in
+    drawn directions (else None)."""
     components = []
     count = 0
     for _ in range(draw(st.integers(1, max_components))):
@@ -95,6 +96,13 @@ def composite_specs(draw, max_components=3, groups=GROUPS):
     doc = pair_times_group_doc(
         parts, shuffled, draw(st.permutations(range(total))),
         draw(st.permutations(["t%d" % k for k in range(total)])))
+    if count == 1 and draw(st.booleans()):
+        doc = {"kind": "group", "events": events,
+               "elements": doc["transitions"],
+               "identity": doc["units"][events[0]],
+               "table": [{"left": c["outer"], "right": c["inner"],
+                          "result": c["result"]}
+                         for c in draw(st.permutations(doc["compose"]))]}
     if any(len(table) > 1 for _, table in parts):
         return doc, None
     arrows = []
@@ -108,8 +116,8 @@ def composite_specs(draw, max_components=3, groups=GROUPS):
 
 
 def composite_groupoids(max_components=3):
-    """The groupoids of `composite_specs`, built from their explicit
-    specs through ``specio``."""
+    """The groupoids of `composite_specs`, built from their explicit or
+    group specs through ``specio``."""
     return composite_specs(max_components).map(
         lambda specs: parse_groupoid_text(json.dumps(specs[0])))
 

@@ -13,9 +13,10 @@ import numpy as np
 
 from gqm.action import action_from_potential, dynamical_state
 from gqm.decoherence import interference, normalization_scale
-from gqm.errors import GqmInputError
+from gqm.errors import GqmInputError, GroupoidValidationError
 from gqm.gns import frame_transported_unit
 from gqm.groupoid import (
+    FiniteGroupoid,
     ValidationReport,
     pair_groupoid,
     pair_label,
@@ -141,6 +142,42 @@ def pair_tables_loop(components):
             for w in comp:
                 composition[(outer, by_pair[(w, x)])] = by_pair[(w, y)]
     return list(source), source, target, unit_of, inverse, composition
+
+
+def group_tables_loop(elements, table, identity, event="*"):
+    """The label tables of the one-event groupoid of a group table, filled
+    entry by entry: (transitions, source, target, unit_of, inverse,
+    composition), transitions in canonical order (the identity, then the
+    rest by label) and composition in table order.  A table that is no
+    group is an input error: one that breaks a check of the table itself,
+    naming the first offending entry, pair list or element in the given
+    order, and otherwise the first violation `validate_loop` finds."""
+    elset = set(elements)
+    if identity not in elset:
+        raise GqmInputError("identity %r is not a listed element" % identity)
+    for pair, res in table.items():
+        if len(pair) != 2 or set(pair) - elset or res not in elset:
+            raise GqmInputError("table entry %r -> %r is out of range"
+                                % (pair, res))
+    missing = [
+        (a, b) for a in elements for b in elements if (a, b) not in table
+    ]
+    if missing:
+        raise GqmInputError("multiplication table is incomplete: %r" % missing)
+    inverse = {}
+    for a in elements:
+        invs = [b for b in elements if table[(a, b)] == identity]
+        if len(invs) != 1 or table[(invs[0], a)] != identity:
+            raise GqmInputError("element %r has no unique inverse" % a)
+        inverse[a] = invs[0]
+    transitions = [identity] + sorted(elset - {identity})
+    ends = {a: event for a in elements}
+    tables = (transitions, ends, dict(ends), {event: identity}, inverse,
+              dict(table))
+    report = validate_loop(FiniteGroupoid((event,), *tables))
+    if not report.ok:
+        raise GqmInputError(str(GroupoidValidationError(report.violations)))
+    return tables
 
 
 def quiver_tables_loop(events, arrows):

@@ -12,6 +12,7 @@ from gqm.action import (
     extend_generator_action,
     is_action,
     is_factorizable,
+    quiver_decoherence,
     recover_potential,
 )
 from gqm.decoherence import check_decoherence_axioms, quantum_measure
@@ -135,6 +136,30 @@ def test_extension_is_an_action_or_a_cycle(drawn):
     assert is_action(s)[0]
     for label, value in ga.values.items():
         assert abs(s.value(label) - value) <= 1e-9 * max(1.0, abs(value))
+
+
+CHAIN = QuiverSpec(["a", "b", "c"], [("f", "a", "b"), ("h", "b", "c")])
+PARALLEL = QuiverSpec(["a", "b"], [("f", "a", "b"), ("k", "a", "b")])
+
+
+@pytest.mark.parametrize("quiver, values, use, message", [
+    (CHAIN, {"f": np.nan, "h": 1.0}, extend_generator_action,
+     "action on 'f' must be finite"),
+    (CHAIN, {"f": np.nan, "h": 1.0}, quiver_decoherence,
+     "action on 'f' must be finite"),
+    (PARALLEL, {"f": np.inf, "k": 1.0}, quiver_decoherence,
+     "action on 'f' must be finite"),
+    (PARALLEL, {"f": "x", "k": 1.0}, quiver_decoherence,
+     "action on 'f' must be a real number"),
+], ids=["nan-extend", "nan-decoherence", "inf-decoherence", "string"])
+def test_generator_action_rejects_bad_values(quiver, values, use, message):
+    """A value that is no finite real number is named, with its arrow, in
+    the parser's words, instead of an overflowing potential, a non-finite
+    action difference or a ValueError further on."""
+    g = from_quiver(quiver)
+    with pytest.raises(GqmInputError) as err:
+        use(g, GeneratorAction(values))
+    assert str(err.value) == message
 
 
 def test_generator_action_validation():

@@ -144,6 +144,18 @@ def names(tree):
             yield node.lineno, node.id
 
 
+def test_one_label_table_constructor():
+    """Only `from_explicit` builds a groupoid from label tables, with the
+    keyword constructor ``FiniteGroupoid(...)``; every other constructor
+    builds the index arrays and goes through `FiniteGroupoid._indexed`."""
+    calls = ["%s:%s" % (name, getattr(top, "name", "<module>"))
+             for name, tree in modules() for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "FiniteGroupoid"]
+    assert calls == ["groupoid.py:from_explicit"]
+
+
 def test_one_composition_view():
     """No second composition view (a dense table, say) is defined or
     called anywhere, and `_composition_rows` is read in ``groupoid.py``

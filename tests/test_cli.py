@@ -353,6 +353,17 @@ def test_validation_error_is_one_line(capsys, tmp_path):
                     "on triple ('h2', 'h1', 'h1') (and 35 more)")
 
 
+def test_group_spec_rejects_empty_event_label(capsys, tmp_path):
+    spec = write(tmp_path / "z1.json", {
+        "kind": "group", "events": [""], "elements": ["e"], "identity": "e",
+        "table": [{"left": "e", "right": "e", "result": "e"}]})
+    state = write(tmp_path / "one.json",
+                  {"type": "characteristic", "values": {"e": [1.0, 0.0]}})
+    for argv in (["validate", spec], ["gns", spec, state]):
+        assert run_rejected(capsys, argv) == (
+            "error: event labels must be non-empty strings")
+
+
 def test_foreign_result_is_one_line(capsys, tmp_path):
     """A one-transition groupoid whose only composition is no transition."""
     spec = write(tmp_path / "one.json", {

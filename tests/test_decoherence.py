@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from gqm.action import GeneratorAction, quiver_decoherence
 from gqm.decoherence import (
     DecoherenceFunctional,
     characteristic_from_bivariate,
@@ -15,6 +16,7 @@ from gqm.decoherence import (
 )
 from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import double_slit_decoherence, qubit_decoherence
+from gqm.groupoid import QuiverSpec, from_quiver
 from gqm.states import CharacteristicFunction, delta_state, random_state
 from oracles import interference_recursive_check
 
@@ -173,6 +175,17 @@ def test_axioms_reject_non_hermitian(qubit):
     mat[0, 2] = 1.0  # no conjugate partner
     with pytest.raises(MathPropertyError):
         check_decoherence_axioms(DecoherenceFunctional(qubit, mat))
+
+
+def test_axioms_pass_an_empty_functional(qubit):
+    """A functional with no rows is vacuously Hermitian and PSD: given
+    directly, or over the arrows of a quiver that has none."""
+    check_decoherence_axioms(DecoherenceFunctional(qubit, np.zeros((0, 0)),
+                                                   labels=()))
+    d = quiver_decoherence(from_quiver(QuiverSpec(["a", "b"], [])),
+                           GeneratorAction({}))
+    assert d.matrix.shape == (0, 0)
+    check_decoherence_axioms(d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -70,6 +70,14 @@ def test_group_as_groupoid_rejects_broken_table():
         group_as_groupoid(["e", "g"], table, "e")
 
 
+@pytest.mark.parametrize("event", ["", 5])
+def test_group_as_groupoid_rejects_bad_event_label(event):
+    """The event is checked like the events of every other kind."""
+    with pytest.raises(GqmInputError) as err:
+        group_as_groupoid(["e"], {("e", "e"): "e"}, "e", event=event)
+    assert str(err.value) == "event labels must be non-empty strings"
+
+
 def test_group_as_groupoid_rejects_incomplete_table():
     with pytest.raises(GqmInputError):
         group_as_groupoid(["e", "g"], {("e", "e"): "e"}, "e")

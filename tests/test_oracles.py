@@ -61,6 +61,7 @@ from gqm.groupoid import (
     QuiverSpec,
     from_explicit,
     from_quiver,
+    group_as_groupoid,
     pair_groupoid,
     validate,
 )
@@ -93,6 +94,7 @@ from oracles import (
     gns_dim_full,
     gns_matrices_dense,
     gns_projector_dense,
+    group_tables_loop,
     hom_set_loop,
     invariance_matrix_loop,
     involution_loop,
@@ -224,8 +226,8 @@ def test_quiver_groupoids_are_proven(drawn):
 @given(composite_specs(groups=GROUPS[:1]))
 def test_quiver_specs_match_explicit(specs):
     """Where every H_i is trivial, the quiver spec of spanning paths
-    generates the groupoid of the explicit spec: the same events, orbits
-    and target block sizes."""
+    generates the groupoid of the explicit (or group) spec: the same
+    events, orbits and target block sizes."""
     explicit, quiver = (parse_groupoid_text(json.dumps(doc))
                         for doc in specs)
     assert quiver.events == explicit.events
@@ -265,6 +267,50 @@ def test_generated_label_checks_match_loop(events, data):
             assert str(got.value) == str(err)
         else:
             assert_generated(build(), tables)
+
+
+GROUP_LABELS = st.text("abcgh1_*", min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(GROUPS), st.data())
+def test_group_groupoids_are_proven(cayley, data):
+    """A group table under random labels, in random element and entry
+    order, with 0 to 3 entries then given an unknown result, added with an
+    unknown element, dropped, given the identity as result or given
+    another result (which mostly breaks associativity): `group_as_groupoid`
+    raises what the label-dict loop raises, or builds the loop's
+    groupoid."""
+    n = len(cayley)
+    el = data.draw(st.lists(GROUP_LABELS, min_size=n, max_size=n,
+                            unique=True))
+    table = {(el[a], el[b]): el[cayley[a][b]]
+             for a, b in data.draw(st.permutations(
+                 [(a, b) for a in range(n) for b in range(n)]))}
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = (data.draw(st.sampled_from(el)), data.draw(st.sampled_from(el)))
+        fault = data.draw(st.sampled_from(
+            ["range", "key", "drop", "identity"] + ["result"] * 4))
+        if fault == "range":
+            table[key] = "zz"
+        elif fault == "key":
+            table[("zz", key[1])] = key[0]
+        elif fault == "drop":
+            table.pop(key, None)
+        else:
+            table[key] = el[0] if fault == "identity" else data.draw(
+                st.sampled_from(el))
+    elements = data.draw(st.permutations(el))
+    event = data.draw(GROUP_LABELS)
+    try:
+        tables = group_tables_loop(elements, table, el[0], event)
+    except GqmInputError as err:
+        with pytest.raises(GqmInputError) as got:
+            group_as_groupoid(elements, table, el[0], event)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert_generated(group_as_groupoid(elements, table, el[0], event),
+                         tables + ({},))
 
 
 @settings(max_examples=60, deadline=None)

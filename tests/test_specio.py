@@ -84,6 +84,58 @@ def test_parse_rejects_bad_kind_and_shape():
         parse_groupoid_doc({"kind": "pair", "events": [1]})
 
 
+RECORDS = {  # kind: (array field, record name, its fields, the rest)
+    "explicit": ("compose", "compose entry", ("outer", "inner", "result"),
+                 {"kind": "explicit", "events": [], "transitions": [],
+                  "source": {}, "target": {}, "units": {}, "inverse": {}}),
+    "group": ("table", "table entry", ("left", "right", "result"),
+              {"kind": "group", "events": ["*"], "elements": [],
+               "identity": "e"}),
+    "quiver": ("arrows", "arrow", ("label", "source", "target"),
+               {"kind": "quiver", "events": []}),
+}
+
+
+@given(st.sampled_from(sorted(RECORDS)), st.integers(1, 4), st.data())
+def test_bad_record_is_named(kind, n, data):
+    """Record k of n is no object, or lacks fields, or has unknown ones
+    (reported before missing ones), or has values that are no strings:
+    the first such fault is named with its record's position, and with
+    the first such field in field order."""
+    key, what, names, rest = RECORDS[kind]
+    records = [{f: "%s%d" % (f, j) for f in names} for j in range(n)]
+    k = data.draw(st.integers(0, n - 1))
+    fault = data.draw(st.sampled_from(["object", "missing", "unknown",
+                                       "string"]))
+    some = st.lists(st.sampled_from(names), min_size=1, unique=True)
+    if fault == "object":
+        records[k] = data.draw(st.sampled_from([[], "x", 1, None]))
+        want = "%s %d must be a JSON object" % (what, k)
+    elif fault == "missing":
+        gone = data.draw(some)
+        records[k] = {f: v for f, v in records[k].items() if f not in gone}
+        want = "missing field(s) in %s %d: %s" % (what, k,
+                                                  ", ".join(sorted(gone)))
+    elif fault == "unknown":
+        extra = data.draw(st.lists(st.sampled_from(["x", "zz", "a"]),
+                                   min_size=1, unique=True))
+        gone = data.draw(st.lists(st.sampled_from(names), unique=True))
+        records[k] = {**{f: v for f, v in records[k].items()
+                         if f not in gone}, **dict.fromkeys(extra, "v")}
+        want = "unknown field(s) in %s %d: %s" % (what, k,
+                                                  ", ".join(sorted(extra)))
+    else:
+        wrong = data.draw(some)
+        records[k] = {**records[k], **{
+            f: data.draw(st.sampled_from([1, None, ["x"], 2.5]))
+            for f in wrong}}
+        want = "%s %d %s must be a string" % (
+            what, k, next(f for f in names if f in wrong))
+    with pytest.raises(GqmInputError) as err:
+        parse_groupoid_doc({**rest, key: records})
+    assert str(err.value) == want
+
+
 def test_parse_rejects_non_finite_literals():
     for literal in ("NaN", "Infinity", "-Infinity"):
         with pytest.raises(GqmInputError, match="non-finite number"):
