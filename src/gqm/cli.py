@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 malformed input or validation failure, 2 violated
 mathematical property (e.g. a PSD check), 3 I/O failure.  JSON prints
 each float as its shortest round-tripping ``repr``, CSV with ``%.17g``;
 complex numbers are [re, im] pairs; angles are radians.
+
+Each command imports the modules it runs, so that it loads no more of gqm
+than it needs, and ``gqm --help`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,43 +15,13 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from .action import (
-    GeneratorAction,
-    is_reproducing_sweep_trial,
-    quiver_decoherence,
-)
-from .algebra import multiply
-from .decoherence import (
-    NORMALIZATIONS,
-    decoherence_from_characteristic,
-    interference,
-    quantum_measure,
-)
+from . import NORMALIZATIONS
 from .errors import GqmError, GqmInputError, MathPropertyError
-from .groupoid import pair_groupoid
-from .specio import (
-    algebra_to_doc,
-    bind_generator_action,
-    complex_pair,
-    dump_json,
-    load_json,
-    matrix_to_csv,
-    matrix_to_json,
-    parse_algebra_doc,
-    parse_groupoid_doc,
-    parse_state_doc,
-    parse_unitary_doc,
-)
-from .states import (
-    CharacteristicFunction,
-    assert_psd,
-    is_positive_semidefinite,
-)
 
 
 def _read_json(path):
+    from .specio import load_json
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -62,39 +35,46 @@ class _IoFailure(Exception):
 
 
 def _load_groupoid(path):
+    from .specio import parse_groupoid_doc
+
     doc = _read_json(path)
     return parse_groupoid_doc(doc), doc["kind"] == "quiver"
 
 
-def _load_state(path, g, is_quiver):
+def _load_state(path, g, is_quiver, message=None):
     """A CharacteristicFunction, or a GeneratorAction bound to ``g``: it
-    stays at the arrow level, where no global extension need exist."""
+    stays at the arrow level, where no global extension need exist.  Given
+    ``message``, the state must be defined on the whole groupoid, and a
+    GeneratorAction is an input error with that message."""
+    from .specio import bind_generator_action, parse_state_doc
+    from .states import CharacteristicFunction
+
     state = parse_state_doc(_read_json(path), g)
-    if not isinstance(state, GeneratorAction):
+    if isinstance(state, CharacteristicFunction):
         return state
     if not is_quiver:
         raise GqmInputError("generator-action states need a quiver-kind "
                             "groupoid spec")
-    return bind_generator_action(state, g)
-
-
-def _characteristic(state, message):
-    """``state`` if it is defined on the whole groupoid, else an input
-    error with ``message``."""
-    if isinstance(state, GeneratorAction):
+    state = bind_generator_action(state, g)
+    if message is not None:
         raise GqmInputError(message)
     return state
 
 
-def _emit(text):
-    sys.stdout.write(text)
+def _emit(doc):
+    """Write the report ``doc`` as canonical JSON."""
+    from .specio import dump_json
+
+    sys.stdout.write(dump_json(doc))
 
 
 def _emit_matrix(args, mat):
+    from .specio import matrix_to_csv, matrix_to_json
+
     if args.format == "csv":
-        _emit(matrix_to_csv(mat))
+        sys.stdout.write(matrix_to_csv(mat))
     else:
-        _emit(dump_json(matrix_to_json(mat)))
+        _emit(matrix_to_json(mat))
 
 
 def _parse_set(text):
@@ -113,27 +93,33 @@ def _parse_sets(text):
 
 def cmd_validate(args):
     g, _ = _load_groupoid(args.groupoid)
-    _emit(dump_json({
+    _emit({
         "ok": True,
         "events": len(g.events),
         "order": g.order,
         "connected": g.is_connected(),
-    }))
+    })
     return 0
 
 
 def cmd_algebra_mult(args):
+    from .algebra import multiply
+    from .specio import algebra_to_doc, parse_algebra_doc
+
     g, _ = _load_groupoid(args.groupoid)
     a = parse_algebra_doc(_read_json(args.left), g)
     b = parse_algebra_doc(_read_json(args.right), g)
-    _emit(dump_json(algebra_to_doc(multiply(a, b))))
+    _emit(algebra_to_doc(multiply(a, b)))
     return 0
 
 
 def cmd_psd_check(args):
+    from .specio import complex_pair
+    from .states import is_positive_semidefinite
+
     g, is_quiver = _load_groupoid(args.groupoid)
-    state = _characteristic(_load_state(args.state, g, is_quiver),
-                            "psd-check needs a characteristic-style state")
+    state = _load_state(args.state, g, is_quiver,
+                        "psd-check needs a characteristic-style state")
     check = is_positive_semidefinite(state, args.tolerance)
     doc = {
         "ok": check.ok,
@@ -143,17 +129,23 @@ def cmd_psd_check(args):
     }
     if check.witness is not None:
         doc["witness"] = {lab: complex_pair(z) for lab, z in check.witness}
-    _emit(dump_json(doc))
+    _emit(doc)
     return 0 if check.ok else 2
 
 
 def _decoherence(args):
+    from .states import CharacteristicFunction
+
     g, is_quiver = _load_groupoid(args.groupoid)
     state = _load_state(args.state, g, is_quiver)
-    if isinstance(state, GeneratorAction):
-        return quiver_decoherence(g, state, args.normalization)
-    return decoherence_from_characteristic(state, args.normalization,
-                                           args.tolerance)
+    if isinstance(state, CharacteristicFunction):
+        from .decoherence import decoherence_from_characteristic
+
+        return decoherence_from_characteristic(state, args.normalization,
+                                               args.tolerance)
+    from .action import quiver_decoherence
+
+    return quiver_decoherence(g, state, args.normalization)
 
 
 def cmd_decoherence(args):
@@ -162,21 +154,25 @@ def cmd_decoherence(args):
 
 
 def cmd_measure(args):
+    from .decoherence import quantum_measure
+
     d = _decoherence(args)
     rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
-    _emit(dump_json({
+    _emit({
         "value": rep.value,
         "raw_value": rep.raw_value,
         "normalization": args.normalization,
         "tolerance": args.tolerance,
-    }))
+    })
     return 0
 
 
 def cmd_interference(args):
+    from .decoherence import decoherence_from_characteristic, interference
+
     g, is_quiver = _load_groupoid(args.groupoid)
-    state = _characteristic(
-        _load_state(args.state, g, is_quiver),
+    state = _load_state(
+        args.state, g, is_quiver,
         "interference needs a state defined on the whole groupoid")
     d = decoherence_from_characteristic(state, args.normalization,
                                         args.tolerance)
@@ -186,21 +182,24 @@ def cmd_interference(args):
             "--order %d but %d sets were given" % (args.order, len(sets))
         )
     value = interference(d, sets, args.tolerance)
-    _emit(dump_json({
+    _emit({
         "order": args.order,
         "value": value,
         "normalization": args.normalization,
         "tolerance": args.tolerance,
-    }))
+    })
     return 0
 
 
 def cmd_gns(args):
+    import numpy as np
+
     from .gns import gns_report
+    from .states import CharacteristicFunction, assert_psd
 
     g, is_quiver = _load_groupoid(args.groupoid)
-    state = _characteristic(_load_state(args.state, g, is_quiver),
-                            "gns needs a characteristic-style state")
+    state = _load_state(args.state, g, is_quiver,
+                        "gns needs a characteristic-style state")
     mass = state.unit_mass()
     if not np.isfinite(mass):
         raise GqmInputError(
@@ -223,12 +222,13 @@ def cmd_gns(args):
                     "state values overflow when divided by the unit mass %r"
                     % mass)
             state = CharacteristicFunction(g, values)
-    _emit(dump_json(gns_report(state, args.tolerance)))
+    _emit(gns_report(state, args.tolerance))
     return 0
 
 
 def cmd_frame(args):
     from .gns import FrameChange, transformation_function
+    from .specio import complex_pair, parse_unitary_doc
 
     g, _ = _load_groupoid(args.groupoid)
     fc = FrameChange(parse_unitary_doc(_read_json(args.unitary)))
@@ -242,7 +242,7 @@ def cmd_frame(args):
                 "value": res.value,
                 "amplitude": complex_pair(res.amplitude),
             })
-    _emit(dump_json({"pairs": pairs}))
+    _emit({"pairs": pairs})
     return 0
 
 
@@ -252,6 +252,8 @@ def cmd_example(args):
         double_slit_decoherence,
         qubit_decoherence,
     )
+    from .decoherence import quantum_measure
+    from .specio import matrix_to_json
 
     if args.system == "qubit":
         d = qubit_decoherence(build_qubit(), args.S, args.normalization)
@@ -271,11 +273,16 @@ def cmd_example(args):
     if args.format == "csv":
         _emit_matrix(args, d.matrix)
     else:
-        _emit(dump_json(doc))
+        _emit(doc)
     return 0
 
 
 def cmd_sweep(args):
+    import numpy as np
+
+    from .action import is_reproducing_sweep_trial
+    from .groupoid import pair_groupoid
+
     if args.n < 2:
         raise GqmInputError("--n must be at least 2")
     if args.trials < 1:
@@ -299,7 +306,7 @@ def cmd_sweep(args):
         del g
 
     ok = worst_eig >= -args.tolerance and worst_rep <= args.tolerance
-    _emit(dump_json({
+    _emit({
         "target": "thm52",
         "trials": args.trials,
         "seed": args.seed,
@@ -307,7 +314,7 @@ def cmd_sweep(args):
         "max_reproducing_deviation": worst_rep,
         "tolerance": args.tolerance,
         "ok": ok,
-    }))
+    })
     return 0 if ok else 2
 
 

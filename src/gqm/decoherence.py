@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import NORMALIZATIONS
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, finite, group_indices
 from .states import (
@@ -37,10 +38,6 @@ def _finite_sum(values, what):
     if not np.isfinite(total):
         raise GqmInputError("%s is too large for floating point" % what)
     return total
-
-
-NORMALIZATIONS = ("none", "unit-events", "idempotent", "per-transition",
-                  "global")
 
 
 def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):

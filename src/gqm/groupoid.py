@@ -377,6 +377,12 @@ def group_indices(keys, n):
 # validation
 
 
+# triples per part of the associativity check in `validate`: a part holds
+# a few int arrays of that many entries, 16 MiB each; a group of order 128
+# (128^3 = 2^21 triples) is checked in one part
+ASSOC_PART = 1 << 21
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; violations carry witnesses.
     The composition is held in one slot per composable pair, not |G|^2."""
@@ -472,17 +478,20 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
             bad("inverse is not involutive at %r" % ts[a])
 
     # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: for
-    # each event x, the c with target x against every a∘b with source x
+    # each event x, the c with target x against every a∘b with source x,
+    # in parts of at most `ASSOC_PART` triples
     fails = []
     sources = group_indices(src, len(g.events))  # ascending, like blocks
     by_src = group_indices(src[inner], len(g.events))
-    for cs, bs, k in zip(blocks, sources, by_src):
-        a, b, ab = outer[k], inner[k], comp[k]
+    for cs, bs, ks in zip(blocks, sources, by_src):
         bc = comp[off[bs, None] + np.arange(cs.size)]  # bs[m]∘cs[j]
-        lhs = comp[off[a, None] + rank[bc][np.searchsorted(bs, b)]]
-        rep.checks += lhs.size
-        p, j = np.nonzero(lhs != bc[np.searchsorted(bs, ab)])
-        fails += zip(cs[j], b[p], a[p])
+        step = max(1, ASSOC_PART // cs.size)
+        for k in (ks[q:q + step] for q in range(0, ks.size, step)):
+            a, b, ab = outer[k], inner[k], comp[k]
+            lhs = comp[off[a, None] + rank[bc][np.searchsorted(bs, b)]]
+            rep.checks += lhs.size
+            p, j = np.nonzero(lhs != bc[np.searchsorted(bs, ab)])
+            fails += zip(cs[j], b[p], a[p])
     for c, b, a in sorted(fails):  # in (c, b, a) order
         bad("associativity fails on triple (%r, %r, %r)"
             % (ts[a], ts[b], ts[c]))
@@ -509,40 +518,59 @@ def pair_label(src, tgt):
     return "%s->%s" % (src, tgt)
 
 
-def _pair_components(events, components):
-    """The disjoint union of the pair groupoids on ``components``, ascending
-    arrays of event indices in the order of their first events, built by
-    index arithmetic: (x -> y)∘(w -> x) = (w -> y).  The triples run by
-    component, then over x, y and w in event order.  A generated label
-    that repeats an earlier one, in that order, is an input error."""
+def _pair_components(events, roots):
+    """The disjoint union of the pair groupoids on the components of
+    ``events``, ``roots[k]`` the first event of the component of event k,
+    built by index arithmetic: (x -> y)∘(w -> x) = (w -> y), in one step
+    for all components of one size.  The triples run by component in the
+    order of their first events, then over x, y and w in event order.  A
+    generated label that repeats an earlier one, in that order, is an
+    input error."""
     n = len(events)
-    into = np.zeros(n, dtype=np.intp)  # the non-units into each event
-    for c in components:
-        into[c] = c.size - 1
+    # components numbered by first event; np.unique would sort with
+    # numpy's default sort, ~3 MiB more resident in every process
+    roots = np.asarray(roots)
+    component = (np.cumsum(roots == np.arange(n)) - 1)[roots]
+    sizes = np.bincount(component)
+    members = np.argsort(component, kind="stable")  # by component
+    into = sizes[component] - 1  # the non-units into each event
     first = n + np.cumsum(into) - into  # units first, then by target
-    triples = np.empty((3, sum(c.size ** 3 for c in components)),
-                       dtype=np.intp)
-    done, labels, parts = 0, [], []
-    for c in components:
-        m = c.size
+    # each component's first member, generated transition and triple
+    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2, 3)]
+    # (src, tgt, inv, place) of the transitions, in generated order
+    made = np.empty((4, (sizes ** 2).sum()), dtype=np.intp)
+    triples = np.empty((3, (sizes ** 3).sum()), dtype=np.intp)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == m)
+        c = members[starts[0][which, None] + np.arange(m)]
         i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
-        idx = np.where(i == j, c[i], first[c[j]] + i - (i > j))
-        names = [events[k] for k in c.tolist()]
+        idx = np.where(i == j, c[:, i], first[c[:, j]] + i - (i > j))
+        idt = idx.transpose(0, 2, 1)
+        made[:, starts[1][which, None, None] + m * i + j] = (
+            c[:, i], c[:, j], idt, idx)
+        faces = idx[..., None], idt[:, :, None], idt[:, None]
+        if which.size == 1:  # in place: no index array of m^3 entries
+            at = starts[2][which[0]]
+            cube = triples[:, at:at + m ** 3].reshape(3, 1, m, m, m)
+            cube[0], cube[1], cube[2] = faces
+        else:
+            at = starts[2][which, None, None, None] + np.arange(
+                m ** 3).reshape(m, m, m)
+            triples[0, at], triples[1, at], triples[2, at] = faces
+    labels, names = [], [events[k] for k in members.tolist()]
+    for a, m in zip(starts[0].tolist(), sizes.tolist()):
         labels += [unit_label(x) if x == y else pair_label(x, y)
-                   for x in names for y in names]
-        parts.append((c[i].ravel(), c[j].ravel(), idx.T.ravel(), idx.ravel()))
-        cube = triples[:, done:done + m ** 3].reshape(3, m, m, m)  # a view
-        cube[0], cube[1], cube[2] = idx[:, :, None], idx.T[:, None], idx.T
-        done += m ** 3
-    src, tgt, inv, place = (np.concatenate(p) for p in zip(*parts))
-    seen = {}
-    for k, lab in enumerate(labels):
-        if seen.setdefault(lab, k) != k:
-            q = seen[lab]
-            raise GqmInputError(
-                "event pairs %r and %r both generate the label %r"
-                % ((events[src[q]], events[tgt[q]]),
-                   (events[src[k]], events[tgt[k]]), lab))
+                   for x in names[a:a + m] for y in names[a:a + m]]
+    src, tgt, inv, place = made
+    if len(set(labels)) < len(labels):  # then find the first repeat
+        seen = {}
+        for k, lab in enumerate(labels):
+            if seen.setdefault(lab, k) != k:
+                q = seen[lab]
+                raise GqmInputError(
+                    "event pairs %r and %r both generate the label %r"
+                    % ((events[src[q]], events[tgt[q]]),
+                       (events[src[k]], events[tgt[k]]), lab))
     # generated -> canonical order; stable, the sort of `group_indices`
     order = np.argsort(place, kind="stable")
     return FiniteGroupoid._indexed(
@@ -556,7 +584,7 @@ def pair_groupoid(events) -> FiniteGroupoid:
     if not events:
         raise GqmInputError("pair groupoid needs at least one event")
     _check_labels(events, "event")
-    return _pair_components(events, [np.arange(len(events))])
+    return _pair_components(events, np.zeros(len(events), dtype=np.intp))
 
 
 def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
@@ -630,9 +658,7 @@ def from_quiver(q: QuiverSpec) -> FiniteGroupoid:
     for _, src, tgt in q.arrows:
         low, high = sorted((find(index[src]), find(index[tgt])))
         root[high] = low
-    roots = np.array([find(k) for k in range(len(root))])
-    g = _pair_components(q.events, [c for c in group_indices(
-        roots, len(root)) if c.size])
+    g = _pair_components(q.events, [find(k) for k in range(len(root))])
     for label, src, tgt in q.arrows:
         pair = unit_label(src) if src == tgt else pair_label(src, tgt)
         if label in g.transition_index and label != pair:

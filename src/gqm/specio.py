@@ -14,8 +14,6 @@ import json
 
 import numpy as np
 
-from .action import GeneratorAction, action_from_potential
-from .algebra import AlgebraElement
 from .errors import GqmInputError
 from .groupoid import (
     FiniteGroupoid,
@@ -27,7 +25,6 @@ from .groupoid import (
     pair_groupoid,
     real,
 )
-from .states import CharacteristicFunction, delta_state
 
 GROUPOID_KINDS = ("pair", "quiver", "explicit", "group")
 
@@ -197,6 +194,8 @@ def parse_state_doc(doc, g: FiniteGroupoid):
             "state spec 'type' must be one of %s" % ", ".join(STATE_TYPES)
         )
     if kind == "characteristic":
+        from .states import CharacteristicFunction
+
         fields = _take(doc, ("type", "values"), "characteristic state spec")
         values = _require_object(fields["values"], "'values'")
         return CharacteristicFunction.from_dict(g, {
@@ -204,19 +203,26 @@ def parse_state_doc(doc, g: FiniteGroupoid):
             for label, v in values.items()
         })
     if kind == "delta":
+        from .states import delta_state
+
         fields = _take(doc, ("type", "event"), "delta state spec")
         return delta_state(g, _string(fields["event"], "'event'"))
     if kind == "action":
+        from .action import action_from_potential
+        from .states import CharacteristicFunction
+
         fields = _take(doc, ("type", "potential"), "action state spec")
         pot = _require_object(fields["potential"], "'potential'")
         s = action_from_potential(g, {x: real(v, "potential at %r" % x)
                                       for x, v in pot.items()})
         return CharacteristicFunction(g, np.exp(1j * s.values))
+    from .action import GeneratorAction
+
     fields = _take(doc, ("type", "values"), "generator-action state spec")
     return GeneratorAction(_require_object(fields["values"], "'values'"))
 
 
-def bind_generator_action(ga, g: FiniteGroupoid) -> GeneratorAction:
+def bind_generator_action(ga, g: FiniteGroupoid):
     """``ga`` once it names exactly the arrows of the quiver that
     generated ``g``."""
     ga.arrows(g)
@@ -238,7 +244,9 @@ def parse_unitary_doc(doc) -> np.ndarray:
     return np.array(mat, dtype=complex)
 
 
-def parse_algebra_doc(doc, g: FiniteGroupoid) -> AlgebraElement:
+def parse_algebra_doc(doc, g: FiniteGroupoid):
+    from .algebra import AlgebraElement
+
     doc = _require_object(doc, "algebra element spec")
     fields = _take(doc, ("coeffs",), "algebra element spec")
     coeffs = _require_object(fields["coeffs"], "'coeffs'")
@@ -276,11 +284,11 @@ def _nonzero_entries(g: FiniteGroupoid, vec) -> dict:
             for k in np.flatnonzero(vec)}
 
 
-def algebra_to_doc(a: AlgebraElement) -> dict:
+def algebra_to_doc(a) -> dict:
     return {"coeffs": _nonzero_entries(a.groupoid, a.coeffs)}
 
 
-def state_to_doc(phi: CharacteristicFunction) -> dict:
+def state_to_doc(phi) -> dict:
     return {"type": "characteristic",
             "values": _nonzero_entries(phi.groupoid, phi.values)}
 

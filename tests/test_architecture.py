@@ -16,19 +16,29 @@ once, and the groupoid it generates is the only record of its arrows.
 Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`:
 the dense |G| x |G| views are built only for the decoherence output.
 
-Two lint checks run here over the package and the tests, so that they
-need no linter: no module-level name is defined twice, and every
-imported name is read.
+Every module loads on first use: ``gqm`` only registers its submodules
+and resolves its exports from their home modules, and each CLI command
+imports what it runs, so a command loads only its chain of layers and
+``gqm --help`` loads no numpy.
+
+Three lint checks run here, so that they need no linter: no module-level
+name is defined twice and every imported name is read, over the package
+and the tests, and every global name a function of the package reads is
+bound at module level.
 """
 
 import ast
+import builtins
 import importlib
 import json
 import os
 import subprocess
+import symtable
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import gqm
 
@@ -211,16 +221,21 @@ def test_dense_views_only():
     assert calls + reads == []
 
 
-def test_tracer_names_exist():
-    """Every function ``perfbench/tracer.py`` wraps (``LAYERS``) or counts
-    (``COUNTERS``) still exists, and every counted one is wrapped: a
-    missing name would fail ``--trace 1`` with an AttributeError.  The
-    tracer is read from its file and run in a bare module, so nothing is
-    written next to it."""
+def load_tracer():
+    """``perfbench/tracer.py``, read from its file and run in a bare
+    module, so that nothing is written next to it."""
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     tracer = types.ModuleType("tracer")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          tracer.__dict__)
+    return tracer
+
+
+def test_tracer_names_exist():
+    """Every function ``perfbench/tracer.py`` wraps (``LAYERS``) or counts
+    (``COUNTERS``) still exists, and every counted one is wrapped: a
+    missing name would fail ``--trace 1`` with an AttributeError."""
+    tracer = load_tracer()
     wrapped = {"%s.%s" % (module, name)
                for module, functions in tracer.LAYERS.values()
                for name in functions}
@@ -234,27 +249,121 @@ def test_tracer_names_exist():
     assert missing == []
 
 
-def test_cli_import_runs_neither_gns_nor_examples():
-    """A cold ``import gqm.cli`` does not run ``gqm.gns`` or
-    ``gqm.examples``: the commands that use them import them when they
-    run.  Both modules are in ``sys.modules`` from the start, where
-    ``perfbench/tracer.py`` looks them up, but their code runs on first
-    use, as ``from gqm import gns_build`` shows."""
-    script = (
-        "import json, sys, types\n"
+def run_python(*args):
+    """(stdout, stderr, exit code) of a fresh interpreter on the package
+    sources."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gqm.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+# prints the gqm modules whose code ran, and whether numpy is loaded
+RAN = ("import json, sys, types\n"
+       "def ran():\n"
+       "    return sorted(n for n, m in sys.modules.items()\n"
+       "                  if n.startswith('gqm') and type(m) is\n"
+       "                  types.ModuleType)\n")
+
+
+def test_cli_import_runs_only_the_package_and_errors():
+    """A cold ``import gqm.cli`` runs ``gqm``, ``gqm.errors`` and
+    ``gqm.cli`` only, and loads no numpy.  Every module the tracer wraps
+    is in ``sys.modules`` from the start, where ``perfbench/tracer.py``
+    looks it up, but its code runs on first use, as
+    ``from gqm import gns_build`` shows."""
+    script = RAN + (
         "import gqm.cli\n"
-        "def ran():\n"
-        "    return sorted(n for n, m in sys.modules.items()\n"
-        "                  if n.startswith('gqm') and type(m) is\n"
-        "                  types.ModuleType)\n"
         "cold = ran()\n"
         "known = sorted(n for n in sys.modules if n.startswith('gqm'))\n"
+        "numpy = 'numpy' in sys.modules\n"
         "from gqm import gns_build\n"
-        "print(json.dumps([cold, known, ran(), gns_build.__module__]))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(gqm.__file__).parents[1]))
-    cold, known, warm, home = json.loads(subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, check=True).stdout)
-    assert "gqm.cli" in cold
-    assert sorted(set(known) - set(cold)) == ["gqm.examples", "gqm.gns"]
-    assert (warm, home) == (sorted(cold + ["gqm.gns"]), "gqm.gns")
+        "print(json.dumps([cold, known, numpy, ran(),\n"
+        "                  gns_build.__module__]))\n")
+    cold, known, numpy, warm, home = json.loads(run_python("-c", script)[0])
+    assert cold == ["gqm", "gqm.cli", "gqm.errors"]
+    assert not numpy
+    layers = {module for module, _ in load_tracer().LAYERS.values()}
+    assert layers <= set(known)
+    assert home == "gqm.gns" and "gqm.gns" in warm
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["measure", "--help"], 0), (["bogus"], 2),
+    (["validate"], 2)])
+def test_help_and_usage_errors_load_no_numpy(argv, code):
+    """``gqm --help``, a command's help and a usage error import no numpy
+    (``-X importtime`` lists every module imported), and ``python -m``
+    warns about nothing."""
+    _, err, returncode = run_python("-X", "importtime", "-m", "gqm.cli",
+                                    *argv)
+    imported = [line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")]
+    assert returncode == code
+    assert "gqm" in imported and "numpy" not in imported
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["validate", "G"], ["groupoid", "specio"]),
+    (["psd-check", "G", "S"], ["algebra", "groupoid", "specio", "states"]),
+    (["gns", "G", "S"], ["algebra", "gns", "groupoid", "specio", "states"]),
+    (["interference", "G", "S", "--order", "1", "--sets", "1_a"],
+     ["algebra", "decoherence", "groupoid", "specio", "states"]),
+])
+def test_commands_run_only_their_layers(tmp_path, argv, layers):
+    """A cold command runs the package, ``gqm.errors``, ``gqm.cli`` and
+    the modules it calls, and no other: ``validate`` runs no state,
+    algebra or action code, and the commands on characteristic states run
+    no ``gqm.action``."""
+    docs = {"G": {"kind": "pair", "events": ["a", "b"]},
+            "S": {"type": "delta", "event": "a"}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    script = RAN + (
+        "from gqm.cli import main\n"
+        "code = main(%r)\n"
+        "print(json.dumps([code, ran()]))\n" % argv)
+    code, ran = json.loads(run_python("-c", script)[0].splitlines()[-1])
+    assert code == 0
+    assert ran == sorted(["gqm", "gqm.cli", "gqm.errors",
+                          *("gqm." + m for m in layers)])
+
+
+def test_every_export_resolves_to_its_home_module():
+    """Each name of ``gqm.__all__`` is defined in the package itself or is
+    the object of that name in its home module, whose own it is; ``dir``
+    lists them all."""
+    for name in gqm.__all__:
+        value = getattr(gqm, name)
+        if name in vars(gqm):
+            continue
+        home = importlib.import_module("gqm." + gqm._EXPORTS[name])
+        assert value is getattr(home, name)
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+    assert set(gqm.__all__) <= set(dir(gqm))
+
+
+def test_every_global_read_in_a_function_is_bound():
+    """Every global name a function of the package reads, in its
+    comprehensions and lambdas too, is bound at module level or is a
+    builtin: a name imported inside one function and read in another
+    fails here, and not only when the branch that reads it runs."""
+    unbound = []
+    for path in sorted(Path(gqm.__file__).parent.glob("*.py")):
+        top = symtable.symtable(path.read_text(encoding="utf-8"),
+                                path.name, "exec")
+        bound = {s.get_name() for s in top.get_symbols()
+                 if s.is_assigned() or s.is_imported()} | set(dir(builtins))
+        tables = top.get_children()
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            if table.get_type() == "function":
+                unbound += ["%s:%d %s" % (path.name, table.get_lineno(),
+                                          s.get_name())
+                            for s in table.get_symbols()
+                            if s.is_global() and s.is_referenced()
+                            and s.get_name() not in bound]
+    assert unbound == []

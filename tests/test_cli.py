@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gqm.cli
+import gqm.groupoid
 from conftest import run_capped
 from gqm.cli import main
 from gqm.groupoid import QuiverSpec, pair_groupoid
@@ -224,7 +224,7 @@ def test_sweep_builds_one_groupoid_per_size(capsys, monkeypatch, n, trials):
         built.append(len(events))
         return pair_groupoid(events)
 
-    monkeypatch.setattr(gqm.cli, "pair_groupoid", counting)
+    monkeypatch.setattr(gqm.groupoid, "pair_groupoid", counting)
     code, _ = run(capsys, ["sweep", "thm52", "--n", str(n),
                            "--trials", str(trials)])
     assert code == 0

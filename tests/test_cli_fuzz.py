@@ -1,19 +1,25 @@
-"""Random and mutated spec documents fed to the CLI.
+"""Random, mutated and valid spec documents fed to the CLI.
 
 Whatever the documents hold, a run ends in a report or a clean exit: an
 exit code in {0, 1, 2, 3}, at most one stderr line and no traceback or
-warning, and stdout that is strict JSON (no NaN or Infinity).
+warning, and stdout that is strict JSON (no NaN or Infinity).  Valid
+documents, of groupoids with isotropy and several orbits, run every
+subcommand on every state type, so that each branch of a command runs.
 """
 
 import json
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gqm import NORMALIZATIONS
 from gqm.cli import main
 from gqm.examples import build_qubit
-from gqm.specio import groupoid_to_doc
+from gqm.specio import groupoid_to_doc, parse_groupoid_text, state_to_doc
+from gqm.states import random_state
+from groupoids import GROUPS, composite_specs
 
 LABELS = ["a", "b", "c", "1_a", "1_b", "a->b", "b->a", "b->c", "e", "g1",
           "alpha", "beta", "+", "-", "1_+", "alpha^-1", "x", ""]
@@ -132,4 +138,107 @@ def test_cli_survives_mutated_documents(tmp_path, capsys, data):
     assert len(err.splitlines()) <= 1, err
     assert "Traceback" not in err
     if code == 0 or out:
+        strict_json(out)
+
+
+unit_reals = st.floats(-1, 1)
+
+
+@st.composite
+def valid_run(draw):
+    """(argv, documents) of one run of a drawn command on valid documents:
+    a groupoid of `composite_specs`, as its explicit or group spec or,
+    where it has one, its quiver spec; a characteristic (random or PSD),
+    delta, action or generator-action state; two algebra elements; a
+    random unitary on the events; and transition labels and arrow names
+    for the sets.  Action states, generator actions (on quiver specs) and
+    ``frame`` (on one component) draw pair components."""
+    command = draw(st.sampled_from([
+        "validate", "psd-check", "decoherence", "decoherence-csv", "measure",
+        "interference", "gns", "algebra-mult", "frame"]))
+    kind = draw(st.sampled_from(["characteristic", "psd", "delta", "action",
+                                 "generator-action"]))
+    explicit, quiver = draw(composite_specs(
+        max_components=1 if command == "frame" else 2,
+        groups=GROUPS[:1] if command == "frame" or "action" in kind
+        else GROUPS))
+    spec = quiver if quiver is not None and (
+        kind == "generator-action" or draw(st.booleans())) else explicit
+    g = parse_groupoid_text(json.dumps(spec))
+    labels = list(g.transitions) + list(g.aliases)
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+
+    def values(field):
+        chosen = draw(st.lists(st.sampled_from(labels), unique=True))
+        return {field: {lab: [draw(unit_reals), draw(unit_reals)]
+                        for lab in chosen}}
+
+    if kind == "characteristic":
+        state = {"type": kind, **values("values")}
+    elif kind == "psd":
+        state = state_to_doc(random_state(g, rng))
+    elif kind == "delta":
+        state = {"type": kind, "event": draw(st.sampled_from(g.events))}
+    elif kind == "action":
+        state = {"type": kind, "potential": {
+            x: draw(st.floats(-10, 10)) for x in g.events}}
+    else:
+        u = {x: draw(st.floats(-10, 10)) for x in g.events}
+        noise = draw(st.sampled_from([0.0, 0.0, 1.0]))
+        state = {"type": kind, "values": {
+            a["label"]: u[a["target"]] - u[a["source"]]
+            + noise * draw(unit_reals) for a in spec["arrows"]}}
+    n = len(g.events)
+    q = np.linalg.qr(rng.normal(size=(n, 2 * n)).view(complex))[0]
+    docs = {"G": spec, "S": state, "A": values("coeffs"),
+            "B": values("coeffs"),
+            "U": {"unitary": [[[z.real, z.imag] for z in row]
+                              for row in q.tolist()]}}
+
+    def labelset():
+        return ",".join(draw(st.lists(st.sampled_from(labels), min_size=1,
+                                      max_size=3, unique=True)))
+
+    normalization = ["--normalization", draw(st.sampled_from(
+        NORMALIZATIONS))]
+    order = draw(st.integers(1, 3))
+    argv = {
+        "validate": ["validate", "G"],
+        "psd-check": ["psd-check", "G", "S"],
+        "decoherence": ["decoherence", "G", "S", *normalization],
+        "decoherence-csv": ["--format", "csv", "decoherence", "G", "S",
+                            *normalization],
+        "measure": ["measure", "G", "S", "--set", labelset(),
+                    *normalization],
+        "interference": ["interference", "G", "S", "--order", str(order),
+                         "--sets", ";".join(labelset()
+                                            for _ in range(order)),
+                         *normalization],
+        "gns": ["gns", "G", "S"],
+        "algebra-mult": ["algebra-mult", "G", "A", "B"],
+        "frame": ["frame", "G", "--unitary", "U"],
+    }[command]
+    return argv, docs
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(valid_run())
+def test_cli_runs_every_command_on_valid_documents(tmp_path, capsys, run):
+    argv, docs = run
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ")
+                         and err.count("\n") == 1), err
+    if "csv" in argv:
+        assert not any(w in out.lower() for w in ("nan", "inf")), out
+    elif code == 0 or out:
         strict_json(out)

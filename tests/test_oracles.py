@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import gqm.action
 import gqm.gns
+import gqm.groupoid
 from gqm.action import (
     ActionFunction,
     action_from_potential,
@@ -385,6 +386,34 @@ def test_validate_matches_loop_on_corrupted_tables(g, data):
     else:  # a non-canonical transition order
         bad = copy_of(g, transitions=tuple(data.draw(st.permutations(ts))))
     assert_same_validation(bad)
+
+
+def cayley_groupoid(table):
+    el = ["h%d" % k for k in range(len(table))]
+    return group_as_groupoid(el, {(el[a], el[b]): el[c]
+                                  for a, row in enumerate(table)
+                                  for b, c in enumerate(row)}, el[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(GROUPS).map(cayley_groupoid) | any_system,
+       st.integers(1, 9), st.data())
+def test_validate_in_parts_matches_one_pass(g, part, data):
+    """`validate` checks associativity in parts of `ASSOC_PART` triples;
+    parts of a few triples give the same violations, in the same order,
+    and the same check count as one pass, on the groups of ``GROUPS``,
+    composite groupoids and their tables with 0 to 3 results
+    overwritten, which mostly breaks associativity."""
+    comp = dict(g.composition)
+    for _ in range(data.draw(st.integers(0, 3))):
+        comp[data.draw(st.sampled_from(sorted(comp)))] = data.draw(
+            st.sampled_from(g.transitions))
+    bad = copy_of(g, composition=comp)
+    whole = validate(bad)
+    with mock.patch.object(gqm.groupoid, "ASSOC_PART", part):
+        parts = validate(bad)
+    assert (parts.violations, parts.checks) == (whole.violations,
+                                                whole.checks)
 
 
 def test_orbits_match_loop():
