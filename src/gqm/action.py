@@ -274,8 +274,8 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
     """
     labels, src, tgt = ga.arrows(g)
     if normalization == "global":
-        raise GqmInputError("unknown normalization tag %r for quiver "
-                            "decoherence" % normalization)
+        raise GqmInputError("normalization tag 'global' is not defined "
+                            "for the arrow-level decoherence of a quiver")
     scale = normalization_scale(normalization, g)
     order = sorted(range(len(labels)),
                    key=lambda k: (tgt[k], src[k], labels[k]))
@@ -298,9 +298,8 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
         labels=labels)
 
 
-# entries per part of a stack in `is_reproducing_sweep_trial`: a part's
-# convolution holds a few arrays of trials x composable pairs, and its
-# eigensolve a few of trials x n x n, so each stays well under a MiB
+# entries per part of the action-law check in `is_reproducing_sweep_trial`:
+# a part holds a few arrays of trials x composable pairs, well under a MiB
 SWEEP_PART = 1 << 12
 
 
@@ -310,26 +309,18 @@ def is_reproducing_sweep_trial(g, potentials):
     one potential per row in event order.  Builds each trial's dynamical
     state under the idempotent scaling and returns two arrays of length
     T: the least eigenvalue of its invariance matrix and its max entrywise
-    |phi*phi - phi|.  A pair groupoid has one orbit, so the eigensolve is
-    one ``eigh`` call on T n x n matrices; the convolutions, and the
-    eigensolves of stacks larger than `SWEEP_PART` entries, go through
-    in parts."""
+    |phi*phi - phi|, both read on one stack of T n x n blocks (a pair
+    groupoid has one orbit).  Only the action-law check goes in parts."""
     if not g.is_pair_groupoid():
         raise GqmInputError("potentials define actions on pair groupoids only")
     u = np.asarray(potentials, dtype=float)
     if u.ndim != 2 or u.shape[1] != len(g.events):
         raise GqmInputError("each potential needs one value per event")
-    values, deviation = [], []
     step = max(1, SWEEP_PART // g.composition_index()[0].size)
-    for k in range(0, len(u), step):
-        values.append(dynamical_values(g, coboundaries(g, u[k:k + step]),
-                                       "idempotent"))
-        deviation.append(reproducing_deviations(g, values[-1]))
-    values = np.concatenate(values)
-    step = max(1, SWEEP_PART // g.order)
-    least = [psd_spectra(g, values[k:k + step])[1]
-             for k in range(0, len(values), step)]
-    return np.concatenate(least), np.concatenate(deviation)
+    values = np.concatenate([
+        dynamical_values(g, coboundaries(g, u[k:k + step]), "idempotent")
+        for k in range(0, len(u), step)])
+    return psd_spectra(g, values)[1], reproducing_deviations(g, values)
 
 
 def recover_potential(s: ActionFunction):

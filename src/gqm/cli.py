@@ -294,8 +294,8 @@ def cmd_sweep(args):
     potentials = [rng.normal(size=n_events) for n_events in sizes]
 
     # min and max do not depend on the order of the trials, so they run
-    # size by size, as one stack on one validated groupoid, one groupoid
-    # alive at a time
+    # size by size, as one stack on one pair groupoid, one groupoid alive
+    # at a time
     worst_eig, worst_rep = math.inf, -math.inf
     for n_events in sorted(set(sizes)):
         g = pair_groupoid(["e%d" % k for k in range(n_events)])

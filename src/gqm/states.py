@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, fundamental_rep, scatter_add
+from .algebra import AlgebraElement, fundamental_rep, scatter_add
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, finite
 
@@ -218,8 +218,17 @@ def reproducing_deviation(phi) -> float:
 
 
 def reproducing_deviations(g: FiniteGroupoid, values):
-    """`reproducing_deviation` of each row of a (T, |G|) stack."""
-    return np.max(np.abs(convolve(g, values, values) - values), axis=-1)
+    """`reproducing_deviation` of each row of a (T, |G|) stack, read on the
+    orbit blocks F = phi[o.gather]: phi * phi is F @ F there, since a ->
+    a[o.gather] is a *-homomorphism, and F holds every transition of O."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.max([np.max(np.abs(f @ f - f), axis=(1, 2)) for f in
+                            (values[:, o.gather] for o in g.orbit_table())],
+                           axis=0)
+    if not np.all(np.isfinite(deviation)):
+        raise GqmInputError("the product has a coefficient too large for "
+                            "floating point")
+    return deviation
 
 
 def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:

@@ -12,6 +12,7 @@ from collections import deque
 import numpy as np
 
 from gqm.action import action_from_potential, dynamical_state
+from gqm.algebra import AlgebraElement
 from gqm.decoherence import interference, normalization_scale
 from gqm.errors import GqmInputError, GroupoidValidationError
 from gqm.gns import frame_transported_unit
@@ -479,6 +480,13 @@ def multiply_loop(a, b):
     for (o, i), r in g.composition.items():
         out[ix[r]] += a.coeffs[ix[o]] * b.coeffs[ix[i]]
     return out
+
+
+def reproducing_deviation_loop(g, values):
+    """max |phi * phi - phi| of the function with ``values``, phi * phi
+    summed over every composable pair: the convolution definition."""
+    phi = AlgebraElement(g, values)
+    return float(np.max(np.abs(multiply_loop(phi, phi) - values)))
 
 
 def is_action_loop(s, tol):

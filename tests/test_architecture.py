@@ -14,7 +14,8 @@ Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
 
 Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`:
-the dense |G| x |G| views are built only for the decoherence output.
+the dense |G| x |G| views are built only for the decoherence output, and
+the algebra product is the one kernel that convolves.
 
 Every module loads on first use: ``gqm`` only registers its submodules
 and resolves its exports from their home modules, and each CLI command
@@ -219,6 +220,19 @@ def test_dense_views_only():
              for name, tree in modules() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "projector"]
     assert calls + reads == []
+
+
+def test_only_the_algebra_product_convolves():
+    """`convolve`, the sum over every composable pair, is imported and
+    read in ``algebra.py`` only: the reproducing check and the other
+    per-orbit kernels read the orbit blocks."""
+    found = ["%s:%d" % (name, line) for name, tree in modules()
+             if name != "algebra.py"
+             for line, ident in [*names(tree), *(
+                 (node.lineno, a.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names)]
+             if ident == "convolve"]
+    assert found == []
 
 
 def load_tracer():

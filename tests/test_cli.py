@@ -334,7 +334,9 @@ def test_global_normalization_rejected_on_arrows(capsys, quiver_file,
                                                  ga_file):
     line = run_rejected(capsys, ["measure", quiver_file, ga_file, "--set",
                                  "alpha", "--normalization", "global"])
-    assert "global" in line
+    assert line == ("error: normalization tag 'global' is not defined for "
+                    "the arrow-level decoherence of a quiver")
+    assert "unknown" not in line
 
 
 def test_validation_error_is_one_line(capsys, tmp_path):

@@ -114,6 +114,7 @@ from oracles import (
     quiver_tables_loop,
     regular_rep_loop,
     rep_check_loop,
+    reproducing_deviation_loop,
     target_block_violation_loop,
     transformation_loop,
     transition_amplitude_loop,
@@ -744,6 +745,30 @@ def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
         assert (not violations[t], violations[t]) == is_action(
             ActionFunction(g, actions[t]))
     assert violations[0] == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GROUPS).map(cayley_groupoid) | any_system,
+       st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_reproducing_deviations_match_convolution(g, seed, trials, delta):
+    """The orbit-block kernel gives, row by row, max |phi * phi - phi| of
+    the convolution over every composable pair, within rounding of its
+    terms, on random complex stacks of scales 1e-3 to 1e3, far from
+    reproducing, with the first row possibly a delta state, which is
+    reproducing."""
+    rng = np.random.default_rng(seed)
+    values = np.stack([random_values(g, rng) * 10.0 ** rng.uniform(-3, 3)
+                       for _ in range(trials)])
+    if delta:
+        values[0] = delta_state(g, g.events[rng.integers(len(g.events))]
+                                ).values
+    deviations = reproducing_deviations(g, values)
+    block = max(o.gather.shape[0] for o in g.orbit_table())
+    for row, deviation in zip(values, deviations):
+        bound = 1e-12 * max(1.0, block * np.max(np.abs(row)) ** 2)
+        assert abs(deviation - reproducing_deviation_loop(g, row)) <= bound
+    if delta:
+        assert deviations[0] == 0.0
 
 
 @settings(max_examples=20, deadline=None)

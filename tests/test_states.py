@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gqm.algebra import (
 )
 from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import build_qubit, qubit_phase, qubit_state
+from gqm.groupoid import pair_groupoid
 from gqm.states import (
     CharacteristicFunction,
     assert_state,
@@ -20,6 +23,7 @@ from gqm.states import (
     observable_amplitude,
     random_state,
     reproducing_deviation,
+    reproducing_deviations,
     state_eval,
     transition_amplitude,
     transition_amplitude_matrix,
@@ -141,6 +145,30 @@ def test_is_reproducing(qubit):
     ) <= 1e-10
     assert reproducing_deviation(qubit_phase(qubit, 0.7)) > 1e-10
     assert reproducing_deviation(qubit_state(qubit, 0.7, "idempotent")) <= 1e-10
+
+
+def test_reproducing_deviation_overflow_is_input_error(pair3):
+    """phi * phi past the float range is bad input, not inf or NaN."""
+    phi = CharacteristicFunction(pair3, np.full(pair3.order, 1e160 + 1e160j))
+    with pytest.raises(GqmInputError, match="too large for floating point"):
+        reproducing_deviation(phi)
+
+
+def test_reproducing_deviations_read_blocks_only(rng):
+    """On 8 pair32 states the reproducing check holds a few 8 x 32 x 32
+    blocks, not arrays of 8 x |composable pairs| (16 MiB for a
+    convolution): under 2 MiB of traced peak, the groupoid's caches
+    built beforehand."""
+    g = pair_groupoid(["e%d" % k for k in range(32)])
+    values = rng.normal(size=(8, g.order)) + 1j * rng.normal(size=(8, g.order))
+    reproducing_deviations(g, values[:1])
+    tracemalloc.start()
+    try:
+        reproducing_deviations(g, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_random_state_is_state(corpus, rng):
