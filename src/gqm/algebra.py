@@ -189,5 +189,5 @@ def regular_rep(a: AlgebraElement) -> np.ndarray:
 def operator_norm(a: AlgebraElement) -> float:
     """C* norm: the largest 2-norm of a[gather] over the orbits, the
     faithful regular representation on one source block of each."""
-    return max(float(np.linalg.norm(a.coeffs[o.gather], 2))
-               for o in a.groupoid.orbit_table())
+    return max(float(np.linalg.norm(a.coeffs[s.gather], 2, axis=(1, 2)).max())
+               for s in a.groupoid.orbit_table())

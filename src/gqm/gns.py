@@ -33,12 +33,6 @@ class GnsSpace:
     basis: np.ndarray        # |G| x dim, columns are coset representatives
     eigenvalues: np.ndarray  # dim, the Gram eigenvalue of each column
 
-    @property
-    def projector(self):
-        """dim x |G|, raw -> quotient: (basis lambda)^H, a dense view for
-        tests."""
-        return (self.basis * self.eigenvalues).conj().T
-
 
 @dataclass(eq=False)
 class GnsRepresentation:
@@ -71,12 +65,12 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     # by descending eigenvalue, ties in event order and then position: an
     # orbit's eigenvector is one for the block of each of its events, over
     # that event's translated rows
-    keep = sorted(((vals[j, p], x, p, rows, vecs[j, :, p])
-                   for orbits, vals, vecs in check.blocks
-                   for j, o in enumerate(orbits)
-                   for p in np.flatnonzero(vals[j] > cutoff)
-                   for x, rows in zip(o.events, o.rows)),
-                  key=lambda c: (-c[0], c[1], c[2]))
+    keep = []
+    for s, vals, vecs in check.blocks:
+        k, p = np.nonzero(vals[s.orbit] > cutoff)  # event k, eigenvector p
+        j = s.orbit[k]
+        keep += zip(vals[j, p], s.events[k], p, s.rows[k], vecs[j, :, p])
+    keep.sort(key=lambda c: (-c[0], c[1], c[2]))
 
     basis = np.zeros((g.order, len(keep)), dtype=complex)
     for col, (val, _, _, rows, vec) in enumerate(keep):

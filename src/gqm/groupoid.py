@@ -72,21 +72,20 @@ class ValidationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class Orbit:
-    """The target blocks of one orbit, read through its representative,
-    the orbit's first event.
+class OrbitStack:
+    """The m orbits whose target blocks have b transitions, through their
+    representatives, the orbits' first events.  ``events`` holds their
+    events orbit by orbit, in event order, and ``orbit[k]`` numbers the
+    orbit of ``events[k]``.  ``rows[k, q] = gamma ∘ r[q]``, r the ascending
+    block of its representative and gamma the first representative ->
+    ``events[k]`` transition.  ``gather[j, p, q]`` is the index of
+    ``r[p]^-1 ∘ r[q]`` for orbit j, and since (gamma a)^-1 ∘ (gamma b) =
+    a^-1 ∘ b, also that of ``rows[k, p]^-1 ∘ rows[k, q]``."""
 
-    ``events`` lists the orbit's events in event order, the representative
-    first.  ``rows[0]`` is the representative's target block, ascending,
-    and ``rows[k]`` is the block of ``events[k]`` in translated order:
-    ``rows[k, q] = gamma ∘ rows[0, q]``, gamma the first representative ->
-    ``events[k]`` transition in canonical order.  ``gather[p, q]`` is the
-    index of ``rows[0, p]^-1 ∘ rows[0, q]``, and since (gamma a)^-1 ∘
-    (gamma b) = a^-1 ∘ b, also that of ``rows[k, p]^-1 ∘ rows[k, q]``."""
-
-    events: np.ndarray
-    rows: np.ndarray
-    gather: np.ndarray
+    gather: np.ndarray  # (m, b, b)
+    events: np.ndarray  # (n_b,)
+    orbit: np.ndarray   # (n_b,)
+    rows: np.ndarray    # (n_b, b)
 
 
 class FiniteGroupoid:
@@ -237,15 +236,14 @@ class FiniteGroupoid:
         return tuple(group_indices(self.index_arrays()[1], len(self.events)))
 
     def orbit_table(self):
-        """One `Orbit` per orbit, in the order of their first events;
-        computed once per groupoid from `composition_index`, read-only."""
+        """One `OrbitStack` per block size, ascending; computed once per
+        groupoid from `composition_index`, read-only."""
         return self._orbit_table
 
     @cached_property
     def _orbit_table(self):
         src, tgt, inv = self.index_arrays()[:3]
         outer, inner, result = self.composition_index()
-        n = len(self.events)
         keys = outer * self.order + inner
         # the sort `group_indices` uses: numpy's default sort is other,
         # large machine code, ~0.3 MiB more resident in every process
@@ -258,16 +256,22 @@ class FiniteGroupoid:
 
         rep = self._representatives
         # the first rep(y) -> y transition of each y; units come first
-        gamma = np.full(n, self.order)
+        gamma = np.full_like(rep, self.order)
         hops = np.flatnonzero(src == rep[tgt])
         np.minimum.at(gamma, tgt[hops], hops)
+        size = np.bincount(tgt)  # of each event's target block
+        by_orbit = np.argsort(rep, kind="stable")
         table = []
-        for events in group_indices(rep, n):
-            if events.size:
-                block = self.target_blocks()[events[0]]
-                table.append(Orbit(events=events,
-                                   rows=compose(gamma[events, None], block),
-                                   gather=compose(inv[block, None], block)))
+        for b in np.flatnonzero(np.bincount(size)).tolist():
+            events = by_orbit[size[by_orbit] == b]
+            orbit = np.cumsum(rep[events] == events) - 1
+            # the blocks of the representatives, each ascending
+            into = np.flatnonzero((rep[tgt] == tgt) & (size[tgt] == b))
+            block = into[np.argsort(tgt[into], kind="stable")].reshape(-1, b)
+            table.append(OrbitStack(
+                gather=compose(inv[block][:, :, None], block[:, None]),
+                events=read_only(events), orbit=read_only(orbit),
+                rows=compose(gamma[events, None], block[orbit])))
         return tuple(table)
 
     # -- structural queries: masks over the index arrays ----------------
@@ -314,7 +318,7 @@ class FiniteGroupoid:
         return read_only(rep)
 
     def is_connected(self):
-        return len(self.orbits()) == 1
+        return bool(np.all(self._representatives == 0))
 
     def is_pair_groupoid(self):
         """True iff there is exactly one transition per ordered event pair;
@@ -557,11 +561,10 @@ def _pair_components(events, roots):
             at = starts[2][which, None, None, None] + np.arange(
                 m ** 3).reshape(m, m, m)
             triples[0, at], triples[1, at], triples[2, at] = faces
-    labels, names = [], [events[k] for k in members.tolist()]
-    for a, m in zip(starts[0].tolist(), sizes.tolist()):
-        labels += [unit_label(x) if x == y else pair_label(x, y)
-                   for x in names[a:a + m] for y in names[a:a + m]]
     src, tgt, inv, place = made
+    labels = [unit_label(events[x]) if x == y else
+              pair_label(events[x], events[y])
+              for x, y in zip(src.tolist(), tgt.tolist())]
     if len(set(labels)) < len(labels):  # then find the first repeat
         seen = {}
         for k, lab in enumerate(labels):

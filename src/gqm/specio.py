@@ -174,10 +174,6 @@ def parse_quiver_doc(doc) -> QuiverSpec:
     return QuiverSpec(_string_list(fields["events"], "'events'"), arrows)
 
 
-def parse_groupoid_text(text) -> FiniteGroupoid:
-    return parse_groupoid_doc(load_json(text, "groupoid spec"))
-
-
 STATE_TYPES = ("characteristic", "delta", "action", "generator-action")
 
 
@@ -278,36 +274,10 @@ def matrix_to_csv(mat) -> str:
                               for z in row.tolist()) for row in mat) + "\n"
 
 
-def _nonzero_entries(g: FiniteGroupoid, vec) -> dict:
-    """{transition label: [re, im]} of the nonzero entries of ``vec``."""
-    return {g.transitions[k]: complex_pair(vec[k])
-            for k in np.flatnonzero(vec)}
-
-
 def algebra_to_doc(a) -> dict:
-    return {"coeffs": _nonzero_entries(a.groupoid, a.coeffs)}
-
-
-def state_to_doc(phi) -> dict:
-    return {"type": "characteristic",
-            "values": _nonzero_entries(phi.groupoid, phi.values)}
-
-
-def groupoid_to_doc(g: FiniteGroupoid) -> dict:
-    """Explicit-kind document; re-parsing gives back an equal groupoid."""
-    return {
-        "kind": "explicit",
-        "events": list(g.events),
-        "transitions": list(g.transitions),
-        "source": {t: g.source[t] for t in g.transitions},
-        "target": {t: g.target[t] for t in g.transitions},
-        "units": {x: g.unit_of[x] for x in g.events},
-        "inverse": {t: g.inverse[t] for t in g.transitions},
-        "compose": [
-            {"inner": i, "outer": o, "result": r}
-            for (o, i), r in sorted(g.composition.items())
-        ],
-    }
+    """{transition label: [re, im]} of the nonzero coefficients."""
+    return {"coeffs": {a.groupoid.transitions[k]: complex_pair(a.coeffs[k])
+                       for k in np.flatnonzero(a.coeffs)}}
 
 
 def dump_json(doc) -> str:

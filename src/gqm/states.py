@@ -64,13 +64,11 @@ class PsdCheck:
     ``blocks`` is the eigendecomposition of the Hermitian part of the
     invariance matrix, kept so callers that go on to use it need not
     recompute it.  The blocks of one orbit are one matrix with permuted
-    rows and columns, so ``blocks`` holds one ``(orbits, eigenvalues,
-    eigenvectors)`` stack per representative block size, as
-    ``np.linalg.eigh`` returned it: ``orbits[j]`` is a
-    `gqm.groupoid.Orbit`, ``eigenvalues[j]`` ascends, and column p of
-    ``eigenvectors[j]`` is the eigenvector of ``eigenvalues[j, p]`` over
-    ``orbits[j].rows[k]``, for the block of every event of the orbit.
-    Within a stack the orbits follow event order."""
+    rows and columns, so ``blocks`` holds one ``(stack, eigenvalues,
+    eigenvectors)`` per `gqm.groupoid.OrbitStack` of the orbit table:
+    ``eigenvalues[j]`` ascends, and column p of ``eigenvectors[j]`` is the
+    eigenvector of ``eigenvalues[j, p]`` over ``stack.rows[k]``, for the
+    block of every event k of orbit j."""
 
     ok: bool
     hermitian: bool
@@ -93,21 +91,17 @@ def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
 def psd_spectra(g: FiniteGroupoid, values):
     """The eigensolve of the PSD test for a (T, |G|) stack of functions:
     the hermiticity defect and the least eigenvalue of each, and stacks as
-    in `PsdCheck.blocks` with a leading trial axis.  Only the orbits'
-    representative blocks are formed, and those of one size go through
-    one ``eigh`` call."""
-    orbits = g.orbit_table()
+    in `PsdCheck.blocks` with a leading trial axis: one ``eigh`` call on
+    the representative blocks of each `FiniteGroupoid.orbit_table` stack."""
     defect = np.zeros(len(values))
     stacks = []
-    # sorted(set()) rather than np.unique, which imports numpy.ma
-    for size in sorted({o.gather.shape[0] for o in orbits}):
-        group = tuple(o for o in orbits if o.gather.shape[0] == size)
+    for stack in g.orbit_table():
         # halves first, so that huge finite entries cannot overflow
-        half = 0.5 * values[:, np.stack([o.gather for o in group])]
+        half = 0.5 * values[:, stack.gather]
         half_h = half.conj().swapaxes(-1, -2)
         defect = np.maximum(defect, np.max(np.abs(half - half_h),
                                            axis=(1, 2, 3)))
-        stacks.append((group, *np.linalg.eigh(half + half_h)))
+        stacks.append((stack, *np.linalg.eigh(half + half_h)))
     if not all(np.all(np.isfinite(vals)) for _, vals, _ in stacks):
         raise GqmInputError("the invariance matrix has an eigenvalue too "
                             "large for floating point")
@@ -133,17 +127,18 @@ def is_positive_semidefinite(phi, tol=DEFAULT_TOL) -> PsdCheck:
     ok = herm and min_eig >= -tol
     witness = None
     if not ok:  # over the first orbit in event order with that eigenvalue
-        _, rows, vec = min(
-            ((o.events[0], o.rows[0], vecs[0, j, :, 0])
-             for orbits, vals, vecs in stacks for j, o in enumerate(orbits)
-             if vals[0, j, 0] == min_eig), key=lambda c: c[0])
+        firsts = []
+        for s, vals, vecs in stacks:  # k: that orbit's first event
+            k = np.flatnonzero(vals[0, s.orbit, 0] == min_eig)[:1]
+            firsts += zip(s.events[k], s.rows[k], vecs[0, s.orbit[k], :, 0])
+        _, rows, vec = min(firsts, key=lambda c: c[0])
         witness = [(g.transitions[i], complex(vec[p]))
                    for p, i in enumerate(rows.tolist())
                    if abs(vec[p]) > 1e-14]
     return PsdCheck(ok=ok, hermitian=herm, min_eigenvalue=min_eig,
                     witness=witness,
-                    blocks=[(orbits, vals[0], vecs[0])
-                            for orbits, vals, vecs in stacks])
+                    blocks=[(stack, vals[0], vecs[0])
+                            for stack, vals, vecs in stacks])
 
 
 def assert_state(phi, tol=DEFAULT_TOL):
@@ -219,11 +214,11 @@ def reproducing_deviation(phi) -> float:
 
 def reproducing_deviations(g: FiniteGroupoid, values):
     """`reproducing_deviation` of each row of a (T, |G|) stack, read on the
-    orbit blocks F = phi[o.gather]: phi * phi is F @ F there, since a ->
-    a[o.gather] is a *-homomorphism, and F holds every transition of O."""
+    orbit stacks F = phi[gather], one matmul each: phi * phi is F @ F, as
+    a -> a[gather[j]] is a *-homomorphism and F[j] holds all of orbit j."""
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.max([np.max(np.abs(f @ f - f), axis=(1, 2)) for f in
-                            (values[:, o.gather] for o in g.orbit_table())],
+        deviation = np.max([np.max(np.abs(f @ f - f), axis=(1, 2, 3)) for f
+                            in (values[:, s.gather] for s in g.orbit_table())],
                            axis=0)
     if not np.all(np.isfinite(deviation)):
         raise GqmInputError("the product has a coefficient too large for "

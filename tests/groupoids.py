@@ -16,11 +16,8 @@ import json
 
 from hypothesis import strategies as st
 
-from gqm.specio import (
-    bind_generator_action,
-    parse_groupoid_text,
-    parse_state_doc,
-)
+from gqm.specio import bind_generator_action, parse_state_doc
+from specdocs import parse_groupoid_text
 
 
 def cyclic(n):

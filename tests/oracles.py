@@ -3,7 +3,7 @@ the property tests in ``test_oracles.py`` compare them with.
 
 Each one follows the definition directly, over labels and dicts, and reads
 nothing the kernel it checks computes (the GNS products take the basis and
-projector of the space they check).  `interference_recursive_check`
+eigenvalues of the space they check).  `interference_recursive_check`
 recombines lower interference orders instead.
 """
 
@@ -305,6 +305,72 @@ def orbit_blocks_loop(g):
     return parts
 
 
+def orbits_of_index_loop(g):
+    """The orbit table built one orbit at a time, in the order of first
+    events: the orbit's events, in event order, and the index arrays
+    ``rows`` and ``gather`` of `gqm.groupoid.OrbitStack` for that orbit
+    alone, each product looked up in the sorted composition keys."""
+    src, tgt, inv = g.index_arrays()[:3]
+    outer, inner, result = g.composition_index()
+    n = len(g.events)
+    keys = outer * g.order + inner
+    by_key = np.argsort(keys, kind="stable")
+
+    def compose(o, i):
+        return result[by_key[np.searchsorted(keys[by_key], o * g.order + i)]]
+
+    rep = np.full(n, n)  # the least source into each event
+    np.minimum.at(rep, tgt, src)
+    gamma = np.full(n, g.order)  # the first rep(y) -> y transition
+    hops = np.flatnonzero(src == rep[tgt])
+    np.minimum.at(gamma, tgt[hops], hops)
+    parts = []
+    for x in np.flatnonzero(rep == np.arange(n)):
+        events = np.flatnonzero(rep == x)
+        block = np.flatnonzero(tgt == x)
+        parts.append((events, compose(gamma[events, None], block),
+                      compose(inv[block, None], block)))
+    return parts
+
+
+def orbit_table_loop(g):
+    """`orbits_of_index_loop` stacked by block size, ascending: per size
+    the fields (gather, events, orbit, rows) of its `OrbitStack`."""
+    by_size = {}
+    for part in orbits_of_index_loop(g):
+        by_size.setdefault(part[2].shape[0], []).append(part)
+    table = []
+    for size in sorted(by_size):
+        events, rows, gather = zip(*by_size[size])
+        orbit = [np.full(e.size, j) for j, e in enumerate(events)]
+        table.append((np.stack(gather), np.concatenate(events),
+                      np.concatenate(orbit), np.concatenate(rows)))
+    return table
+
+
+def block_kernels_loop(g, values):
+    """`psd_spectra`, `reproducing_deviations` and `operator_norm` computed
+    one orbit of `orbits_of_index_loop` at a time, on a (T, |G|) stack: each row's hermiticity defect, least eigenvalue,
+    reproducing deviation and norm, and per orbit its (eigenvalues,
+    eigenvectors) stack over the rows."""
+    defect, deviation, norm = np.zeros((3, len(values)))
+    least = np.full(len(values), np.inf)
+    spectra = []
+    for _, _, gather in orbits_of_index_loop(g):
+        f = values[:, gather]
+        half = 0.5 * f
+        half_h = half.conj().swapaxes(-1, -2)
+        defect = np.maximum(defect, np.max(np.abs(half - half_h),
+                                           axis=(1, 2)))
+        vals, vecs = np.linalg.eigh(half + half_h)
+        least = np.minimum(least, vals[:, 0])
+        spectra.append((vals, vecs))
+        deviation = np.maximum(deviation,
+                               np.max(np.abs(f @ f - f), axis=(1, 2)))
+        norm = np.maximum(norm, [np.linalg.norm(a, 2) for a in f])
+    return defect, least, deviation, norm, spectra
+
+
 def psd_orbits_loop(phi, tol):
     """The PSD check with one ``eigh`` call per orbit, on the block of its
     first event, orbit after orbit: the `PsdCheck` without its blocks, and
@@ -412,6 +478,12 @@ def gns_dim_full(phi, rank_tol):
     return int(np.sum(eigvals > rank_tol * max(eigvals[-1], 1.0)))
 
 
+def gns_projector(space):
+    """dim x |G|, raw -> quotient: (basis lambda)^H, the GNS projector in
+    closed form from the kept eigenpairs."""
+    return (space.basis * space.eigenvalues).conj().T
+
+
 def gns_projector_dense(phi, basis):
     """basis^H M, the GNS projector as one product with the whole Gram
     form M, the invariance matrix."""
@@ -434,7 +506,7 @@ def gns_matrices_dense(space):
     from gqm.algebra import AlgebraElement
 
     g = space.groupoid
-    return {t: space.projector
+    return {t: gns_projector(space)
             @ regular_rep_loop(AlgebraElement.basis(g, t)) @ space.basis
             for t in g.transitions}
 

@@ -13,9 +13,11 @@ stay inside ``groupoid.py``.
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
 
-Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`:
-the dense |G| x |G| views are built only for the decoherence output, and
-the algebra product is the one kernel that convolves.
+Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`,
+one `OrbitStack` per block size, built in ``groupoid.py`` alone: no
+module holds a record of one orbit or loops over orbits in Python, the
+dense |G| x |G| views are built only for the decoherence output, and the
+algebra product is the one kernel that convolves.
 
 Every module loads on first use: ``gqm`` only registers its submodules
 and resolves its exports from their home modules, and each CLI command
@@ -72,8 +74,8 @@ def test_only_the_owners_read_label_tables():
 
 def test_no_transition_loops_or_label_queries():
     """Outside the owners no ``for`` loop or comprehension iterates
-    ``.transitions``, and no module calls ``hom_set``, ``g_plus`` or
-    ``g_minus``."""
+    ``.transitions``, and no module calls ``hom_set``, ``g_plus``,
+    ``g_minus`` or ``orbits``."""
     found = []
     for name, tree in modules():
         for node in ast.walk(tree):
@@ -85,7 +87,8 @@ def test_no_transition_loops_or_label_queries():
                 found.append("%s:%d loop" % (name, node.iter.lineno))
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in {"hom_set", "g_plus", "g_minus"}):
+                  and node.func.attr in {"hom_set", "g_plus", "g_minus",
+                                         "orbits"}):
                 found.append("%s:%d %s" % (name, node.lineno,
                                            node.func.attr))
     assert found == []
@@ -203,12 +206,13 @@ def test_quivers_stay_at_the_boundary():
 
 
 def test_dense_views_only():
-    """The orbit blocks carry every spectral kernel, so no module calls
+    """The orbit stacks carry every spectral kernel, so no module calls
     `regular_rep`, and `invariance_matrix` is called only to build the
     decoherence output; the GNS products read the basis and eigenvalues,
-    so no module reads the attribute ``.projector``.  All three stay
-    defined as dense views: the tests read them, and
-    ``perfbench/tracer.py`` wraps the two functions."""
+    and the projector (basis lambda)^H is formed in the tests only
+    (`oracles.gns_projector`), so no module reads an attribute
+    ``.projector``.  The two functions stay defined as dense views: the
+    tests read them, and ``perfbench/tracer.py`` wraps them."""
     allowed = {"regular_rep": set(), "invariance_matrix": {"decoherence.py"}}
     calls = ["%s:%d %s" % (name, node.lineno, ident)
              for name, tree in modules() for node in ast.walk(tree)
@@ -225,13 +229,70 @@ def test_dense_views_only():
 def test_only_the_algebra_product_convolves():
     """`convolve`, the sum over every composable pair, is imported and
     read in ``algebra.py`` only: the reproducing check and the other
-    per-orbit kernels read the orbit blocks."""
+    block kernels read the orbit stacks."""
     found = ["%s:%d" % (name, line) for name, tree in modules()
              if name != "algebra.py"
              for line, ident in [*names(tree), *(
                  (node.lineno, a.name) for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) for a in node.names)]
              if ident == "convolve"]
+    assert found == []
+
+
+# the fields of `OrbitStack` that have one entry per orbit or per event
+STACK_FIELDS = {"gather", "orbit", "rows"}
+
+
+def reads_stack_field(node):
+    return any(isinstance(n, ast.Attribute) and n.attr in STACK_FIELDS
+               for n in ast.walk(node))
+
+
+def iterates_stack_field(node):
+    """Whether the iterable ``node`` of a loop reads a stack field.  The
+    element of a comprehension nested in it is left out: it does not
+    decide how many items there are, and its own iterables are checked
+    where the walk reaches that comprehension."""
+    nested = [n.elt for n in ast.walk(node)
+              if isinstance(n, (ast.GeneratorExp, ast.ListComp, ast.SetComp))]
+    inner = {id(n) for elt in nested for n in ast.walk(elt)}
+    return any(isinstance(n, ast.Attribute) and n.attr in STACK_FIELDS
+               and id(n) not in inner for n in ast.walk(node))
+
+
+def test_orbits_are_stacked_by_size_in_groupoid_only():
+    """Every orbit kernel makes one call per block size: no module defines
+    a class named ``Orbit``, and a class with a ``gather`` field also has
+    the ``orbit`` field that numbers the orbits of its stack; no ``for``
+    loop or comprehension iterates an expression that reads a stack
+    field; and outside ``groupoid.py`` no module regroups orbits by size,
+    reading the ``shape`` of a stack field or passing one to a call that
+    stacks, sorts or collects it."""
+    regroup = {"stack", "concatenate", "sorted", "set", "unique",
+               "group_indices", "bincount"}
+    found = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields = {n.target.id for n in node.body
+                          if isinstance(n, ast.AnnAssign)}
+                if node.name == "Orbit" or (
+                        "gather" in fields and "orbit" not in fields):
+                    found.append("%s:%d record %s"
+                                 % (name, node.lineno, node.name))
+            elif (isinstance(node, (ast.For, ast.comprehension))
+                  and iterates_stack_field(node.iter)):
+                found.append("%s:%d loop" % (name, node.iter.lineno))
+            elif name == "groupoid.py":
+                continue
+            elif (isinstance(node, ast.Attribute) and node.attr == "shape"
+                  and reads_stack_field(node.value)):
+                found.append("%s:%d shape" % (name, node.lineno))
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None)) in regroup
+                  and any(map(reads_stack_field, node.args))):
+                found.append("%s:%d regroups" % (name, node.lineno))
     assert found == []
 
 

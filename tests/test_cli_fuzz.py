@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from gqm import NORMALIZATIONS
 from gqm.cli import main
 from gqm.examples import build_qubit
-from gqm.specio import groupoid_to_doc, parse_groupoid_text, state_to_doc
 from gqm.states import random_state
 from groupoids import GROUPS, composite_specs
+from specdocs import groupoid_to_doc, parse_groupoid_text, state_to_doc
 
 LABELS = ["a", "b", "c", "1_a", "1_b", "a->b", "b->a", "b->c", "e", "g1",
           "alpha", "beta", "+", "-", "1_+", "alpha^-1", "x", ""]

@@ -66,7 +66,6 @@ from gqm.groupoid import (
     pair_groupoid,
     validate,
 )
-from gqm.specio import parse_groupoid_text
 from gqm.states import (
     CharacteristicFunction,
     delta_state,
@@ -88,12 +87,14 @@ from groupoids import (
 from oracles import (
     assembled,
     bivariate_values_loop,
+    block_kernels_loop,
     fundamental_rep_loop,
     g_minus_loop,
     g_plus_loop,
     gns_basis_loop,
     gns_dim_full,
     gns_matrices_dense,
+    gns_projector,
     gns_projector_dense,
     group_tables_loop,
     hom_set_loop,
@@ -106,6 +107,7 @@ from oracles import (
     observable_amplitude_loop,
     orbit_blocks_loop,
     orbit_loop,
+    orbit_table_loop,
     orbits_loop,
     pair_tables_loop,
     psd_full,
@@ -120,6 +122,7 @@ from oracles import (
     transition_amplitude_loop,
     validate_loop,
 )
+from specdocs import parse_groupoid_text
 
 
 def pair_times_z2():
@@ -180,6 +183,10 @@ def test_validate_matches_loop_on_systems():
         assert_same_validation(copy_of(g))
 
 
+def stack_fields(stack):
+    return stack.gather, stack.events, stack.orbit, stack.rows
+
+
 def assert_same_arrays(g, h):
     """Bit-identical transitions, index arrays, composition triples (in
     order), target blocks and orbit tables."""
@@ -188,8 +195,7 @@ def assert_same_arrays(g, h):
         for a, b in zip(getattr(g, view)(), getattr(h, view)(), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     for a, b in zip(g.orbit_table(), h.orbit_table(), strict=True):
-        for x, y in zip((a.events, a.rows, a.gather),
-                        (b.events, b.rows, b.gather)):
+        for x, y in zip(stack_fields(a), stack_fields(b)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
@@ -618,44 +624,120 @@ def test_psd_matches_full_matrix(g, seed, noise):
         assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
-@settings(max_examples=60, deadline=None)
-@given(any_system)
-def test_orbit_table_matches_loop(g):
-    """The orbit table holds each orbit's events, the translated rows of
-    each of its events and the representative's products a^-1 ∘ b; every
-    block, read in translated order, is its representative's block byte
-    for byte, and holds the event's whole target block."""
-    ix = g.transition_index
+def blocks_of_mixed_sizes():
+    """Besides ``systems()``: a quiver with components of 2, 3, 2 and 4
+    events and two isolated events, interleaved in event order so that
+    blocks of one size are not adjacent, and the pair groupoid on 9
+    events."""
+    return [from_quiver(QuiverSpec(
+        ["a", "c", "x", "f", "h", "b", "d", "g", "e", "y", "i", "j", "k"],
+        [("p", "a", "b"), ("q", "c", "d"), ("r", "d", "e"), ("s", "g", "f"),
+         ("t", "h", "i"), ("u", "j", "i"), ("v", "k", "j")])),
+        pair_groupoid(["e%d" % k for k in range(9)])]
+
+
+def orbit_spans(stack):
+    """(j, first, end) of each orbit j of an `OrbitStack`: its events are
+    ``events[first:end]``, the representative first."""
+    first = np.searchsorted(stack.orbit, np.arange(len(stack.gather)))
+    return zip(range(first.size), first.tolist(),
+               [*first[1:].tolist(), stack.events.size])
+
+
+def assert_orbit_table_matches_loop(g):
+    """The orbit table holds one stack per block size, ascending, and each
+    field of each stack is, in dtype, shape and value, the one built orbit
+    by orbit, and read-only for good.  Read orbit by orbit, the stacks
+    hold the events, translated rows and products a^-1 ∘ b of the label
+    loop; every block, read in translated order, is its representative's
+    block byte for byte, and holds the event's whole target block."""
     table = g.orbit_table()
-    loop = orbit_blocks_loop(g)
-    assert len(table) == len(loop)
+    for stack, fields in zip(table, orbit_table_loop(g), strict=True):
+        for got, want in zip(stack_fields(stack), fields):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got.setflags(write=True)
+    ix = g.transition_index
+    loop = {g.event_index[events[0]]: (events, rows)
+            for events, rows in orbit_blocks_loop(g)}
     phi = CharacteristicFunction(g, random_values(g, np.random.default_rng(
         g.order)))
     mat = invariance_matrix_loop(phi)
     tgt = g.index_arrays()[1]
-    for o, (events, rows) in zip(table, loop):
-        assert o.events.tolist() == [g.event_index[x] for x in events]
-        assert o.rows.tolist() == [[ix[t] for t in r] for r in rows]
-        block = rows[0]
-        assert o.gather.tolist() == [
-            [ix[g.composition[(g.inverse[a], b)]] for b in block]
-            for a in block]
-        first = mat[np.ix_(o.rows[0], o.rows[0])].tobytes()
-        for x, r in zip(o.events, o.rows):
-            assert sorted(r) == np.flatnonzero(tgt == x).tolist()
-            assert mat[np.ix_(r, r)].tobytes() == first
-    with pytest.raises(ValueError):
-        table[0].rows[0, 0] = 0
+    firsts = []
+    for stack in table:
+        for j, a, b in orbit_spans(stack):
+            firsts.append(int(stack.events[a]))
+            events, rows = loop[firsts[-1]]
+            assert stack.events[a:b].tolist() == [g.event_index[x]
+                                                  for x in events]
+            assert stack.rows[a:b].tolist() == [[ix[t] for t in r]
+                                                for r in rows]
+            assert stack.gather[j].tolist() == [
+                [ix[g.composition[(g.inverse[p], q)]] for q in rows[0]]
+                for p in rows[0]]
+            first = mat[np.ix_(stack.rows[a], stack.rows[a])].tobytes()
+            for x, r in zip(stack.events[a:b], stack.rows[a:b]):
+                assert sorted(r) == np.flatnonzero(tgt == x).tolist()
+                assert mat[np.ix_(r, r)].tobytes() == first
+    assert sorted(firsts) == sorted(loop)
+    sizes = [stack.gather.shape[1] for stack in table]
+    assert sizes == sorted(set(sizes))
 
 
-def blocks_of_mixed_sizes():
-    """Besides ``systems()``: a quiver with components of 2, 3 and 2
-    events, interleaved in event order so that blocks of one size are not
-    adjacent, and the pair groupoid on 9 events."""
-    return [from_quiver(QuiverSpec(["a", "c", "f", "b", "d", "g", "e"],
-                                   [("p", "a", "b"), ("q", "c", "d"),
-                                    ("r", "d", "e"), ("s", "g", "f")])),
-            pair_groupoid(["e%d" % k for k in range(9)])]
+def test_orbit_table_matches_loop_on_systems():
+    for g in systems() + blocks_of_mixed_sizes():
+        assert_orbit_table_matches_loop(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_groupoids())
+def test_orbit_table_matches_loop(g):
+    assert_orbit_table_matches_loop(g)
+
+
+def chain_quiver(n, k):
+    """n components, each a path of k events and k - 1 arrows."""
+    events = ["v%d_%d" % (c, i) for c in range(n) for i in range(k)]
+    return from_quiver(QuiverSpec(events, [
+        ("p%d_%d" % (c, i), "v%d_%d" % (c, i), "v%d_%d" % (c, i + 1))
+        for c in range(n) for i in range(k - 1)]))
+
+
+@pytest.mark.parametrize("build, sizes", [
+    pytest.param(functools.partial(chain_quiver, 2000, 3), [3],
+                 id="chain-2000x3"),
+    pytest.param(lambda: blocks_of_mixed_sizes()[0], [1, 2, 3, 4],
+                 id="mixed-sizes")])
+def test_block_kernels_match_orbit_loop(build, sizes):
+    """On 2000 orbits of one block size (|G| = 18,000, one stack), and on
+    orbits of three block sizes beside isolated events, the kernels that
+    read the stacks give, bit for bit, what the same arithmetic gives
+    orbit by orbit: on a function that is not Hermitian and on its
+    Hermitian part."""
+    g = build()
+    assert [s.gather.shape[1] for s in g.orbit_table()] == sizes
+    values = random_values(g, np.random.default_rng(g.order))
+    values = np.stack([values,
+                       0.5 * (values + values[g.index_arrays()[2]].conj())])
+    defect, least, deviation, norm, spectra = block_kernels_loop(g, values)
+    fast_defect, fast_least, stacks = psd_spectra(g, values)
+    assert fast_defect.tobytes() == defect.tobytes()
+    assert fast_least.tobytes() == least.tobytes()
+    assert reproducing_deviations(g, values).tobytes() == deviation.tobytes()
+    assert [operator_norm(AlgebraElement(g, v)) for v in values] == [
+        float(n) for n in norm]
+    # the loop's orbits of one size, in event order, are that size's stack
+    by_size = {}
+    for vals, vecs in spectra:
+        by_size.setdefault(vals.shape[1], []).append((vals, vecs))
+    for _, vals, vecs in stacks:
+        want = by_size.pop(vals.shape[2])
+        assert vals.tobytes() == np.stack([v for v, _ in want], 1).tobytes()
+        assert vecs.tobytes() == np.stack([v for _, v in want], 1).tobytes()
+    assert by_size == {}
 
 
 def function_of_kind(g, rng, kind):
@@ -694,18 +776,20 @@ def test_psd_matches_block_loop(g, seed, kind):
     by_first = {g.event_index[events[0]]: (rows, vals, vecs)
                 for events, rows, vals, vecs in spectra}
     covered = []
-    for orbits, vals, vecs in fast.blocks:
-        s = orbits[0].rows.shape[1]
-        assert vals.shape == (len(orbits), s)
-        assert vecs.shape == (len(orbits), s, s)
-        firsts = [int(o.events[0]) for o in orbits]
+    for stack, vals, vecs in fast.blocks:
+        m, s = stack.gather.shape[:2]
+        assert vals.shape == (m, s)
+        assert vecs.shape == (m, s, s)
+        spans = list(orbit_spans(stack))
+        firsts = [int(stack.events[a]) for _, a, _ in spans]
         assert firsts == sorted(firsts)  # orbits in event order
-        for j, o in enumerate(orbits):
+        for j, a, b in spans:
             rows, slow_vals, slow_vecs = by_first[firsts[j]]
-            assert o.rows.tolist() == [[ix[t] for t in r] for r in rows]
+            assert stack.rows[a:b].tolist() == [[ix[t] for t in r]
+                                                for r in rows]
             assert vals[j].tobytes() == slow_vals.tobytes()
             assert vecs[j].tobytes() == slow_vecs.tobytes()
-            covered.append(firsts[j])
+        covered += firsts
     assert sorted(covered) == sorted(by_first)
     if kind == "state":
         fast_basis = gns_build(phi).space.basis
@@ -734,8 +818,8 @@ def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
         check = is_positive_semidefinite(phi)
         assert check.hermitian == (defect[t] <= 0.5e-10)
         assert least[t].tobytes() == np.float64(check.min_eigenvalue).tobytes()
-        for (orbits, vals, vecs), one in zip(stacks, check.blocks):
-            assert orbits == one[0]
+        for (stack, vals, vecs), one in zip(stacks, check.blocks):
+            assert stack is one[0]
             assert vals[t].tobytes() == one[1].tobytes()
             assert vecs[t].tobytes() == one[2].tobytes()
         assert deviations[t] == reproducing_deviation(phi)
@@ -763,7 +847,7 @@ def test_reproducing_deviations_match_convolution(g, seed, trials, delta):
         values[0] = delta_state(g, g.events[rng.integers(len(g.events))]
                                 ).values
     deviations = reproducing_deviations(g, values)
-    block = max(o.gather.shape[0] for o in g.orbit_table())
+    block = max(stack.gather.shape[1] for stack in g.orbit_table())
     for row, deviation in zip(values, deviations):
         bound = 1e-12 * max(1.0, block * np.max(np.abs(row)) ** 2)
         assert abs(deviation - reproducing_deviation_loop(g, row)) <= bound
@@ -863,8 +947,9 @@ def test_gns_projector_matches_dense_product(g, seed, kind):
     mat = invariance_matrix_loop(phi)
     defect = float(np.max(np.abs(mat - mat.conj().T)))
     dense = gns_projector_dense(phi, space.basis)
-    assert space.projector.shape == dense.shape
-    assert np.max(np.abs(space.projector - dense), initial=0.0) <= (
+    projector = gns_projector(space)
+    assert projector.shape == dense.shape
+    assert np.max(np.abs(projector - dense), initial=0.0) <= (
         1e-12 * max(1.0, top) + defect)
 
 

@@ -14,18 +14,16 @@ from gqm.specio import (
     bind_generator_action,
     complex_pair,
     dump_json,
-    groupoid_to_doc,
     matrix_to_csv,
     matrix_to_json,
     parse_algebra_doc,
     parse_complex,
     parse_groupoid_doc,
-    parse_groupoid_text,
     parse_state_doc,
     parse_unitary_doc,
-    state_to_doc,
 )
 from gqm.states import CharacteristicFunction, random_state
+from specdocs import groupoid_to_doc, parse_groupoid_text, state_to_doc
 
 
 def test_parse_pair_doc():
