@@ -95,10 +95,8 @@ def convolve(g: FiniteGroupoid, a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         out = scatter_add(result, x.real * y.real - x.imag * y.imag,
                           x.real * y.imag + x.imag * y.real, g.order)
-    if not np.all(np.isfinite(out)):
-        raise GqmInputError("the product has a coefficient too large for "
-                            "floating point")
-    return out
+    return finite(out, "the product has a coefficient",
+                  "too large for floating point")
 
 
 def scatter_add(index, re, im, n):
@@ -189,5 +187,7 @@ def regular_rep(a: AlgebraElement) -> np.ndarray:
 def operator_norm(a: AlgebraElement) -> float:
     """C* norm: the largest 2-norm of a[gather] over the orbits, the
     faithful regular representation on one source block of each."""
-    return max(float(np.linalg.norm(a.coeffs[s.gather], 2, axis=(1, 2)).max())
-               for s in a.groupoid.orbit_table())
+    norms = [np.linalg.norm(a.coeffs[s.gather], 2, axis=(1, 2))
+             for s in a.groupoid.orbit_table()]
+    return float(finite(np.concatenate(norms), "the operator norm",
+                        "is too large for floating point").max())

@@ -133,11 +133,11 @@ def cmd_psd_check(args):
     return 0 if check.ok else 2
 
 
-def _decoherence(args):
+def _decoherence(args, message=None):
     from .states import CharacteristicFunction
 
     g, is_quiver = _load_groupoid(args.groupoid)
-    state = _load_state(args.state, g, is_quiver)
+    state = _load_state(args.state, g, is_quiver, message)
     if isinstance(state, CharacteristicFunction):
         from .decoherence import decoherence_from_characteristic
 
@@ -168,14 +168,10 @@ def cmd_measure(args):
 
 
 def cmd_interference(args):
-    from .decoherence import decoherence_from_characteristic, interference
+    from .decoherence import interference
 
-    g, is_quiver = _load_groupoid(args.groupoid)
-    state = _load_state(
-        args.state, g, is_quiver,
-        "interference needs a state defined on the whole groupoid")
-    d = decoherence_from_characteristic(state, args.normalization,
-                                        args.tolerance)
+    d = _decoherence(
+        args, "interference needs a state defined on the whole groupoid")
     sets = _parse_sets(args.sets)
     if len(sets) != args.order:
         raise GqmInputError(

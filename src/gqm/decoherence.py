@@ -35,9 +35,7 @@ def _finite_sum(values, what):
     overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = complex(np.sum(values))
-    if not np.isfinite(total):
-        raise GqmInputError("%s is too large for floating point" % what)
-    return total
+    return finite(total, what, "is too large for floating point")
 
 
 def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
@@ -211,10 +209,8 @@ def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
         for combo in combinations(range(n), k):
             union = [lab for i in combo for lab in resolved[i]]
             total += sign * quantum_measure(d, union, tol).raw_value
-    if not np.isfinite(total):
-        raise GqmInputError("the interference value is too large for "
-                            "floating point")
-    return total
+    return finite(total, "the interference value",
+                  "is too large for floating point")
 
 
 def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):

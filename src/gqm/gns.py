@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, scatter_add
+from .algebra import AlgebraElement, multiply
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, finite, read_only
 from .states import (
@@ -30,8 +30,19 @@ RANK_TOL = 1e-10
 class GnsSpace:
     groupoid: FiniteGroupoid
     dim: int
-    basis: np.ndarray        # |G| x dim, columns are coset representatives
+    # the |G| x dim basis of coset representatives by rows: row t holds
+    # entries[t] at columns[t], its target's columns, padded by (dim, 0)
+    columns: np.ndarray
+    entries: np.ndarray
     eigenvalues: np.ndarray  # dim, the Gram eigenvalue of each column
+
+
+def _rows(space: GnsSpace, ts) -> np.ndarray:
+    """Row i sums the basis rows ``ts[i]``, dense: (len(ts), dim)."""
+    out = np.zeros((len(ts), space.dim + 1), dtype=complex)
+    np.add.at(out, (np.arange(len(ts))[:, None, None], space.columns[ts]),
+              space.entries[ts])
+    return out[:, :-1]
 
 
 @dataclass(eq=False)
@@ -48,9 +59,9 @@ class GnsRepresentation:
             raise GqmInputError("element and representation live on "
                                 "different groupoids")
         outer, inner, result = space.groupoid.composition_index()
-        k = np.flatnonzero(a.coeffs[outer])
-        return (space.basis[result[k]] * space.eigenvalues).conj().T @ (
-            a.coeffs[outer[k], None] * space.basis[inner[k]])
+        k = np.flatnonzero(a.coeffs[outer])[:, None]
+        return (_rows(space, result[k]) * space.eigenvalues).conj().T @ (
+            a.coeffs[outer[k]] * _rows(space, inner[k]))
 
 
 def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation:
@@ -61,30 +72,33 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     check = assert_state(phi, tol)
     top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
     cutoff = RANK_TOL * max(top, 1.0)
-    # (eigenvalue, event, position, rows, eigenvector) of each kept column,
-    # by descending eigenvalue, ties in event order and then position: an
-    # orbit's eigenvector is one for the block of each of its events, over
-    # that event's translated rows
-    keep = []
+    # kept eigenvector p of event k's block, the orbit's eigenvector p over
+    # the event's translated rows: a column, at slot p of each of its rows
+    width = check.blocks[-1][1].shape[1]  # the widest block: stacks ascend
+    kept = np.zeros((len(g.events), width))  # the eigenvalue of each column
+    columns = np.full((g.order, width), -1)  # k * width + p; -1: padding
+    entries = np.zeros((g.order, width), dtype=complex)
     for s, vals, vecs in check.blocks:
-        k, p = np.nonzero(vals[s.orbit] > cutoff)  # event k, eigenvector p
-        j = s.orbit[k]
-        keep += zip(vals[j, p], s.events[k], p, s.rows[k], vecs[j, :, p])
-    keep.sort(key=lambda c: (-c[0], c[1], c[2]))
-
-    basis = np.zeros((g.order, len(keep)), dtype=complex)
-    for col, (val, _, _, rows, vec) in enumerate(keep):
-        big = np.flatnonzero(np.abs(vec) > 1e-10)
-        if big.size:  # deterministic phase: first sizable coordinate, in
-            z = vec[big[rows[big].argmin()]]  # transition order, > 0
-            vec = vec * (np.abs(z) / z)
-        basis[rows, col] = vec / np.sqrt(val)
-
-    # b^H M is lambda b^H: b = v/sqrt(lambda), M v = lambda v for Hermitian M
-    space = GnsSpace(groupoid=g, dim=len(keep), basis=basis,
-                     eigenvalues=np.array([c[0] for c in keep]))
-    return GnsRepresentation(space=space, ground=space.eigenvalues * basis[
-        g.index_arrays()[3]].sum(axis=0).conj())  # [1] sums the units' rows
+        k, p = np.nonzero(vals[s.orbit] > cutoff)
+        j, rows, vec = s.orbit[k], s.rows[k], vecs[s.orbit[k], :, p]
+        # phase: the first coordinate above 1e-10, in transition order, > 0
+        first = np.where(np.abs(vec) > 1e-10, rows, g.order).argmin(axis=1)
+        z = vec[np.arange(k.size), first, None]
+        kept[s.events[k], p] = vals[j, p]
+        columns[rows, p[:, None]] = (s.events[k] * width + p)[:, None]
+        # b^H M is lambda b^H: b = v/sqrt(lambda), M v = lambda v
+        entries[rows, p[:, None]] = vec * (np.abs(z) / z) / np.sqrt(
+            vals[j, p, None])
+    # by descending eigenvalue, ties in event order and then slot
+    event, slot = np.nonzero(kept)
+    order = np.lexsort((slot, event, -kept[event, slot]))
+    number = np.full(kept.size + 1, order.size)  # padding: column dim
+    number[(event * width + slot)[order]] = np.arange(order.size)
+    space = GnsSpace(groupoid=g, dim=order.size, columns=number[columns],
+                     entries=entries, eigenvalues=kept[event, slot][order])
+    # [1] sums the units' rows
+    return GnsRepresentation(space=space, ground=space.eigenvalues * _rows(
+        space, g.index_arrays()[3][None])[0].conj())
 
 
 # -- representations given as explicit matrices --------------------------
@@ -290,13 +304,15 @@ def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
     error and ground norm."""
     rep = gns_build(phi, tol)
     space, g = rep.space, phi.groupoid
-    # <0|pi(t)|0> sums left[t∘inner] right[inner] over the inner composable
-    # with t, since left multiplication by t sends inner to t∘inner
-    left = (space.basis @ (space.eigenvalues * rep.ground)).conj()
-    right = space.basis @ rep.ground
-    outer, inner, result = g.composition_index()
-    terms = left[result] * right[inner]
-    amps = scatter_add(outer, terms.real, terms.imag, g.order)
+    # basis @ (lambda ground) and basis @ ground, row by row
+    left, right = (np.sum(space.entries * np.append(v, 0)[space.columns],
+                          axis=1) for v in (space.eigenvalues * rep.ground,
+                                            rep.ground))
+    # <0|pi(t)|0> sums conj(left[t∘i]) right[i] over the i composable
+    # with t: the product of left and right∘inv, as (t∘i)∘i^-1 = t
+    inv = g.index_arrays()[2]
+    amps = multiply(AlgebraElement(g, left.conj()),
+                    AlgebraElement(g, right[inv])).coeffs
     return {
         "dim": space.dim,
         "gram_rank_tolerance": RANK_TOL,

@@ -344,10 +344,11 @@ def read_only(a):
     return a.view()
 
 
-def finite(a, what):
-    """``a``, unless an entry is NaN or infinite: then an input error."""
+def finite(a, what, fault="must be finite"):
+    """``a``, unless an entry is NaN or infinite: then the input error
+    "``what`` ``fault``"."""
     if not np.all(np.isfinite(a)):
-        raise GqmInputError("%s must be finite" % what)
+        raise GqmInputError("%s %s" % (what, fault))
     return a
 
 

@@ -102,9 +102,9 @@ def psd_spectra(g: FiniteGroupoid, values):
         defect = np.maximum(defect, np.max(np.abs(half - half_h),
                                            axis=(1, 2, 3)))
         stacks.append((stack, *np.linalg.eigh(half + half_h)))
-    if not all(np.all(np.isfinite(vals)) for _, vals, _ in stacks):
-        raise GqmInputError("the invariance matrix has an eigenvalue too "
-                            "large for floating point")
+    for _, vals, _ in stacks:
+        finite(vals, "the invariance matrix has an eigenvalue",
+               "too large for floating point")
     # eigh's eigenvalues ascend, so a block's least comes first
     least = np.min([vals[:, :, 0].min(axis=1) for _, vals, _ in stacks],
                    axis=0)
@@ -220,10 +220,8 @@ def reproducing_deviations(g: FiniteGroupoid, values):
         deviation = np.max([np.max(np.abs(f @ f - f), axis=(1, 2, 3)) for f
                             in (values[:, s.gather] for s in g.orbit_table())],
                            axis=0)
-    if not np.all(np.isfinite(deviation)):
-        raise GqmInputError("the product has a coefficient too large for "
-                            "floating point")
-    return deviation
+    return finite(deviation, "the product has a coefficient",
+                  "too large for floating point")
 
 
 def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:

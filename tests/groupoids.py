@@ -10,12 +10,14 @@ the events of all components together, names the transitions at random
 writes it as an ``explicit`` spec document, or on one event possibly as a
 ``group`` spec, and where every H_i is trivial also as a ``quiver`` spec.
 `composite_groupoids` builds the first of these through ``specio``.
+`chain_quiver` builds many small orbits of one block size.
 """
 
 import json
 
 from hypothesis import strategies as st
 
+from gqm.groupoid import QuiverSpec, from_quiver
 from gqm.specio import bind_generator_action, parse_state_doc
 from specdocs import parse_groupoid_text
 
@@ -152,3 +154,11 @@ def generator_actions(draw):
         "type": "generator-action", "values": dict(zip(labels, values))})),
         g)
     return g, arrows, bind_generator_action(ga, g)
+
+
+def chain_quiver(n, k):
+    """n components, each a path of k events and k - 1 arrows."""
+    events = ["v%d_%d" % (c, i) for c in range(n) for i in range(k)]
+    return from_quiver(QuiverSpec(events, [
+        ("p%d_%d" % (c, i), "v%d_%d" % (c, i), "v%d_%d" % (c, i + 1))
+        for c in range(n) for i in range(k - 1)]))

@@ -2,9 +2,10 @@
 the property tests in ``test_oracles.py`` compare them with.
 
 Each one follows the definition directly, over labels and dicts, and reads
-nothing the kernel it checks computes (the GNS products take the basis and
-eigenvalues of the space they check).  `interference_recursive_check`
-recombines lower interference orders instead.
+nothing the kernel it checks computes (the GNS products take the
+densified basis and the eigenvalues of the space they check).
+`interference_recursive_check` recombines lower interference orders
+instead.
 """
 
 from collections import deque
@@ -478,10 +479,19 @@ def gns_dim_full(phi, rank_tol):
     return int(np.sum(eigvals > rank_tol * max(eigvals[-1], 1.0)))
 
 
+def gns_basis(space):
+    """The dense |G| x dim basis of a `GnsSpace`: each stored entry of row
+    t at its column, the padding dropped, zero elsewhere."""
+    basis = np.zeros((space.groupoid.order, space.dim), dtype=complex)
+    t, i = np.nonzero(space.columns < space.dim)
+    basis[t, space.columns[t, i]] = space.entries[t, i]
+    return basis
+
+
 def gns_projector(space):
     """dim x |G|, raw -> quotient: (basis lambda)^H, the GNS projector in
     closed form from the kept eigenpairs."""
-    return (space.basis * space.eigenvalues).conj().T
+    return (gns_basis(space) * space.eigenvalues).conj().T
 
 
 def gns_projector_dense(phi, basis):
@@ -505,9 +515,9 @@ def gns_matrices_dense(space):
     regular representation of t."""
     from gqm.algebra import AlgebraElement
 
-    g = space.groupoid
-    return {t: gns_projector(space)
-            @ regular_rep_loop(AlgebraElement.basis(g, t)) @ space.basis
+    g, basis = space.groupoid, gns_basis(space)
+    projector = gns_projector(space)
+    return {t: projector @ regular_rep_loop(AlgebraElement.basis(g, t)) @ basis
             for t in g.transitions}
 
 

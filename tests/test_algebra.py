@@ -182,6 +182,17 @@ def test_operator_norm(qubit):
     assert operator_norm(AlgebraElement.basis(qubit, "alpha")) == pytest.approx(1.0)
 
 
+def test_operator_norm_overflow_is_input_error():
+    """A norm past the float range is bad input, in one line, as a product
+    or an eigenvalue past it is: not inf."""
+    from gqm.groupoid import pair_groupoid
+
+    a = AlgebraElement(pair_groupoid(["a", "b"]), np.full(4, 1e308))
+    with pytest.raises(GqmInputError, match="^the operator norm is too "
+                       "large for floating point$"):
+        operator_norm(a)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_element_rejects_non_finite_coefficients(qubit, bad):
     """A NaN or infinite coefficient is bad input, named in one line."""

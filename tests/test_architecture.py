@@ -16,8 +16,9 @@ once, and the groupoid it generates is the only record of its arrows.
 Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`,
 one `OrbitStack` per block size, built in ``groupoid.py`` alone: no
 module holds a record of one orbit or loops over orbits in Python, the
-dense |G| x |G| views are built only for the decoherence output, and the
-algebra product is the one kernel that convolves.
+dense |G| x |G| views are built only for the decoherence output, the GNS
+basis is stored by its rows' few entries, and the algebra product is the
+one kernel that convolves.
 
 Every module loads on first use: ``gqm`` only registers its submodules
 and resolves its exports from their home modules, and each CLI command
@@ -208,11 +209,12 @@ def test_quivers_stay_at_the_boundary():
 def test_dense_views_only():
     """The orbit stacks carry every spectral kernel, so no module calls
     `regular_rep`, and `invariance_matrix` is called only to build the
-    decoherence output; the GNS products read the basis and eigenvalues,
-    and the projector (basis lambda)^H is formed in the tests only
-    (`oracles.gns_projector`), so no module reads an attribute
-    ``.projector``.  The two functions stay defined as dense views: the
-    tests read them, and ``perfbench/tracer.py`` wraps them."""
+    decoherence output.  The GNS space stores each basis row as its few
+    entries, and the dense |G| x dim basis and the projector
+    (basis lambda)^H are formed in the tests only (`oracles.gns_basis`,
+    `oracles.gns_projector`), so no module reads an attribute ``.basis``
+    or ``.projector``.  The two functions stay defined as dense views:
+    the tests read them, and ``perfbench/tracer.py`` wraps them."""
     allowed = {"regular_rep": set(), "invariance_matrix": {"decoherence.py"}}
     calls = ["%s:%d %s" % (name, node.lineno, ident)
              for name, tree in modules() for node in ast.walk(tree)
@@ -220,9 +222,10 @@ def test_dense_views_only():
              for ident in [getattr(node.func, "id",
                                    getattr(node.func, "attr", None))]
              if ident in allowed and name not in allowed[ident]]
-    reads = ["%s:%d projector" % (name, node.lineno)
+    reads = ["%s:%d %s" % (name, node.lineno, node.attr)
              for name, tree in modules() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "projector"]
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("basis", "projector")]
     assert calls + reads == []
 
 

@@ -587,14 +587,47 @@ def test_gns_full_rank_fits_in_memory(tmp_path):
 
 
 def test_gns_full_rank_pair64_fits_in_memory(tmp_path):
-    """At full rank on pair64 (dim 4096) the GNS space holds its basis,
-    4096 x 4096 complex doubles (256 MiB), and one eigenvalue per column,
-    no projector of the same size beside it, so it fits under 512 MiB."""
+    """At full rank on pair64 (dim 4096) the GNS space stores each basis
+    row as its 64 entries at its target's columns, 4096 x 64 complex
+    doubles (4 MiB), and one eigenvalue per column, so it fits under
+    512 MiB."""
     code, out, err = run_capped(["gns", *pair_files(tmp_path, 64)], 512)
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["dim"] == 4096
     assert doc["reconstruction_max_error"] <= 1e-12
+
+
+def test_gns_full_rank_pair64_fits_under_256_mib(tmp_path):
+    """The same report without the dense 4096 x 4096 basis (256 MiB) fits
+    under 256 MiB."""
+    code, out, err = run_capped(["gns", *pair_files(tmp_path, 64)], 256)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 4096
+    assert doc["reconstruction_max_error"] <= 1e-12
+
+
+def test_gns_chain_quiver_fits_in_memory(tmp_path):
+    """On 2000 components of a path of 3 events (|G| = 18,000) the trace
+    state, 1/|events| on every unit, has GNS dimension |G|: a dense
+    |G| x dim basis would take 4.83 GiB, and the basis rows' entries at
+    their targets' 3 columns take 0.8 MiB, so a cold gns fits under
+    256 MiB."""
+    events = ["v%d_%d" % (c, i) for c in range(2000) for i in range(3)]
+    g = write(tmp_path / "chain.json", {
+        "kind": "quiver", "events": events,
+        "arrows": [{"label": "p%d_%d" % (c, i), "source": "v%d_%d" % (c, i),
+                    "target": "v%d_%d" % (c, i + 1)}
+                   for c in range(2000) for i in range(2)]})
+    state = write(tmp_path / "trace.json", {
+        "type": "characteristic",
+        "values": {"1_%s" % x: [1.0 / len(events), 0] for x in events}})
+    code, out, err = run_capped(["gns", g, state], 256)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["dim"] == 18000
+    assert doc["reconstruction_max_error"] <= 1e-15
 
 
 def test_output_independent_of_hash_seed(tmp_path):
@@ -654,9 +687,9 @@ def test_reports_match_golden_bytes(capsys, name, argv, code):
     is a quiver with target blocks of sizes 3 and 2 in interleaved event
     order; ``indefinite.json`` fails the PSD check with a witness.  The
     ``gns`` reports were recorded with one eigensolve per orbit, the
-    ground vector and the products from the kept eigenpairs, and no
-    stored projector; the others are as the CLI printed them when each
-    target block had its own."""
+    basis stored by rows, and every <0|pi(t)|0> read from one algebra
+    product; the others are as the CLI printed them when each target
+    block had its own."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))

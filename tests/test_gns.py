@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from gqm.states import (
     invariance_matrix,
     random_state,
 )
+from groupoids import chain_quiver
+from oracles import gns_basis
 
 
 def random_unitary(n, rng):
@@ -63,10 +67,24 @@ def test_gram_matrix_qubit_blocks(qubit):
         assert np.linalg.matrix_rank(block, tol=1e-10) == 1
 
 
+def assert_row_layout(space):
+    """Row t of the stored basis holds each column that lives on t's
+    target block once, and is padded with column dim, entry 0."""
+    basis = gns_basis(space)
+    tgt = space.groupoid.index_arrays()[1]
+    pad = space.columns == space.dim
+    assert not np.any(space.entries[pad])
+    for t in range(space.groupoid.order):
+        on_block = np.any(basis[tgt == tgt[t]] != 0, axis=0)
+        assert sorted(space.columns[t, ~pad[t]].tolist()) == (
+            np.flatnonzero(on_block).tolist())
+
+
 def test_gns_dimensions(qubit, pair4):
     for x in pair4.events:
         rep = gns_build(delta_state(pair4, x))
         assert rep.space.dim == len(pair4.g_plus(x)) == 4
+        assert_row_layout(rep.space)
     assert gns_build(qubit_state(qubit, 1.2)).space.dim == 2
 
 
@@ -86,8 +104,10 @@ def test_gns_structure(corpus, rng):
         rep = gns_build(phi)
         space = rep.space
         # basis orthonormal under the gram inner product
-        overlaps = space.basis.conj().T @ gram_matrix(phi) @ space.basis
+        basis = gns_basis(space)
+        overlaps = basis.conj().T @ gram_matrix(phi) @ basis
         assert np.max(np.abs(overlaps - np.eye(space.dim))) <= 1e-10
+        assert_row_layout(space)
         # ground vector has unit norm
         assert np.linalg.norm(rep.ground) == pytest.approx(1.0, abs=1e-12)
         # representation property on all composable pairs
@@ -116,6 +136,37 @@ def test_reconstruction(corpus, qubit, rng):
             assert reconstruction_error(delta_state(g, x)) <= 1e-12
         for _ in range(3):
             assert reconstruction_error(random_state(g, rng)) <= 1e-9
+
+
+def trace_state(g):
+    """1/|events| on every unit: each block is a multiple of the identity,
+    so the GNS dimension is |G|."""
+    values = np.zeros(g.order, dtype=complex)
+    values[g.index_arrays()[3]] = 1.0 / len(g.events)
+    return CharacteristicFunction(g, values)
+
+
+def test_gns_report_memory_is_linear_in_orbits():
+    """The GNS space stores each basis row as the entries at its target's
+    columns, and forms no |G| x dim or |events| x dim array: on chain
+    quivers of 1000 and 2000 components of 3 events with the trace state
+    (dim = |G| = 9000 and 18,000), the traced peak of `gns_report` grows
+    at most linearly (x2.2 for twice the orbits), the groupoid's caches
+    built beforehand."""
+    peaks = []
+    for n in (1000, 2000):
+        phi = trace_state(chain_quiver(n, 3))
+        report = gns_report(phi)
+        assert report["dim"] == phi.groupoid.order
+        assert report["reconstruction_max_error"] <= 1e-15
+        tracemalloc.start()
+        try:
+            gns_report(phi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0]
+    assert peaks[1] < 32 << 20
 
 
 def test_matrix_of_rejects_foreign_elements(pair3, rng):

@@ -80,6 +80,7 @@ from gqm.states import (
 )
 from groupoids import (
     GROUPS,
+    chain_quiver,
     composite_groupoids,
     composite_specs,
     generator_actions,
@@ -91,6 +92,7 @@ from oracles import (
     fundamental_rep_loop,
     g_minus_loop,
     g_plus_loop,
+    gns_basis,
     gns_basis_loop,
     gns_dim_full,
     gns_matrices_dense,
@@ -698,14 +700,6 @@ def test_orbit_table_matches_loop(g):
     assert_orbit_table_matches_loop(g)
 
 
-def chain_quiver(n, k):
-    """n components, each a path of k events and k - 1 arrows."""
-    events = ["v%d_%d" % (c, i) for c in range(n) for i in range(k)]
-    return from_quiver(QuiverSpec(events, [
-        ("p%d_%d" % (c, i), "v%d_%d" % (c, i), "v%d_%d" % (c, i + 1))
-        for c in range(n) for i in range(k - 1)]))
-
-
 @pytest.mark.parametrize("build, sizes", [
     pytest.param(functools.partial(chain_quiver, 2000, 3), [3],
                  id="chain-2000x3"),
@@ -792,7 +786,7 @@ def test_psd_matches_block_loop(g, seed, kind):
         covered += firsts
     assert sorted(covered) == sorted(by_first)
     if kind == "state":
-        fast_basis = gns_build(phi).space.basis
+        fast_basis = gns_basis(gns_build(phi).space)
         slow_basis = gns_basis_loop(*assembled(g, spectra), RANK_TOL)
         assert (fast_basis.shape, fast_basis.tobytes()) == (
             slow_basis.shape, slow_basis.tobytes())
@@ -909,7 +903,7 @@ def test_gns_matches_dense_products(g, seed):
 @settings(max_examples=30, deadline=None)
 @given(system, st.integers(0, 2**32 - 1))
 def test_gns_report_matches_dense_reconstruction(g, seed):
-    """The scatter in ``gns_report`` against <0|pi(t)|0> from the dense
+    """The product in ``gns_report`` against <0|pi(t)|0> from the dense
     matrices of every transition."""
     phi = random_state(g, np.random.default_rng(seed))
     rep = gns_build(phi)
@@ -946,7 +940,7 @@ def test_gns_projector_matches_dense_product(g, seed, kind):
     top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
     mat = invariance_matrix_loop(phi)
     defect = float(np.max(np.abs(mat - mat.conj().T)))
-    dense = gns_projector_dense(phi, space.basis)
+    dense = gns_projector_dense(phi, gns_basis(space))
     projector = gns_projector(space)
     assert projector.shape == dense.shape
     assert np.max(np.abs(projector - dense), initial=0.0) <= (
