@@ -23,11 +23,11 @@ def _read_json(path):
     from .specio import load_json
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _IoFailure("cannot read %s: %s" % (path, exc))
-    return load_json(text, path)
+    return load_json(data, path)
 
 
 class _IoFailure(Exception):

@@ -222,7 +222,7 @@ def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):
         return
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise MathPropertyError("decoherence matrix is not Hermitian")
-    eigvals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    eigvals = np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)
     if eigvals[0] < -tol:
         raise MathPropertyError(
             "decoherence matrix is not PSD (min eigenvalue %.3e)" % eigvals[0]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GqmInputError, GroupoidValidationError
 
@@ -193,17 +194,18 @@ class FiniteGroupoid:
     def index_arrays(self):
         """(src, tgt, inv, unit) int arrays in canonical order: the event
         index of each transition's source and target, the transition index
-        of its inverse, and the transition index of each event's unit.
-        Computed once per groupoid and shared, so they are read-only."""
+        of its inverse and of each event's unit, -1 where a label table
+        names none.  Computed once per groupoid and shared, read-only."""
         return self._arrays
 
     @cached_property
     def _arrays(self):
         ev, tx, ts = self.event_index, self.transition_index, self.transitions
-        return tuple(read_only(np.array(a, dtype=np.intp)) for a in (
-            [ev[self.source[t]] for t in ts], [ev[self.target[t]] for t in ts],
-            [tx[self.inverse[t]] for t in ts],
-            [tx[self.unit_of[x]] for x in self.events]))
+        return tuple(read_only(np.array(
+            [index.get(table.get(k), -1) for k in keys], dtype=np.intp))
+            for table, index, keys in [
+                (self.source, ev, ts), (self.target, ev, ts),
+                (self.inverse, tx, ts), (self.unit_of, tx, self.events)])
 
     @cached_property
     def _composition_rows(self):
@@ -242,37 +244,42 @@ class FiniteGroupoid:
 
     @cached_property
     def _orbit_table(self):
-        src, tgt, inv = self.index_arrays()[:3]
-        outer, inner, result = self.composition_index()
-        keys = outer * self.order + inner
-        # the sort `group_indices` uses: numpy's default sort is other,
-        # large machine code, ~0.3 MiB more resident in every process
-        by_key = np.argsort(keys, kind="stable")
-        sorted_keys = keys[by_key]
-
-        def compose(o, i):  # outer∘inner for composable index arrays
-            at = np.searchsorted(sorted_keys, o * self.order + i)
-            return read_only(result[by_key[at]])
-
+        src, tgt, inv, unit = self.index_arrays()
+        off, comp = self._slot_table(*self.composition_index())[1:]
         rep = self._representatives
         # the first rep(y) -> y transition of each y; units come first
         gamma = np.full_like(rep, self.order)
         hops = np.flatnonzero(src == rep[tgt])
         np.minimum.at(gamma, tgt[hops], hops)
         size = np.bincount(tgt)  # of each event's target block
-        by_orbit = np.argsort(rep, kind="stable")
         table = []
         for b in np.flatnonzero(np.bincount(size)).tolist():
-            events = by_orbit[size[by_orbit] == b]
-            orbit = np.cumsum(rep[events] == events) - 1
-            # the blocks of the representatives, each ascending
-            into = np.flatnonzero((rep[tgt] == tgt) & (size[tgt] == b))
-            block = into[np.argsort(tgt[into], kind="stable")].reshape(-1, b)
+            slot = sliding_window_view(comp, b)  # [off[o]]: o∘c, c into s(o)
+            # each representative's block (1_x∘c = c), and its orbit's
+            # events in event order: the block's sources, each taken once
+            block = slot[off[unit[(rep == np.arange(rep.size)) & (size == b)]]]
+            ends = np.sort(src[block], axis=1, kind="stable")
+            first = np.diff(ends, axis=1, prepend=-1) != 0
+            orbit, events = np.flatnonzero(first) // b, ends[first]
             table.append(OrbitStack(
-                gather=compose(inv[block][:, :, None], block[:, None]),
+                gather=read_only(slot[off[inv[block]]]),
                 events=read_only(events), orbit=read_only(orbit),
-                rows=compose(gamma[events, None], block[orbit])))
+                rows=read_only(slot[off[gamma[events]]])))
         return tuple(table)
+
+    def _slot_table(self, outer, inner, result):
+        """(rank, off, comp) from composable pairs (outer, inner) and their
+        results, per call: o∘i is ``comp[off[o] + rank[i]]``, rank[i] the
+        place of i in its ascending target block, -1 in a slot none fills."""
+        src, tgt = self.index_arrays()[:2]
+        size = np.bincount(tgt, minlength=len(self.events))
+        rank = np.empty_like(tgt)  # first the place in the blocks, laid out
+        rank[np.argsort(tgt, kind="stable")] = np.arange(tgt.size)
+        rank -= (np.cumsum(size) - size)[tgt]
+        off = np.cumsum(size[src]) - size[src]
+        comp = np.full(size[src].sum(), -1, dtype=np.intp)
+        comp[off[outer] + rank[inner]] = result
+        return rank, off, comp
 
     # -- structural queries: masks over the index arrays ----------------
 
@@ -390,54 +397,48 @@ ASSOC_PART = 1 << 21
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; violations carry witnesses.
-    The composition is held in one slot per composable pair, not |G|^2."""
+    Each law is a gather from the slots of `FiniteGroupoid._slot_table`."""
     rep = ValidationReport()
     bad = rep.violations.append
+    src, tgt, inv, unit = g.index_arrays()  # -1 where a table names nothing
+    n, ts, evs = g.order, g.transitions, g.events
+    idx = np.arange(n)
 
-    tset = set(g.transitions)
-    for t in g.transitions:
-        rep.checks += 1
-        if g.source.get(t) not in g.event_index:
+    rep.checks += n
+    for a in np.flatnonzero((src < 0) | (tgt < 0) | (inv < 0)):
+        t = ts[a]
+        if src[a] < 0:
             bad("transition %r has invalid source %r" % (t, g.source.get(t)))
-        if g.target.get(t) not in g.event_index:
+        if tgt[a] < 0:
             bad("transition %r has invalid target %r" % (t, g.target.get(t)))
-        if g.inverse.get(t) not in tset:
+        if inv[a] < 0:
             bad("transition %r has no inverse" % t)
     if rep.violations:
         return rep
 
-    for x in g.events:
-        rep.checks += 1
-        u = g.unit_of.get(x)
-        if u not in tset:
-            bad("event %r has no unit transition" % x)
-        elif g.source[u] != x or g.target[u] != x:
-            bad("unit %r of event %r is not a loop at it" % (u, x))
+    rep.checks += len(evs)
+    loop_at = np.where(src == tgt, src, -1)  # the event t loops at, else -1
+    at = np.append(loop_at, -1)[unit]  # a missing unit reads the last -1
+    for x in np.flatnonzero(at != np.arange(unit.size)):
+        if unit[x] < 0:
+            bad("event %r has no unit transition" % evs[x])
+        else:
+            bad("unit %r of event %r is not a loop at it"
+                % (ts[unit[x]], evs[x]))
     if rep.violations:
         return rep
-
-    src, tgt, inv, unit = g.index_arrays()
-    n = g.order
-    ts = g.transitions
-    idx = np.arange(n)
-
-    # one slot per composable pair (o, i), row-major, at off[o] + rank[i]
-    blocks = g.target_blocks()
-    rank = np.empty(n, dtype=np.intp)  # the place in the target block
-    for cs in blocks:
-        rank[cs] = np.arange(cs.size)
-    width = np.bincount(tgt, minlength=len(g.events))[src]
-    off = np.cumsum(width) - width
-    outer = np.repeat(idx, width)
-    inner = np.concatenate([idx[:0]] + [blocks[x] for x in src])
 
     # composition domain: defined iff composable, with the right endpoints
     rep.checks += n * n
     rows = g._composition_rows
     o, i, r = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)].T
     should = tgt[i] == src[o]
-    comp = np.full(outer.size, -1, dtype=np.intp)  # -1: missing
-    comp[off[o[should]] + rank[i[should]]] = r[should]
+    rank, off, comp = g._slot_table(o[should], i[should], r[should])
+    # each slot's outer o and inner, read at its rank in the block of s(o)
+    size = np.bincount(tgt, minlength=len(evs))
+    start, width = np.cumsum(size) - size, size[src]
+    outer, blocks = np.repeat(idx, width), np.argsort(tgt, kind="stable")
+    inner = blocks[np.arange(comp.size) + (start[src] - off)[outer]]
     s = np.maximum(comp, 0)  # endpoints are read only where comp >= 0
     wrong = (comp >= 0) & ((src[s] != src[inner]) | (tgt[s] != tgt[outer]))
     code = np.select([comp == -1, comp == -2, wrong], [2, 3, 4])
@@ -482,21 +483,19 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if not involutive[a]:
             bad("inverse is not involutive at %r" % ts[a])
 
-    # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: for
-    # each event x, the c with target x against every a∘b with source x,
-    # in parts of at most `ASSOC_PART` triples
-    fails = []
-    sources = group_indices(src, len(g.events))  # ascending, like blocks
-    by_src = group_indices(src[inner], len(g.events))
-    for cs, bs, ks in zip(blocks, sources, by_src):
-        bc = comp[off[bs, None] + np.arange(cs.size)]  # bs[m]∘cs[j]
-        step = max(1, ASSOC_PART // cs.size)
-        for k in (ks[q:q + step] for q in range(0, ks.size, step)):
-            a, b, ab = outer[k], inner[k], comp[k]
-            lhs = comp[off[a, None] + rank[bc][np.searchsorted(bs, b)]]
+    # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: slot k
+    # holds a∘b, the c are the w transitions into s(b), the slot row of b
+    # holds b∘c, and the slots are taken in parts of `ASSOC_PART` triples
+    fails, ranked, w_of = [], rank[comp], width[inner]
+    for w in np.flatnonzero(np.bincount(w_of)).tolist():
+        ks, step = np.flatnonzero(w_of == w), max(1, ASSOC_PART // w)
+        rows, ranks = (sliding_window_view(x, w) for x in (comp, ranked))
+        for k in (ks[at:at + step] for at in range(0, ks.size, step)):
+            a, b = outer[k], inner[k]
+            lhs = comp[off[a, None] + ranks[off[b]]]
             rep.checks += lhs.size
-            p, j = np.nonzero(lhs != bc[np.searchsorted(bs, ab)])
-            fails += zip(cs[j], b[p], a[p])
+            p, j = np.divmod(np.flatnonzero(lhs != rows[off[comp[k]]]), w)
+            fails += zip(inner[off[b[p]] + j], b[p], a[p])
     for c, b, a in sorted(fails):  # in (c, b, a) order
         bad("associativity fails on triple (%r, %r, %r)"
             % (ts[a], ts[b], ts[c]))

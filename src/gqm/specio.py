@@ -108,15 +108,15 @@ def parse_complex(value, what="complex value"):
     return complex(real(value[0], what), real(value[1], what))
 
 
-def load_json(text, what):
-    """Parse JSON text; malformed text and the non-standard NaN and
-    Infinity literals are input errors naming ``what``."""
+def load_json(data, what):
+    """Parse UTF-8 JSON bytes: undecodable, malformed or too deeply nested
+    text and the NaN and Infinity literals are input errors naming ``what``."""
     def reject(literal):
         raise GqmInputError("%s has a non-finite number: %s"
                             % (what, literal))
     try:
-        return json.loads(text, parse_constant=reject)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long
+        return json.loads(data.decode("utf-8"), parse_constant=reject)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON
         raise GqmInputError("%s is not valid JSON: %s" % (what, exc))
 
 

@@ -6,7 +6,7 @@ from gqm.specio import algebra_to_doc, load_json, parse_groupoid_doc
 
 
 def parse_groupoid_text(text):
-    return parse_groupoid_doc(load_json(text, "groupoid spec"))
+    return parse_groupoid_doc(load_json(text.encode(), "groupoid spec"))
 
 
 def state_to_doc(phi):

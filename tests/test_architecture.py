@@ -183,6 +183,54 @@ def test_one_composition_view():
     assert views == []
 
 
+LABEL_SEQUENCES = {"transitions", "events", "target_blocks"}
+
+
+def reads_label_sequence(node, aliases):
+    """Whether ``node`` reads ``.transitions``, ``.events``,
+    ``target_blocks`` or a name bound to one of them."""
+    return any((isinstance(n, ast.Attribute) and n.attr in LABEL_SEQUENCES)
+               or (isinstance(n, ast.Name) and n.id in aliases)
+               for n in ast.walk(node))
+
+
+def test_one_composition_lookup():
+    """``groupoid.py`` composes by index one way, through the slot table
+    of `FiniteGroupoid._slot_table`: `_orbit_table` calls no ``argsort``
+    or ``searchsorted``, and no ``for`` loop or comprehension of
+    `validate` iterates ``.transitions``, ``.events`` or
+    ``target_blocks()``, directly or through a name bound to them; its
+    loops run over the failures it reports."""
+    tree = dict(modules())["groupoid.py"]
+    tops = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defs = {"validate": tops["validate"], **{
+        node.name: node for node in tops["FiniteGroupoid"].body
+        if isinstance(node, ast.FunctionDef)}}
+    found = ["_orbit_table:%d %s" % (node.lineno, ident)
+             for node in ast.walk(defs["_orbit_table"])
+             if isinstance(node, ast.Call)
+             for ident in [getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))]
+             if ident in {"argsort", "searchsorted"}]
+    aliases = set()
+    for node in ast.walk(defs["validate"]):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                aliases |= {t.id for t, v in pairs
+                            if isinstance(t, ast.Name)
+                            and reads_label_sequence(v, set())}
+    found += ["validate:%d loop" % node.iter.lineno
+              for node in ast.walk(defs["validate"])
+              if isinstance(node, (ast.For, ast.comprehension))
+              and reads_label_sequence(node.iter, aliases)]
+    assert found == []
+
+
 def test_quivers_stay_at_the_boundary():
     """The quiver is read once, by ``specio.py``, and built into its
     groupoid, which keeps its arrows as aliases: `QuiverSpec` appears only

@@ -85,6 +85,26 @@ def test_missing_file_is_io_error(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 3
 
 
+def test_too_deeply_nested_spec_is_input_error(capsys, tmp_path):
+    """JSON nested past the parser's recursion limit is malformed input,
+    one line on stderr, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    line = run_rejected(capsys, ["validate", str(deep)])
+    assert line.startswith("error: %s is not valid JSON: " % deep)
+    assert "Traceback" not in line
+
+
+def test_undecodable_spec_is_input_error(capsys, tmp_path):
+    """A file that was read but is not UTF-8 is bad input (exit 1), not an
+    I/O failure (exit 3): one line naming the file."""
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"kind": "pair"}'.encode("utf-16-le"))
+    line = run_rejected(capsys, ["validate", str(utf16)])
+    assert line.startswith("error: %s is not valid JSON: 'utf-8' codec can't "
+                           "decode byte 0xff in position 0" % utf16)
+
+
 def test_algebra_mult(capsys, pair3_file, tmp_path):
     a = write(tmp_path / "a.json", {"coeffs": {"a->b": [1, 0]}})
     b = write(tmp_path / "b.json", {"coeffs": {"b->c": [0, 1]}})

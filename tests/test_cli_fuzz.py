@@ -1,4 +1,5 @@
-"""Random, mutated and valid spec documents fed to the CLI.
+"""Random, mutated and valid spec documents, and raw files that are no
+JSON document, fed to the CLI.
 
 Whatever the documents hold, a run ends in a report or a clean exit: an
 exit code in {0, 1, 2, 3}, at most one stderr line and no traceback or
@@ -11,6 +12,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +141,39 @@ def test_cli_survives_mutated_documents(tmp_path, capsys, data):
     assert "Traceback" not in err
     if code == 0 or out:
         strict_json(out)
+
+
+GROUPOID_TEXT = json.dumps({"kind": "pair", "events": ["é", "b"]},
+                           ensure_ascii=False)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="deep-arrays"),
+    pytest.param(b'{"a": ' * 100000 + b"0" + b"}" * 100000,
+                 id="deep-objects"),
+    pytest.param(b"\xef\xbb\xbf" + GROUPOID_TEXT.encode(), id="utf8-bom"),
+    pytest.param(GROUPOID_TEXT.encode()[:-4], id="truncated"),
+    pytest.param(GROUPOID_TEXT.encode()[:30], id="truncated-in-a-character"),
+])
+@pytest.mark.parametrize("target", ["G", "S"])
+def test_cli_rejects_raw_files(tmp_path, capsys, raw, target):
+    """A groupoid or state file that is not UTF-8 JSON text, is nested too
+    deeply to parse, starts with a byte order mark or is cut short ends
+    in exit 1 with one stderr line and no traceback."""
+    files = {"G": GROUPOID_TEXT.encode(), "S": b'{"type": "delta", '
+             b'"event": "b"}'}
+    files[target] = raw
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["psd-check", str(tmp_path / "G"), str(tmp_path / "S")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(
+        "error: %s is not valid JSON: " % (tmp_path / target)), err
+    assert "Traceback" not in err
 
 
 unit_reals = st.floats(-1, 1)

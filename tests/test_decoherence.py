@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -186,6 +187,19 @@ def test_axioms_pass_an_empty_functional(qubit):
                            GeneratorAction({}))
     assert d.matrix.shape == (0, 0)
     check_decoherence_axioms(d)
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-308])
+def test_axioms_take_the_hermitian_part_from_halves(qubit, scale):
+    """A PSD functional whose (1_+, alpha) block is all 1e308 passes, as
+    the same matrix times 1e-308 does: its Hermitian part is taken as
+    0.5 m + 0.5 m^H, which does not overflow where m + m^H would."""
+    rows = [qubit.index("1_+"), qubit.index("alpha")]
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[np.ix_(rows, rows)] = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_decoherence_axioms(DecoherenceFunctional(qubit, mat))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
