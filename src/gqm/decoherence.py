@@ -25,8 +25,9 @@ from .groupoid import FiniteGroupoid, finite, group_indices
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
+    assert_psd,
+    hermitian_part,
     invariance_matrix,
-    is_positive_semidefinite,
 )
 
 
@@ -110,13 +111,8 @@ class QuantumMeasureReport:
 def decoherence_from_characteristic(phi, normalization="none",
                                     tol=DEFAULT_TOL) -> DecoherenceFunctional:
     """D(alpha, beta) = c delta(t(alpha), t(beta)) phi(alpha^-1 ∘ beta)."""
-    check = is_positive_semidefinite(phi, tol)
-    if not check.ok:
-        raise MathPropertyError(
-            "cannot build a decoherence functional from a non-PSD function "
-            "(min eigenvalue %.3e)" % check.min_eigenvalue,
-            witness=check.witness,
-        )
+    assert_psd(phi, tol, "cannot build a decoherence functional from a "
+               "non-PSD function")
     matrix = invariance_matrix(phi)  # scaled in place: one |G| x |G| array
     with np.errstate(over="ignore"):
         matrix *= normalization_scale(normalization, phi.groupoid, matrix)
@@ -220,9 +216,10 @@ def check_decoherence_axioms(d: DecoherenceFunctional, tol=DEFAULT_TOL):
     m = d.matrix
     if not m.size:  # no rows: vacuously Hermitian and PSD
         return
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    herm, defect = hermitian_part(m)
+    if defect > 0.5 * tol:
         raise MathPropertyError("decoherence matrix is not Hermitian")
-    eigvals = np.linalg.eigvalsh(0.5 * m + 0.5 * m.conj().T)
+    eigvals = np.linalg.eigvalsh(herm)
     if eigvals[0] < -tol:
         raise MathPropertyError(
             "decoherence matrix is not PSD (min eigenvalue %.3e)" % eigvals[0]

@@ -19,8 +19,9 @@ from .groupoid import FiniteGroupoid, finite, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
+    assert_psd,
     assert_state,
-    is_positive_semidefinite,
+    hermitian_part,
 )
 
 RANK_TOL = 1e-10
@@ -199,22 +200,18 @@ def smeared_character(rep: RepMatrices, density,
     density = np.asarray(density, dtype=complex)
     if density.shape != rep.matrices.shape[1:]:
         raise GqmInputError("density matrix dimension mismatch")
-    if np.max(np.abs(density - density.conj().T)) > tol:
+    herm, defect = hermitian_part(density)
+    if defect > 0.5 * tol:
         raise GqmInputError("density matrix is not Hermitian")
-    eigvals = np.linalg.eigvalsh(0.5 * (density + density.conj().T))
-    if eigvals[0] < -tol:
+    if np.linalg.eigvalsh(herm)[0] < -tol:
         raise GqmInputError("density matrix is not PSD")
-    if abs(np.trace(density).real - 1.0) > tol:
-        raise GqmInputError("density matrix trace must be 1")
+    with np.errstate(over="ignore"):  # a trace that overflows is inf
+        if abs(np.trace(density).real - 1.0) > tol:
+            raise GqmInputError("density matrix trace must be 1")
 
     phi = CharacteristicFunction(rep.groupoid, np.einsum(
         "ij,tji->t", density, rep.matrices))
-    check = is_positive_semidefinite(phi, tol)
-    if not check.ok:
-        raise MathPropertyError(
-            "smeared character failed the PSD re-check "
-            "(min eigenvalue %.3e)" % check.min_eigenvalue
-        )
+    assert_psd(phi, tol, "smeared character failed the PSD re-check")
     return phi
 
 
@@ -234,8 +231,9 @@ class FrameChange:
         if n == 0 or self.unitary.shape != (n, n):
             raise GqmInputError("frame matrix must be square and non-empty")
         finite(self.unitary, "frame matrix entries")
-        if np.max(np.abs(self.unitary.conj().T @ self.unitary
-                         - np.eye(n))) > DEFAULT_TOL:
+        u = self.unitary  # |u_ij| <= 1 for a unitary: u^H u cannot overflow
+        if np.max(np.abs(u)) > 1 + DEFAULT_TOL or np.max(
+                np.abs(u.conj().T @ u - np.eye(n))) > DEFAULT_TOL:
             raise GqmInputError("frame matrix is not unitary")
 
     @property

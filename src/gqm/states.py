@@ -88,20 +88,24 @@ def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
     return mat
 
 
+def hermitian_part(blocks):
+    """H = B/2 + B^H/2 and the defect max|B - B^H|/2 of each square B of a
+    stack, both from halves, so that finite entries cannot overflow."""
+    half = 0.5 * blocks
+    half_h = half.conj().swapaxes(-1, -2)
+    return half + half_h, np.max(np.abs(half - half_h), axis=(-2, -1))
+
+
 def psd_spectra(g: FiniteGroupoid, values):
     """The eigensolve of the PSD test for a (T, |G|) stack of functions:
     the hermiticity defect and the least eigenvalue of each, and stacks as
     in `PsdCheck.blocks` with a leading trial axis: one ``eigh`` call on
     the representative blocks of each `FiniteGroupoid.orbit_table` stack."""
-    defect = np.zeros(len(values))
-    stacks = []
+    stacks, defect = [], 0.0
     for stack in g.orbit_table():
-        # halves first, so that huge finite entries cannot overflow
-        half = 0.5 * values[:, stack.gather]
-        half_h = half.conj().swapaxes(-1, -2)
-        defect = np.maximum(defect, np.max(np.abs(half - half_h),
-                                           axis=(1, 2, 3)))
-        stacks.append((stack, *np.linalg.eigh(half + half_h)))
+        herm, off = hermitian_part(values[:, stack.gather])
+        defect = np.maximum(defect, off.max(axis=1))
+        stacks.append((stack, *np.linalg.eigh(herm)))
     for _, vals, _ in stacks:
         finite(vals, "the invariance matrix has an eigenvalue",
                "too large for floating point")
@@ -151,14 +155,14 @@ def assert_state(phi, tol=DEFAULT_TOL):
     return assert_psd(phi, tol)
 
 
-def assert_psd(phi, tol=DEFAULT_TOL):
-    """Raise unless phi is positive semi-definite; the `PsdCheck` if it
-    is."""
+def assert_psd(phi, tol=DEFAULT_TOL,
+               fault="characteristic function is not positive semi-definite"):
+    """The `PsdCheck` of phi if it is positive semi-definite, else the
+    property error "``fault`` (min eigenvalue ...)" with the witness."""
     check = is_positive_semidefinite(phi, tol)
     if not check.ok:
         raise MathPropertyError(
-            "characteristic function is not positive semi-definite "
-            "(min eigenvalue %.3e)" % check.min_eigenvalue,
+            "%s (min eigenvalue %.3e)" % (fault, check.min_eigenvalue),
             witness=check.witness,
         )
     return check
@@ -197,8 +201,8 @@ def observable_amplitude(f: AlgebraElement, a_to, a_from,
                          tol=DEFAULT_TOL) -> complex:
     """<a_to; f; a_from> for a self-adjoint f."""
     g = f.groupoid
-    dev = np.abs(f.star().coeffs - f.coeffs)
-    if np.max(dev) > tol:
+    dev = np.abs(0.5 * f.star().coeffs - 0.5 * f.coeffs)  # cannot overflow
+    if np.max(dev) > 0.5 * tol:
         worst = g.transitions[int(np.argmax(dev))]
         raise MathPropertyError(
             "element is not self-adjoint (largest deviation at %r)" % worst

@@ -201,6 +201,16 @@ def test_frame(capsys, tmp_path):
     assert main(["frame", g, "--unitary", bad]) == 1
 
 
+def test_frame_rejects_a_huge_entry_in_one_line(capsys, tmp_path):
+    """An entry of modulus above 1 is rejected before U^H U is formed, so
+    1e308 ends in the one-line error, with no overflow warning."""
+    g = write(tmp_path / "g.json", {"kind": "pair", "events": ["p", "q"]})
+    u = write(tmp_path / "u.json",
+              {"unitary": [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    assert run_rejected(capsys, ["frame", g, "--unitary", u]) == (
+        "error: frame matrix is not unitary")
+
+
 def test_example_qubit(capsys):
     code, out = run(capsys, ["example", "qubit", "--S",
                              "3.141592653589793"])

@@ -202,6 +202,19 @@ def test_axioms_take_the_hermitian_part_from_halves(qubit, scale):
         check_decoherence_axioms(DecoherenceFunctional(qubit, mat))
 
 
+def test_axioms_take_the_hermiticity_defect_from_halves(qubit):
+    """m[0, 2] = 1e308 against m[2, 0] = -1e308 is not Hermitian: the
+    defect max|m - m^H|/2 is read from halves, so it is 1e308, and no
+    warning is raised where m - m^H would overflow."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 2], mat[2, 0] = 1e308, -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MathPropertyError,
+                           match="^decoherence matrix is not Hermitian$"):
+            check_decoherence_axioms(DecoherenceFunctional(qubit, mat))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_functional_rejects_non_finite_entries(qubit, bad):
     """An all-NaN matrix would pass `is_invariant` and break the axiom

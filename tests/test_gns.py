@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ def test_smeared_character_input_checks(qubit):
     stack[qubit.index("alpha")] = np.eye(2)
     with pytest.raises(MathPropertyError):
         smeared_character(RepMatrices(qubit, stack), np.eye(2) / 2)
+
+
+def test_smeared_character_overflowing_trace(qubit):
+    """An all-1e308 density is Hermitian and PSD as read from halves; its
+    trace overflows to inf, without a warning, and is not 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GqmInputError,
+                           match="^density matrix trace must be 1$"):
+            smeared_character(fundamental_matrices(qubit),
+                              np.full((2, 2), 1e308))
 
 
 def test_rep_matrices_stack(qubit):

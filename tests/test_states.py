@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,18 @@ def test_observable_amplitude(qubit, pair3):
     observable_amplitude(phi.as_algebra_element(), "+", "-")
     with pytest.raises(MathPropertyError):
         observable_amplitude(AlgebraElement.basis(qubit, "alpha"), "+", "-")
+
+
+def test_observable_amplitude_deviation_from_halves(qubit):
+    """alpha = 1e308 against alpha^-1 = -1e308 is not self-adjoint: the
+    deviation is read as |a*/2 - a/2|, which cannot overflow, and its
+    first largest entry is named."""
+    f = AlgebraElement.from_dict(qubit, {"alpha": 1e308, "alpha^-1": -1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MathPropertyError, match=r"^element is not "
+                           r"self-adjoint \(largest deviation at 'alpha'\)$"):
+            observable_amplitude(f, "+", "-")
 
 
 def test_is_reproducing(qubit):
