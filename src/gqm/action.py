@@ -115,31 +115,25 @@ def coboundaries(g: FiniteGroupoid, u):
 
 
 def is_action(s: ActionFunction, tol=DEFAULT_TOL):
-    """Exhaustive check of the three action laws; returns (ok, violations)."""
-    violations = action_violations(s.groupoid, s.values[None], tol)[0]
-    return (not violations), violations
-
-
-def action_violations(g: FiniteGroupoid, values, tol=DEFAULT_TOL):
-    """The violations of the three action laws by each row of a (T, |G|)
-    stack of real values, one list per row."""
+    """Exhaustive check of the three action laws; returns (ok, violations).
+    A sum or difference of finite values past the float range reads
+    +-inf, so it fails its law."""
+    g, values = s.groupoid, s.values
     ts = g.transitions
-    src, tgt, inv, unit = g.index_arrays()
+    inv, unit = g.index_arrays()[2:]
     outer, inner, result = g.composition_index()
-    found = [[] for _ in values]
-    at_units = values[:, unit]
-    for r, x in zip(*np.nonzero(np.abs(at_units) > tol)):
-        found[r].append("unit value s(%r) = %.17g != 0"
-                        % (ts[unit[x]], at_units[r, x]))
-    inversion = values + values[:, inv]
-    for r, t in zip(*np.nonzero(np.abs(inversion) > tol)):
-        found[r].append("inversion law fails: s(%r) + s(%r) = %.17g"
-                        % (ts[t], ts[inv[t]], inversion[r, t]))
-    dev = values[:, result] - values[:, outer] - values[:, inner]
-    for r, k in zip(*np.nonzero(np.abs(dev) > tol)):
-        found[r].append("additivity fails on (%r, %r): deviation %.17g"
-                        % (ts[outer[k]], ts[inner[k]], dev[r, k]))
-    return found
+    with np.errstate(over="ignore"):
+        inversion = values + values[inv]
+        dev = values[result] - values[outer] - values[inner]
+    violations = ["unit value s(%r) = %.17g != 0" % (ts[x], values[x])
+                  for x in unit[np.abs(values[unit]) > tol]]
+    violations += ["inversion law fails: s(%r) + s(%r) = %.17g"
+                   % (ts[t], ts[inv[t]], inversion[t])
+                   for t in np.flatnonzero(np.abs(inversion) > tol)]
+    violations += ["additivity fails on (%r, %r): deviation %.17g"
+                   % (ts[outer[k]], ts[inner[k]], dev[k])
+                   for k in np.flatnonzero(np.abs(dev) > tol)]
+    return (not violations), violations
 
 
 def extend_generator_action(g: FiniteGroupoid,
@@ -204,19 +198,11 @@ def dynamical_state(s: ActionFunction, normalization="unit-events",
                     tol=DEFAULT_TOL) -> CharacteristicFunction:
     """phi(alpha) = c exp(i s(alpha)); idempotent scaling makes it
     reproducing, unit-events scaling makes it normalized."""
-    return CharacteristicFunction(s.groupoid, dynamical_values(
-        s.groupoid, s.values[None], normalization, tol)[0])
-
-
-def dynamical_values(g: FiniteGroupoid, values, normalization="unit-events",
-                     tol=DEFAULT_TOL):
-    """`dynamical_state` of each row of a (T, |G|) stack of action values;
-    raises on the first row that is not an action."""
-    for violations in action_violations(g, values, tol):
-        if violations:
-            raise MathPropertyError("not a valid action: "
-                                    + first_of(violations))
-    return normalization_scale(normalization, g) * np.exp(1j * values)
+    ok, violations = is_action(s, tol)
+    if not ok:
+        raise MathPropertyError("not a valid action: " + first_of(violations))
+    return CharacteristicFunction(s.groupoid, normalization_scale(
+        normalization, s.groupoid) * np.exp(1j * s.values))
 
 
 @dataclass
@@ -298,28 +284,22 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
         labels=labels)
 
 
-# entries per part of the action-law check in `is_reproducing_sweep_trial`:
-# a part holds a few arrays of trials x composable pairs, well under a MiB
-SWEEP_PART = 1 << 12
-
-
 def is_reproducing_sweep_trial(g, potentials):
     """The trials of the random-potential sweep that run on the pair
     groupoid ``g``, as one stack: ``potentials`` is a (T, |events|) array,
-    one potential per row in event order.  Builds each trial's dynamical
-    state under the idempotent scaling and returns two arrays of length
-    T: the least eigenvalue of its invariance matrix and its max entrywise
-    |phi*phi - phi|, both read on one stack of T n x n blocks (a pair
-    groupoid has one orbit).  Only the action-law check goes in parts."""
+    one potential per row in event order.  Each trial's state is the
+    idempotent phase c exp(i s) of the coboundary s of its potential, an
+    action by construction, so no action-law pass runs.  Returns two
+    arrays of length T: the least eigenvalue of each state's invariance
+    matrix and its max entrywise |phi*phi - phi|, both read on one stack
+    of T n x n blocks (a pair groupoid has one orbit)."""
     if not g.is_pair_groupoid():
         raise GqmInputError("potentials define actions on pair groupoids only")
     u = np.asarray(potentials, dtype=float)
     if u.ndim != 2 or u.shape[1] != len(g.events):
         raise GqmInputError("each potential needs one value per event")
-    step = max(1, SWEEP_PART // g.composition_index()[0].size)
-    values = np.concatenate([
-        dynamical_values(g, coboundaries(g, u[k:k + step]), "idempotent")
-        for k in range(0, len(u), step)])
+    values = normalization_scale("idempotent", g) * np.exp(
+        1j * coboundaries(g, u))
     return psd_spectra(g, values)[1], reproducing_deviations(g, values)
 
 

@@ -13,7 +13,6 @@ pi(a*) is the conjugate transpose.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +85,10 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def convolve(g: FiniteGroupoid, a, b):
-    """`multiply` on coefficient arrays of shape (..., |G|): row by row,
-    each slot summed in the order of `composition_index`."""
+    """`multiply` on coefficient vectors of length |G|: each slot summed
+    in the order of `composition_index`."""
     outer, inner, result = g.composition_index()
-    x, y = a[..., outer], b[..., inner]
+    x, y = a[outer], b[inner]
     # the textbook complex product, term by term: numpy's vectorized one
     # may fuse multiply-adds and round differently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -100,16 +99,11 @@ def convolve(g: FiniteGroupoid, a, b):
 
 
 def scatter_add(index, re, im, n):
-    """Complex array of shape re.shape[:-1] + (n,): (re + i im)[..., k]
-    added at [..., index[k]], in the order of k.  The rows of a stack go
-    through one ``bincount``, each at its own offset, so each sums as it
-    would alone."""
-    shape = re.shape[:-1] + (n,)
-    rows = math.prod(re.shape[:-1])
-    at = (index + n * np.arange(rows)[:, None]).ravel()
-    out = np.empty(shape, dtype=complex)
-    out.real = np.bincount(at, re.ravel(), minlength=rows * n).reshape(shape)
-    out.imag = np.bincount(at, im.ravel(), minlength=rows * n).reshape(shape)
+    """Complex vector of length n: re[k] + i im[k] added at index[k], in
+    the order of k."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(index, re, minlength=n)
+    out.imag = np.bincount(index, im, minlength=n)
     return out
 
 

@@ -139,29 +139,33 @@ class RepMatrices:
         g, mats = self.groupoid, self.matrices
         ts = g.transitions
         outer, inner, result = g.composition_index()
-        step = max(1, CHECK_PART // mats[0].size)
-        for k in range(0, outer.size, step):
-            o, i, r = (a[k:k + step] for a in (outer, inner, result))
-            dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]), axis=(1, 2))
-            bad = np.flatnonzero(dev > tol)
-            if bad.size:  # the first in composition order
-                j = bad[0]
-                raise MathPropertyError(
-                    "not a homomorphism on (%r, %r): defect %.3e"
-                    % (ts[o[j]], ts[i[j]], dev[j])
-                )
         inv, unit = g.index_arrays()[2:]
-        dev = np.max(np.abs(mats[inv] - mats.conj().swapaxes(1, 2)),
-                     axis=(1, 2))
-        bad = np.flatnonzero(dev > tol)
-        if bad.size:
-            t = bad[0]
-            raise MathPropertyError(
-                "star-compatibility fails at %r: defect %.3e" % (ts[t], dev[t])
-            )
-        identity = np.eye(mats.shape[1])
-        if np.max(np.abs(mats[unit].sum(axis=0) - identity)) > tol:
-            raise MathPropertyError("unit transitions do not sum to identity")
+        step = max(1, CHECK_PART // mats[0].size)
+        # a product or sum of finite entries past the float range reads
+        # inf or nan, and ``<= tol`` fails on both
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, outer.size, step):
+                o, i, r = (a[k:k + step] for a in (outer, inner, result))
+                dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]), axis=(1, 2))
+                bad = np.flatnonzero(~(dev <= tol))
+                if bad.size:  # the first in composition order
+                    j = bad[0]
+                    raise MathPropertyError(
+                        "not a homomorphism on (%r, %r): defect %.3e"
+                        % (ts[o[j]], ts[i[j]], dev[j])
+                    )
+            dev = np.max(np.abs(mats[inv] - mats.conj().swapaxes(1, 2)),
+                         axis=(1, 2))
+            bad = np.flatnonzero(~(dev <= tol))
+            if bad.size:
+                t = bad[0]
+                raise MathPropertyError(
+                    "star-compatibility fails at %r: defect %.3e"
+                    % (ts[t], dev[t]))
+            identity = np.eye(mats.shape[1])
+            if not np.max(np.abs(mats[unit].sum(axis=0) - identity)) <= tol:
+                raise MathPropertyError(
+                    "unit transitions do not sum to identity")
 
     def apply(self, members, psi):
         """nu(A) psi, the vector-valued measure of the set ``members``: the

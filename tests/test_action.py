@@ -60,6 +60,21 @@ def test_is_action_detects_broken_sign(qubit):
     assert any("alpha" in v for v in violations)
 
 
+def test_is_action_reports_overflowing_laws():
+    """s = 1e308 on both non-unit transitions of a pair groupoid: the
+    inversion sums overflow to inf and the additivity deviations to -inf,
+    each a violation, with no warning."""
+    g = pair_groupoid(["a", "b"])
+    s = ActionFunction.from_dict(g, {"a->b": 1e308, "b->a": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, violations = is_action(s)
+    assert not ok and len(violations) == 4
+    assert violations[0] == "inversion law fails: s('b->a') + s('a->b') = inf"
+    assert [v.rsplit(" ", 1)[1] for v in violations[2:]] == ["-inf", "-inf"]
+    assert all(v.startswith("additivity fails") for v in violations[2:])
+
+
 def test_z3_admits_only_zero_action(z3, rng):
     zero = ActionFunction(z3, np.zeros(3))
     assert is_action(zero)[0]

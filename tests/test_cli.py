@@ -711,6 +711,8 @@ GOLDEN = Path(__file__).parent / "golden"
                          "state.json"], 0),
     ("measure", ["measure", "blocks.json", "state.json",
                  "--set", "1_a,f,c->b,b->c,e->d"], 0),
+    ("sweep", ["sweep", "thm52", "--n", "12", "--trials", "200",
+               "--seed", "0"], 0),
 ])
 def test_reports_match_golden_bytes(capsys, name, argv, code):
     """Reports on full-precision inputs, byte for byte.  ``blocks.json``
@@ -719,7 +721,8 @@ def test_reports_match_golden_bytes(capsys, name, argv, code):
     ``gns`` reports were recorded with one eigensolve per orbit, the
     basis stored by rows, and every <0|pi(t)|0> read from one algebra
     product; the others are as the CLI printed them when each target
-    block had its own."""
+    block had its own; the ``sweep`` report as it was when each trial's
+    action also went through the action-law check."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))

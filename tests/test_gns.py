@@ -321,6 +321,19 @@ def test_rep_matrices_reject_non_finite_entries(bad):
         RepMatrices(g, np.full((g.order, 2, 2), bad, dtype=complex))
 
 
+def test_rep_matrices_check_overflowing_product(qubit):
+    """Finite matrices near 1e308 whose products overflow fail the
+    homomorphism law on the first pair, with an inf defect and no
+    warning: an overflowing complex product can read NaN, and the check
+    counts a defect that is not <= tol as a failure."""
+    huge = RepMatrices(qubit, 1e308 * fundamental_matrices(qubit).matrices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MathPropertyError, match=r"^not a homomorphism "
+                           r"on \('1_\+', '1_\+'\): defect inf$"):
+            huge.check()
+
+
 def test_transformation_input_errors_in_order(z3, pair3):
     """A groupoid that is not a pair groupoid is reported first, then a
     frame of the wrong size, then an unknown ``b``, then an unknown

@@ -15,13 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gqm.action
 import gqm.gns
 import gqm.groupoid
 from gqm.action import (
     ActionFunction,
     action_from_potential,
-    action_violations,
     dynamical_state,
     is_action,
     is_reproducing_sweep_trial,
@@ -29,7 +27,6 @@ from gqm.action import (
 )
 from gqm.algebra import (
     AlgebraElement,
-    convolve,
     fundamental_rep,
     involution,
     isotropy_char,
@@ -802,11 +799,6 @@ def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
                        for _ in range(trials)])
     defect, least, stacks = psd_spectra(g, values)
     deviations = reproducing_deviations(g, values)
-    other = np.stack([random_values(g, rng) for _ in range(trials)])
-    products = convolve(g, values, other)
-    actions = rng.normal(size=(trials, g.order))
-    actions[0] = 0.0  # the zero action satisfies every law
-    violations = action_violations(g, actions)
     for t in range(trials):
         phi = CharacteristicFunction(g, values[t])
         check = is_positive_semidefinite(phi)
@@ -817,12 +809,6 @@ def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
             assert vals[t].tobytes() == one[1].tobytes()
             assert vecs[t].tobytes() == one[2].tobytes()
         assert deviations[t] == reproducing_deviation(phi)
-        assert products[t].tobytes() == multiply(
-            AlgebraElement(g, values[t]),
-            AlgebraElement(g, other[t])).coeffs.tobytes()
-        assert (not violations[t], violations[t]) == is_action(
-            ActionFunction(g, actions[t]))
-    assert violations[0] == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -850,20 +836,15 @@ def test_reproducing_deviations_match_convolution(g, seed, trials, delta):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 2**32 - 1),
-       st.booleans())
-def test_sweep_stack_matches_trials(n, trials, seed, parts):
-    """`is_reproducing_sweep_trial` on a stack of potentials, whole or in
-    parts of one trial, gives each trial's least eigenvalue and reproducing
-    deviation bit for bit as the object API does trial by trial."""
+@given(st.integers(2, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_sweep_stack_matches_trials(n, trials, seed):
+    """`is_reproducing_sweep_trial` on a stack of potentials gives each
+    trial's least eigenvalue and reproducing deviation bit for bit as the
+    object API does trial by trial, where `dynamical_state` checks the
+    action laws."""
     g = pair_groupoid(["e%d" % k for k in range(n)])
     u = np.random.default_rng(seed).normal(size=(trials, n))
-    limit = gqm.action.SWEEP_PART
-    gqm.action.SWEEP_PART = 1 if parts else limit
-    try:
-        least, deviation = is_reproducing_sweep_trial(g, u)
-    finally:
-        gqm.action.SWEEP_PART = limit
+    least, deviation = is_reproducing_sweep_trial(g, u)
     for t in range(trials):
         phi = dynamical_state(action_from_potential(
             g, dict(zip(g.events, u[t]))), "idempotent")
