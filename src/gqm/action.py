@@ -212,6 +212,11 @@ class FactorizabilityReport:
     unit_modulus: bool  # |phi(alpha)| = 1 corollary on the rescaled phase
 
 
+def _real_quotient(z, m):
+    """z / m for complex z and real m > 0, as two real quotients."""
+    return (z[:, None].view(float) / m[:, None]).view(complex)[:, 0]
+
+
 def is_factorizable(phi: CharacteristicFunction,
                     tol=DEFAULT_TOL) -> FactorizabilityReport:
     """Check phi(outer∘inner) = phi(outer) phi(inner) and
@@ -225,26 +230,27 @@ def is_factorizable(phi: CharacteristicFunction,
     zero = np.flatnonzero(unit_vals == 0)
     if zero.size:
         return FactorizabilityReport(
-            ok=False,
-            violations=["phi(%r) = 0" % ts[unit[zero[0]]]],
-            unit_modulus=False,
-        )
-    # factorizable functions are constant-modulus on units; rescale by the
-    # value at the source unit of each transition
-    rescaled = phi.values / unit_vals[src]
-    dev = np.abs(rescaled[result] - rescaled[outer] * rescaled[inner])
-    violations = [
-        "factorization fails on (%r, %r): |deviation| = %.3e"
-        % (ts[outer[k]], ts[inner[k]], dev[k])
-        for k in np.flatnonzero(dev > tol)]
-    dev = np.abs(rescaled[inv] - np.conj(rescaled))
-    violations += [
-        "unitarity fails at %r: |deviation| = %.3e" % (ts[t], dev[t])
-        for t in np.flatnonzero(dev > tol)]
-    unit_modulus = bool(np.max(np.abs(np.abs(rescaled) - 1.0)) <= tol)
-    return FactorizabilityReport(
-        ok=not violations, violations=violations, unit_modulus=unit_modulus
-    )
+            ok=False, violations=["phi(%r) = 0" % ts[unit[zero[0]]]],
+            unit_modulus=False)
+    # factorizable functions are constant-modulus on units; rescale by u at
+    # the source unit, in real quotients by |u| (a complex quotient
+    # overflows on tiny u); a deviation that is not finite is a violation
+    u = unit_vals[src]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = _real_quotient(
+            phi.values * np.conj(_real_quotient(u, np.abs(u))), np.abs(u))
+        dev = np.abs(rescaled[result] - rescaled[outer] * rescaled[inner])
+        violations = [
+            "factorization fails on (%r, %r): |deviation| = %.3e"
+            % (ts[outer[k]], ts[inner[k]], dev[k])
+            for k in np.flatnonzero(~(dev <= tol))]
+        dev = np.abs(rescaled[inv] - np.conj(rescaled))
+        violations += [
+            "unitarity fails at %r: |deviation| = %.3e" % (ts[t], dev[t])
+            for t in np.flatnonzero(~(dev <= tol))]
+        unit_modulus = bool(np.max(np.abs(np.abs(rescaled) - 1.0)) <= tol)
+    return FactorizabilityReport(ok=not violations, violations=violations,
+                                 unit_modulus=unit_modulus)
 
 
 def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,

@@ -148,9 +148,10 @@ def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     g = a.groupoid
     src, tgt = g.index_arrays()[:2]
     n = len(g.events)
-    mat = np.zeros((n, n), dtype=complex)
-    np.add.at(mat, (tgt, src), a.coeffs)  # in canonical order, as a loop
-    return mat
+    # summed in canonical order, as a loop, with no floating-point warning
+    mat = scatter_add(tgt * n + src, a.coeffs.real, a.coeffs.imag, n * n)
+    return finite(mat.reshape(n, n), "the fundamental representation has "
+                  "an entry", "too large for floating point")
 
 
 def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:

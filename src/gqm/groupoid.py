@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,14 +91,13 @@ class OrbitStack:
 
 
 class FiniteGroupoid:
-    """Immutable-by-convention carrier of the groupoid structure.
-
-    The keyword constructor takes label tables: ``source`` and ``target``
-    (transition -> event), ``unit_of`` (event -> transition), ``inverse``
-    and ``composition`` ((outer, inner) -> result); the index arrays are
-    derived from them on first read.  `_indexed` builds a groupoid the
-    other way round, from its index arrays, and its label tables are then
-    derived on first read, ``composition`` in the order of the triples.
+    """Immutable-by-convention carrier of the groupoid structure, stored as
+    index arrays only.  The keyword constructor encodes its label tables,
+    ``source`` and ``target`` (transition -> event), ``unit_of`` (event ->
+    transition), ``inverse`` and ``composition`` ((outer, inner) ->
+    result), by `_encode`; `_indexed` takes trusted arrays.  The label
+    tables are views derived on first read, which quote each entry as it
+    came, ``composition`` in its order.
 
     ``aliases`` maps quiver arrow names, set by `from_quiver`, onto
     transition labels; they are accepted anywhere a transition label is.
@@ -105,43 +105,54 @@ class FiniteGroupoid:
 
     def __init__(self, events, transitions, source, target, unit_of, inverse,
                  composition):
-        self.source, self.target, self.unit_of = source, target, unit_of
-        self.inverse, self.composition = inverse, composition
         self._label(events, transitions)
+        ts, k = transitions, len(composition)
+        ends, evs = _encode([*map(source.get, ts), *map(target.get, ts)],
+                            self.event_index, events)
+        codes, txs = _encode(
+            [*map(inverse.get, ts), *map(unit_of.get, events),
+             *chain.from_iterable(composition), *composition.values()],
+            self.transition_index, ts)
+        inv, unit, pairs, result = np.split(
+            codes, np.cumsum([len(ts), len(events), 2 * k]))
+        rows = np.vstack([pairs.reshape(k, 2).T, result])
+        self._names, self._rows = (evs, txs), read_only(rows)
+        self._arrays = tuple(map(read_only, (*np.split(ends, 2), inv, unit)))
+        self._triples = tuple(read_only(rows[:, np.all(rows < len(ts), 0)]))
 
     @classmethod
     def _indexed(cls, events, transitions, arrays, triples):
         """From the (src, tgt, inv, unit) arrays of `index_arrays` and a
         (3, m) array of composition triples, both trusted."""
         g = cls.__new__(cls)
-        g._arrays = tuple(read_only(a) for a in arrays)
-        g._triples = tuple(read_only(triples))
-        g._composition_rows = triples.T
         g._label(events, transitions)
+        g._arrays, g._rows = tuple(map(read_only, arrays)), read_only(triples)
+        g._triples = tuple(g._rows)
         return g
 
     def _label(self, events, transitions):
         self.events, self.transitions = events, transitions
+        self._names = events, transitions
         self.aliases = {}
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
 
-    # the label tables of an index-built groupoid, derived on first read
-    source = cached_property(lambda g: g._labelled(g.transitions, g.events, 0))
-    target = cached_property(lambda g: g._labelled(g.transitions, g.events, 1))
-    inverse = cached_property(
-        lambda g: g._labelled(g.transitions, g.transitions, 2))
-    unit_of = cached_property(lambda g: g._labelled(g.events, g.transitions, 3))
+    # the label tables, derived on first read
+    source = cached_property(lambda g: g._labelled(g.transitions, 0))
+    target = cached_property(lambda g: g._labelled(g.transitions, 1))
+    inverse = cached_property(lambda g: g._labelled(g.transitions, 2))
+    unit_of = cached_property(lambda g: g._labelled(g.events, 3))
 
-    def _labelled(self, keys, labels, k):
-        return dict(zip(keys, map(labels.__getitem__,
-                                  self.index_arrays()[k].tolist())))
+    def _labelled(self, keys, k):
+        names = self._names[k > 1]  # event names for sources and targets
+        return dict(zip(keys, map(names.__getitem__,
+                                  self._arrays[k].tolist())))
 
     @cached_property
     def composition(self):
-        ts = self.transitions
-        o, i, r = (a.tolist() for a in self.composition_index())
-        return {(ts[a], ts[b]): ts[c] for a, b, c in zip(o, i, r)}
+        o, i, r = (map(self._names[1].__getitem__, a)
+                   for a in self._rows.tolist())
+        return dict(zip(zip(o, i), r))
 
     # -- label handling -------------------------------------------------
 
@@ -194,39 +205,15 @@ class FiniteGroupoid:
     def index_arrays(self):
         """(src, tgt, inv, unit) int arrays in canonical order: the event
         index of each transition's source and target, the transition index
-        of its inverse and of each event's unit, -1 where a label table
-        names none.  Computed once per groupoid and shared, read-only."""
+        of its inverse and of each event's unit, or past the last where an
+        entry is missing or names none.  Shared by every caller, read-only."""
         return self._arrays
-
-    @cached_property
-    def _arrays(self):
-        ev, tx, ts = self.event_index, self.transition_index, self.transitions
-        return tuple(read_only(np.array(
-            [index.get(table.get(k), -1) for k in keys], dtype=np.intp))
-            for table, index, keys in [
-                (self.source, ev, ts), (self.target, ev, ts),
-                (self.inverse, tx, ts), (self.unit_of, tx, self.events)])
-
-    @cached_property
-    def _composition_rows(self):
-        """One (outer, inner, result) index row per `composition` entry, in
-        its order; an operand that is not a transition is -1, a result -2."""
-        tx = self.transition_index
-        return np.array([(tx.get(o, -1), tx.get(i, -1), tx.get(r, -2))
-                         for (o, i), r in self.composition.items()],
-                        dtype=np.intp).reshape(-1, 3)
 
     def composition_index(self):
         """Every defined outer∘inner, one per composable pair, as three int
-        arrays (outer, inner, result) in the order of `composition`.
-        Computed once per groupoid; the arrays are shared by every caller,
-        so they are read-only."""
+        arrays (outer, inner, result) in the order of `composition`: its
+        rows of transitions only.  Shared by every caller, so read-only."""
         return self._triples
-
-    @cached_property
-    def _triples(self):
-        rows = self._composition_rows
-        return tuple(read_only(rows[np.all(rows >= 0, axis=1)].T.copy()))
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -351,6 +338,18 @@ def read_only(a):
     return a.view()
 
 
+def _encode(labels, index, names):
+    """(codes, names): each label's place in ``names`` through ``index``;
+    a label it lacks takes the next place past them and joins the names."""
+    try:
+        return np.array(list(map(index.get, labels)), dtype=np.intp), names
+    except TypeError:  # a None from `get`: some label names nothing
+        more = {}
+        codes = [index[x] if x in index else
+                 more.setdefault(x, len(names) + len(more)) for x in labels]
+        return np.array(codes, dtype=np.intp), (*names, *more)
+
+
 def finite(a, what, fault="must be finite"):
     """``a``, unless an entry is NaN or infinite: then the input error
     "``what`` ``fault``"."""
@@ -400,27 +399,27 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     Each law is a gather from the slots of `FiniteGroupoid._slot_table`."""
     rep = ValidationReport()
     bad = rep.violations.append
-    src, tgt, inv, unit = g.index_arrays()  # -1 where a table names nothing
-    n, ts, evs = g.order, g.transitions, g.events
+    src, tgt, inv, unit = g.index_arrays()  # past the end names nothing
+    n, m, ts, evs = g.order, unit.size, g.transitions, g.events
     idx = np.arange(n)
 
     rep.checks += n
-    for a in np.flatnonzero((src < 0) | (tgt < 0) | (inv < 0)):
+    for a in np.flatnonzero((src >= m) | (tgt >= m) | (inv >= n)):
         t = ts[a]
-        if src[a] < 0:
-            bad("transition %r has invalid source %r" % (t, g.source.get(t)))
-        if tgt[a] < 0:
-            bad("transition %r has invalid target %r" % (t, g.target.get(t)))
-        if inv[a] < 0:
+        if src[a] >= m:
+            bad("transition %r has invalid source %r" % (t, g.source[t]))
+        if tgt[a] >= m:
+            bad("transition %r has invalid target %r" % (t, g.target[t]))
+        if inv[a] >= n:
             bad("transition %r has no inverse" % t)
     if rep.violations:
         return rep
 
-    rep.checks += len(evs)
-    loop_at = np.where(src == tgt, src, -1)  # the event t loops at, else -1
-    at = np.append(loop_at, -1)[unit]  # a missing unit reads the last -1
-    for x in np.flatnonzero(at != np.arange(unit.size)):
-        if unit[x] < 0:
+    rep.checks += m
+    # the event each unit loops at, else -1, also where there is no unit
+    at = np.append(np.where(src == tgt, src, -1), -1)[np.minimum(unit, n)]
+    for x in np.flatnonzero(at != np.arange(m)):
+        if unit[x] >= n:
             bad("event %r has no unit transition" % evs[x])
         else:
             bad("unit %r of event %r is not a loop at it"
@@ -430,18 +429,17 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
     # composition domain: defined iff composable, with the right endpoints
     rep.checks += n * n
-    rows = g._composition_rows
-    o, i, r = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)].T
+    o, i, r = g._rows[:, np.all(g._rows[:2] < n, axis=0)]
     should = tgt[i] == src[o]
     rank, off, comp = g._slot_table(o[should], i[should], r[should])
     # each slot's outer o and inner, read at its rank in the block of s(o)
-    size = np.bincount(tgt, minlength=len(evs))
+    size = np.bincount(tgt, minlength=m)
     start, width = np.cumsum(size) - size, size[src]
     outer, blocks = np.repeat(idx, width), np.argsort(tgt, kind="stable")
     inner = blocks[np.arange(comp.size) + (start[src] - off)[outer]]
-    s = np.maximum(comp, 0)  # endpoints are read only where comp >= 0
-    wrong = (comp >= 0) & ((src[s] != src[inner]) | (tgt[s] != tgt[outer]))
-    code = np.select([comp == -1, comp == -2, wrong], [2, 3, 4])
+    s = np.clip(comp, 0, n - 1)  # `select` codes the slots out of range first
+    wrong = (src[s] != src[inner]) | (tgt[s] != tgt[outer])
+    code = np.select([comp < 0, comp >= n, wrong], [2, 3, 4])
     k = np.flatnonzero(code)
     found = [(a, b, 1) for a, b in zip(o[~should], i[~should])]
     found += zip(outer[k], inner[k], code[k])
@@ -685,22 +683,16 @@ def from_explicit(events, transitions, source, target, unit_of, inverse,
     if not events:
         raise GqmInputError("a groupoid needs at least one event")
     ev_ix = {x: i for i, x in enumerate(events)}
-    try:  # units first in event order, then by (target idx, source idx, label)
-        units = [unit_of[x] for x in events]
-        order = tuple(units + sorted(
-            set(transitions) - set(units),
-            key=lambda t: (ev_ix[target[t]], ev_ix[source[t]], t)))
+    units = [unit_of.get(x) for x in events]
+    try:  # units first in event order, then by (target, source, label)
+        order = tuple(units + sorted(tset.difference(units), key=lambda t: (
+            ev_ix[target[t]], ev_ix[source[t]], t)))
     except KeyError:  # incomplete tables, which `validate` reports
+        order = ()
+    if len(order) != len(tset):  # or units that repeat or are no transition
         order = tuple(transitions)
-    g = FiniteGroupoid(
-        events=tuple(events),
-        transitions=order,
-        source=dict(source),
-        target=dict(target),
-        unit_of=dict(unit_of),
-        inverse=dict(inverse),
-        composition=dict(composition),
-    )
+    g = FiniteGroupoid(tuple(events), order, source, target, unit_of,
+                       inverse, composition)
     rep = validate(g)
     if not rep.ok:
         raise GroupoidValidationError(rep.violations)

@@ -251,6 +251,23 @@ def test_is_factorizable(qubit):
     assert not is_factorizable(delta_state(qubit, "+")).ok
 
 
+@pytest.mark.parametrize("units, rest, factorizable", [
+    (1e-300, 1e300, False), (1e-320, 1e-320, True)])
+def test_factorizability_rescales_without_overflow(units, rest,
+                                                   factorizable):
+    """The values are rescaled by the unit phase and the real unit modulus,
+    with no complex quotient: 1e300 over units of 1e-300 passes the float
+    range, a deviation that is not finite, which is a violation; 1e-320
+    everywhere rescales to exactly 1, where numpy's complex division by
+    1e-320 overflows."""
+    g = pair_groupoid(["a", "b"])
+    values = np.full(g.order, rest, dtype=complex)
+    values[g.index_arrays()[3]] = units
+    report = is_factorizable(CharacteristicFunction(g, values))
+    assert report.ok == report.unit_modulus == factorizable
+    assert bool(report.violations) != factorizable
+
+
 def test_quiver_decoherence_golden():
     delta = 0.61
     d = double_slit_decoherence(delta)

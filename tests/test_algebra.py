@@ -193,6 +193,29 @@ def test_operator_norm_overflow_is_input_error():
         operator_norm(a)
 
 
+def test_fundamental_rep_overflow_is_input_error():
+    """Four coefficients of 1e308 summed into the one entry of Z_4's
+    fundamental representation pass the float range: bad input, in one
+    line, through each function that reads that matrix."""
+    from gqm.examples import cyclic_group_groupoid
+    from gqm.states import (
+        CharacteristicFunction,
+        observable_amplitude,
+        transition_amplitude_matrix,
+    )
+
+    g = cyclic_group_groupoid(4)
+    a = AlgebraElement(g, np.full(4, 1e308))
+    for call in (lambda: fundamental_rep(a),
+                 lambda: observable_amplitude(a, "*", "*"),
+                 lambda: transition_amplitude_matrix(
+                     CharacteristicFunction(g, a.coeffs))):
+        with pytest.raises(GqmInputError, match="^the fundamental "
+                           "representation has an entry too large for "
+                           "floating point$"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
 def test_element_rejects_non_finite_coefficients(qubit, bad):
     """A NaN or infinite coefficient is bad input, named in one line."""

@@ -1,8 +1,10 @@
 """Labels stay at the I/O boundary, and the composition has one int view.
 
-``groupoid.py`` owns the label-keyed tables (``source``, ``target``,
-``unit_of``, ``inverse``, ``composition``) and ``specio.py`` reads and
-writes them as documents; every other module works on the index arrays
+A groupoid is stored as index arrays only: ``groupoid.py`` derives the
+label-keyed tables (``source``, ``target``, ``unit_of``, ``inverse``,
+``composition``) from them as views, its keyword constructor alone turns
+such tables into ints, and ``specio.py`` reads and writes them as
+documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
 (`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
 loops over the transitions or calls the label-set queries, so no table
@@ -171,15 +173,60 @@ def test_one_label_table_constructor():
     assert calls == ["groupoid.py:from_explicit"]
 
 
+def owners(tree):
+    """(name, node) of each module-level statement and of each statement
+    in a class body: a function by its name, anything else by the body
+    it stands in."""
+    for top in tree.body:
+        for node in top.body if isinstance(top, ast.ClassDef) else [top]:
+            yield getattr(node, "name", "<%s>" % getattr(top, "name",
+                                                         "module")), node
+
+
+def test_one_groupoid_representation():
+    """A groupoid is stored as index arrays only.  No module assigns
+    ``source``, ``target``, ``unit_of``, ``inverse`` or ``composition`` on
+    an instance, so the label tables stay views derived from the arrays.
+    Only the keyword constructor turns label tables into ints: it alone
+    calls `_encode`, and the codec dicts ``event_index`` and
+    ``transition_index`` are read, other than by an ``in`` test, only
+    there and in the one-label lookups `index` and `require_event`; so no
+    second int form can be derived from labels kept elsewhere."""
+    stores, readers, encoders = [], set(), set()
+    for name, tree in modules():
+        for owner, top in owners(tree):
+            tested = {id(node.comparators[0]) for node in ast.walk(top)
+                      if isinstance(node, ast.Compare)
+                      and isinstance(node.ops[0], (ast.In, ast.NotIn))}
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in TABLES
+                        and not isinstance(node.ctx, ast.Load)) or (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "setattr"
+                        and any(isinstance(a, ast.Constant)
+                                and a.value in TABLES for a in node.args)):
+                    stores.append("%s:%d" % (name, node.lineno))
+                elif (isinstance(node, ast.Attribute)
+                      and node.attr in {"event_index", "transition_index"}
+                      and isinstance(node.ctx, ast.Load)
+                      and id(node) not in tested):
+                    readers.add("%s:%s" % (name, owner))
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_encode"):
+                    encoders.add("%s:%s" % (name, owner))
+    assert stores == []
+    assert readers == {"groupoid.py:__init__", "groupoid.py:index",
+                       "groupoid.py:require_event"}
+    assert encoders == {"groupoid.py:__init__"}
+
+
 def test_one_composition_view():
     """No second composition view (a dense table, say) is defined or
-    called anywhere, and `_composition_rows` is read in ``groupoid.py``
-    only."""
+    called anywhere."""
     allowed = {"composition", "composition_index"}
     views = ["%s:%d %s" % (name, line, ident)
              for name, tree in modules() for line, ident in names(tree)
-             if "composition" in ident and ident not in allowed
-             and (name, ident) != ("groupoid.py", "_composition_rows")]
+             if "composition" in ident and ident not in allowed]
     assert views == []
 
 

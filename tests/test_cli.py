@@ -8,8 +8,10 @@ import pytest
 import gqm.groupoid
 from conftest import run_capped
 from gqm.cli import main
+from gqm.examples import build_qubit
 from gqm.groupoid import QuiverSpec, pair_groupoid
 from oracles import sweep_loop
+from specdocs import groupoid_to_doc
 
 
 def write(path, doc):
@@ -406,6 +408,47 @@ def test_foreign_result_is_one_line(capsys, tmp_path):
     line = run_rejected(capsys, ["validate", spec])
     assert line == ("error: groupoid validation failed: compose('e', 'e') = "
                     "'zzz' is not a transition")
+
+
+@pytest.mark.parametrize("units, line", [
+    ({"+": "zzz", "-": "1_-"}, "event '+' has no unit transition"),
+    ({"+": "1_+", "-": "1_+"}, "unit '1_+' of event '-' is not a loop at it"),
+])
+def test_units_that_are_not_distinct_transitions(capsys, tmp_path, units,
+                                                 line):
+    """The canonical order puts the units first only where they are
+    distinct declared transitions; otherwise the given order is kept, so a
+    unit that names no transition never becomes one, and the unit check
+    reports the first bad unit."""
+    doc = dict(groupoid_to_doc(build_qubit()), units=units)
+    spec = write(tmp_path / "qubit.json", doc)
+    assert run_rejected(capsys, ["validate", spec]) == (
+        "error: groupoid validation failed: " + line)
+
+
+Z3_SPEC = {
+    "kind": "group", "events": ["*"], "elements": ["g0", "g1", "g2"],
+    "identity": "g0",
+    "table": [{"left": "g%d" % a, "right": "g%d" % b,
+               "result": "g%d" % ((a + b) % 3)}
+              for a in range(3) for b in range(3)],
+}
+
+
+@pytest.mark.parametrize("malformed", [False, True])
+@pytest.mark.parametrize("doc, key, repeat, line", [
+    (groupoid_to_doc(build_qubit()), "compose", 0,
+     "error: duplicate compose entry for ('1_+', '1_+')"),
+    (Z3_SPEC, "table", 4, "error: duplicate table entry for ('g1', 'g1')"),
+])
+def test_duplicate_records_rejected(capsys, tmp_path, malformed, doc, key,
+                                    repeat, line):
+    """A record that repeats an earlier (outer, inner) or (left, right)
+    pair is named at the repeat; records are read in order, so a malformed
+    record after the repeat is never reached."""
+    records = doc[key] + [doc[key][repeat]] + [{"left": 1}] * malformed
+    spec = write(tmp_path / "dup.json", {**doc, key: records})
+    assert run_rejected(capsys, ["validate", spec]) == line
 
 
 def test_empty_groupoid_rejected(capsys, tmp_path):

@@ -394,6 +394,59 @@ def test_validate_matches_loop_on_corrupted_tables(g, data):
     assert_same_validation(bad)
 
 
+LABEL_TABLES = ("source", "target", "unit_of", "inverse", "composition")
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_system, st.data())
+def test_keyword_constructor_round_trips_its_tables(g, data):
+    """The keyword constructor encodes each entry to an int once and keeps
+    no label table.  On tables with entries dropped, set to a label that
+    names nothing (None among them) or added under an operand that is no
+    transition, and the composition reordered: each view gives back its
+    table over its keys, a dropped entry as None; ``composition`` is the
+    given dict, in its order, and `composition_index` its rows of
+    transitions; in the index arrays an entry that names no event or
+    transition reads len(events) or the order or more, and any other its
+    index."""
+    tables = {name: dict(getattr(g, name)) for name in LABEL_TABLES}
+    labels = ["bogus", None, "*", "1_"] + list(g.events) + list(g.transitions)
+    for _ in range(data.draw(st.integers(1, 4))):
+        table = tables[data.draw(st.sampled_from(LABEL_TABLES))]
+        if not table:
+            continue
+        key = data.draw(st.sampled_from(list(table)))
+        fault = data.draw(st.sampled_from(["drop", "label", "operand"]))
+        label = data.draw(st.sampled_from(labels))
+        if fault == "drop":
+            del table[key]
+        elif fault == "operand" and isinstance(key, tuple):
+            table[(label, key[1])] = key[0]
+        else:
+            table[key] = label
+    tables["composition"] = dict(data.draw(st.permutations(
+        list(tables["composition"].items()))))
+    h = FiniteGroupoid(events=g.events, transitions=g.transitions, **tables)
+
+    keys = {"source": g.transitions, "target": g.transitions,
+            "unit_of": g.events, "inverse": g.transitions}
+    for name, index, codes in zip(
+            ("source", "target", "inverse", "unit_of"),
+            (h.event_index, h.event_index, h.transition_index,
+             h.transition_index), h.index_arrays()):
+        assert getattr(h, name) == {k: tables[name].get(k)
+                                    for k in keys[name]}
+        for key, code in zip(keys[name], codes.tolist()):
+            label = tables[name].get(key)
+            assert code == index[label] if label in index else (
+                code >= len(index))
+    comp, ix = tables["composition"], h.transition_index
+    assert list(h.composition.items()) == list(comp.items())
+    assert np.transpose(h.composition_index()).tolist() == [
+        [ix[o], ix[i], ix[r]] for (o, i), r in comp.items()
+        if {o, i, r} <= ix.keys()]
+
+
 def cayley_groupoid(table):
     el = ["h%d" % k for k in range(len(table))]
     return group_as_groupoid(el, {(el[a], el[b]): el[c]
