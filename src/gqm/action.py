@@ -233,21 +233,24 @@ def is_factorizable(phi: CharacteristicFunction,
             ok=False, violations=["phi(%r) = 0" % ts[unit[zero[0]]]],
             unit_modulus=False)
     # factorizable functions are constant-modulus on units; rescale by u at
-    # the source unit, in real quotients by |u| (a complex quotient
-    # overflows on tiny u); a deviation that is not finite is a violation
+    # the source unit, in real quotients by |u| (a complex quotient overflows
+    # on tiny u); each value that is then not finite is one violation
     u = unit_vals[src]
     with np.errstate(over="ignore", invalid="ignore"):
         rescaled = _real_quotient(
             phi.values * np.conj(_real_quotient(u, np.abs(u))), np.abs(u))
+        fine = np.isfinite(rescaled)  # the laws are read on these only
+        violations = ["phi(%r) is not finite when rescaled" % ts[t]
+                      for t in np.flatnonzero(~fine)]
         dev = np.abs(rescaled[result] - rescaled[outer] * rescaled[inner])
-        violations = [
+        violations += [
             "factorization fails on (%r, %r): |deviation| = %.3e"
-            % (ts[outer[k]], ts[inner[k]], dev[k])
-            for k in np.flatnonzero(~(dev <= tol))]
+            % (ts[outer[k]], ts[inner[k]], dev[k]) for k in np.flatnonzero(
+                ~(dev <= tol) & fine[outer] & fine[inner] & fine[result])]
         dev = np.abs(rescaled[inv] - np.conj(rescaled))
         violations += [
             "unitarity fails at %r: |deviation| = %.3e" % (ts[t], dev[t])
-            for t in np.flatnonzero(~(dev <= tol))]
+            for t in np.flatnonzero(~(dev <= tol) & fine & fine[inv])]
         unit_modulus = bool(np.max(np.abs(np.abs(rescaled) - 1.0)) <= tol)
     return FactorizabilityReport(ok=not violations, violations=violations,
                                  unit_modulus=unit_modulus)

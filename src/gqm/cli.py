@@ -258,9 +258,7 @@ def cmd_example(args):
         d = double_slit_decoherence(args.delta,
                                     normalization=args.normalization)
         doc = {"system": "double-slit", "delta": args.delta}
-    doc.update(normalization=args.normalization, order=list(d.labels),
-               matrix=matrix_to_json(d.matrix))
-    if args.set is not None:
+    if args.set is not None:  # before any output: a bad set prints nothing
         rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
         doc["measure"] = {"set": list(rep.members),
                           "value": rep.value}
@@ -269,7 +267,8 @@ def cmd_example(args):
     if args.format == "csv":
         _emit_matrix(args, d.matrix)
     else:
-        _emit(doc)
+        _emit({**doc, "normalization": args.normalization,
+               "order": list(d.labels), "matrix": matrix_to_json(d.matrix)})
     return 0
 
 

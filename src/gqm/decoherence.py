@@ -152,29 +152,25 @@ def characteristic_from_bivariate(d: DecoherenceFunctional,
     return CharacteristicFunction(g, d.matrix[unit[tgt], np.arange(g.order)])
 
 
-def _resolve_set(d, members):
-    """The labels of ``members`` as rows of ``d``, repeats counted once."""
-    return tuple(d.labels[k] for k in dict.fromkeys(map(d.index, members)))
+def _block_sum(d, rows, tol):
+    """D(A, A) over the rows ``rows`` of ``d``: a real number, or an error."""
+    total = _finite_sum(d.matrix[np.ix_(rows, rows)], "the measure value")
+    if abs(total.imag) > tol:
+        raise MathPropertyError(
+            "measure value is not real: %r (matrix is not Hermitian?)" % total
+        )
+    return total.real
 
 
 def quantum_measure(d: DecoherenceFunctional, members,
                     tol=DEFAULT_TOL) -> QuantumMeasureReport:
     """mu(A) = D(A, A): the diagonal block sum, clamped at zero."""
-    labels = _resolve_set(d, members)
-    idx = [d.index(lab) for lab in labels]
-    total = _finite_sum(d.matrix[np.ix_(idx, idx)], "the measure value")
-    if abs(total.imag) > tol:
-        raise MathPropertyError(
-            "measure value is not real: %r (matrix is not Hermitian?)" % total
-        )
-    raw = total.real
-    value = raw
-    if -tol <= value < 0.0:
-        value = 0.0
+    rows = list(dict.fromkeys(map(d.index, members)))
+    raw = _block_sum(d, rows, tol)
     return QuantumMeasureReport(
-        members=labels, value=value, raw_value=raw,
-        normalization=d.normalization, tolerance=tol,
-    )
+        members=tuple(map(d.labels.__getitem__, rows)),
+        value=0.0 if -tol <= raw < 0.0 else raw, raw_value=raw,
+        normalization=d.normalization, tolerance=tol)
 
 
 MAX_INTERFERENCE_ORDER = 6
@@ -189,22 +185,19 @@ def interference(d: DecoherenceFunctional, sets, tol=DEFAULT_TOL) -> float:
             "interference order must be between 1 and %d"
             % MAX_INTERFERENCE_ORDER
         )
-    resolved = [_resolve_set(d, s) for s in sets]
-    seen = {}
-    for k, labels in enumerate(resolved):
-        for lab in labels:
-            if lab in seen:
-                raise GqmInputError(
-                    "interference sets %d and %d overlap on %r"
-                    % (seen[lab], k, lab)
-                )
-            seen[lab] = k
+    rows = [list(dict.fromkeys(map(d.index, s))) for s in sets]
+    owner = {}  # the set each row is in
+    for k, block in enumerate(rows):
+        for row in block:
+            if owner.setdefault(row, k) != k:
+                raise GqmInputError("interference sets %d and %d overlap on "
+                                    "%r" % (owner[row], k, d.labels[row]))
     total = 0.0
     for k in range(1, n + 1):
         sign = (-1.0) ** (n - k)
         for combo in combinations(range(n), k):
-            union = [lab for i in combo for lab in resolved[i]]
-            total += sign * quantum_measure(d, union, tol).raw_value
+            union = [row for i in combo for row in rows[i]]
+            total += sign * _block_sum(d, union, tol)
     return finite(total, "the interference value",
                   "is too large for floating point")
 

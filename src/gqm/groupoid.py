@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -340,13 +340,18 @@ def read_only(a):
 
 def _encode(labels, index, names):
     """(codes, names): each label's place in ``names`` through ``index``;
-    a label it lacks takes the next place past them and joins the names."""
+    each label it lacks or cannot hold takes the next place past them and
+    joins the names."""
     try:
         return np.array(list(map(index.get, labels)), dtype=np.intp), names
-    except TypeError:  # a None from `get`: some label names nothing
-        more = {}
-        codes = [index[x] if x in index else
-                 more.setdefault(x, len(names) + len(more)) for x in labels]
+    except TypeError:  # a None from `get`, or an unhashable label
+        codes, more = [], []
+        for x in labels:
+            try:
+                codes.append(index[x])
+            except (KeyError, TypeError):
+                codes.append(len(names) + len(more))
+                more.append(x)
         return np.array(codes, dtype=np.intp), (*names, *more)
 
 
@@ -600,29 +605,28 @@ def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
     if identity not in elements:
         raise GqmInputError("identity %r is not a listed element" % identity)
     order = [identity] + sorted(x for x in elements if x != identity)
-    place = {x: k for k, x in enumerate(order)}
-    rows = []
-    for pair, res in table.items():
-        try:
-            left, right = pair
-            rows.append((place[left], place[right], place[res]))
-        except (KeyError, TypeError, ValueError):
-            raise GqmInputError("table entry %r -> %r is out of range"
-                                % (pair, res)) from None
     n = len(order)
-    triples = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
-    product = np.full((n, n), -1)  # by (left, right), -1 where missing
-    product[triples[0], triples[1]] = triples[2]
-    given = [place[x] for x in elements]  # messages follow the given order
-    missing = np.argwhere(product[np.ix_(given, given)] < 0).tolist()
+    place = dict(zip(order, range(n)))
+    cells = dict(zip(product(order, order), range(n * n)))  # (a, b): a·n + b
+    pairs = _encode(table, cells, cells)[0]  # past n·n: no pair of elements
+    result = _encode(table.values(), place, order)[0]  # past n: no element
+    bad = np.flatnonzero((pairs >= n * n) | (result >= n))
+    if bad.size:
+        raise GqmInputError("table entry %r -> %r is out of range"
+                            % next(islice(table.items(), bad[0], None)))
+    triples = np.stack([*np.divmod(pairs, n), result])
+    times = np.full((n, n), -1)  # by (left, right), -1 where missing
+    times[triples[0], triples[1]] = result
+    given = _encode(elements, place, order)[0]  # messages follow it
+    missing = np.argwhere(times[np.ix_(given, given)] < 0).tolist()
     if missing:
         raise GqmInputError("multiplication table is incomplete: %r"
                             % [(elements[i], elements[j]) for i, j in missing])
 
     # the inverse of a is the one b with a.b = e, and b.a = e must follow
-    ones = product == 0
+    ones = times == 0
     inverse = ones.argmax(axis=1)
-    unique = (ones.sum(axis=1) == 1) & (product[inverse, np.arange(n)] == 0)
+    unique = (ones.sum(axis=1) == 1) & (times[inverse, np.arange(n)] == 0)
     for k in np.flatnonzero(~unique[given]):
         raise GqmInputError("element %r has no unique inverse" % elements[k])
 
@@ -676,12 +680,6 @@ def from_explicit(events, transitions, source, target, unit_of, inverse,
     _check_labels(events, "event")
     _check_labels(transitions, "transition")
     tset = set(transitions)
-    for pair in composition:
-        if not set(pair) <= tset:
-            raise GqmInputError("composition entry %r names an unknown "
-                                "transition" % (pair,))
-    if not events:
-        raise GqmInputError("a groupoid needs at least one event")
     ev_ix = {x: i for i, x in enumerate(events)}
     units = [unit_of.get(x) for x in events]
     try:  # units first in event order, then by (target, source, label)
@@ -693,6 +691,12 @@ def from_explicit(events, transitions, source, target, unit_of, inverse,
         order = tuple(transitions)
     g = FiniteGroupoid(tuple(events), order, source, target, unit_of,
                        inverse, composition)
+    unknown = np.flatnonzero(np.any(g._rows[:2] >= len(order), axis=0))
+    if unknown.size:  # the first in table order
+        raise GqmInputError("composition entry %r names an unknown transition"
+                            % (next(islice(composition, unknown[0], None)),))
+    if not events:
+        raise GqmInputError("a groupoid needs at least one event")
     rep = validate(g)
     if not rep.ok:
         raise GroupoidValidationError(rep.violations)

@@ -323,6 +323,19 @@ def test_action_function_rejects_non_finite_values(bad):
         ActionFunction(g, np.full(g.order, bad))
 
 
+def test_factorizability_names_each_overflowing_value_once():
+    """A value whose rescaling overflows is named once, and no law is read
+    on it: 1_a∘(b->a) = b->a holds exactly, so no factorization pair with
+    a deviation of inf - inf = nan is listed; the verdict stays False."""
+    g = pair_groupoid(["a", "b"])
+    values = np.full(g.order, 1e300, dtype=complex)
+    values[g.index_arrays()[3]] = 1e-300
+    report = is_factorizable(CharacteristicFunction(g, values))
+    assert not report.ok and not report.unit_modulus
+    assert report.violations == ["phi('b->a') is not finite when rescaled",
+                                 "phi('a->b') is not finite when rescaled"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, complex(np.inf, 0)])
 def test_factorizability_never_sees_non_finite_values(bad):
     """`is_factorizable` on NaN values would report ``ok``: the

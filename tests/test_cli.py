@@ -455,6 +455,13 @@ def test_empty_groupoid_rejected(capsys, tmp_path):
     empty = write(tmp_path / "empty.json",
                   {"kind": "quiver", "events": [], "arrows": []})
     assert "at least one event" in run_rejected(capsys, ["validate", empty])
+    # an unknown transition in the composition is named before the events
+    empty = write(tmp_path / "explicit.json", {
+        "kind": "explicit", "events": [], "transitions": [], "source": {},
+        "target": {}, "units": {}, "inverse": {},
+        "compose": [{"outer": "x", "inner": "y", "result": "z"}]})
+    assert run_rejected(capsys, ["validate", empty]) == (
+        "error: composition entry ('x', 'y') names an unknown transition")
 
 
 HUGE = {

@@ -68,6 +68,18 @@ def test_group_as_groupoid_rejects_broken_table():
              ("g", "g"): "g"}  # g has no inverse
     with pytest.raises(GqmInputError):
         group_as_groupoid(["e", "g"], table, "e")
+    # the first bad entry in table order is named: an unknown element
+    # before a key that is no pair (a tuple of two), and such a key or a
+    # result that is no element before an incomplete table
+    for table, entry in [
+            ({("e", "e"): "e", ("e", "x"): "g", ("e", "g", "g"): "g",
+              5: "e"}, "('e', 'x') -> 'g'"),
+            ({5: "e", ("e", "x"): "g"}, "5 -> 'e'"),
+            ({"eg": "g", ("g", "g"): "e"}, "'eg' -> 'g'"),
+            ({("e", "e"): ["e"]}, "('e', 'e') -> ['e']")]:
+        with pytest.raises(GqmInputError) as err:
+            group_as_groupoid(["e", "g"], table, "e")
+        assert str(err.value) == "table entry %s is out of range" % entry
 
 
 @pytest.mark.parametrize("event", ["", 5])
