@@ -25,7 +25,7 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import FiniteGroupoid, finite, real
+from .groupoid import FiniteGroupoid, intake, real
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -40,10 +40,9 @@ class ActionFunction:
     values: np.ndarray  # real, canonical transition order
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.groupoid.order,):
-            raise GqmInputError("action vector length does not match |G|")
-        finite(self.values, "action values")
+        self.values = intake(self.values, float, (self.groupoid.order,),
+                             "action vector length does not match |G|",
+                             "action values")
 
     @classmethod
     def from_dict(cls, g, values):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GqmInputError
-from .groupoid import FiniteGroupoid, finite
+from .groupoid import FiniteGroupoid, finite, intake
 
 
 @dataclass(eq=False)
@@ -27,13 +27,9 @@ class AlgebraElement:
     coeffs: np.ndarray  # complex, canonical transition order
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.groupoid.order,):
-            raise GqmInputError(
-                "coefficient vector length %d does not match |G| = %d"
-                % (self.coeffs.size, self.groupoid.order)
-            )
-        finite(self.coeffs, "algebra coefficients")
+        self.coeffs = intake(self.coeffs, complex, (self.groupoid.order,),
+                             "coefficient vector {} does not match |G| = %d"
+                             % self.groupoid.order, "algebra coefficients")
 
     # -- construction ----------------------------------------------------
 
@@ -49,22 +45,10 @@ class AlgebraElement:
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other):
+        """The sum; an input error, not a warning, when it overflows."""
         self._check_same(other)
-        return AlgebraElement(self.groupoid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.groupoid, self.coeffs - other.coeffs)
-
-    def scale(self, scalar):
-        return AlgebraElement(self.groupoid, scalar * self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
+        with np.errstate(over="ignore"):
+            return AlgebraElement(self.groupoid, self.coeffs + other.coeffs)
 
     def coeff(self, label):
         return complex(self.coeffs[self.groupoid.index(label)])

@@ -191,20 +191,17 @@ def cmd_gns(args):
     import numpy as np
 
     from .gns import gns_report
+    from .groupoid import finite
     from .states import CharacteristicFunction, assert_psd
 
     g, is_quiver = _load_groupoid(args.groupoid)
     state = _load_state(args.state, g, is_quiver,
                         "gns needs a characteristic-style state")
     mass = state.unit_mass()
-    if not np.isfinite(mass):
-        raise GqmInputError(
-            "gns needs a state of finite unit mass, got %r" % mass
-        )
+    finite(mass, "gns needs a state of finite unit mass,", "got %r" % mass)
     if abs(mass) <= args.tolerance:
-        raise GqmInputError(
-            "gns needs a state of nonzero unit mass, got %r" % mass
-        )
+        raise GqmInputError("gns needs a state of nonzero unit mass, got %r"
+                            % mass)
     if abs(mass - 1.0) > args.tolerance:
         # the unit mass of a PSD function is real and positive, so only
         # such a mass may normalize; pure phases from action specs need it
@@ -213,11 +210,9 @@ def cmd_gns(args):
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = state.values / mass
-            if not np.all(np.isfinite(values)):
-                raise GqmInputError(
-                    "state values overflow when divided by the unit mass %r"
-                    % mass)
-            state = CharacteristicFunction(g, values)
+            state = CharacteristicFunction(g, finite(
+                values, "state values overflow when divided by the unit "
+                "mass", "%r" % mass))
     _emit(gns_report(state, args.tolerance))
     return 0
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import NORMALIZATIONS
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, finite, group_indices
+from .groupoid import FiniteGroupoid, finite, group_indices, intake
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -77,11 +77,10 @@ class DecoherenceFunctional:
         self.labels = tuple(self.groupoid.transitions if self.labels is None
                             else self.labels)
         self._row = {lab: k for k, lab in enumerate(self.labels)}
-        self.matrix = np.asarray(self.matrix, dtype=complex)
         n = len(self.labels)
-        if self.matrix.shape != (n, n):
-            raise GqmInputError("decoherence matrix must be %d x %d" % (n, n))
-        finite(self.matrix, "decoherence matrix entries")
+        self.matrix = intake(self.matrix, complex, (n, n),
+                             "decoherence matrix must be %d x %d" % (n, n),
+                             "decoherence matrix entries")
 
     def index(self, label):
         """Row of ``label``, looked up as given, then through
@@ -116,12 +115,9 @@ def decoherence_from_characteristic(phi, normalization="none",
     matrix = invariance_matrix(phi)  # scaled in place: one |G| x |G| array
     with np.errstate(over="ignore"):
         matrix *= normalization_scale(normalization, phi.groupoid, matrix)
-    try:  # the shape is right, so only an entry that overflowed can fail
-        return DecoherenceFunctional(phi.groupoid, matrix, normalization)
-    except GqmInputError:
-        raise GqmInputError(
-            "the %s-normalized decoherence matrix is too large for floating "
-            "point" % normalization) from None
+    finite(matrix, "the %s-normalized decoherence matrix" % normalization,
+           "is too large for floating point")
+    return DecoherenceFunctional(phi.groupoid, matrix, normalization)
 
 
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:

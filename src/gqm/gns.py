@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, multiply
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, finite, read_only
+from .groupoid import FiniteGroupoid, finite, intake, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -170,10 +170,9 @@ class RepMatrices:
     def apply(self, members, psi):
         """nu(A) psi, the vector-valued measure of the set ``members``: the
         sum of pi(t) psi over its transitions; finitely additive."""
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != self.matrices.shape[1:2]:
-            raise GqmInputError("vector dimension does not match the "
-                                "representation")
+        psi = intake(psi, complex, self.matrices.shape[1:2], "vector "
+                     "dimension does not match the representation",
+                     "vector entries")
         at = [self.groupoid.index(m) for m in members]
         return np.sum(self.matrices[at] @ psi, axis=0)
 
@@ -201,9 +200,9 @@ def smeared_character(rep: RepMatrices, density,
     """phi(alpha) = Tr(density . pi(alpha)); PSD by construction, which is
     re-checked before returning."""
     rep.check(tol)
-    density = np.asarray(density, dtype=complex)
-    if density.shape != rep.matrices.shape[1:]:
-        raise GqmInputError("density matrix dimension mismatch")
+    density = intake(density, complex, rep.matrices.shape[1:],
+                     "density matrix dimension mismatch",
+                     "density matrix entries")
     herm, defect = hermitian_part(density)
     if defect > 0.5 * tol:
         raise GqmInputError("density matrix is not Hermitian")

@@ -106,6 +106,12 @@ class FiniteGroupoid:
     def __init__(self, events, transitions, source, target, unit_of, inverse,
                  composition):
         self._label(events, transitions)
+        if not ({*map(type, composition)} <= {tuple}
+                and {*map(len, composition)} <= {2}):
+            key = next(filter(lambda k: type(k) is not tuple or len(k) != 2,
+                              composition))
+            raise GqmInputError("composition key %r is not an (outer, inner) "
+                                "pair" % (key,))
         ts, k = transitions, len(composition)
         ends, evs = _encode([*map(source.get, ts), *map(target.get, ts)],
                             self.event_index, events)
@@ -361,6 +367,18 @@ def finite(a, what, fault="must be finite"):
     if not np.all(np.isfinite(a)):
         raise GqmInputError("%s %s" % (what, fault))
     return a
+
+
+def intake(values, dtype, shape, mismatch, what):
+    """``values`` as an array of ``dtype`` and ``shape``, else the input
+    error ``mismatch``, its ``{}`` filled with "length n" for a vector and
+    "of shape s" otherwise; then `finite` with ``what``."""
+    a = np.asarray(values, dtype=dtype)
+    if a.shape != shape:
+        got = ("length %d" % a.size if a.ndim == 1
+               else "of shape %r" % (a.shape,))
+        raise GqmInputError(mismatch.format(got))
+    return finite(a, what)
 
 
 def is_number(value):

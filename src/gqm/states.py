@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, fundamental_rep, scatter_add
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, finite
+from .groupoid import FiniteGroupoid, finite, intake
 
 DEFAULT_TOL = 1e-10
 
@@ -29,13 +29,10 @@ class CharacteristicFunction:
     values: np.ndarray  # complex, canonical transition order
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.groupoid.order,):
-            raise GqmInputError(
-                "value vector length %d does not match |G| = %d"
-                % (self.values.size, self.groupoid.order)
-            )
-        finite(self.values, "characteristic function values")
+        n = self.groupoid.order
+        self.values = intake(self.values, complex, (n,), "value vector {} "
+                             "does not match |G| = %d" % n,
+                             "characteristic function values")
 
     @classmethod
     def from_dict(cls, g, values):

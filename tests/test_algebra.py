@@ -17,6 +17,7 @@ from gqm.algebra import (
     unit_element,
 )
 from gqm.errors import GqmInputError
+from gqm.states import CharacteristicFunction
 
 
 def brute_force_product(g, a, b):
@@ -224,3 +225,48 @@ def test_element_rejects_non_finite_coefficients(qubit, bad):
     with pytest.raises(GqmInputError,
                        match="^algebra coefficients must be finite$"):
         AlgebraElement(qubit, coeffs)
+
+
+def test_sum_overflow_is_input_error(qubit):
+    """Two elements whose sum passes the float range: bad input, in one
+    line, and no overflow warning."""
+    a = AlgebraElement(qubit, np.full(qubit.order, 1e308))
+    with pytest.raises(GqmInputError,
+                       match="^algebra coefficients must be finite$"):
+        a + a
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones(3), "{} length 3 does not match |G| = 4"),
+    (np.ones((2, 2, 1)), "{} of shape (2, 2, 1) does not match |G| = 4"),
+    (np.ones((1, 4)), "{} of shape (1, 4) does not match |G| = 4"),
+    (np.complex128(1), "{} of shape () does not match |G| = 4"),
+    (np.full((2, 2), np.nan), "{} of shape (2, 2) does not match |G| = 4"),
+], ids=["length", "rank-3", "row", "scalar", "nan-matrix"])
+@pytest.mark.parametrize("carrier, vector", [
+    (AlgebraElement, "coefficient vector"),
+    (CharacteristicFunction, "value vector"),
+], ids=["element", "state"])
+def test_vector_carriers_name_a_wrong_shape(qubit, carrier, vector, values,
+                                            message):
+    """A vector of the wrong length is named by its length, an array of
+    another rank by its shape, before any entry is read."""
+    with pytest.raises(GqmInputError) as err:
+        carrier(qubit, values)
+    assert str(err.value) == message.format(vector)
+
+
+def test_action_and_decoherence_shape_messages(qubit):
+    """The action and decoherence carriers keep their one shape message
+    for every wrong shape, and check it before the entries."""
+    from gqm.action import ActionFunction
+    from gqm.decoherence import DecoherenceFunctional
+
+    for values in (np.ones(3), np.full((2, 2), np.nan)):
+        with pytest.raises(GqmInputError, match=r"^action vector length "
+                           r"does not match \|G\|$"):
+            ActionFunction(qubit, values)
+    for matrix in (np.ones(16), np.full((4, 3), np.nan)):
+        with pytest.raises(GqmInputError,
+                           match="^decoherence matrix must be 4 x 4$"):
+            DecoherenceFunctional(qubit, matrix)

@@ -27,6 +27,9 @@ and resolves its exports from their home modules, and each CLI command
 imports what it runs, so a command loads only its chain of layers and
 ``gqm --help`` loads no numpy.
 
+The value carriers take their arrays through one intake,
+`groupoid.intake`, which alone decides their dtype, shape and finiteness.
+
 Three lint checks run here, so that they need no linter: no module-level
 name is defined twice and every imported name is read, over the package
 and the tests, and every global name a function of the package reads is
@@ -343,6 +346,35 @@ def test_only_the_algebra_product_convolves():
                  if isinstance(node, ast.ImportFrom) for a in node.names)]
              if ident == "convolve"]
     assert found == []
+
+
+CARRIERS = {"AlgebraElement", "CharacteristicFunction", "ActionFunction",
+            "DecoherenceFunctional"}
+
+
+def test_value_carriers_take_values_through_intake():
+    """The value carriers' contract, one dtype, one shape and finite
+    entries, is decided by `groupoid.intake` alone: each carrier's
+    ``__post_init__`` calls it once, and none converts its array, reads a
+    shape or tests finiteness itself; and no ``try`` of the package builds
+    a carrier, so no message of the intake is rewritten."""
+    own = {"asarray", "array", "finite", "isfinite", "shape", "ndim", "size"}
+    found, tries = {}, []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CARRIERS:
+                init, = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                         and f.name == "__post_init__"]
+                idents = [ident for n in ast.walk(init) for ident in
+                          [getattr(n, "id", getattr(n, "attr", None))]]
+                found[node.name] = (idents.count("intake"),
+                                    sorted(own.intersection(idents)))
+            elif isinstance(node, ast.Try) and CARRIERS.intersection(
+                    getattr(n.func, "id", None) for stmt in node.body
+                    for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+                tries.append("%s:%d" % (name, node.lineno))
+    assert found == dict.fromkeys(CARRIERS, (1, []))
+    assert tries == []
 
 
 # the fields of `OrbitStack` that have one entry per orbit or per event

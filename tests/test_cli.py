@@ -288,6 +288,48 @@ def test_bad_option_values_exit_cleanly(capsys, argv):
     run_rejected(capsys, argv)
 
 
+BRANCH_FILES = {
+    "pair": {"kind": "pair", "events": ["a", "b"]},
+    "explicit": {**groupoid_to_doc(build_qubit()), "compose": {}},
+    "zero": {"type": "characteristic", "values": {}},
+    "units": {"type": "characteristic",
+              "values": {"1_a": [0.5, 0], "1_b": [0.5, 0]}},
+    "ga": {"type": "generator-action", "values": {"f": 0.0}},
+    "part": {"type": "action", "potential": {"a": 0.0}},
+    "empty": {"unitary": []},
+}
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["--tolerance", "0", "validate", "pair"], 2,
+     "gqm: error: --tolerance must be positive"),
+    (["sweep", "thm52", "--n", "1"], 1, "error: --n must be at least 2"),
+    (["psd-check", "pair", "ga"], 1,
+     "error: generator-action states need a quiver-kind groupoid spec"),
+    (["interference", "pair", "units", "--order", "3", "--sets", "1_a;1_b"],
+     1, "error: --order 3 but 2 sets were given"),
+    (["psd-check", "pair", "part"], 1, "error: potential misses events: b"),
+    (["validate", "explicit"], 1, "error: 'compose' must be an array"),
+    (["frame", "pair", "--unitary", "empty"], 1,
+     "error: 'unitary' must be a non-empty array of rows"),
+    (["decoherence", "pair", "zero", "--normalization", "global"], 2,
+     "error: global normalization impossible: D(G, G) = 0"),
+])
+def test_error_branches_end_in_one_line(capsys, tmp_path, argv, code, line):
+    """Each of these input checks ends the command with its exit code,
+    no report, and its message as the last line on stderr; the names of
+    `BRANCH_FILES` in ``argv`` stand for files holding those documents."""
+    argv = [write(tmp_path / (a + ".json"), BRANCH_FILES[a])
+            if a in BRANCH_FILES else a for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # a usage error, from argparse
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert captured.err.splitlines()[-1] == line
+
+
 def test_gns_rejects_zero_unit_mass(capsys, pair3_file, tmp_path):
     state = write(tmp_path / "z.json", {
         "type": "characteristic",

@@ -239,6 +239,26 @@ def test_smeared_character_overflowing_trace(qubit):
                               np.full((2, 2), 1e308))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_density_or_vector_is_input_error(qubit, bad):
+    """A NaN or infinite density or vector is named in one input error,
+    after a wrong shape and before any arithmetic: no warning, no NaN
+    read on as a characteristic value."""
+    rep = fundamental_matrices(qubit)
+    density = np.array([[bad, 0.0], [0.0, 0.5]])
+    with pytest.raises(GqmInputError,
+                       match="^density matrix entries must be finite$"):
+        smeared_character(rep, density)
+    with pytest.raises(GqmInputError,
+                       match="^density matrix dimension mismatch$"):
+        smeared_character(rep, np.full((3, 3), bad))
+    with pytest.raises(GqmInputError, match="^vector entries must be finite$"):
+        rep.apply(["1_+"], [bad, 1.0])
+    with pytest.raises(GqmInputError, match="^vector dimension does not "
+                       "match the representation$"):
+        rep.apply(["1_+"], [bad])
+
+
 def test_rep_matrices_stack(qubit):
     """A stack passed in is copied, every stack is read-only, and one of
     another shape than (|G|, d, d) with d >= 1 is an input error."""

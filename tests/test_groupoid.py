@@ -210,6 +210,21 @@ def test_from_explicit_rejects_broken_composition(qubit):
     assert any("alpha" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("key", [
+    ("alpha", "alpha", "alpha"), ("alpha",), 3, "aa", "alpha",
+    (("alpha", "alpha^-1"),),
+], ids=["triple", "single", "int", "two-chars", "string", "nested"])
+def test_from_explicit_names_a_key_that_is_no_pair(qubit, key):
+    """A composition key that is not an (outer, inner) tuple is named in
+    one input error, before any label in it is read."""
+    with pytest.raises(GqmInputError) as err:
+        from_explicit(qubit.events, qubit.transitions, qubit.source,
+                      qubit.target, qubit.unit_of, qubit.inverse,
+                      {**qubit.composition, key: "1_+", ("x", "y"): "z"})
+    assert str(err.value) == (
+        "composition key %r is not an (outer, inner) pair" % (key,))
+
+
 def test_validate_reports_corrupted_inverse(qubit):
     bad = FiniteGroupoid(
         events=qubit.events,
