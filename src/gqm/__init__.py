@@ -2,12 +2,15 @@
 representations.
 
 Importing ``gqm`` runs none of its modules.  Each submodule but
-``gqm.cli`` is in ``sys.modules`` from the start, and its code runs when
-an attribute of it is first read; the names of ``__all__`` resolve on
-first access, each from its home module in ``_EXPORTS``.  So
-``from gqm import gns_build`` loads ``gqm.gns`` and the modules it
-imports, a ``gqm`` command loads only the modules it runs, and
-``gqm --help`` loads no numpy.
+``gqm.cli`` is in ``sys.modules`` from the start as a lazy module, whose
+code runs when an attribute of it is first read; the names of
+``__all__`` resolve on first access, each from its home module in
+``_EXPORTS``.  This is the package's one way to load lazily: a module
+binds a sibling that only some of its functions call as that module
+object (``from . import algebra``, then ``algebra.multiply(...)``), and
+no function imports.  So ``from gqm import gns_build`` loads ``gqm.gns``
+and the modules it needs at import, a ``gqm`` command runs only the
+modules whose functions it calls, and ``gqm --help`` loads no numpy.
 """
 
 import importlib.util

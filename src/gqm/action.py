@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceFunctional, normalization_scale
+from . import decoherence
 from .errors import (
     ActionInconsistencyError,
     GqmInputError,
@@ -200,7 +200,7 @@ def dynamical_state(s: ActionFunction, normalization="unit-events",
     ok, violations = is_action(s, tol)
     if not ok:
         raise MathPropertyError("not a valid action: " + first_of(violations))
-    return CharacteristicFunction(s.groupoid, normalization_scale(
+    return CharacteristicFunction(s.groupoid, decoherence.normalization_scale(
         normalization, s.groupoid) * np.exp(1j * s.values))
 
 
@@ -257,7 +257,7 @@ def is_factorizable(phi: CharacteristicFunction,
 
 def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
                        normalization="per-transition"
-                       ) -> DecoherenceFunctional:
+                       ) -> decoherence.DecoherenceFunctional:
     """The decoherence functional over the arrows of the quiver that
     generated ``g``: entry (a, b) = c delta(t(a), t(b)) exp(i (s(b) - s(a))),
     rows in canonical order (target idx, source idx, label) and c the scale
@@ -270,7 +270,7 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
     if normalization == "global":
         raise GqmInputError("normalization tag 'global' is not defined "
                             "for the arrow-level decoherence of a quiver")
-    scale = normalization_scale(normalization, g)
+    scale = decoherence.normalization_scale(normalization, g)
     order = sorted(range(len(labels)),
                    key=lambda k: (tgt[k], src[k], labels[k]))
     labels = tuple(labels[k] for k in order)
@@ -287,7 +287,7 @@ def quiver_decoherence(g: FiniteGroupoid, ga: GeneratorAction,
     # an imaginary part that underflows under the scale comes out +0.0, as
     # in the scalar product c * exp(i d), whichever order numpy's complex
     # loop multiplies in
-    return DecoherenceFunctional(
+    return decoherence.DecoherenceFunctional(
         g, np.where(same, scale * np.exp(1j * diff), 0) + 0.0, normalization,
         labels=labels)
 
@@ -306,7 +306,7 @@ def is_reproducing_sweep_trial(g, potentials):
     u = np.asarray(potentials, dtype=float)
     if u.ndim != 2 or u.shape[1] != len(g.events):
         raise GqmInputError("each potential needs one value per event")
-    values = normalization_scale("idempotent", g) * np.exp(
+    values = decoherence.normalization_scale("idempotent", g) * np.exp(
         1j * coboundaries(g, u))
     return psd_spectra(g, values)[1], reproducing_deviations(g, values)
 

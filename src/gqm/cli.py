@@ -5,8 +5,9 @@ mathematical property (e.g. a PSD check), 3 I/O failure.  JSON prints
 each float as its shortest round-tripping ``repr``, CSV with ``%.17g``;
 complex numbers are [re, im] pairs; angles are radians.
 
-Each command imports the modules it runs, so that it loads no more of gqm
-than it needs, and ``gqm --help`` loads no numpy.
+The sibling modules are bound as the lazy modules that ``gqm`` registers,
+so a command runs only the modules whose functions it calls, and
+``gqm --help`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,19 +16,18 @@ import argparse
 import math
 import sys
 
-from . import NORMALIZATIONS
+from . import (NORMALIZATIONS, action, algebra, decoherence, examples, gns,
+               groupoid, specio, states)
 from .errors import GqmError, GqmInputError, MathPropertyError
 
 
 def _read_json(path):
-    from .specio import load_json
-
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise _IoFailure("cannot read %s: %s" % (path, exc))
-    return load_json(data, path)
+    return specio.load_json(data, path)
 
 
 class _IoFailure(Exception):
@@ -35,10 +35,8 @@ class _IoFailure(Exception):
 
 
 def _load_groupoid(path):
-    from .specio import parse_groupoid_doc
-
     doc = _read_json(path)
-    return parse_groupoid_doc(doc), doc["kind"] == "quiver"
+    return specio.parse_groupoid_doc(doc), doc["kind"] == "quiver"
 
 
 def _load_state(path, g, is_quiver, message=None):
@@ -46,16 +44,13 @@ def _load_state(path, g, is_quiver, message=None):
     stays at the arrow level, where no global extension need exist.  Given
     ``message``, the state must be defined on the whole groupoid, and a
     GeneratorAction is an input error with that message."""
-    from .specio import bind_generator_action, parse_state_doc
-    from .states import CharacteristicFunction
-
-    state = parse_state_doc(_read_json(path), g)
-    if isinstance(state, CharacteristicFunction):
+    state = specio.parse_state_doc(_read_json(path), g)
+    if isinstance(state, states.CharacteristicFunction):
         return state
     if not is_quiver:
         raise GqmInputError("generator-action states need a quiver-kind "
                             "groupoid spec")
-    state = bind_generator_action(state, g)
+    state = specio.bind_generator_action(state, g)
     if message is not None:
         raise GqmInputError(message)
     return state
@@ -63,18 +58,14 @@ def _load_state(path, g, is_quiver, message=None):
 
 def _emit(doc):
     """Write the report ``doc`` as canonical JSON."""
-    from .specio import dump_json
-
-    sys.stdout.write(dump_json(doc))
+    sys.stdout.write(specio.dump_json(doc))
 
 
 def _emit_matrix(args, mat):
-    from .specio import matrix_to_csv, matrix_to_json
-
     if args.format == "csv":
-        sys.stdout.write(matrix_to_csv(mat))
+        sys.stdout.write(specio.matrix_to_csv(mat))
     else:
-        _emit(matrix_to_json(mat))
+        _emit(specio.matrix_to_json(mat))
 
 
 def _parse_set(text):
@@ -103,24 +94,18 @@ def cmd_validate(args):
 
 
 def cmd_algebra_mult(args):
-    from .algebra import multiply
-    from .specio import algebra_to_doc, parse_algebra_doc
-
     g, _ = _load_groupoid(args.groupoid)
-    a = parse_algebra_doc(_read_json(args.left), g)
-    b = parse_algebra_doc(_read_json(args.right), g)
-    _emit(algebra_to_doc(multiply(a, b)))
+    a = specio.parse_algebra_doc(_read_json(args.left), g)
+    b = specio.parse_algebra_doc(_read_json(args.right), g)
+    _emit(specio.algebra_to_doc(algebra.multiply(a, b)))
     return 0
 
 
 def cmd_psd_check(args):
-    from .specio import complex_pair
-    from .states import is_positive_semidefinite
-
     g, is_quiver = _load_groupoid(args.groupoid)
     state = _load_state(args.state, g, is_quiver,
                         "psd-check needs a characteristic-style state")
-    check = is_positive_semidefinite(state, args.tolerance)
+    check = states.is_positive_semidefinite(state, args.tolerance)
     doc = {
         "ok": check.ok,
         "hermitian": check.hermitian,
@@ -128,24 +113,18 @@ def cmd_psd_check(args):
         "tolerance": args.tolerance,
     }
     if check.witness is not None:
-        doc["witness"] = {lab: complex_pair(z) for lab, z in check.witness}
+        doc["witness"] = {t: specio.complex_pair(z) for t, z in check.witness}
     _emit(doc)
     return 0 if check.ok else 2
 
 
 def _decoherence(args, message=None):
-    from .states import CharacteristicFunction
-
     g, is_quiver = _load_groupoid(args.groupoid)
     state = _load_state(args.state, g, is_quiver, message)
-    if isinstance(state, CharacteristicFunction):
-        from .decoherence import decoherence_from_characteristic
-
-        return decoherence_from_characteristic(state, args.normalization,
-                                               args.tolerance)
-    from .action import quiver_decoherence
-
-    return quiver_decoherence(g, state, args.normalization)
+    if isinstance(state, states.CharacteristicFunction):
+        return decoherence.decoherence_from_characteristic(
+            state, args.normalization, args.tolerance)
+    return action.quiver_decoherence(g, state, args.normalization)
 
 
 def cmd_decoherence(args):
@@ -154,10 +133,8 @@ def cmd_decoherence(args):
 
 
 def cmd_measure(args):
-    from .decoherence import quantum_measure
-
     d = _decoherence(args)
-    rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
+    rep = decoherence.quantum_measure(d, _parse_set(args.set), args.tolerance)
     _emit({
         "value": rep.value,
         "raw_value": rep.raw_value,
@@ -168,8 +145,6 @@ def cmd_measure(args):
 
 
 def cmd_interference(args):
-    from .decoherence import interference
-
     d = _decoherence(
         args, "interference needs a state defined on the whole groupoid")
     sets = _parse_sets(args.sets)
@@ -177,7 +152,7 @@ def cmd_interference(args):
         raise GqmInputError(
             "--order %d but %d sets were given" % (args.order, len(sets))
         )
-    value = interference(d, sets, args.tolerance)
+    value = decoherence.interference(d, sets, args.tolerance)
     _emit({
         "order": args.order,
         "value": value,
@@ -190,15 +165,12 @@ def cmd_interference(args):
 def cmd_gns(args):
     import numpy as np
 
-    from .gns import gns_report
-    from .groupoid import finite
-    from .states import CharacteristicFunction, assert_psd
-
     g, is_quiver = _load_groupoid(args.groupoid)
     state = _load_state(args.state, g, is_quiver,
                         "gns needs a characteristic-style state")
     mass = state.unit_mass()
-    finite(mass, "gns needs a state of finite unit mass,", "got %r" % mass)
+    groupoid.finite(mass, "gns needs a state of finite unit mass,",
+                    "got %r" % mass)
     if abs(mass) <= args.tolerance:
         raise GqmInputError("gns needs a state of nonzero unit mass, got %r"
                             % mass)
@@ -206,72 +178,60 @@ def cmd_gns(args):
         # the unit mass of a PSD function is real and positive, so only
         # such a mass may normalize; pure phases from action specs need it
         if abs(mass.imag) > args.tolerance or mass.real <= 0:
-            assert_psd(state, args.tolerance)
+            states.assert_psd(state, args.tolerance)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 values = state.values / mass
-            state = CharacteristicFunction(g, finite(
+            state = states.CharacteristicFunction(g, groupoid.finite(
                 values, "state values overflow when divided by the unit "
                 "mass", "%r" % mass))
-    _emit(gns_report(state, args.tolerance))
+    _emit(gns.gns_report(state, args.tolerance))
     return 0
 
 
 def cmd_frame(args):
-    from .gns import FrameChange, transformation_function
-    from .specio import complex_pair, parse_unitary_doc
-
     g, _ = _load_groupoid(args.groupoid)
-    fc = FrameChange(parse_unitary_doc(_read_json(args.unitary)))
+    fc = gns.FrameChange(specio.parse_unitary_doc(_read_json(args.unitary)))
     pairs = []
     for a in g.events:
         for b in g.events:
-            res = transformation_function(g, fc, a, b)
+            res = gns.transformation_function(g, fc, a, b)
             pairs.append({
                 "from": a,
                 "to": b,
                 "value": res.value,
-                "amplitude": complex_pair(res.amplitude),
+                "amplitude": specio.complex_pair(res.amplitude),
             })
     _emit({"pairs": pairs})
     return 0
 
 
 def cmd_example(args):
-    from .examples import (
-        build_qubit,
-        double_slit_decoherence,
-        qubit_decoherence,
-    )
-    from .decoherence import quantum_measure
-    from .specio import matrix_to_json
-
     if args.system == "qubit":
-        d = qubit_decoherence(build_qubit(), args.S, args.normalization)
+        d = examples.qubit_decoherence(examples.build_qubit(), args.S,
+                                       args.normalization)
         doc = {"system": "qubit", "S": args.S}
     else:
-        d = double_slit_decoherence(args.delta,
-                                    normalization=args.normalization)
+        d = examples.double_slit_decoherence(
+            args.delta, normalization=args.normalization)
         doc = {"system": "double-slit", "delta": args.delta}
     if args.set is not None:  # before any output: a bad set prints nothing
-        rep = quantum_measure(d, _parse_set(args.set), args.tolerance)
-        doc["measure"] = {"set": list(rep.members),
-                          "value": rep.value}
+        rep = decoherence.quantum_measure(d, _parse_set(args.set),
+                                          args.tolerance)
+        doc["measure"] = {"set": list(rep.members), "value": rep.value}
         if args.system == "double-slit":
             doc["measure"]["raw_value"] = rep.raw_value
     if args.format == "csv":
         _emit_matrix(args, d.matrix)
     else:
         _emit({**doc, "normalization": args.normalization,
-               "order": list(d.labels), "matrix": matrix_to_json(d.matrix)})
+               "order": list(d.labels),
+               "matrix": specio.matrix_to_json(d.matrix)})
     return 0
 
 
 def cmd_sweep(args):
     import numpy as np
-
-    from .action import is_reproducing_sweep_trial
-    from .groupoid import pair_groupoid
 
     if args.n < 2:
         raise GqmInputError("--n must be at least 2")
@@ -288,8 +248,8 @@ def cmd_sweep(args):
     # at a time
     worst_eig, worst_rep = math.inf, -math.inf
     for n_events in sorted(set(sizes)):
-        g = pair_groupoid(["e%d" % k for k in range(n_events)])
-        eig, rep = is_reproducing_sweep_trial(g, np.stack(
+        g = groupoid.pair_groupoid(["e%d" % k for k in range(n_events)])
+        eig, rep = action.is_reproducing_sweep_trial(g, np.stack(
             [u for n, u in zip(sizes, potentials) if n == n_events]))
         worst_eig = min(worst_eig, float(eig.min()))
         worst_rep = max(worst_rep, float(rep.max()))

@@ -39,7 +39,9 @@ def _finite_sum(values, what):
     return finite(total, what, "is too large for floating point")
 
 
-def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
+def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None,
+                        tol=DEFAULT_TOL):
+    """c of ``tag`` on ``g``; 'global' needs |sum of raw_matrix| > tol."""
     if tag == "none":
         return 1.0
     if tag == "unit-events":
@@ -53,7 +55,7 @@ def normalization_scale(tag, g: FiniteGroupoid, raw_matrix=None):
             raise GqmInputError("normalization tag 'global' needs a "
                                 "decoherence matrix to sum")
         total = _finite_sum(raw_matrix, "D(G, G)")
-        if abs(total) <= DEFAULT_TOL:
+        if abs(total) <= tol:
             raise MathPropertyError(
                 "global normalization impossible: D(G, G) = 0"
             )
@@ -114,7 +116,8 @@ def decoherence_from_characteristic(phi, normalization="none",
                "non-PSD function")
     matrix = invariance_matrix(phi)  # scaled in place: one |G| x |G| array
     with np.errstate(over="ignore"):
-        matrix *= normalization_scale(normalization, phi.groupoid, matrix)
+        matrix *= normalization_scale(normalization, phi.groupoid, matrix,
+                                      tol)
     finite(matrix, "the %s-normalized decoherence matrix" % normalization,
            "is too large for floating point")
     return DecoherenceFunctional(phi.groupoid, matrix, normalization)

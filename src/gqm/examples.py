@@ -11,17 +11,7 @@ import numbers
 
 import numpy as np
 
-from .action import (
-    ActionFunction,
-    GeneratorAction,
-    action_from_potential,
-    dynamical_state,
-    quiver_decoherence,
-)
-from .decoherence import (
-    DecoherenceFunctional,
-    decoherence_from_characteristic,
-)
+from . import action, decoherence, states
 from .errors import GqmInputError
 from .groupoid import (
     FiniteGroupoid,
@@ -31,7 +21,6 @@ from .groupoid import (
     group_as_groupoid,
     pair_groupoid,
 )
-from .states import CharacteristicFunction
 
 
 def build_qubit() -> FiniteGroupoid:
@@ -58,27 +47,28 @@ def build_qubit() -> FiniteGroupoid:
                          inverse, composition)
 
 
-def qubit_action(g: FiniteGroupoid, S) -> ActionFunction:
+def qubit_action(g: FiniteGroupoid, S) -> action.ActionFunction:
     """s(alpha) = S from the potential u(+) = S, u(-) = 0."""
-    return action_from_potential(g, {"+": float(S), "-": 0.0})
+    return action.action_from_potential(g, {"+": float(S), "-": 0.0})
 
 
-def qubit_phase(g: FiniteGroupoid, S) -> CharacteristicFunction:
+def qubit_phase(g: FiniteGroupoid, S) -> states.CharacteristicFunction:
     """The unnormalized pure phase e^{is} on the qubit."""
     s = qubit_action(g, S)
-    return CharacteristicFunction(g, np.exp(1j * s.values))
+    return states.CharacteristicFunction(g, np.exp(1j * s.values))
 
 
-def qubit_state(g: FiniteGroupoid, S,
-                normalization="unit-events") -> CharacteristicFunction:
-    return dynamical_state(qubit_action(g, S), normalization)
+def qubit_state(g: FiniteGroupoid, S, normalization="unit-events"
+                ) -> states.CharacteristicFunction:
+    return action.dynamical_state(qubit_action(g, S), normalization)
 
 
-def qubit_decoherence(g: FiniteGroupoid, S,
-                      normalization="per-transition") -> DecoherenceFunctional:
+def qubit_decoherence(g: FiniteGroupoid, S, normalization="per-transition"
+                      ) -> decoherence.DecoherenceFunctional:
     """D(a, b) = c e^{i(s(b) - s(a))} on target-matching pairs; with the
     per-transition tag, c = 1/4."""
-    return decoherence_from_characteristic(qubit_phase(g, S), normalization)
+    return decoherence.decoherence_from_characteristic(qubit_phase(g, S),
+                                                       normalization)
 
 
 def double_slit_quiver() -> QuiverSpec:
@@ -100,10 +90,10 @@ def double_slit_groupoid() -> FiniteGroupoid:
     return from_quiver(double_slit_quiver())
 
 
-def double_slit_action(delta, S1=0.0, S2=0.0) -> GeneratorAction:
+def double_slit_action(delta, S1=0.0, S2=0.0) -> action.GeneratorAction:
     """Arrow values s(alpha) = S1, s(beta) = S1 - delta, and S2 on both
     barred arrows; delta is the phase difference at the detector D."""
-    return GeneratorAction({
+    return action.GeneratorAction({
         "alpha": float(S1),
         "beta": float(S1) - float(delta),
         "alpha_bar": float(S2),
@@ -113,13 +103,13 @@ def double_slit_action(delta, S1=0.0, S2=0.0) -> GeneratorAction:
 
 def double_slit_decoherence(delta, S1=0.0, S2=0.0,
                             normalization="per-transition"
-                            ) -> DecoherenceFunctional:
+                            ) -> decoherence.DecoherenceFunctional:
     """The decoherence functional over the arrows, a 4x4 matrix in order
     (alpha, beta, alpha_bar, beta_bar); with the per-transition tag the
     prefactor is 1/16."""
-    return quiver_decoherence(double_slit_groupoid(),
-                              double_slit_action(delta, S1, S2),
-                              normalization)
+    return action.quiver_decoherence(double_slit_groupoid(),
+                                     double_slit_action(delta, S1, S2),
+                                     normalization)
 
 
 def cyclic_group_groupoid(n) -> FiniteGroupoid:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, multiply
+from . import algebra
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, finite, intake, read_only
 from .states import (
@@ -51,7 +51,7 @@ class GnsRepresentation:
     space: GnsSpace
     ground: np.ndarray  # quotient coordinates of [1]
 
-    def matrix_of(self, a: AlgebraElement) -> np.ndarray:
+    def matrix_of(self, a: algebra.AlgebraElement) -> np.ndarray:
         """pi(a): left multiplication by ``a``, in quotient coordinates.  It
         sends the inner of each composition triple to the result, weighted
         by a's coefficient at the outer."""
@@ -191,7 +191,8 @@ def gns_matrices(rep: GnsRepresentation) -> RepMatrices:
     g, dim = rep.space.groupoid, rep.space.dim
     mats = np.empty((g.order, dim, dim), dtype=complex)
     for t in range(g.order):
-        mats[t] = rep.matrix_of(AlgebraElement(g, np.arange(g.order) == t))
+        mats[t] = rep.matrix_of(algebra.AlgebraElement(
+            g, np.arange(g.order) == t))
     return RepMatrices._own(g, mats)
 
 
@@ -278,14 +279,14 @@ def _times(x, y):
 
 
 def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
-                           b) -> AlgebraElement:
+                           b) -> algebra.AlgebraElement:
     """The algebra element whose fundamental matrix is U^dagger P_b U: its
     coefficient at x -> y is conj(U[b, y]) U[b, x]."""
     row = _frame_row(g, fc, b)
     src, tgt = g.index_arrays()[:2]
     coeffs = np.empty(g.order, dtype=complex)
     coeffs.real, coeffs.imag = _times(row[tgt].conj(), row[src])
-    return AlgebraElement(g, coeffs)
+    return algebra.AlgebraElement(g, coeffs)
 
 
 def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
@@ -312,8 +313,8 @@ def gns_report(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> dict:
     # <0|pi(t)|0> sums conj(left[t∘i]) right[i] over the i composable
     # with t: the product of left and right∘inv, as (t∘i)∘i^-1 = t
     inv = g.index_arrays()[2]
-    amps = multiply(AlgebraElement(g, left.conj()),
-                    AlgebraElement(g, right[inv])).coeffs
+    amps = algebra.multiply(algebra.AlgebraElement(g, left.conj()),
+                            algebra.AlgebraElement(g, right[inv])).coeffs
     return {
         "dim": space.dim,
         "gram_rank_tolerance": RANK_TOL,

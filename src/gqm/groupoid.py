@@ -178,10 +178,15 @@ class FiniteGroupoid:
         """Vector over the canonical order from {label: value}; omitted
         labels are zero, and of two labels naming one transition the
         later one wins (numpy leaves the order of repeated indices in a
-        fancy assignment unspecified)."""
+        fancy assignment unspecified).  A value that is not a number of
+        ``dtype`` is an input error naming its label."""
         vec = np.zeros(self.order, dtype=dtype)
         for label, value in values.items():
-            vec[self.index(label)] = value
+            try:
+                vec[self.index(label)] = value
+            except (TypeError, ValueError, OverflowError):
+                raise GqmInputError("value of %r is not a %s number"
+                                    % (label, dtype.__name__))
         return vec
 
     def require_event(self, x):
@@ -372,8 +377,12 @@ def finite(a, what, fault="must be finite"):
 def intake(values, dtype, shape, mismatch, what):
     """``values`` as an array of ``dtype`` and ``shape``, else the input
     error ``mismatch``, its ``{}`` filled with "length n" for a vector and
-    "of shape s" otherwise; then `finite` with ``what``."""
-    a = np.asarray(values, dtype=dtype)
+    "of shape s" otherwise; then `finite` with ``what``, which also names
+    values that are not numbers of ``dtype``, a ragged list among them."""
+    try:
+        a = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise GqmInputError("%s are not %s numbers" % (what, dtype.__name__))
     if a.shape != shape:
         got = ("length %d" % a.size if a.ndim == 1
                else "of shape %r" % (a.shape,))

@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from . import action, algebra, states
 from .errors import GqmInputError
 from .groupoid import (
     FiniteGroupoid,
@@ -190,32 +191,24 @@ def parse_state_doc(doc, g: FiniteGroupoid):
             "state spec 'type' must be one of %s" % ", ".join(STATE_TYPES)
         )
     if kind == "characteristic":
-        from .states import CharacteristicFunction
-
         fields = _take(doc, ("type", "values"), "characteristic state spec")
         values = _require_object(fields["values"], "'values'")
-        return CharacteristicFunction.from_dict(g, {
+        return states.CharacteristicFunction.from_dict(g, {
             label: parse_complex(v, "value of %r" % label)
             for label, v in values.items()
         })
     if kind == "delta":
-        from .states import delta_state
-
         fields = _take(doc, ("type", "event"), "delta state spec")
-        return delta_state(g, _string(fields["event"], "'event'"))
+        return states.delta_state(g, _string(fields["event"], "'event'"))
     if kind == "action":
-        from .action import action_from_potential
-        from .states import CharacteristicFunction
-
         fields = _take(doc, ("type", "potential"), "action state spec")
         pot = _require_object(fields["potential"], "'potential'")
-        s = action_from_potential(g, {x: real(v, "potential at %r" % x)
-                                      for x, v in pot.items()})
-        return CharacteristicFunction(g, np.exp(1j * s.values))
-    from .action import GeneratorAction
-
+        s = action.action_from_potential(
+            g, {x: real(v, "potential at %r" % x) for x, v in pot.items()})
+        return states.CharacteristicFunction(g, np.exp(1j * s.values))
     fields = _take(doc, ("type", "values"), "generator-action state spec")
-    return GeneratorAction(_require_object(fields["values"], "'values'"))
+    return action.GeneratorAction(
+        _require_object(fields["values"], "'values'"))
 
 
 def bind_generator_action(ga, g: FiniteGroupoid):
@@ -241,12 +234,10 @@ def parse_unitary_doc(doc) -> np.ndarray:
 
 
 def parse_algebra_doc(doc, g: FiniteGroupoid):
-    from .algebra import AlgebraElement
-
     doc = _require_object(doc, "algebra element spec")
     fields = _take(doc, ("coeffs",), "algebra element spec")
     coeffs = _require_object(fields["coeffs"], "'coeffs'")
-    return AlgebraElement.from_dict(g, {
+    return algebra.AlgebraElement.from_dict(g, {
         label: parse_complex(v, "coefficient of %r" % label)
         for label, v in coeffs.items()
     })

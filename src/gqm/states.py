@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraElement, fundamental_rep, scatter_add
+from . import algebra
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, finite, intake
 
@@ -50,7 +50,7 @@ class CharacteristicFunction:
         return mass
 
     def as_algebra_element(self):
-        return AlgebraElement(self.groupoid, self.values.copy())
+        return algebra.AlgebraElement(self.groupoid, self.values.copy())
 
 
 @dataclass
@@ -165,7 +165,7 @@ def assert_psd(phi, tol=DEFAULT_TOL,
     return check
 
 
-def state_eval(phi, a: AlgebraElement, tol=DEFAULT_TOL) -> complex:
+def state_eval(phi, a: algebra.AlgebraElement, tol=DEFAULT_TOL) -> complex:
     """The positive linear functional: sum of a_alpha phi(alpha)."""
     assert_state(phi, tol)
     if a.groupoid is not phi.groupoid:
@@ -191,10 +191,10 @@ def transition_amplitude(phi, a, b) -> complex:
 def transition_amplitude_matrix(phi) -> np.ndarray:
     """All amplitudes at once: equals the fundamental-representation matrix
     of phi read as an algebra element (rows = 'to', columns = 'from')."""
-    return fundamental_rep(phi.as_algebra_element())
+    return algebra.fundamental_rep(phi.as_algebra_element())
 
 
-def observable_amplitude(f: AlgebraElement, a_to, a_from,
+def observable_amplitude(f: algebra.AlgebraElement, a_to, a_from,
                          tol=DEFAULT_TOL) -> complex:
     """<a_to; f; a_from> for a self-adjoint f."""
     g = f.groupoid
@@ -205,7 +205,7 @@ def observable_amplitude(f: AlgebraElement, a_to, a_from,
             "element is not self-adjoint (largest deviation at %r)" % worst
         )
     x, y = g.require_event(a_from), g.require_event(a_to)
-    return complex(fundamental_rep(f)[y, x])
+    return complex(algebra.fundamental_rep(f)[y, x])
 
 
 def reproducing_deviation(phi) -> float:
@@ -235,5 +235,5 @@ def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:
     # Tr(density L_t), with L_t the left multiplication by t
     outer, inner, result = g.composition_index()
     terms = density[inner, result]
-    return CharacteristicFunction(g, scatter_add(outer, terms.real,
-                                                 terms.imag, n))
+    return CharacteristicFunction(g, algebra.scatter_add(
+        outer, terms.real, terms.imag, n))

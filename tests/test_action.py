@@ -12,6 +12,7 @@ from gqm.action import (
     extend_generator_action,
     is_action,
     is_factorizable,
+    is_reproducing_sweep_trial,
     quiver_decoherence,
     recover_potential,
 )
@@ -312,6 +313,27 @@ def test_recover_potential_roundtrip(pair4, rng):
     recovered = recover_potential(s)
     s2 = action_from_potential(pair4, recovered)
     assert np.allclose(s.values, s2.values, atol=0)
+
+
+def test_recover_potential_needs_a_pair_groupoid(z3):
+    with pytest.raises(GqmInputError, match="^potential recovery needs a "
+                       "pair groupoid$"):
+        recover_potential(ActionFunction(z3, np.zeros(z3.order)))
+
+
+@pytest.mark.parametrize("events, potentials, message", [
+    (None, np.zeros((1, 1)),
+     "potentials define actions on pair groupoids only"),
+    (["a", "b"], np.zeros((1, 3)), "each potential needs one value per event"),
+    (["a", "b"], np.zeros(2), "each potential needs one value per event"),
+])
+def test_sweep_trial_input_checks(z3, events, potentials, message):
+    """The stacked sweep kernel takes a (T, |events|) array on a pair
+    groupoid, and names either fault in one line."""
+    g = z3 if events is None else pair_groupoid(events)
+    with pytest.raises(GqmInputError) as err:
+        is_reproducing_sweep_trial(g, potentials)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_element
 from oracles import regular_rep_loop
+from gqm.action import ActionFunction
 from gqm.algebra import (
     AlgebraElement,
     fundamental_rep,
@@ -152,6 +153,12 @@ def test_fundamental_rep_inverse_needs_pair(z3):
         fundamental_rep_inverse(z3, np.eye(1))
 
 
+def test_fundamental_rep_inverse_names_a_wrong_shape(pair3):
+    with pytest.raises(GqmInputError, match=r"^matrix shape \(2, 2\) does "
+                       r"not match \|events\| = 3$"):
+        fundamental_rep_inverse(pair3, np.eye(2))
+
+
 def test_regular_rep(corpus, rng):
     for g in corpus:
         assert np.allclose(regular_rep(unit_element(g)), np.eye(g.order))
@@ -254,6 +261,34 @@ def test_vector_carriers_name_a_wrong_shape(qubit, carrier, vector, values,
     with pytest.raises(GqmInputError) as err:
         carrier(qubit, values)
     assert str(err.value) == message.format(vector)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda g: ActionFunction(g, [1j] * 4),
+     "action values are not float numbers"),
+    (lambda g: ActionFunction(g, [10 ** 400] * 4),
+     "action values are not float numbers"),
+    (lambda g: AlgebraElement(g, [[1, 2], [3]]),
+     "algebra coefficients are not complex numbers"),
+    (lambda g: CharacteristicFunction(g, ["x"] * 4),
+     "characteristic function values are not complex numbers"),
+    (lambda g: CharacteristicFunction.from_dict(g, {"alpha": "x"}),
+     "value of 'alpha' is not a complex number"),
+    (lambda g: AlgebraElement.from_dict(g, {"alpha": [1, 2]}),
+     "value of 'alpha' is not a complex number"),
+    (lambda g: AlgebraElement.from_dict(g, {"alpha": 10 ** 400}),
+     "value of 'alpha' is not a complex number"),
+    (lambda g: ActionFunction.from_dict(g, {"alpha": 1j}),
+     "value of 'alpha' is not a float number"),
+], ids=["complex-action", "huge-action", "ragged", "strings", "label-string",
+        "label-list", "label-huge", "label-complex-action"])
+def test_values_that_are_not_numbers_are_named(qubit, build, message):
+    """Values numpy cannot convert to the carrier's dtype are one input
+    error naming them: the carrier's values, or the label they stand at
+    in a dict."""
+    with pytest.raises(GqmInputError) as err:
+        build(qubit)
+    assert str(err.value) == message
 
 
 def test_action_and_decoherence_shape_messages(qubit):

@@ -22,18 +22,21 @@ dense |G| x |G| views are built only for the decoherence output, the GNS
 basis is stored by its rows' few entries, and the algebra product is the
 one kernel that convolves.
 
-Every module loads on first use: ``gqm`` only registers its submodules
-and resolves its exports from their home modules, and each CLI command
-imports what it runs, so a command loads only its chain of layers and
+Every module loads on first use, one way: ``gqm`` registers its
+submodules as lazy modules and resolves its exports from their home
+modules, and a module binds a sibling that only some of its functions
+call as that lazy module object.  No function imports a gqm module, so a
+command runs only the modules whose functions it calls, and
 ``gqm --help`` loads no numpy.
 
 The value carriers take their arrays through one intake,
 `groupoid.intake`, which alone decides their dtype, shape and finiteness.
 
-Three lint checks run here, so that they need no linter: no module-level
+Four lint checks run here, so that they need no linter: no module-level
 name is defined twice and every imported name is read, over the package
-and the tests, and every global name a function of the package reads is
-bound at module level.
+and the tests, every global name a function of the package reads is
+bound at module level, and no function of the package imports, but for
+``import numpy as np`` in ``cli.py``.
 """
 
 import ast
@@ -144,6 +147,25 @@ def test_every_import_is_read():
             unread += ["%s:%d %s" % (name, node.lineno, b)
                        for b in bound if b not in read]
     assert unread == []
+
+
+def test_no_function_imports():
+    """No function of the package imports: a module binds each sibling it
+    calls at module level, as the lazy module that ``gqm`` registers, so
+    gqm loads lazily one way.  The one exception is ``import numpy as np``
+    in ``cli.py``, which keeps ``gqm --help`` free of numpy."""
+    found = set()
+    for name, tree in modules():
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {"%s:%d" % (name, node.lineno)
+                          for node in ast.walk(function)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))
+                          and not (name == "cli.py"
+                                   and isinstance(node, ast.Import)
+                                   and [(a.name, a.asname) for a in node.names]
+                                   == [("numpy", "np")])}
+    assert sorted(found) == []
 
 
 def test_one_label_lookup():
@@ -519,34 +541,38 @@ def test_help_and_usage_errors_load_no_numpy(argv, code):
 
 @pytest.mark.parametrize("argv, layers", [
     (["validate", "G"], ["groupoid", "specio"]),
-    (["psd-check", "G", "S"], ["algebra", "groupoid", "specio", "states"]),
+    (["psd-check", "G", "S"], ["groupoid", "specio", "states"]),
     (["gns", "G", "S"], ["algebra", "gns", "groupoid", "specio", "states"]),
     (["interference", "G", "S", "--order", "1", "--sets", "1_a"],
-     ["algebra", "decoherence", "groupoid", "specio", "states"]),
+     ["decoherence", "groupoid", "specio", "states"]),
     (["measure", "G", "S", "--set", "1_a"],
-     ["algebra", "decoherence", "groupoid", "specio", "states"]),
+     ["decoherence", "groupoid", "specio", "states"]),
     (["decoherence", "G", "S"],
-     ["algebra", "decoherence", "groupoid", "specio", "states"]),
+     ["decoherence", "groupoid", "specio", "states"]),
     (["decoherence", "Q", "A"],
-     ["action", "algebra", "decoherence", "groupoid", "specio", "states"]),
+     ["action", "decoherence", "groupoid", "specio", "states"]),
     (["frame", "G", "--unitary", "U"],
-     ["algebra", "gns", "groupoid", "specio", "states"]),
-    (["example", "qubit"], ["action", "algebra", "decoherence", "examples",
+     ["gns", "groupoid", "specio", "states"]),
+    (["example", "qubit"], ["action", "decoherence", "examples",
                             "groupoid", "specio", "states"]),
     (["sweep", "thm52", "--trials", "3"],
-     ["action", "algebra", "decoherence", "groupoid", "specio", "states"]),
+     ["action", "decoherence", "groupoid", "specio", "states"]),
+    (["psd-check", "G", "P"], ["action", "groupoid", "specio", "states"]),
 ])
 def test_commands_run_only_their_layers(tmp_path, argv, layers):
     """A cold command runs the package, ``gqm.errors``, ``gqm.cli`` and
-    the modules it calls, and no other: ``validate`` runs no state,
-    algebra or action code, and the commands on characteristic states run
-    no ``gqm.action``.  Each row pins what its command loads today; a
-    change that narrows a command edits its row."""
+    the modules whose functions it calls, and no other: ``validate`` runs
+    no state, algebra or action code, the commands on characteristic
+    states run no ``gqm.action``, only ``gns`` runs ``gqm.algebra``, and
+    an action state runs no ``gqm.decoherence`` until a functional is
+    built.  Each row pins what its command loads today; a change that
+    narrows a command edits its row."""
     docs = {"G": {"kind": "pair", "events": ["a", "b"]},
             "S": {"type": "delta", "event": "a"},
             "Q": {"kind": "quiver", "events": ["a", "b"],
                   "arrows": [{"label": "f", "source": "a", "target": "b"}]},
             "A": {"type": "generator-action", "values": {"f": 0.5}},
+            "P": {"type": "action", "potential": {"a": 0.0, "b": 0.5}},
             "U": {"unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")

@@ -297,6 +297,16 @@ BRANCH_FILES = {
     "ga": {"type": "generator-action", "values": {"f": 0.0}},
     "part": {"type": "action", "potential": {"a": 0.0}},
     "empty": {"unitary": []},
+    "group": {"kind": "group", "events": ["*"], "elements": ["e"],
+              "identity": "x",
+              "table": [{"left": "e", "right": "e", "result": "e"}]},
+    "eventless": {"kind": "explicit", "events": [], "transitions": [],
+                  "source": {}, "target": {}, "units": {}, "inverse": {},
+                  "compose": []},
+    "sourceless": {"kind": "explicit", "events": ["x"], "transitions": ["t"],
+                   "source": {}, "target": {"t": "x"}, "units": {"x": "t"},
+                   "inverse": {"t": "t"},
+                   "compose": [{"outer": "t", "inner": "t", "result": "t"}]},
 }
 
 
@@ -314,6 +324,11 @@ BRANCH_FILES = {
      "error: 'unitary' must be a non-empty array of rows"),
     (["decoherence", "pair", "zero", "--normalization", "global"], 2,
      "error: global normalization impossible: D(G, G) = 0"),
+    (["validate", "group"], 1, "error: identity 'x' is not a listed element"),
+    (["validate", "eventless"], 1,
+     "error: a groupoid needs at least one event"),
+    (["validate", "sourceless"], 1, "error: groupoid validation failed: "
+     "transition 't' has invalid source None"),
 ])
 def test_error_branches_end_in_one_line(capsys, tmp_path, argv, code, line):
     """Each of these input checks ends the command with its exit code,
@@ -328,6 +343,29 @@ def test_error_branches_end_in_one_line(capsys, tmp_path, argv, code, line):
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, "")
     assert captured.err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("tolerance, code", [([], 2),
+                                             (["--tolerance", "1e-14"], 0)])
+def test_global_normalization_reads_the_tolerance(capsys, tmp_path,
+                                                  tolerance, code):
+    """D(G, G) = 4e-12 is zero at the default tolerance of 1e-10, and at
+    1e-14 it is not: the matrix is scaled so that D(G, G) = 1."""
+    pair = write(tmp_path / "pair.json", BRANCH_FILES["pair"])
+    tiny = write(tmp_path / "tiny.json", {
+        "type": "characteristic",
+        "values": {"1_a": [1e-12, 0], "1_b": [1e-12, 0]}})
+    got = main([*tolerance, "decoherence", pair, tiny,
+                "--normalization", "global"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert (captured.out, captured.err) == (
+            "", "error: global normalization impossible: D(G, G) = 0\n")
+    else:
+        rows = np.array(json.loads(captured.out)["rows"])
+        assert rows[..., 0].sum() == pytest.approx(1.0)
+        assert not rows[..., 1].any()
 
 
 def test_gns_rejects_zero_unit_mass(capsys, pair3_file, tmp_path):
@@ -805,6 +843,7 @@ GOLDEN = Path(__file__).parent / "golden"
                  "--set", "1_a,f,c->b,b->c,e->d"], 0),
     ("sweep", ["sweep", "thm52", "--n", "12", "--trials", "200",
                "--seed", "0"], 0),
+    ("example-csv", ["--format", "csv", "example", "qubit"], 0),
 ])
 def test_reports_match_golden_bytes(capsys, name, argv, code):
     """Reports on full-precision inputs, byte for byte.  ``blocks.json``

@@ -171,6 +171,17 @@ def test_interference_input_checks(qubit, rng):
         interference(d, [["1_+"]] * 7)
 
 
+def test_measure_of_a_non_hermitian_functional_is_not_real(qubit):
+    """D(A, A) with an imaginary part beyond the tolerance is a property
+    error, not a clamped real value."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 2] = 1j
+    d = DecoherenceFunctional(qubit, mat)
+    with pytest.raises(MathPropertyError, match="^measure value is not "
+                       r"real: 1j \(matrix is not Hermitian\?\)$"):
+        quantum_measure(d, [qubit.transitions[0], qubit.transitions[2]])
+
+
 def test_axioms_reject_non_hermitian(qubit):
     mat = np.zeros((4, 4), dtype=complex)
     mat[0, 2] = 1.0  # no conjugate partner

@@ -228,6 +228,13 @@ def test_smeared_character_input_checks(qubit):
         smeared_character(RepMatrices(qubit, stack), np.eye(2) / 2)
 
 
+def test_smeared_character_rejects_an_indefinite_density(qubit):
+    """A Hermitian density of trace 1 with a negative eigenvalue."""
+    with pytest.raises(GqmInputError, match="^density matrix is not PSD$"):
+        smeared_character(fundamental_matrices(qubit),
+                          np.diag([1.5, -0.5]))
+
+
 def test_smeared_character_overflowing_trace(qubit):
     """An all-1e308 density is Hermitian and PSD as read from halves; its
     trace overflows to inf, without a warning, and is not 1."""

@@ -81,6 +81,12 @@ def test_state_eval_basics(qubit, rng):
         assert abs(val.imag) <= 1e-10
 
 
+def test_state_eval_rejects_a_foreign_element(qubit, pair3):
+    with pytest.raises(GqmInputError, match="^element and state live on "
+                       "different groupoids$"):
+        state_eval(qubit_state(qubit, 0.4), unit_element(pair3))
+
+
 def test_delta_state(qubit, pair4, rng):
     for g, x in ((qubit, "-"), (pair4, "a")):
         d = delta_state(g, x)
