@@ -89,28 +89,22 @@ def action_from_potential(g: FiniteGroupoid, potential) -> ActionFunction:
     if missing:
         raise GqmInputError("potential misses events: %s"
                             % ", ".join(sorted(missing)))
-    return _coboundary(g, [potential[x] for x in g.events])
+    return ActionFunction(g, coboundaries(g, np.array(
+        [real(potential[x], "potential at %r" % x) for x in g.events])))
 
 
-def _coboundary(g: FiniteGroupoid, u) -> ActionFunction:
-    """The action u(target) - u(source) of the potential ``u``, one value
-    per event in event order; a difference that overflows is an input
-    error."""
+def coboundaries(g: FiniteGroupoid, u):
+    """The actions u(target) - u(source) of a (T, |events|) stack of
+    potentials u in event order; an overflow is an input error."""
+    src, tgt = g.index_arrays()[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = coboundaries(g, np.array(u, dtype=float))
+        values = u[..., tgt] - u[..., src]
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise GqmInputError("the action on %r overflows: u(target) - "
                             "u(source) is not finite"
-                            % g.transitions[bad[0]])
-    return ActionFunction(g, values)
-
-
-def coboundaries(g: FiniteGroupoid, u):
-    """The action values u(target) - u(source) of each row of a (T,
-    |events|) stack of potentials in event order."""
-    src, tgt = g.index_arrays()[:2]
-    return u[..., tgt] - u[..., src]
+                            % g.transitions[bad[0] % g.order])
+    return values
 
 
 def is_action(s: ActionFunction, tol=DEFAULT_TOL):
@@ -180,7 +174,7 @@ def extend_generator_action(g: FiniteGroupoid,
                         residual = -residual
                         cycle = [(lab, -sg) for lab, sg in reversed(cycle)]
                     raise ActionInconsistencyError(cycle, residual)
-    return _coboundary(g, potential)
+    return ActionFunction(g, coboundaries(g, np.array(potential)))
 
 
 def _tree_path(parent, node, root):
@@ -303,9 +297,8 @@ def is_reproducing_sweep_trial(g, potentials):
     of T n x n blocks (a pair groupoid has one orbit)."""
     if not g.is_pair_groupoid():
         raise GqmInputError("potentials define actions on pair groupoids only")
-    u = np.asarray(potentials, dtype=float)
-    if u.ndim != 2 or u.shape[1] != len(g.events):
-        raise GqmInputError("each potential needs one value per event")
+    u = intake(potentials, float, (None, len(g.events)),
+               "each potential needs one value per event", "potentials")
     values = decoherence.normalization_scale("idempotent", g) * np.exp(
         1j * coboundaries(g, u))
     return psd_spectra(g, values)[1], reproducing_deviations(g, values)

@@ -144,11 +144,8 @@ def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:
     if not g.is_pair_groupoid():
         raise GqmInputError("fundamental representation is only invertible "
                             "on pair groupoids")
-    mat = np.asarray(mat, dtype=complex)
-    n = len(g.events)
-    if mat.shape != (n, n):
-        raise GqmInputError("matrix shape %r does not match |events| = %d"
-                            % (mat.shape, n))
+    mat = intake(mat, complex, (len(g.events),) * 2, "matrix {} does not "
+                 "match |events| = %d" % len(g.events), "matrix entries")
     src, tgt = g.index_arrays()[:2]
     return AlgebraElement(g, mat[tgt, src])
 

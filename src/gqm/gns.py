@@ -124,13 +124,10 @@ class RepMatrices:
         return rep
 
     def __post_init__(self):
-        mats = np.array(self.matrices, dtype=complex, ndmin=1)
-        d = mats.shape[-1]
-        if d == 0 or mats.shape != (self.groupoid.order, d, d):
-            raise GqmInputError("a representation needs one d x d matrix per "
-                                "transition, not a stack of shape %r"
-                                % (mats.shape,))
-        self.matrices = read_only(finite(mats, "representation matrices"))
+        self.matrices = read_only(intake(
+            self.matrices, complex, (self.groupoid.order, None, None),
+            "a representation needs one d x d matrix per transition, not a "
+            "stack {}", "representation matrices").copy())
 
     def check(self, tol=DEFAULT_TOL):
         """Raise on the first pair in `composition_index` order with
@@ -174,7 +171,9 @@ class RepMatrices:
                      "dimension does not match the representation",
                      "vector entries")
         at = [self.groupoid.index(m) for m in members]
-        return np.sum(self.matrices[at] @ psi, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return finite(np.sum(self.matrices[at] @ psi, axis=0),
+                          "nu(A) psi", "is too large for floating point")
 
 
 def fundamental_matrices(g: FiniteGroupoid) -> RepMatrices:
@@ -230,14 +229,12 @@ class FrameChange:
     unitary: np.ndarray
 
     def __post_init__(self):
-        self.unitary = np.asarray(self.unitary, dtype=complex)
-        n = self.unitary.shape[0] if self.unitary.ndim else 0
-        if n == 0 or self.unitary.shape != (n, n):
-            raise GqmInputError("frame matrix must be square and non-empty")
-        finite(self.unitary, "frame matrix entries")
-        u = self.unitary  # |u_ij| <= 1 for a unitary: u^H u cannot overflow
+        u = self.unitary = intake(self.unitary, complex, (None, None),
+                                  "frame matrix must be square and non-empty",
+                                  "frame matrix entries")
+        # |u_ij| <= 1 for a unitary: u^H u cannot overflow
         if np.max(np.abs(u)) > 1 + DEFAULT_TOL or np.max(
-                np.abs(u.conj().T @ u - np.eye(n))) > DEFAULT_TOL:
+                np.abs(u.conj().T @ u - np.eye(self.dim))) > DEFAULT_TOL:
             raise GqmInputError("frame matrix is not unitary")
 
     @property

@@ -178,13 +178,17 @@ class FiniteGroupoid:
         """Vector over the canonical order from {label: value}; omitted
         labels are zero, and of two labels naming one transition the
         later one wins (numpy leaves the order of repeated indices in a
-        fancy assignment unspecified).  A value that is not a number of
-        ``dtype`` is an input error naming its label."""
+        fancy assignment unspecified).  A value that is neither an int or a
+        float (not a bool) nor, for a complex vector, a complex is an input
+        error naming its label, as is an int past the float range."""
         vec = np.zeros(self.order, dtype=dtype)
         for label, value in values.items():
+            at = self.index(label)
             try:
-                vec[self.index(label)] = value
-            except (TypeError, ValueError, OverflowError):
+                if not (is_number(value) or isinstance(value, dtype)):
+                    raise TypeError
+                vec[at] = value
+            except (TypeError, OverflowError):
                 raise GqmInputError("value of %r is not a %s number"
                                     % (label, dtype.__name__))
         return vec
@@ -375,16 +379,26 @@ def finite(a, what, fault="must be finite"):
 
 
 def intake(values, dtype, shape, mismatch, what):
-    """``values`` as an array of ``dtype`` and ``shape``, else the input
-    error ``mismatch``, its ``{}`` filled with "length n" for a vector and
-    "of shape s" otherwise; then `finite` with ``what``, which also names
-    values that are not numbers of ``dtype``, a ragged list among them."""
+    """``values`` as an array of ``dtype`` and ``shape``, not copied where
+    it is one.  Entries of bool, int and float type are numbers of either
+    dtype, complex ones of ``complex`` only; any other, and a ragged list,
+    is "``what`` are not ``dtype`` numbers", found before any cast.  A
+    ``None`` in ``shape`` is one positive length, the same at each; another
+    shape is the error ``mismatch``, its ``{}`` "length n" for a vector
+    and "of shape s" otherwise.  Then `finite` with ``what``."""
     try:
-        a = np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
+        a = np.asarray(values)
+        # an object array holds Python values: each is read by its type
+        found = set(map(type, a.flat)) if a.dtype == object else {a.dtype}
+        if not all(np.can_cast(t, dtype, "same_kind") for t in found):
+            raise TypeError
+        with np.errstate(over="ignore"):  # a huge long double reads inf
+            a = a.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged; a huge int
         raise GqmInputError("%s are not %s numbers" % (what, dtype.__name__))
-    if a.shape != shape:
-        got = ("length %d" % a.size if a.ndim == 1
+    n = next((k for k, w in zip(a.shape, shape) if w is None), None)
+    if n == 0 or a.shape != tuple(n if w is None else w for w in shape):
+        got = ("length %d" % a.size if a.ndim == len(shape) == 1
                else "of shape %r" % (a.shape,))
         raise GqmInputError(mismatch.format(got))
     return finite(a, what)
@@ -400,12 +414,11 @@ def real(value, what):
     if not is_number(value):
         raise GqmInputError("%s must be a real number" % what)
     try:
-        x = float(value)
+        if math.isfinite(value):
+            return float(value)
     except OverflowError:  # an int beyond the range of a float
-        x = math.inf
-    if not math.isfinite(x):
-        raise GqmInputError("%s must be finite" % what)
-    return x
+        pass
+    raise GqmInputError("%s must be finite" % what)
 
 
 def group_indices(keys, n):

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_element
 from oracles import regular_rep_loop
-from gqm.action import ActionFunction
+from gqm.action import (
+    ActionFunction,
+    action_from_potential,
+    is_reproducing_sweep_trial,
+)
 from gqm.algebra import (
     AlgebraElement,
     fundamental_rep,
@@ -18,6 +24,7 @@ from gqm.algebra import (
     unit_element,
 )
 from gqm.errors import GqmInputError
+from gqm.gns import FrameChange, RepMatrices, fundamental_matrices
 from gqm.states import CharacteristicFunction
 
 
@@ -154,7 +161,7 @@ def test_fundamental_rep_inverse_needs_pair(z3):
 
 
 def test_fundamental_rep_inverse_names_a_wrong_shape(pair3):
-    with pytest.raises(GqmInputError, match=r"^matrix shape \(2, 2\) does "
+    with pytest.raises(GqmInputError, match=r"^matrix of shape \(2, 2\) does "
                        r"not match \|events\| = 3$"):
         fundamental_rep_inverse(pair3, np.eye(2))
 
@@ -280,15 +287,71 @@ def test_vector_carriers_name_a_wrong_shape(qubit, carrier, vector, values,
      "value of 'alpha' is not a complex number"),
     (lambda g: ActionFunction.from_dict(g, {"alpha": 1j}),
      "value of 'alpha' is not a float number"),
+    (lambda g: ActionFunction(g, np.array([1j] * 4)),
+     "action values are not float numbers"),
+    (lambda g: ActionFunction(g, ["1", "0", "0", "0"]),
+     "action values are not float numbers"),
+    (lambda g: CharacteristicFunction.from_dict(g, {"1_+": "1"}),
+     "value of '1_+' is not a complex number"),
+    (lambda g: CharacteristicFunction.from_dict(g, {"1_+": None}),
+     "value of '1_+' is not a complex number"),
+    (lambda g: RepMatrices(g, [[1], [2, 3]]),
+     "representation matrices are not complex numbers"),
+    (lambda g: FrameChange([["x"]]),
+     "frame matrix entries are not complex numbers"),
+    (lambda g: FrameChange([[1, 0], [0]]),
+     "frame matrix entries are not complex numbers"),
+    (lambda g: fundamental_rep_inverse(g, [["x", "y"], ["z", "w"]]),
+     "matrix entries are not complex numbers"),
+    (lambda g: is_reproducing_sweep_trial(g, [[np.nan, 0.0]]),
+     "potentials must be finite"),
+    (lambda g: is_reproducing_sweep_trial(g, [[np.inf, 0.0]]),
+     "potentials must be finite"),
+    (lambda g: is_reproducing_sweep_trial(g, np.array([[1j, 0]])),
+     "potentials are not float numbers"),
+    (lambda g: is_reproducing_sweep_trial(g, [[1e308, -1e308]]),
+     "the action on 'alpha' overflows: u(target) - u(source) is not "
+     "finite"),
+    (lambda g: action_from_potential(g, {"+": "1", "-": 0}),
+     "potential at '+' must be a real number"),
+    (lambda g: action_from_potential(g, {"+": 1j, "-": 0}),
+     "potential at '+' must be a real number"),
 ], ids=["complex-action", "huge-action", "ragged", "strings", "label-string",
-        "label-list", "label-huge", "label-complex-action"])
+        "label-list", "label-huge", "label-complex-action",
+        "complex-array-action", "numeric-text-action", "label-numeric-text",
+        "label-none", "ragged-rep", "text-frame", "ragged-frame",
+        "text-matrix", "nan-potential", "inf-potential", "complex-potential",
+        "overflowing-potential", "text-potential-map",
+        "complex-potential-map"])
 def test_values_that_are_not_numbers_are_named(qubit, build, message):
-    """Values numpy cannot convert to the carrier's dtype are one input
-    error naming them: the carrier's values, or the label they stand at
-    in a dict."""
-    with pytest.raises(GqmInputError) as err:
-        build(qubit)
+    """Values that are not numbers of the dtype an array or a map takes
+    are one input error naming them, and no warning: the values, or the
+    label or event they stand at in a map.  Text is never parsed, and a
+    complex value for a real one is never cast."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GqmInputError) as err:
+            build(qubit)
     assert str(err.value) == message
+
+
+def test_numbers_keep_their_values(qubit):
+    """Bools, unsigned ints and ints past int64 are numbers, and keep
+    their values.  A carrier takes an array of its dtype as it is, not a
+    copy; `RepMatrices` copies its stack, so freezing it leaves the
+    caller's array writeable."""
+    assert ActionFunction(qubit, [10 ** 30, 0, 0, 0]).values.tolist() == [
+        1e30, 0.0, 0.0, 0.0]
+    assert isotropy_char(qubit, "+").coeffs.tolist() == [1, 0, 0, 0]
+    assert ActionFunction(qubit, np.arange(4, dtype=np.uint8)).value(
+        "alpha^-1") == 3.0
+    values = np.arange(4, dtype=complex)
+    assert CharacteristicFunction(qubit, values).values is values
+    stack = fundamental_matrices(qubit).matrices.copy()
+    rep = RepMatrices(qubit, stack)
+    assert stack.flags.writeable
+    assert not np.shares_memory(stack, rep.matrices)
+    assert np.array_equal(stack, rep.matrices)
 
 
 def test_action_and_decoherence_shape_messages(qubit):

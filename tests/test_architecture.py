@@ -29,8 +29,9 @@ call as that lazy module object.  No function imports a gqm module, so a
 command runs only the modules whose functions it calls, and
 ``gqm --help`` loads no numpy.
 
-The value carriers take their arrays through one intake,
-`groupoid.intake`, which alone decides their dtype, shape and finiteness.
+Every array the package takes, the value carriers' and the arrays of
+`INTAKES`, goes through one intake, `groupoid.intake`, which alone
+decides its dtype, shape and finiteness.
 
 Four lint checks run here, so that they need no linter: no module-level
 name is defined twice and every imported name is read, over the package
@@ -53,6 +54,7 @@ from pathlib import Path
 import pytest
 
 import gqm
+from test_properties import INTAKE_ROWS
 
 TABLES = {"source", "target", "unit_of", "inverse", "composition"}
 OWNERS = {"groupoid.py", "specio.py"}
@@ -372,31 +374,80 @@ def test_only_the_algebra_product_convolves():
 
 CARRIERS = {"AlgebraElement", "CharacteristicFunction", "ActionFunction",
             "DecoherenceFunctional"}
+# the value carriers, and the other classes (by ``__post_init__``) and
+# functions that take a caller's array
+INTAKES = {*CARRIERS, "RepMatrices", "FrameChange", "fundamental_rep_inverse",
+           "is_reproducing_sweep_trial"}
+
+
+def intake_caller(node):
+    """The function of ``node`` that must take its array through
+    `groupoid.intake`: ``node`` itself for a function of `INTAKES`, the
+    ``__post_init__`` of a class of it, else None."""
+    if isinstance(node, ast.FunctionDef) and node.name in INTAKES:
+        return node
+    if isinstance(node, ast.ClassDef) and node.name in INTAKES:
+        init, = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                 and f.name == "__post_init__"]
+        return init
+    return None
 
 
 def test_value_carriers_take_values_through_intake():
-    """The value carriers' contract, one dtype, one shape and finite
-    entries, is decided by `groupoid.intake` alone: each carrier's
-    ``__post_init__`` calls it once, and none converts its array, reads a
-    shape or tests finiteness itself; and no ``try`` of the package builds
-    a carrier, so no message of the intake is rewritten."""
+    """The contract of every array the package takes, one dtype, one
+    shape and finite entries, is decided by `groupoid.intake` alone: each
+    class of `INTAKES` calls it once in its ``__post_init__``, each
+    function once, and none converts its array, reads a shape or tests
+    finiteness itself; and no ``try`` of the package calls one of them,
+    so no message of the intake is rewritten."""
     own = {"asarray", "array", "finite", "isfinite", "shape", "ndim", "size"}
     found, tries = {}, []
     for name, tree in modules():
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in CARRIERS:
-                init, = [f for f in node.body if isinstance(f, ast.FunctionDef)
-                         and f.name == "__post_init__"]
-                idents = [ident for n in ast.walk(init) for ident in
+            body = intake_caller(node)
+            if body is not None:
+                idents = [ident for n in ast.walk(body) for ident in
                           [getattr(n, "id", getattr(n, "attr", None))]]
                 found[node.name] = (idents.count("intake"),
                                     sorted(own.intersection(idents)))
-            elif isinstance(node, ast.Try) and CARRIERS.intersection(
-                    getattr(n.func, "id", None) for stmt in node.body
-                    for n in ast.walk(stmt) if isinstance(n, ast.Call)):
+            elif isinstance(node, ast.Try) and INTAKES.intersection(
+                    getattr(n.func, "id", getattr(n.func, "attr", None))
+                    for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Call)):
                 tries.append("%s:%d" % (name, node.lineno))
-    assert found == dict.fromkeys(CARRIERS, (1, []))
+    assert found == dict.fromkeys(INTAKES, (1, []))
     assert tries == []
+
+
+# the exports that take no array or label -> value map of numbers: they
+# take groupoids, labels, carriers, tolerances or a random generator, or
+# are errors and records the package fills itself
+TAKE_NO_NUMBERS = set("""
+    dynamical_state extend_generator_action is_action is_factorizable
+    quiver_decoherence recover_potential
+    fundamental_rep incidence_element involution isotropy_char multiply
+    operator_norm regular_rep spray_char unit_element
+    QuantumMeasureReport characteristic_from_bivariate
+    check_decoherence_axioms decoherence_from_characteristic interference
+    is_invariant quantum_measure
+    ActionInconsistencyError GqmError GqmInputError GroupoidValidationError
+    MathPropertyError
+    FiniteGroupoid QuiverSpec ValidationReport from_explicit from_quiver
+    group_as_groupoid pair_groupoid validate
+    PsdCheck assert_state delta_state is_positive_semidefinite
+    observable_amplitude random_state state_eval transition_amplitude
+    transition_amplitude_matrix
+    GnsRepresentation GnsSpace frame_compose fundamental_matrices gns_build
+    gns_matrices transformation_function""".split())
+
+
+def test_every_export_that_takes_numbers_is_an_intake_row():
+    """Each export is a row of the intake property's table, or its
+    method is, or it takes no numbers; each name of `TAKE_NO_NUMBERS` is
+    an export with no row."""
+    rows = {name.split(".")[0] for name in INTAKE_ROWS}
+    assert set(gqm._EXPORTS) <= rows | TAKE_NO_NUMBERS
+    assert TAKE_NO_NUMBERS <= set(gqm._EXPORTS) - rows
 
 
 # the fields of `OrbitStack` that have one entry per orbit or per event

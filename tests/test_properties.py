@@ -7,16 +7,28 @@ targets and invariant, and gives back its characteristic function up to
 the normalization scale; its order-3 interference vanishes (grade two).
 A function and its decoherence matrix are positive together: the PSD
 check and the decoherence axioms reach one verdict at every scale.
+
+States and actions are functions on the groupoid, complex and real: every
+array or label -> value map the package takes gives back finite numbers
+or one package error, whatever its values.
 """
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gqm.action import action_from_potential, dynamical_state
+from gqm.action import (
+    ActionFunction,
+    GeneratorAction,
+    action_from_potential,
+    dynamical_state,
+    is_reproducing_sweep_trial,
+)
+from gqm.algebra import AlgebraElement, fundamental_rep_inverse
 from gqm.decoherence import (
     DecoherenceFunctional,
     characteristic_from_bivariate,
@@ -28,7 +40,13 @@ from gqm.decoherence import (
 )
 from gqm.examples import corpus_groupoids
 from gqm.groupoid import pair_groupoid
-from gqm.errors import MathPropertyError
+from gqm.errors import GqmError, MathPropertyError
+from gqm.gns import (
+    FrameChange,
+    RepMatrices,
+    fundamental_matrices,
+    smeared_character,
+)
 from gqm.states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -136,3 +154,112 @@ def test_psd_check_and_decoherence_axioms_agree(n, seed, gram, skew, k):
     psd = ("ok" if check.ok else "not PSD" if check.hermitian
            else "not Hermitian")
     assert psd == axioms == want
+
+
+# -- every array and map the package takes -------------------------------
+
+def square(g):
+    return (len(g.events),) * 2
+
+
+# callable -> (the dtype of its values, their layout on g: a shape, or
+# the list of keys of a map, and the call, returning the numbers it made)
+INTAKE_ROWS = {
+    "AlgebraElement": (complex, lambda g: (g.order,),
+                       lambda g, v: AlgebraElement(g, v).coeffs),
+    "AlgebraElement.from_dict": (
+        complex, lambda g: list(g.transitions),
+        lambda g, v: AlgebraElement.from_dict(g, v).coeffs),
+    "CharacteristicFunction": (
+        complex, lambda g: (g.order,),
+        lambda g, v: CharacteristicFunction(g, v).values),
+    "CharacteristicFunction.from_dict": (
+        complex, lambda g: list(g.transitions),
+        lambda g, v: CharacteristicFunction.from_dict(g, v).values),
+    "ActionFunction": (float, lambda g: (g.order,),
+                       lambda g, v: ActionFunction(g, v).values),
+    "ActionFunction.from_dict": (
+        float, lambda g: list(g.transitions),
+        lambda g, v: ActionFunction.from_dict(g, v).values),
+    "DecoherenceFunctional": (
+        complex, lambda g: (g.order, g.order),
+        lambda g, v: DecoherenceFunctional(g, v).matrix),
+    "GeneratorAction": (float, lambda g: list(g.transitions),
+                        lambda g, v: list(GeneratorAction(v).values.values())),
+    "RepMatrices": (complex, lambda g: (g.order, *square(g)),
+                    lambda g, v: RepMatrices(g, v).matrices),
+    "RepMatrices.apply": (
+        complex, lambda g: (len(g.events),),
+        lambda g, v: fundamental_matrices(g).apply(g.transitions, v)),
+    "FrameChange": (complex, square, lambda g, v: FrameChange(v).unitary),
+    "smeared_character": (
+        complex, square,
+        lambda g, v: smeared_character(fundamental_matrices(g), v).values),
+    "fundamental_rep_inverse": (
+        complex, square, lambda g, v: fundamental_rep_inverse(g, v).coeffs),
+    "is_reproducing_sweep_trial": (
+        float, lambda g: (2, len(g.events)),
+        lambda g, v: np.concatenate(is_reproducing_sweep_trial(g, v))),
+    "action_from_potential": (
+        float, lambda g: list(g.events),
+        lambda g, v: action_from_potential(g, v).values),
+}
+
+
+def nest(flat, shape):
+    """The list ``flat`` as nested lists of ``shape``."""
+    for n in reversed(shape[1:]):
+        flat = [flat[k:k + n] for k in range(0, len(flat), n)]
+    return flat
+
+
+@st.composite
+def intake_values(draw, dtype, layout):
+    """Values laid out as ``layout``, a shape or the list of keys of a
+    map: finite numbers of ``dtype``, from two to eight draws in [-1, 1],
+    each scaled by 2^k for a k from -1074 to 1023, and repeated to fill
+    the layout; or these with one fault, an entry that is text, None, a
+    list (a ragged array) or, for real values, complex, or an array one
+    rank short or long."""
+    keyed = isinstance(layout, list)
+    size = len(layout) if keyed else math.prod(layout)
+    # the extremes more often: that is where sums overflow
+    mantissa = st.sampled_from([-1.0, 1.0]) | st.floats(-1, 1)
+    scale = st.sampled_from([-1074, 1023]) | st.integers(-1074, 1023)
+    drawn = draw(st.lists(st.builds(math.ldexp, mantissa, scale),
+                          min_size=2, max_size=8)) * size
+    flat = ([complex(x, y) for x, y in zip(drawn[::2], drawn[1::2])]
+            if dtype is complex else drawn)[:size]
+    bad = {"text": "1", "None": None, "list": [1.0, 2.0]}
+    if dtype is float:
+        bad["complex"] = 1j
+    fault = draw(st.none() | st.sampled_from(
+        [*bad, *([] if keyed else ["short", "long"])]))
+    if fault == "short":
+        return nest(flat, layout)[0]
+    if fault == "long":
+        return [nest(flat, layout)]
+    if fault is not None:
+        flat[draw(st.integers(0, size - 1))] = bad[fault]
+    return dict(zip(layout, flat)) if keyed else nest(flat, layout)
+
+
+@pytest.mark.parametrize("name", sorted(INTAKE_ROWS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), g=composite_groupoids() | st.integers(1, 4).map(
+    lambda n: pair_groupoid(["e%d" % k for k in range(n)])))
+def test_every_intake_gives_finite_numbers_or_one_error(name, data, g):
+    """Each row of `INTAKE_ROWS`, on a composite groupoid or a pair
+    groupoid (some rows take only those), returns finite numbers or
+    raises one package error, and no warning, for numbers at every binary
+    scale and for values that are not numbers of its dtype or not of its
+    shape."""
+    dtype, layout, call = INTAKE_ROWS[name]
+    values = data.draw(intake_values(dtype, layout(g)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(g, values)
+        except GqmError:
+            return
+    assert np.all(np.isfinite(out))
