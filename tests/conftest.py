@@ -1,7 +1,9 @@
+import importlib
 import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,21 @@ from gqm.examples import (
     double_slit_groupoid,
 )
 from gqm.groupoid import pair_groupoid
+
+pytest_plugins = ["pytester"]
+
+# A failing @given test makes Hypothesis's plugin import its patch writer,
+# which imports libcst, whose use of mypy_extensions.TypedDict warns; the
+# filterwarnings setting turns that warning into an error inside pytest's
+# report hook, which then names no test.  Import it once here, with that
+# one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is "
+                            "deprecated", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:  # no libcst: Hypothesis writes no patch
+        pass
 
 
 @pytest.fixture

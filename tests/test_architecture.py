@@ -674,3 +674,25 @@ def test_every_global_read_in_a_function_is_bound():
                             if s.is_global() and s.is_referenced()
                             and s.get_name() not in bound]
     assert unbound == []
+
+
+def test_a_failing_hypothesis_test_names_itself(pytester, monkeypatch):
+    """Under this repository's warning filters and conftest, a failing
+    ``@given`` test is reported by its node id, with no INTERNALERROR."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    pytester.makepyprojecttoml((root / "pyproject.toml").read_text())
+    pytester.makeconftest((root / "tests" / "conftest.py").read_text())
+    pytester.makepyfile(test_drawn="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_negative(x):
+            assert x < 0
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    out = result.stdout.str() + result.stderr.str()
+    assert "FAILED test_drawn.py::test_negative" in out
+    assert "INTERNALERROR" not in out
+    result.assert_outcomes(failed=1)

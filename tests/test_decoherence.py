@@ -10,6 +10,7 @@ from gqm.decoherence import (
     characteristic_from_bivariate,
     check_decoherence_axioms,
     decoherence_from_characteristic,
+    MAX_INTERFERENCE_ORDER,
     interference,
     is_invariant,
     normalization_scale,
@@ -18,7 +19,12 @@ from gqm.decoherence import (
 from gqm.errors import GqmInputError, MathPropertyError
 from gqm.examples import double_slit_decoherence, qubit_decoherence
 from gqm.groupoid import QuiverSpec, from_quiver
-from gqm.states import CharacteristicFunction, delta_state, random_state
+from gqm.states import (
+    DEFAULT_TOL,
+    CharacteristicFunction,
+    delta_state,
+    random_state,
+)
 from oracles import interference_recursive_check
 
 
@@ -169,6 +175,16 @@ def test_interference_input_checks(qubit, rng):
         interference(d, [])
     with pytest.raises(GqmInputError):
         interference(d, [["1_+"]] * 7)
+
+
+def test_interference_accepts_its_largest_order(pair3, rng):
+    """Order `MAX_INTERFERENCE_ORDER`, six disjoint sets, runs, and the
+    value is 0 within the tolerance: the interference of a state's
+    functional vanishes from order 3 on (grade two)."""
+    d = decoherence_from_characteristic(random_state(pair3, rng))
+    sets = [[t] for t in pair3.transitions[:MAX_INTERFERENCE_ORDER]]
+    assert len(sets) == 6
+    assert abs(interference(d, sets)) <= DEFAULT_TOL
 
 
 def test_measure_of_a_non_hermitian_functional_is_not_real(qubit):

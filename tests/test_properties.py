@@ -13,6 +13,7 @@ array or label -> value map the package takes gives back finite numbers
 or one package error, whatever its values.
 """
 
+import ast
 import math
 import warnings
 
@@ -25,7 +26,10 @@ from gqm.action import (
     ActionFunction,
     GeneratorAction,
     action_from_potential,
+    coboundaries,
     dynamical_state,
+    is_action,
+    is_factorizable,
     is_reproducing_sweep_trial,
 )
 from gqm.algebra import AlgebraElement, fundamental_rep_inverse
@@ -39,7 +43,7 @@ from gqm.decoherence import (
     normalization_scale,
 )
 from gqm.examples import corpus_groupoids
-from gqm.groupoid import pair_groupoid
+from gqm.groupoid import QuiverSpec, from_quiver, pair_groupoid
 from gqm.errors import GqmError, MathPropertyError
 from gqm.gns import (
     FrameChange,
@@ -154,6 +158,160 @@ def test_psd_check_and_decoherence_axioms_agree(n, seed, gram, skew, k):
     psd = ("ok" if check.ok else "not PSD" if check.hermitian
            else "not Hermitian")
     assert psd == axioms == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(composite_groupoids(), st.integers(0, 2**32 - 1), st.floats(1e-6, 3))
+def test_factorizable_states_are_the_phases_of_actions(g, seed, eps):
+    """c exp(i s), s the coboundary of a potential, is factorizable with
+    unit modulus.  Turned by exp(i eps) at one non-unit transition t, it
+    fails, and each violation it names involves t: a factorization one as
+    the outer, the inner or their composite, a unitarity one at t or
+    t^-1."""
+    assume(g.order > len(g.events))  # units come first
+    rng = np.random.default_rng(seed)
+    values = 10.0 ** rng.uniform(-3, 3) * np.exp(
+        1j * coboundaries(g, rng.uniform(-10, 10, len(g.events))))
+    report = is_factorizable(CharacteristicFunction(g, values))
+    assert report.ok and report.unit_modulus
+    k = rng.integers(len(g.events), g.order)
+    values[k] *= np.exp(1j * eps)
+    report = is_factorizable(CharacteristicFunction(g, values))
+    assert not report.ok
+    t = g.transitions[k]
+    for message in report.violations:
+        law, at = message.split(": ")[0].split(" fails ")
+        named = ast.literal_eval(at.split(" ", 1)[1])
+        if law == "factorization":
+            assert t in (*named, g.compose(*named))
+        else:
+            assert law == "unitarity" and named in (t, g.inverse[t])
+
+
+# -- each law check at its tolerance -------------------------------------
+
+def moved_action(delta, at):
+    """The coboundary of the potential (0, 1, 3) on pair(a, b, c), with
+    ``delta`` added at the transition ``at``."""
+    g = pair_groupoid(["a", "b", "c"])
+    values = coboundaries(g, np.array([0.0, 1.0, 3.0]))
+    values[g.index(at)] += delta
+    return ActionFunction(g, values)
+
+
+def turned_phase(delta, turn):
+    """The idempotent phase exp(i s) / 3 of `moved_action`'s coboundary,
+    its value at a -> b times ``turn(delta)``."""
+    s = moved_action(0.0, "1_a")
+    values = np.exp(1j * s.values) / 3
+    values[s.groupoid.index("a->b")] *= turn(delta)
+    return CharacteristicFunction(s.groupoid, values)
+
+
+def factorizability(phi, **tol):
+    report = is_factorizable(phi, **tol)
+    return report.violations + ([] if report.unit_modulus else
+                                ["unit_modulus is false"])
+
+
+def moved_entry(delta):
+    """pair(a, b, c)'s fundamental matrices, the entry of a -> b moved."""
+    mats = np.array(fundamental_matrices(pair_groupoid(["a", "b", "c"]))
+                    .matrices)
+    mats[1, 1, 0] += delta  # a -> b, the first non-unit: E[b, a]
+    return mats
+
+
+def conjugated(delta):
+    """pair(a, b, c)'s fundamental matrices conjugated by diag(e^x, 1, 1):
+    a homomorphism whose star defect is 2 sinh(x) = ``delta``."""
+    scale = np.array([np.exp(np.arcsinh(delta / 2)), 1.0, 1.0])
+    mats = np.array(fundamental_matrices(pair_groupoid(["a", "b", "c"]))
+                    .matrices)
+    return scale[:, None] * mats / scale
+
+
+def angled_units(delta):
+    """Two lone events, their units the projections onto e_0 and onto v at
+    an angle to e_1: a homomorphism and star-compatible, the largest entry
+    of the unit sum minus I is v_0 v_1 = ``delta``, v_0 = ``delta`` to
+    O(delta^3)."""
+    v = np.array([delta, np.sqrt(1 - delta**2)])
+    return np.array([np.diag([1.0, 0.0]), np.outer(v, v)])
+
+
+def representation_check(mats, g=None, **tol):
+    rep = RepMatrices(g or pair_groupoid(["a", "b", "c"]), mats)
+    try:
+        rep.check(**tol)
+    except MathPropertyError as exc:
+        return [str(exc)]
+    return []
+
+
+def moved_decoherence(delta):
+    """The decoherence functional of `turned_phase`'s unturned state, its
+    entry (a -> b, c -> b) moved: (b -> c) ∘ each differs from it by
+    ``delta``."""
+    d = decoherence_from_characteristic(turned_phase(0.0, np.exp))
+    i, j = map(d.groupoid.index, ("a->b", "c->b"))
+    d.matrix[i, j] += delta
+    return d
+
+
+# row -> (the function whose comparison it pins, the input at deviation
+# delta, the violations a check of it reports, and how the row's own law
+# begins its message)
+BOUNDARY_ROWS = {
+    "action unit": (
+        "action.is_action", lambda delta: moved_action(delta, "1_a"),
+        lambda s, **tol: is_action(s, **tol)[1], "unit value"),
+    "action inversion": (
+        "action.is_action", lambda delta: moved_action(delta, "a->b"),
+        lambda s, **tol: is_action(s, **tol)[1], "inversion law"),
+    "action additivity": (
+        "action.is_action", lambda delta: moved_action(delta, "a->b"),
+        lambda s, **tol: is_action(s, **tol)[1], "additivity"),
+    "factorization": (
+        "action.is_factorizable",
+        lambda delta: turned_phase(delta, lambda x: np.exp(1j * x)),
+        factorizability, "factorization"),
+    "unitarity": (
+        "action.is_factorizable",
+        lambda delta: turned_phase(delta, lambda x: np.exp(1j * x)),
+        factorizability, "unitarity"),
+    "unit modulus": (
+        "action.is_factorizable",
+        lambda delta: turned_phase(delta, lambda x: 1 + x),
+        factorizability, "unit_modulus"),
+    "representation homomorphism": (
+        "gns.RepMatrices.check", moved_entry, representation_check,
+        "not a homomorphism"),
+    "representation star": (
+        "gns.RepMatrices.check", conjugated, representation_check,
+        "star-compatibility"),
+    "representation units": (
+        "gns.RepMatrices.check", angled_units,
+        lambda mats, **tol: representation_check(
+            mats, from_quiver(QuiverSpec(["a", "b"], [])), **tol),
+        "unit transitions"),
+    "invariance": (
+        "decoherence.is_invariant", moved_decoherence,
+        lambda d, **tol: [] if is_invariant(d, **tol) else ["not invariant"],
+        "not invariant"),
+}
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("row", sorted(BOUNDARY_ROWS))
+def test_each_law_check_flips_at_its_tolerance(row, tol):
+    """A deviation of 10 tol is reported by the row's own law, and one of
+    tol / 10 passes every law, at the default tolerance and at 1e-6."""
+    _, make, check, law = BOUNDARY_ROWS[row]
+    given_tol = {} if tol is None else {"tol": tol}
+    tol = tol or DEFAULT_TOL
+    assert any(m.startswith(law) for m in check(make(10 * tol), **given_tol))
+    assert check(make(tol / 10), **given_tol) == []
 
 
 # -- every array and map the package takes -------------------------------
