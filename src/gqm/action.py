@@ -25,7 +25,7 @@ from .errors import (
     MathPropertyError,
     first_of,
 )
-from .groupoid import FiniteGroupoid, intake, real
+from .groupoid import FiniteGroupoid, beyond, intake, real
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -114,18 +114,18 @@ def is_action(s: ActionFunction, tol=DEFAULT_TOL):
     g, values = s.groupoid, s.values
     ts = g.transitions
     inv, unit = g.index_arrays()[2:]
-    outer, inner, result = g.composition_index()
     with np.errstate(over="ignore"):
         inversion = values + values[inv]
-        dev = values[result] - values[outer] - values[inner]
-    violations = ["unit value s(%r) = %.17g != 0" % (ts[x], values[x])
-                  for x in unit[np.abs(values[unit]) > tol]]
-    violations += ["inversion law fails: s(%r) + s(%r) = %.17g"
-                   % (ts[t], ts[inv[t]], inversion[t])
-                   for t in np.flatnonzero(np.abs(inversion) > tol)]
-    violations += ["additivity fails on (%r, %r): deviation %.17g"
-                   % (ts[outer[k]], ts[inner[k]], dev[k])
-                   for k in np.flatnonzero(np.abs(dev) > tol)]
+        violations = ["unit value s(%r) = %.17g != 0" % (ts[x], values[x])
+                      for x in unit[beyond(np.abs(values[unit]), tol)]]
+        violations += ["inversion law fails: s(%r) + s(%r) = %.17g"
+                       % (ts[t], ts[inv[t]], inversion[t])
+                       for t in beyond(np.abs(inversion), tol)]
+        for outer, inner, result in g.composition_parts(1):
+            dev = values[result] - values[outer] - values[inner]
+            violations += ["additivity fails on (%r, %r): deviation %.17g"
+                           % (ts[outer[k]], ts[inner[k]], dev[k])
+                           for k in beyond(np.abs(dev), tol)]
     return (not violations), violations
 
 
@@ -218,13 +218,10 @@ def is_factorizable(phi: CharacteristicFunction,
     g = phi.groupoid
     ts = g.transitions
     src, tgt, inv, unit = g.index_arrays()
-    outer, inner, result = g.composition_index()
     unit_vals = phi.values[unit]
-    zero = np.flatnonzero(unit_vals == 0)
-    if zero.size:
-        return FactorizabilityReport(
-            ok=False, violations=["phi(%r) = 0" % ts[unit[zero[0]]]],
-            unit_modulus=False)
+    for x in unit[unit_vals == 0][:1]:
+        return FactorizabilityReport(ok=False, violations=[
+            "phi(%r) = 0" % ts[x]], unit_modulus=False)
     # factorizable functions are constant-modulus on units; rescale by u at
     # the source unit, in real quotients by |u| (a complex quotient overflows
     # on tiny u); each value that is then not finite is one violation
@@ -235,16 +232,19 @@ def is_factorizable(phi: CharacteristicFunction,
         fine = np.isfinite(rescaled)  # the laws are read on these only
         violations = ["phi(%r) is not finite when rescaled" % ts[t]
                       for t in np.flatnonzero(~fine)]
-        dev = np.abs(rescaled[result] - rescaled[outer] * rescaled[inner])
-        violations += [
-            "factorization fails on (%r, %r): |deviation| = %.3e"
-            % (ts[outer[k]], ts[inner[k]], dev[k]) for k in np.flatnonzero(
-                ~(dev <= tol) & fine[outer] & fine[inner] & fine[result])]
-        dev = np.abs(rescaled[inv] - np.conj(rescaled))
+        for outer, inner, result in g.composition_parts(1):
+            dev = np.where(fine[outer] & fine[inner] & fine[result], np.abs(
+                rescaled[result] - rescaled[outer] * rescaled[inner]), 0)
+            violations += [
+                "factorization fails on (%r, %r): |deviation| = %.3e"
+                % (ts[outer[k]], ts[inner[k]], dev[k])
+                for k in beyond(dev, tol)]
+        dev = np.where(fine & fine[inv],
+                       np.abs(rescaled[inv] - np.conj(rescaled)), 0)
         violations += [
             "unitarity fails at %r: |deviation| = %.3e" % (ts[t], dev[t])
-            for t in np.flatnonzero(~(dev <= tol) & fine & fine[inv])]
-        unit_modulus = bool(np.max(np.abs(np.abs(rescaled) - 1.0)) <= tol)
+            for t in beyond(dev, tol)]
+        unit_modulus = not beyond(np.abs(np.abs(rescaled) - 1.0), tol).size
     return FactorizabilityReport(ok=not violations, violations=violations,
                                  unit_modulus=unit_modulus)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import NORMALIZATIONS
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, finite, group_indices, intake
+from .groupoid import FiniteGroupoid, beyond, finite, intake
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -124,17 +124,21 @@ def decoherence_from_characteristic(phi, normalization="none",
 
 
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
-    """Exhaustive check of D(alpha∘beta, alpha∘beta') = D(beta, beta')."""
+    """Exhaustive check of D(alpha∘beta, alpha∘beta') = D(beta, beta'), in
+    whole outers alpha, stacked by their number b of pairs as (alphas, b)."""
     g = d.groupoid
     if d.labels != g.transitions:
         raise GqmInputError("invariance needs a decoherence functional over "
                             "all transitions")
-    m = d.matrix
-    outer, inner, result = g.composition_index()
-    for k in group_indices(outer, g.order):  # every beta after one alpha
-        beta, ab = inner[k], result[k]
-        if np.any(np.abs(m[np.ix_(ab, ab)] - m[np.ix_(beta, beta)]) > tol):
-            return False
+    src, tgt = g.index_arrays()[:2]
+    m, size = d.matrix, np.bincount(tgt)[src]  # the pairs of each outer
+    for outer, inner, result in g.composition_parts(size.max(), outers=True):
+        for b in np.unique(size[outer]):
+            beta, ab = (a[size[outer] == b].reshape(-1, b, 1)
+                        for a in (inner, result))
+            dev = m[ab, ab.swapaxes(1, 2)] - m[beta, beta.swapaxes(1, 2)]
+            if beyond(np.abs(dev), tol).size:
+                return False
     return True
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import GqmInputError, MathPropertyError
-from .groupoid import FiniteGroupoid, finite, intake, read_only
+from .groupoid import FiniteGroupoid, beyond, finite, intake, read_only
 from .states import (
     DEFAULT_TOL,
     CharacteristicFunction,
@@ -104,9 +104,6 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
 
 # -- representations given as explicit matrices --------------------------
 
-CHECK_PART = 1 << 16  # matrix entries per part of `RepMatrices.check`
-
-
 @dataclass(eq=False)
 class RepMatrices:
     """A unitary representation presented by one matrix per transition:
@@ -135,32 +132,24 @@ class RepMatrices:
         pi(t^-1) != pi(t)^H, then unless the units sum to the identity."""
         g, mats = self.groupoid, self.matrices
         ts = g.transitions
-        outer, inner, result = g.composition_index()
         inv, unit = g.index_arrays()[2:]
-        step = max(1, CHECK_PART // mats[0].size)
         # a product or sum of finite entries past the float range reads
-        # inf or nan, and ``<= tol`` fails on both
+        # inf or nan, and both are `beyond` any tolerance
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(0, outer.size, step):
-                o, i, r = (a[k:k + step] for a in (outer, inner, result))
+            for o, i, r in g.composition_parts(mats[0].size):
                 dev = np.max(np.abs(mats[o] @ mats[i] - mats[r]), axis=(1, 2))
-                bad = np.flatnonzero(~(dev <= tol))
-                if bad.size:  # the first in composition order
-                    j = bad[0]
+                for j in beyond(dev, tol)[:1]:  # first in composition order
                     raise MathPropertyError(
                         "not a homomorphism on (%r, %r): defect %.3e"
-                        % (ts[o[j]], ts[i[j]], dev[j])
-                    )
+                        % (ts[o[j]], ts[i[j]], dev[j]))
             dev = np.max(np.abs(mats[inv] - mats.conj().swapaxes(1, 2)),
                          axis=(1, 2))
-            bad = np.flatnonzero(~(dev <= tol))
-            if bad.size:
-                t = bad[0]
+            for t in beyond(dev, tol)[:1]:
                 raise MathPropertyError(
                     "star-compatibility fails at %r: defect %.3e"
                     % (ts[t], dev[t]))
             identity = np.eye(mats.shape[1])
-            if not np.max(np.abs(mats[unit].sum(axis=0) - identity)) <= tol:
+            if beyond(np.abs(mats[unit].sum(axis=0) - identity), tol).size:
                 raise MathPropertyError(
                     "unit transitions do not sum to identity")
 
@@ -269,23 +258,6 @@ def _frame_row(g: FiniteGroupoid, fc: FrameChange, b) -> np.ndarray:
     return fc.unitary[g.require_event(b)]
 
 
-def _times(x, y):
-    """x y as (real, imag), term by term: conj(z) z has imag exactly +0.0."""
-    return (x.real * y.real - x.imag * y.imag,
-            x.real * y.imag + x.imag * y.real)
-
-
-def frame_transported_unit(g: FiniteGroupoid, fc: FrameChange,
-                           b) -> algebra.AlgebraElement:
-    """The algebra element whose fundamental matrix is U^dagger P_b U: its
-    coefficient at x -> y is conj(U[b, y]) U[b, x]."""
-    row = _frame_row(g, fc, b)
-    src, tgt = g.index_arrays()[:2]
-    coeffs = np.empty(g.order, dtype=complex)
-    coeffs.real, coeffs.imag = _times(row[tgt].conj(), row[src])
-    return algebra.AlgebraElement(g, coeffs)
-
-
 def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
                             b) -> TransformationResult:
     """Statistical link between outcome ``b`` in the moved frame and the
@@ -294,7 +266,7 @@ def transformation_function(g: FiniteGroupoid, fc: FrameChange, a,
     space of ``a`` (functions on the spray of ``a``), the class of that
     element against the ground vector is the same real number."""
     z = _frame_row(g, fc, b)[g.require_event(a)]
-    value = float(_times(z.conj(), z)[0])
+    value = float(z.real * z.real + z.imag * z.imag)
     return TransformationResult(value=value, amplitude=complex(value, 0.0))
 
 

@@ -90,6 +90,9 @@ class OrbitStack:
     rows: np.ndarray    # (n_b, b)
 
 
+CHECK_PART = 1 << 16  # entries a `FiniteGroupoid.composition_parts` part reads
+
+
 class FiniteGroupoid:
     """Immutable-by-convention carrier of the groupoid structure, stored as
     index arrays only.  The keyword constructor encodes its label tables,
@@ -229,6 +232,21 @@ class FiniteGroupoid:
         arrays (outer, inner, result) in the order of `composition`: its
         rows of transitions only.  Shared by every caller, so read-only."""
         return self._triples
+
+    def composition_parts(self, cost, outers=False):
+        """`composition_index` in (outer, inner, result) parts of
+        max(1, `CHECK_PART` // ``cost``) pairs, in its order; ``outers``
+        groups them by outer, as `group_indices` does, in whole outers."""
+        triples = self.composition_index()
+        n, step = triples[0].size, max(1, CHECK_PART // cost)
+        cuts = np.arange(step, n, step)
+        if outers:  # each cut moved on to the end of its outer's pairs
+            order = np.argsort(triples[0], kind="stable")
+            ends = np.cumsum(np.bincount(triples[0]))
+            cuts = np.setdiff1d(ends[np.searchsorted(ends, cuts)], n)
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            yield tuple(x[order[a:b] if outers else slice(a, b)]
+                        for x in triples)
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -376,6 +394,11 @@ def finite(a, what, fault="must be finite"):
     if not np.all(np.isfinite(a)):
         raise GqmInputError("%s %s" % (what, fault))
     return a
+
+
+def beyond(dev, tol):
+    """Where ``dev`` is not within ``tol``: NaN and +inf are beyond it."""
+    return np.flatnonzero(~(dev <= tol))
 
 
 def intake(values, dtype, shape, mismatch, what):

@@ -16,7 +16,6 @@ from gqm.action import action_from_potential, dynamical_state
 from gqm.algebra import AlgebraElement
 from gqm.decoherence import interference, normalization_scale
 from gqm.errors import GqmInputError, GroupoidValidationError
-from gqm.gns import frame_transported_unit
 from gqm.groupoid import (
     FiniteGroupoid,
     ValidationReport,
@@ -441,6 +440,19 @@ def gns_basis_loop(eigvals, eigvecs, blocks, rank_tol):
             v = v * (np.abs(v[nz[0]]) / v[nz[0]])
         basis[blocks[k], col] = v / np.sqrt(eigvals[k])
     return basis
+
+
+def frame_transported_unit(g, fc, b):
+    """The algebra element whose fundamental matrix is U^dagger P_b U: its
+    coefficient at x -> y is conj(U[b, y]) U[b, x], multiplied term by
+    term, so that conj(z) z has imag exactly +0.0."""
+    row = fc.unitary[g.event_index[b]]
+    src, tgt = g.index_arrays()[:2]
+    x, y = row[tgt].conj(), row[src]
+    coeffs = np.empty(g.order, dtype=complex)
+    coeffs.real = x.real * y.real - x.imag * y.imag
+    coeffs.imag = x.real * y.imag + x.imag * y.real
+    return AlgebraElement(g, coeffs)
 
 
 def transformation_loop(g, fc, a, b):

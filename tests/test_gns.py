@@ -12,7 +12,6 @@ from gqm.gns import (
     FrameChange,
     RepMatrices,
     frame_compose,
-    frame_transported_unit,
     fundamental_matrices,
     gns_build,
     gns_matrices,
@@ -29,7 +28,7 @@ from gqm.states import (
     random_state,
 )
 from groupoids import chain_quiver
-from oracles import gns_basis
+from oracles import frame_transported_unit, gns_basis
 
 
 def random_unitary(n, rng):

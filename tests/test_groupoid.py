@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gqm.groupoid
-from gqm.action import is_reproducing_sweep_trial
+from gqm.action import (
+    ActionFunction,
+    coboundaries,
+    is_action,
+    is_factorizable,
+    is_reproducing_sweep_trial,
+)
 from gqm.errors import GqmInputError, GroupoidValidationError
 from gqm.examples import build_qubit, cyclic_group_groupoid
 from gqm.groupoid import (
@@ -15,6 +23,7 @@ from gqm.groupoid import (
     validate,
 )
 from gqm.specio import parse_groupoid_doc
+from gqm.states import CharacteristicFunction
 
 
 def test_pair_groupoid_orders():
@@ -296,3 +305,25 @@ def test_cyclic_group_groupoid_rejects_bad_orders():
     for n in (0, -2, 2.0, 2.5, "3", None):
         with pytest.raises(GqmInputError):
             cyclic_group_groupoid(n)
+
+
+def test_law_checks_read_the_pairs_in_parts():
+    """`is_action` and `is_factorizable` read the composable pairs in
+    parts of `CHECK_PART` entries: from pair(64) to pair(128), |G| grows
+    4x and the pairs 8x, and the traced peak of each check at most 4.5x
+    (a pair groupoid stores its composition triples when it is built)."""
+    peaks = []
+    for n in (64, 128):
+        g = pair_groupoid(["e%d" % k for k in range(n)])
+        s = ActionFunction(g, coboundaries(g, np.linspace(0.0, 1.0, n)))
+        phi = CharacteristicFunction(g, np.exp(1j * s.values))
+        for check in (lambda: is_action(s)[0],
+                      lambda: is_factorizable(phi).ok):
+            tracemalloc.start()
+            try:
+                assert check()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    for small, large in zip(peaks[:2], peaks[2:]):
+        assert large <= 4.5 * small

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gqm.gns
 import gqm.groupoid
 from gqm.action import (
     ActionFunction,
@@ -47,7 +46,6 @@ from gqm.gns import (
     RANK_TOL,
     FrameChange,
     RepMatrices,
-    frame_transported_unit,
     fundamental_matrices,
     gns_build,
     gns_matrices,
@@ -86,6 +84,7 @@ from oracles import (
     assembled,
     bivariate_values_loop,
     block_kernels_loop,
+    frame_transported_unit,
     fundamental_rep_loop,
     g_minus_loop,
     g_plus_loop,
@@ -559,8 +558,8 @@ def test_rep_check_matches_loop(g, seed, gns, law, part):
         mats = np.pad(mats, ((0, 0), (0, 1), (0, 1)))
     broken = RepMatrices(g, mats)
     expected = rep_check_loop(broken, 1e-10)
-    size = gqm.gns.CHECK_PART if part is None else part * mats[0].size
-    with mock.patch.object(gqm.gns, "CHECK_PART", size):
+    size = gqm.groupoid.CHECK_PART if part is None else part * mats[0].size
+    with mock.patch.object(gqm.groupoid, "CHECK_PART", size):
         if expected is None:
             assert law in ("none", "star")
             broken.check()
@@ -571,6 +570,35 @@ def test_rep_check_matches_loop(g, seed, gns, law, part):
             with pytest.raises(MathPropertyError) as err:
                 broken.check()
             assert str(err.value) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_system, st.integers(1, 12), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_composition_parts_cover_the_pairs(g, part, outers, seed):
+    """At ``part`` entries per part and one per pair, the parts of
+    `composition_parts`, joined, are the composition triples: in their
+    order, ``part`` pairs a part but the last; or, with ``outers``, grouped
+    by outer as `group_indices` groups them, in parts of whole outers of
+    fewer than ``part`` pairs before their last outer.  `is_invariant`
+    reads them so at ``part`` entries per part as the loop reads all."""
+    triples = np.array(g.composition_index())
+    with mock.patch.object(gqm.groupoid, "CHECK_PART", part):
+        parts = [np.array(p) for p in g.composition_parts(1, outers)]
+        rng = np.random.default_rng(seed)
+        d = decoherence_from_characteristic(random_state(g, rng))
+        d.matrix[tuple(rng.integers(g.order, size=2))] += 1e-9
+        assert is_invariant(d) == is_invariant_loop(d, 1e-10)
+    if outers:
+        triples = triples[:, np.argsort(triples[0], kind="stable")]
+    assert np.array_equal(np.hstack(parts), triples)
+    sizes = [p.shape[1] for p in parts]
+    if not outers:
+        assert all(size == part for size in sizes[:-1]) and sizes[-1] <= part
+        return
+    assert len({*np.hstack([np.unique(p[0]) for p in parts])}) == sum(
+        np.unique(p[0]).size for p in parts)  # no outer in two parts
+    assert all(np.sum(p[0] != p[0, -1]) < part for p in parts)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,10 @@ state is Hermitian, positive semi-definite, zero between different
 targets and invariant, and gives back its characteristic function up to
 the normalization scale; its order-3 interference vanishes (grade two).
 A function and its decoherence matrix are positive together: the PSD
-check and the decoherence axioms reach one verdict at every scale.
+check and the decoherence axioms reach one verdict at every scale.  The
+factorizable states are the phases c exp(i s) of actions s, and a state
+turned at one transition fails only on the laws that read it.  Each law
+check reports a deviation of 10 tol and passes one of tol / 10.
 
 States and actions are functions on the groupoid, complex and real: every
 array or label -> value map the package takes gives back finite numbers
@@ -43,7 +46,7 @@ from gqm.decoherence import (
     normalization_scale,
 )
 from gqm.examples import corpus_groupoids
-from gqm.groupoid import QuiverSpec, from_quiver, pair_groupoid
+from gqm.groupoid import QuiverSpec, beyond, from_quiver, pair_groupoid
 from gqm.errors import GqmError, MathPropertyError
 from gqm.gns import (
     FrameChange,
@@ -208,6 +211,10 @@ def turned_phase(delta, turn):
     return CharacteristicFunction(s.groupoid, values)
 
 
+def action_laws(s, **tol):
+    return is_action(s, **tol)[1]
+
+
 def factorizability(phi, **tol):
     report = is_factorizable(phi, **tol)
     return report.violations + ([] if report.unit_modulus else
@@ -259,19 +266,23 @@ def moved_decoherence(delta):
     return d
 
 
+def deviations_beyond(dev, tol=DEFAULT_TOL):
+    return ["beyond at %d" % k for k in beyond(dev, tol)]
+
+
 # row -> (the function whose comparison it pins, the input at deviation
 # delta, the violations a check of it reports, and how the row's own law
 # begins its message)
 BOUNDARY_ROWS = {
     "action unit": (
         "action.is_action", lambda delta: moved_action(delta, "1_a"),
-        lambda s, **tol: is_action(s, **tol)[1], "unit value"),
+        action_laws, "unit value"),
     "action inversion": (
         "action.is_action", lambda delta: moved_action(delta, "a->b"),
-        lambda s, **tol: is_action(s, **tol)[1], "inversion law"),
+        action_laws, "inversion law"),
     "action additivity": (
         "action.is_action", lambda delta: moved_action(delta, "a->b"),
-        lambda s, **tol: is_action(s, **tol)[1], "additivity"),
+        action_laws, "additivity"),
     "factorization": (
         "action.is_factorizable",
         lambda delta: turned_phase(delta, lambda x: np.exp(1j * x)),
@@ -299,6 +310,9 @@ BOUNDARY_ROWS = {
         "decoherence.is_invariant", moved_decoherence,
         lambda d, **tol: [] if is_invariant(d, **tol) else ["not invariant"],
         "not invariant"),
+    "violation helper": (
+        "groupoid.beyond", lambda delta: np.array([0.0, delta]),
+        deviations_beyond, "beyond"),
 }
 
 
@@ -312,6 +326,11 @@ def test_each_law_check_flips_at_its_tolerance(row, tol):
     tol = tol or DEFAULT_TOL
     assert any(m.startswith(law) for m in check(make(10 * tol), **given_tol))
     assert check(make(tol / 10), **given_tol) == []
+
+
+def test_nan_and_inf_are_beyond_any_tolerance():
+    dev = np.array([np.nan, 0.0, np.inf, 1e300])
+    assert beyond(dev, 1e300).tolist() == [0, 2]
 
 
 # -- every array and map the package takes -------------------------------
