@@ -456,15 +456,11 @@ def group_indices(keys, n):
 # validation
 
 
-# triples per part of the associativity check in `validate`: a part holds
-# a few int arrays of that many entries, 16 MiB each; a group of order 128
-# (128^3 = 2^21 triples) is checked in one part
-ASSOC_PART = 1 << 21
-
-
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; violations carry witnesses.
-    Each law is a gather from the slots of `FiniteGroupoid._slot_table`."""
+    Each law is a gather from the slots of `FiniteGroupoid._slot_table`;
+    associativity reads its pairs through `FiniteGroupoid.composition_parts`,
+    a pair's cost the widest target block."""
     rep = ValidationReport()
     bad = rep.violations.append
     src, tgt, inv, unit = g.index_arrays()  # past the end names nothing
@@ -549,19 +545,20 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         if not involutive[a]:
             bad("inverse is not involutive at %r" % ts[a])
 
-    # associativity a∘(b∘c) = (a∘b)∘c on all composable triples: slot k
-    # holds a∘b, the c are the w transitions into s(b), the slot row of b
-    # holds b∘c, and the slots are taken in parts of `ASSOC_PART` triples
-    fails, ranked, w_of = [], rank[comp], width[inner]
-    for w in np.flatnonzero(np.bincount(w_of)).tolist():
-        ks, step = np.flatnonzero(w_of == w), max(1, ASSOC_PART // w)
-        rows, ranks = (sliding_window_view(x, w) for x in (comp, ranked))
-        for k in (ks[at:at + step] for at in range(0, ks.size, step)):
-            a, b = outer[k], inner[k]
-            lhs = comp[off[a, None] + ranks[off[b]]]
+    # associativity a∘(b∘c) = (a∘b)∘c on all composable triples, the pairs
+    # (a, b) read in parts and stacked by the number w of transitions c
+    # into s(b): the slot row of b holds b∘c, and that of a∘b (a∘b)∘c
+    fails, ranked = [], rank[comp]
+    views = {w: (sliding_window_view(comp, w), sliding_window_view(ranked, w))
+             for w in np.flatnonzero(np.bincount(width)).tolist()}
+    for a, b, ab in g.composition_parts(width.max(initial=1)):
+        for w in np.unique(width[b]).tolist():
+            (rows, ranks), at = views[w], width[b] == w
+            a_w, b_w = a[at], b[at]
+            lhs = comp[off[a_w, None] + ranks[off[b_w]]]
             rep.checks += lhs.size
-            p, j = np.divmod(np.flatnonzero(lhs != rows[off[comp[k]]]), w)
-            fails += zip(inner[off[b[p]] + j], b[p], a[p])
+            p, j = np.divmod(np.flatnonzero(lhs != rows[off[ab[at]]]), w)
+            fails += zip(inner[off[b_w[p]] + j], b_w[p], a_w[p])
     for c, b, a in sorted(fails):  # in (c, b, a) order
         bad("associativity fails on triple (%r, %r, %r)"
             % (ts[a], ts[b], ts[c]))

@@ -75,13 +75,14 @@ class PsdCheck:
 
 
 def invariance_matrix(phi: CharacteristicFunction) -> np.ndarray:
-    """The |G| x |G| matrix M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b)."""
+    """The |G| x |G| matrix M(a, b) = delta(t(a), t(b)) phi(a^-1 ∘ b),
+    filled block by block: the block of event k of a stack is its orbit's
+    phi[gather] over the rows and columns ``rows[k]``."""
     g = phi.groupoid
-    inv = g.index_arrays()[2]
-    # each composable outer∘inner is a^-1 ∘ b with a = outer^-1, b = inner
-    outer, inner, result = g.composition_index()
     mat = np.zeros((g.order, g.order), dtype=complex)
-    mat[inv[outer], inner] = phi.values[result]
+    for s in g.orbit_table():
+        rows = s.rows[:, :, None]
+        mat[rows, rows.swapaxes(1, 2)] = phi.values[s.gather][s.orbit]
     return mat
 
 

@@ -8,10 +8,11 @@ documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
 (`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
 loops over the transitions or calls the label-set queries, so no table
-keyed by label is built there.  Kernels read the composition as the
-triples of `FiniteGroupoid.composition_index`, and the law checks read
-them in parts of `FiniteGroupoid.composition_parts`; the raw rows behind
-them stay inside ``groupoid.py``.
+keyed by label is built there.  The law checks read the composition
+triples of `FiniteGroupoid.composition_index` in parts of
+`FiniteGroupoid.composition_parts`, and only the slot table of the orbit
+stacks and the left-multiplication kernels read them whole; the raw rows
+behind them stay inside ``groupoid.py``.
 
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
@@ -260,6 +261,20 @@ def test_one_groupoid_representation():
                         "groupoid.py:group_as_groupoid"}
 
 
+def test_composition_index_readers():
+    """Only these functions call `composition_index`: the part reader of
+    every law, the slot table of the orbit stacks, and the
+    left-multiplication kernels, whose summation order the tests pin.
+    Every other kernel reads the orbit stacks or the parts."""
+    assert functions_of(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "composition_index") == {
+        "groupoid.FiniteGroupoid.composition_parts",
+        "groupoid.FiniteGroupoid._orbit_table", "algebra.convolve",
+        "algebra.regular_rep", "states.random_state",
+        "gns.GnsRepresentation.matrix_of"}
+
+
 def test_one_composition_view():
     """No second composition view (a dense table, say) is defined or
     called anywhere; `composition_parts` reads `composition_index` in
@@ -459,12 +474,9 @@ def test_every_export_that_takes_numbers_is_an_intake_row():
 # the functions of the package that compare with the tolerance and have
 # no row in `BOUNDARY_ROWS` yet: a row takes a name out, and none comes in
 PENDING = set("""
-    action.extend_generator_action
-    decoherence._block_sum decoherence.check_decoherence_axioms
-    decoherence.normalization_scale decoherence.quantum_measure
+    action.extend_generator_action decoherence.normalization_scale
     gns.FrameChange.__post_init__ gns.smeared_character
-    states.assert_state states.is_positive_semidefinite
-    states.observable_amplitude""".split())
+    states.assert_state states.observable_amplitude""".split())
 
 
 def compares_with_tolerance(node):
@@ -476,29 +488,36 @@ def compares_with_tolerance(node):
         for n in ast.walk(node))
 
 
-def test_every_tolerance_comparison_has_a_boundary_row():
-    """Each function of the package (``module.name`` or
-    ``module.Class.name``) with a comparison that reads the tolerance, in
-    a nested function or lambda too, is the function of a row of
-    `BOUNDARY_ROWS` or is `PENDING`, not both; `PENDING` only shrinks."""
+def functions_of(picks):
+    """The functions of the package (``module.name`` or
+    ``module.Class.name``) that hold a node for which ``picks`` is true,
+    a node of a nested function or lambda counted as its outer one's."""
     found = set()
     for name, tree in modules():
         stack = [(tree, name.removesuffix(".py"), False)]
         while stack:
-            node, owner, in_def = stack.pop()
-            for child in ast.iter_child_nodes(node):
+            parent, owner, in_def = stack.pop()
+            for child in ast.iter_child_nodes(parent):
                 inner = owner
                 if isinstance(child, (ast.ClassDef, ast.FunctionDef)) and (
                         not in_def):
                     inner = "%s.%s" % (owner, child.name)
-                if compares_with_tolerance(child):
+                if picks(child):
                     found.add(inner)
                 stack.append((child, inner, in_def or isinstance(
                     child, ast.FunctionDef)))
+    return found
+
+
+def test_every_tolerance_comparison_has_a_boundary_row():
+    """Each function of the package with a comparison that reads the
+    tolerance is the function of a row of `BOUNDARY_ROWS` or is
+    `PENDING`, not both; `PENDING` only shrinks."""
+    found = functions_of(compares_with_tolerance)
     rows = {row[0] for row in BOUNDARY_ROWS.values()}
     assert rows <= found
     assert found - rows == PENDING
-    assert len(PENDING) <= 10
+    assert len(PENDING) <= 6
 
 
 # the fields of `OrbitStack` that have one entry per orbit or per event

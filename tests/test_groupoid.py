@@ -254,6 +254,27 @@ def test_validate_passes_constructors(pair4, z3):
     assert validate(z3).ok
 
 
+def test_validate_passes_the_empty_groupoid():
+    """The keyword constructor takes empty tables, and `validate` finds
+    nothing to check in them: no block is widest."""
+    report = validate(FiniteGroupoid((), (), {}, {}, {}, {}, {}))
+    assert report.ok and report.checks == 0
+
+
+def test_validate_reads_associativity_in_parts():
+    """Z_128 has 2^21 associativity checks, 16 MiB an int array; read in
+    parts of `CHECK_PART` entries, `validate` stays under 8 MiB traced."""
+    g = cyclic_group_groupoid(128)
+    tracemalloc.start()
+    try:
+        report = validate(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checks == 128 ** 3 + 6 * 128 + 128 ** 2 + 1
+    assert peak <= 8 << 20
+
+
 def test_composition_index_is_shared_and_read_only(pair3, z3):
     """The triples, the index arrays and the target blocks are computed
     once per groupoid and handed to every caller, so no caller may write

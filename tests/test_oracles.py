@@ -457,9 +457,9 @@ def cayley_groupoid(table):
 @given(st.sampled_from(GROUPS).map(cayley_groupoid) | any_system,
        st.integers(1, 9), st.data())
 def test_validate_in_parts_matches_one_pass(g, part, data):
-    """`validate` checks associativity in parts of `ASSOC_PART` triples;
-    parts of a few triples give the same violations, in the same order,
-    and the same check count as one pass, on the groups of ``GROUPS``,
+    """`validate` checks associativity in parts of `CHECK_PART` triples;
+    parts of a few pairs give the same violations, in the same order, and
+    the same check count as one pass, on the groups of ``GROUPS``,
     composite groupoids and their tables with 0 to 3 results
     overwritten, which mostly breaks associativity."""
     comp = dict(g.composition)
@@ -468,7 +468,7 @@ def test_validate_in_parts_matches_one_pass(g, part, data):
             st.sampled_from(g.transitions))
     bad = copy_of(g, composition=comp)
     whole = validate(bad)
-    with mock.patch.object(gqm.groupoid, "ASSOC_PART", part):
+    with mock.patch.object(gqm.groupoid, "CHECK_PART", part):
         parts = validate(bad)
     assert (parts.violations, parts.checks) == (whole.violations,
                                                 whole.checks)

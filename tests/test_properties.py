@@ -44,6 +44,7 @@ from gqm.decoherence import (
     interference,
     is_invariant,
     normalization_scale,
+    quantum_measure,
 )
 from gqm.examples import corpus_groupoids
 from gqm.groupoid import QuiverSpec, beyond, from_quiver, pair_groupoid
@@ -247,13 +248,18 @@ def angled_units(delta):
     return np.array([np.diag([1.0, 0.0]), np.outer(v, v)])
 
 
-def representation_check(mats, g=None, **tol):
-    rep = RepMatrices(g or pair_groupoid(["a", "b", "c"]), mats)
+def raised(check, *args, **tol):
+    """The message of the property error ``check`` raises, or none."""
     try:
-        rep.check(**tol)
+        check(*args, **tol)
     except MathPropertyError as exc:
         return [str(exc)]
     return []
+
+
+def representation_check(mats, g=None, **tol):
+    return raised(RepMatrices(g or pair_groupoid(["a", "b", "c"]), mats).check,
+                  **tol)
 
 
 def moved_decoherence(delta):
@@ -268,6 +274,69 @@ def moved_decoherence(delta):
 
 def deviations_beyond(dev, tol=DEFAULT_TOL):
     return ["beyond at %d" % k for k in beyond(dev, tol)]
+
+
+def lowered_units(delta):
+    """The delta state at a on pair(a, b, c), rank-deficient, with
+    ``delta`` taken from each unit: each block of its invariance matrix
+    is diag(1, 0, 0) - delta I, its least eigenvalue -delta."""
+    phi = delta_state(pair_groupoid(["a", "b", "c"]), "a")
+    phi.values[phi.groupoid.index_arrays()[3]] -= delta
+    return phi
+
+
+def skewed(delta):
+    """phi = 1 at the units of pair(a, b, c) and 1/4 elsewhere, so each
+    block of its invariance matrix is 3/4 I + 1/4 J, positive definite,
+    with ``delta`` added at a -> b: one entry of each block, whose
+    hermiticity defect is delta / 2."""
+    g = pair_groupoid(["a", "b", "c"])
+    values = np.full(g.order, 0.25 + 0j)
+    values[g.index_arrays()[3]] = 1.0
+    values[g.index("a->b")] += delta
+    return CharacteristicFunction(g, values)
+
+
+def functional(phi):
+    return DecoherenceFunctional(phi.groupoid, invariance_matrix(phi))
+
+
+def crossed_targets(delta):
+    """The functional of `skewed`'s unmoved state, ``delta`` at (a -> b,
+    a -> c) and at (a -> c, a -> b), whose targets differ: still Hermitian
+    and positive definite."""
+    d = functional(skewed(0.0))
+    i, j = map(d.groupoid.index, ("a->b", "a->c"))
+    d.matrix[[i, j], [j, i]] = delta
+    return d
+
+
+def diagonal(value):
+    """The functional on pair(a, b) that is ``value`` at (1_a, 1_a) and
+    zero elsewhere."""
+    g = pair_groupoid(["a", "b"])
+    matrix = np.zeros((g.order, g.order), dtype=complex)
+    matrix[0, 0] = value
+    return DecoherenceFunctional(g, matrix)
+
+
+def axioms(d, **tol):
+    return raised(check_decoherence_axioms, d, **tol)
+
+
+def psd_verdict(phi, **tol):
+    check = is_positive_semidefinite(phi, **tol)
+    return ([] if check.ok else ["not Hermitian"] if not check.hermitian
+            else ["not PSD: %r" % check.min_eigenvalue])
+
+
+def measure_of_1a(d, **tol):
+    """The error of mu({1_a}), or a negative value it reports."""
+    try:
+        value = quantum_measure(d, ["1_a"], **tol).value
+    except MathPropertyError as exc:
+        return [str(exc)]
+    return ["negative value %r" % value] if value < 0 else []
 
 
 # row -> (the function whose comparison it pins, the input at deviation
@@ -313,6 +382,29 @@ BOUNDARY_ROWS = {
     "violation helper": (
         "groupoid.beyond", lambda delta: np.array([0.0, delta]),
         deviations_beyond, "beyond"),
+    "PSD hermiticity": (
+        "states.is_positive_semidefinite", skewed, psd_verdict,
+        "not Hermitian"),
+    "PSD least eigenvalue": (
+        "states.is_positive_semidefinite", lowered_units, psd_verdict,
+        "not PSD"),
+    "axioms hermiticity": (
+        "decoherence.check_decoherence_axioms",
+        lambda delta: functional(skewed(delta)), axioms,
+        "decoherence matrix is not Hermitian"),
+    "axioms least eigenvalue": (
+        "decoherence.check_decoherence_axioms",
+        lambda delta: functional(lowered_units(delta)), axioms,
+        "decoherence matrix is not PSD"),
+    "axioms other targets": (
+        "decoherence.check_decoherence_axioms", crossed_targets, axioms,
+        "entries with different targets must vanish"),
+    "measure real": (
+        "decoherence._block_sum", lambda delta: diagonal(1j * delta),
+        measure_of_1a, "measure value is not real"),
+    "measure clamp": (
+        "decoherence.quantum_measure", lambda delta: diagonal(-delta),
+        measure_of_1a, "negative value"),
 }
 
 
