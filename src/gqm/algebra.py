@@ -69,26 +69,19 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def convolve(g: FiniteGroupoid, a, b):
-    """`multiply` on coefficient vectors of length |G|: each slot summed
-    in the order of `composition_index`."""
-    outer, inner, result = g.composition_index()
-    x, y = a[outer], b[inner]
+    """`multiply` on coefficient vectors of length |G|, read in the parts
+    of `FiniteGroupoid.composition_parts`: each slot summed in the order
+    of `composition_index`, as ``np.add.at`` adds in index order."""
+    out = np.zeros(g.order, dtype=complex)
     # the textbook complex product, term by term: numpy's vectorized one
     # may fuse multiply-adds and round differently
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scatter_add(result, x.real * y.real - x.imag * y.imag,
-                          x.real * y.imag + x.imag * y.real, g.order)
+        for outer, inner, result in g.composition_parts(1):
+            x, y = a[outer], b[inner]
+            np.add.at(out.real, result, x.real * y.real - x.imag * y.imag)
+            np.add.at(out.imag, result, x.real * y.imag + x.imag * y.real)
     return finite(out, "the product has a coefficient",
                   "too large for floating point")
-
-
-def scatter_add(index, re, im, n):
-    """Complex vector of length n: re[k] + i im[k] added at index[k], in
-    the order of k."""
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(index, re, minlength=n)
-    out.imag = np.bincount(index, im, minlength=n)
-    return out
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
@@ -133,7 +126,9 @@ def fundamental_rep(a: AlgebraElement) -> np.ndarray:
     src, tgt = g.index_arrays()[:2]
     n = len(g.events)
     # summed in canonical order, as a loop, with no floating-point warning
-    mat = scatter_add(tgt * n + src, a.coeffs.real, a.coeffs.imag, n * n)
+    at, mat = tgt * n + src, np.empty(n * n, dtype=complex)
+    mat.real = np.bincount(at, a.coeffs.real, minlength=n * n)
+    mat.imag = np.bincount(at, a.coeffs.imag, minlength=n * n)
     return finite(mat.reshape(n, n), "the fundamental representation has "
                   "an entry", "too large for floating point")
 
@@ -151,13 +146,11 @@ def fundamental_rep_inverse(g: FiniteGroupoid, mat) -> AlgebraElement:
 
 
 def regular_rep(a: AlgebraElement) -> np.ndarray:
-    """|G| x |G| matrix of left multiplication: a dense view for tests."""
+    """|G| x |G| matrix of left multiplication: a dense view for tests,
+    its column i the product of ``a`` and the basis element i."""
     g = a.groupoid
-    outer, inner, result = g.composition_index()
-    mat = np.zeros((g.order, g.order), dtype=complex)
-    # each (result, inner) cell comes from exactly one composable pair
-    mat[result, inner] = a.coeffs[outer]
-    return mat
+    return np.stack([convolve(g, a.coeffs, e)
+                     for e in np.eye(g.order, dtype=complex)], axis=1)
 
 
 def operator_norm(a: AlgebraElement) -> float:

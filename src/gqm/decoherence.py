@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import NORMALIZATIONS
+from . import NORMALIZATIONS, groupoid
 from .errors import GqmInputError, MathPropertyError
 from .groupoid import FiniteGroupoid, beyond, finite, intake
 from .states import (
@@ -124,18 +124,20 @@ def decoherence_from_characteristic(phi, normalization="none",
 
 
 def is_invariant(d: DecoherenceFunctional, tol=DEFAULT_TOL) -> bool:
-    """Exhaustive check of D(alpha∘beta, alpha∘beta') = D(beta, beta'), in
-    whole outers alpha, stacked by their number b of pairs as (alphas, b)."""
-    g = d.groupoid
+    """Exhaustive check of D(alpha∘beta, alpha∘beta') = D(beta, beta') on
+    the orbit stacks: alpha = rows[k, p]^-1, out of ``events[k]``, sends
+    ``rows[k]`` to ``gather[orbit[k], p]``; in parts of CHECK_PART // b^2."""
+    g, m = d.groupoid, d.matrix
     if d.labels != g.transitions:
         raise GqmInputError("invariance needs a decoherence functional over "
                             "all transitions")
-    src, tgt = g.index_arrays()[:2]
-    m, size = d.matrix, np.bincount(tgt)[src]  # the pairs of each outer
-    for outer, inner, result in g.composition_parts(size.max(), outers=True):
-        for b in np.unique(size[outer]):
-            beta, ab = (a[size[outer] == b].reshape(-1, b, 1)
-                        for a in (inner, result))
+    for s in g.orbit_table():
+        alphas, b = s.rows.size, s.rows[0].size  # (k, p) is alpha k b + p
+        step = max(1, groupoid.CHECK_PART // b**2)
+        for a in range(0, alphas, step):
+            k, p = np.divmod(np.arange(a, min(a + step, alphas)), b)
+            beta = s.rows[k][:, :, None]
+            ab = s.gather[s.orbit[k], p][:, :, None]
             dev = m[ab, ab.swapaxes(1, 2)] - m[beta, beta.swapaxes(1, 2)]
             if beyond(np.abs(dev), tol).size:
                 return False

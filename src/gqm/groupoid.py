@@ -233,20 +233,14 @@ class FiniteGroupoid:
         rows of transitions only.  Shared by every caller, so read-only."""
         return self._triples
 
-    def composition_parts(self, cost, outers=False):
+    def composition_parts(self, cost):
         """`composition_index` in (outer, inner, result) parts of
-        max(1, `CHECK_PART` // ``cost``) pairs, in its order; ``outers``
-        groups them by outer, as `group_indices` does, in whole outers."""
+        max(1, `CHECK_PART` // ``cost``) pairs, in its order: every kernel
+        that sums or checks over composable pairs reads them so."""
         triples = self.composition_index()
-        n, step = triples[0].size, max(1, CHECK_PART // cost)
-        cuts = np.arange(step, n, step)
-        if outers:  # each cut moved on to the end of its outer's pairs
-            order = np.argsort(triples[0], kind="stable")
-            ends = np.cumsum(np.bincount(triples[0]))
-            cuts = np.setdiff1d(ends[np.searchsorted(ends, cuts)], n)
-        for a, b in zip([0, *cuts], [*cuts, n]):
-            yield tuple(x[order[a:b] if outers else slice(a, b)]
-                        for x in triples)
+        step = max(1, CHECK_PART // cost)
+        for a in range(0, max(1, triples[0].size), step):
+            yield tuple(x[a:a + step] for x in triples)
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per

@@ -228,13 +228,13 @@ def reproducing_deviations(g: FiniteGroupoid, values):
 
 def random_state(g: FiniteGroupoid, rng) -> CharacteristicFunction:
     """Random normalized PSD function: the smeared character of the regular
-    representation against a random density matrix."""
+    representation against the random density w w^H / |w|^2."""
     n = g.order
     w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    density = w @ w.conj().T
-    density /= np.trace(density).real
-    # Tr(density L_t), with L_t the left multiplication by t
-    outer, inner, result = g.composition_index()
-    terms = density[inner, result]
-    return CharacteristicFunction(g, algebra.scatter_add(
-        outer, terms.real, terms.imag, n))
+    # Tr(w_k w_k^H L_t) sums conj(w_k[t∘i]) w_k[i] over the i composable
+    # with t: the product of conj(w_k) and w_k∘inv, as (t∘i)∘i^-1 = t
+    inv = g.index_arrays()[2]
+    values = sum(algebra.multiply(algebra.AlgebraElement(g, w[:, k].conj()),
+                                  algebra.AlgebraElement(g, w[inv, k])).coeffs
+                 for k in range(n))
+    return CharacteristicFunction(g, values / np.linalg.norm(w) ** 2)

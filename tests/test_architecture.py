@@ -8,21 +8,22 @@ documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
 (`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
 loops over the transitions or calls the label-set queries, so no table
-keyed by label is built there.  The law checks read the composition
-triples of `FiniteGroupoid.composition_index` in parts of
+keyed by label is built there.  The law checks and the
+left-multiplication kernels read the composition triples of
+`FiniteGroupoid.composition_index` in parts of
 `FiniteGroupoid.composition_parts`, and only the slot table of the orbit
-stacks and the left-multiplication kernels read them whole; the raw rows
-behind them stay inside ``groupoid.py``.
+stacks reads them whole; the raw rows behind them stay inside
+``groupoid.py``.
 
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
 
-Spectral kernels read the orbit blocks of `FiniteGroupoid.orbit_table`,
-one `OrbitStack` per block size, built in ``groupoid.py`` alone: no
-module holds a record of one orbit or loops over orbits in Python, the
-dense |G| x |G| views are built only for the decoherence output, the GNS
-basis is stored by its rows' few entries, and the algebra product is the
-one kernel that convolves.
+Spectral kernels and the invariance check read the orbit blocks of
+`FiniteGroupoid.orbit_table`, one `OrbitStack` per block size, built in
+``groupoid.py`` alone: no module holds a record of one orbit or loops
+over orbits in Python, the dense |G| x |G| views are built only for the
+decoherence output, the GNS basis is stored by its rows' few entries,
+and the algebra product is the one kernel that convolves.
 
 Every module loads on first use, one way: ``gqm`` registers its
 submodules as lazy modules and resolves its exports from their home
@@ -263,15 +264,23 @@ def test_one_groupoid_representation():
 
 def test_composition_index_readers():
     """Only these functions call `composition_index`: the part reader of
-    every law, the slot table of the orbit stacks, and the
-    left-multiplication kernels, whose summation order the tests pin.
-    Every other kernel reads the orbit stacks or the parts."""
+    every kernel over composable pairs, and the slot table of the orbit
+    stacks.  Every other kernel reads the orbit stacks or the parts."""
     assert functions_of(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "composition_index") == {
         "groupoid.FiniteGroupoid.composition_parts",
-        "groupoid.FiniteGroupoid._orbit_table", "algebra.convolve",
-        "algebra.regular_rep", "states.random_state",
+        "groupoid.FiniteGroupoid._orbit_table"}
+
+
+def test_composition_parts_readers():
+    """Only the laws over composable pairs and the left-multiplication
+    kernels call `composition_parts`; invariance reads the orbit stacks."""
+    assert functions_of(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "composition_parts") == {
+        "groupoid.validate", "action.is_action", "action.is_factorizable",
+        "gns.RepMatrices.check", "algebra.convolve",
         "gns.GnsRepresentation.matrix_of"}
 
 
@@ -475,8 +484,7 @@ def test_every_export_that_takes_numbers_is_an_intake_row():
 # no row in `BOUNDARY_ROWS` yet: a row takes a name out, and none comes in
 PENDING = set("""
     action.extend_generator_action decoherence.normalization_scale
-    gns.FrameChange.__post_init__ gns.smeared_character
-    states.assert_state states.observable_amplitude""".split())
+    gns.FrameChange.__post_init__""".split())
 
 
 def compares_with_tolerance(node):
@@ -517,7 +525,7 @@ def test_every_tolerance_comparison_has_a_boundary_row():
     rows = {row[0] for row in BOUNDARY_ROWS.values()}
     assert rows <= found
     assert found - rows == PENDING
-    assert len(PENDING) <= 6
+    assert len(PENDING) <= 3
 
 
 # the fields of `OrbitStack` that have one entry per orbit or per event

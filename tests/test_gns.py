@@ -169,6 +169,25 @@ def test_gns_report_memory_is_linear_in_orbits():
     assert peaks[1] < 32 << 20
 
 
+def test_matrix_of_reads_the_pairs_in_parts(rng):
+    """pi(a) sums its pairs over the parts of `composition_parts`, each of
+    about `CHECK_PART` entries: for a dense element on pair(16) with the
+    full-rank trace state (dim = |G| = 256, 4096 pairs), the traced peak
+    of `matrix_of` stays under 12 MiB, the representation built
+    beforehand."""
+    g = pair_groupoid(["e%d" % k for k in range(16)])
+    rep = gns_build(trace_state(g))
+    assert rep.space.dim == 256
+    a = AlgebraElement(g, rng.normal(size=256) + 1j)
+    tracemalloc.start()
+    try:
+        rep.matrix_of(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
 def test_matrix_of_rejects_foreign_elements(pair3, rng):
     """pi(a) needs a on the represented groupoid: an element of a smaller
     groupoid, or of one of the same order, is an input error."""

@@ -11,6 +11,7 @@ from gqm.action import (
     is_factorizable,
     is_reproducing_sweep_trial,
 )
+from gqm.algebra import AlgebraElement, multiply
 from gqm.errors import GqmInputError, GroupoidValidationError
 from gqm.examples import build_qubit, cyclic_group_groupoid
 from gqm.groupoid import (
@@ -329,22 +330,25 @@ def test_cyclic_group_groupoid_rejects_bad_orders():
 
 
 def test_law_checks_read_the_pairs_in_parts():
-    """`is_action` and `is_factorizable` read the composable pairs in
-    parts of `CHECK_PART` entries: from pair(64) to pair(128), |G| grows
-    4x and the pairs 8x, and the traced peak of each check at most 4.5x
-    (a pair groupoid stores its composition triples when it is built)."""
+    """`is_action`, `is_factorizable` and `multiply` read the composable
+    pairs in parts of `CHECK_PART` entries: from pair(64) to pair(128),
+    |G| grows 4x and the pairs 8x, and the traced peak of each at most
+    4.5x (a pair groupoid stores its composition triples when it is
+    built)."""
     peaks = []
     for n in (64, 128):
         g = pair_groupoid(["e%d" % k for k in range(n)])
         s = ActionFunction(g, coboundaries(g, np.linspace(0.0, 1.0, n)))
         phi = CharacteristicFunction(g, np.exp(1j * s.values))
+        a = AlgebraElement(g, phi.values)
         for check in (lambda: is_action(s)[0],
-                      lambda: is_factorizable(phi).ok):
+                      lambda: is_factorizable(phi).ok,
+                      lambda: multiply(a, a).coeffs.any()):
             tracemalloc.start()
             try:
                 assert check()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    for small, large in zip(peaks[:2], peaks[2:]):
+    for small, large in zip(peaks[:3], peaks[3:]):
         assert large <= 4.5 * small

@@ -573,32 +573,22 @@ def test_rep_check_matches_loop(g, seed, gns, law, part):
 
 
 @settings(max_examples=40, deadline=None)
-@given(any_system, st.integers(1, 12), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_composition_parts_cover_the_pairs(g, part, outers, seed):
+@given(any_system, st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_composition_parts_cover_the_pairs(g, part, seed):
     """At ``part`` entries per part and one per pair, the parts of
-    `composition_parts`, joined, are the composition triples: in their
-    order, ``part`` pairs a part but the last; or, with ``outers``, grouped
-    by outer as `group_indices` groups them, in parts of whole outers of
-    fewer than ``part`` pairs before their last outer.  `is_invariant`
-    reads them so at ``part`` entries per part as the loop reads all."""
+    `composition_parts`, joined, are the composition triples in their
+    order, ``part`` pairs a part but the last.  `is_invariant` reads the
+    orbit stacks at ``part`` entries per part as the loop reads all."""
     triples = np.array(g.composition_index())
+    rng = np.random.default_rng(seed)
+    d = decoherence_from_characteristic(random_state(g, rng))
+    d.matrix[tuple(rng.integers(g.order, size=2))] += 1e-9
     with mock.patch.object(gqm.groupoid, "CHECK_PART", part):
-        parts = [np.array(p) for p in g.composition_parts(1, outers)]
-        rng = np.random.default_rng(seed)
-        d = decoherence_from_characteristic(random_state(g, rng))
-        d.matrix[tuple(rng.integers(g.order, size=2))] += 1e-9
+        parts = [np.array(p) for p in g.composition_parts(1)]
         assert is_invariant(d) == is_invariant_loop(d, 1e-10)
-    if outers:
-        triples = triples[:, np.argsort(triples[0], kind="stable")]
     assert np.array_equal(np.hstack(parts), triples)
     sizes = [p.shape[1] for p in parts]
-    if not outers:
-        assert all(size == part for size in sizes[:-1]) and sizes[-1] <= part
-        return
-    assert len({*np.hstack([np.unique(p[0]) for p in parts])}) == sum(
-        np.unique(p[0]).size for p in parts)  # no outer in two parts
-    assert all(np.sum(p[0] != p[0, -1]) < part for p in parts)
+    assert all(size == part for size in sizes[:-1]) and sizes[-1] <= part
 
 
 @settings(max_examples=40, deadline=None)

@@ -62,6 +62,7 @@ from gqm.states import (
     delta_state,
     invariance_matrix,
     is_positive_semidefinite,
+    observable_amplitude,
     random_state,
     reproducing_deviation,
 )
@@ -339,6 +340,34 @@ def measure_of_1a(d, **tol):
     return ["negative value %r" % value] if value < 0 else []
 
 
+def heavier(delta):
+    """The delta state at a on pair(a, b, c), times 1 + ``delta``: PSD,
+    its unit mass 1 + delta."""
+    phi = delta_state(pair_groupoid(["a", "b", "c"]), "a")
+    phi.values *= 1 + delta
+    return phi
+
+
+def uneven(delta):
+    """The incidence element of pair(a, b), self-adjoint, ``delta`` added
+    at a -> b: it differs from its adjoint by delta there and at b -> a."""
+    g = pair_groupoid(["a", "b"])
+    coeffs = np.ones(g.order, dtype=complex)
+    coeffs[g.index("a->b")] += delta
+    return AlgebraElement(g, coeffs)
+
+
+def character(density, **tol):
+    """The error of the smeared character of ``density`` on pair(a, b,
+    c)'s fundamental matrices, or none."""
+    try:
+        smeared_character(fundamental_matrices(pair_groupoid(["a", "b", "c"])),
+                          density, **tol)
+    except GqmError as exc:
+        return [str(exc)]
+    return []
+
+
 # row -> (the function whose comparison it pins, the input at deviation
 # delta, the violations a check of it reports, and how the row's own law
 # begins its message)
@@ -405,6 +434,24 @@ BOUNDARY_ROWS = {
     "measure clamp": (
         "decoherence.quantum_measure", lambda delta: diagonal(-delta),
         measure_of_1a, "negative value"),
+    "state unit mass": (
+        "states.assert_state", heavier,
+        lambda phi, **tol: raised(assert_state, phi, **tol),
+        "characteristic function is not normalized"),
+    "observable self-adjoint": (
+        "states.observable_amplitude", uneven,
+        lambda f, **tol: raised(observable_amplitude, f, "b", "a", **tol),
+        "element is not self-adjoint"),
+    "density hermiticity": (
+        "gns.smeared_character",
+        lambda delta: np.eye(3) / 3 + np.diag([delta, 0.0], 1), character,
+        "density matrix is not Hermitian"),
+    "density least eigenvalue": (
+        "gns.smeared_character", lambda delta: np.diag([1 + delta, -delta, 0]),
+        character, "density matrix is not PSD"),
+    "density trace": (
+        "gns.smeared_character", lambda delta: np.diag([1 + delta, 0, 0]),
+        character, "density matrix trace must be 1"),
 }
 
 
