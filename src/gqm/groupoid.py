@@ -130,19 +130,17 @@ class FiniteGroupoid:
         self._triples = tuple(read_only(rows[:, np.all(rows < len(ts), 0)]))
 
     @classmethod
-    def _indexed(cls, events, transitions, arrays, triples):
-        """From the (src, tgt, inv, unit) arrays of `index_arrays` and a
-        (3, m) array of composition triples, both trusted."""
+    def _indexed(cls, events, transitions, arrays, matrices=None):
+        """From trusted `index_arrays` and a generated kind's `_matrices`."""
         g = cls.__new__(cls)
         g._label(events, transitions)
-        g._arrays, g._rows = tuple(map(read_only, arrays)), read_only(triples)
-        g._triples = tuple(g._rows)
+        g._arrays, g._matrices = tuple(map(read_only, arrays)), matrices
         return g
 
     def _label(self, events, transitions):
         self.events, self.transitions = events, transitions
         self._names = events, transitions
-        self.aliases = {}
+        self.aliases, self._matrices = {}, None
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
 
@@ -162,6 +160,10 @@ class FiniteGroupoid:
         o, i, r = (map(self._names[1].__getitem__, a)
                    for a in self._rows.tolist())
         return dict(zip(zip(o, i), r))
+
+    _rows = cached_property(lambda g: read_only(np.hstack(  # generated
+        [*map(np.stack, g.composition_parts(1))])))
+    _triples = cached_property(lambda g: tuple(g._rows))
 
     # -- label handling -------------------------------------------------
 
@@ -237,10 +239,23 @@ class FiniteGroupoid:
         """`composition_index` in (outer, inner, result) parts of
         max(1, `CHECK_PART` // ``cost``) pairs, in its order: every kernel
         that sums or checks over composable pairs reads them so."""
-        triples = self.composition_index()
         step = max(1, CHECK_PART // cost)
-        for a in range(0, max(1, triples[0].size), step):
-            yield tuple(x[a:a + step] for x in triples)
+        for chunk in ([self.composition_index()] if self._matrices is None
+                      else self._formed(step * max(1, CHECK_PART // step))):
+            for a in range(0, max(1, chunk[0].size), step):
+                yield tuple(x[a:a + step] for x in chunk)
+
+    def _formed(self, size):
+        """A generated kind's pairs in chunks of ``size``: pair t, of row r
+        of `_pair_components`, is ``place[r]``∘``into[inner[r] + t]``."""
+        into, place, inner, result, width, first = self._matrices
+        for a in range(0, first[-1] + width[-1], size):
+            lo, hi = np.searchsorted(first, [a, a + size], "right") - [1, 0]
+            t = np.arange(first[lo], first[hi - 1] + width[hi - 1])
+            yield tuple(v[a - first[lo]:a + size - first[lo]] for v in (
+                np.repeat(place[lo:hi], width[lo:hi]),
+                into[np.repeat(inner[lo:hi], width[lo:hi]) + t],
+                into[np.repeat(result[lo:hi], width[lo:hi]) + t]))
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -253,47 +268,45 @@ class FiniteGroupoid:
 
     def orbit_table(self):
         """One `OrbitStack` per block size, ascending; computed once per
-        groupoid from `composition_index`, read-only."""
+        groupoid from `composition_parts`, read-only."""
         return self._orbit_table
 
     @cached_property
     def _orbit_table(self):
-        src, tgt, inv, unit = self.index_arrays()
-        off, comp = self._slot_table(*self.composition_index())[1:]
-        rep = self._representatives
+        src, tgt, inv = self.index_arrays()[:3]
+        rep, rank = self._representatives, self._rank
         # the first rep(y) -> y transition of each y; units come first
         gamma = np.full_like(rep, self.order)
         hops = np.flatnonzero(src == rep[tgt])
         np.minimum.at(gamma, tgt[hops], hops)
         size = np.bincount(tgt)  # of each event's target block
+        # each representative x's table r[p]^-1 ∘ r[q], r its ascending
+        # block, from at[x] on, filled by the pairs whose inner is r[q]
+        area = np.where(rep == np.arange(rep.size), size ** 2, 0)
+        at, flat = np.cumsum(area) - area, np.empty(area.sum(), np.intp)
+        for o, i, r in self.composition_parts(1):
+            k = np.flatnonzero(area[tgt[i]])
+            x, o, i = tgt[i[k]], o[k], i[k]
+            flat[at[x] + size[x] * rank[inv[o]] + rank[i]] = r[k]
+        # the events orbit by orbit, each orbit in event order
+        order = np.sort(rep * rep.size + np.arange(rep.size)) % rep.size
         table = []
         for b in np.flatnonzero(np.bincount(size)).tolist():
-            slot = sliding_window_view(comp, b)  # [off[o]]: o∘c, c into s(o)
-            # each representative's block (1_x∘c = c), and its orbit's
-            # events in event order: the block's sources, each taken once
-            block = slot[off[unit[(rep == np.arange(rep.size)) & (size == b)]]]
-            ends = np.sort(src[block], axis=1, kind="stable")
-            first = np.diff(ends, axis=1, prepend=-1) != 0
-            orbit, events = np.flatnonzero(first) // b, ends[first]
-            table.append(OrbitStack(
-                gather=read_only(slot[off[inv[block]]]),
-                events=read_only(events), orbit=read_only(orbit),
-                rows=read_only(slot[off[gamma[events]]])))
+            x, events = np.flatnonzero(area == b * b), order[size[order] == b]
+            gather = flat[at[x, None, None] + np.arange(b * b).reshape(b, b)]
+            orbit = np.cumsum(rep[events] == events) - 1
+            rows = gather[orbit, rank[inv[gamma[events]]]]
+            table.append(OrbitStack(*map(read_only,
+                                         (gather, events, orbit, rows))))
         return tuple(table)
 
-    def _slot_table(self, outer, inner, result):
-        """(rank, off, comp) from composable pairs (outer, inner) and their
-        results, per call: o∘i is ``comp[off[o] + rank[i]]``, rank[i] the
-        place of i in its ascending target block, -1 in a slot none fills."""
-        src, tgt = self.index_arrays()[:2]
-        size = np.bincount(tgt, minlength=len(self.events))
-        rank = np.empty_like(tgt)  # first the place in the blocks, laid out
+    @cached_property
+    def _rank(self):
+        """The place of each transition in its ascending target block."""
+        tgt = self.index_arrays()[1]
+        rank, size = np.empty_like(tgt), np.bincount(tgt)
         rank[np.argsort(tgt, kind="stable")] = np.arange(tgt.size)
-        rank -= (np.cumsum(size) - size)[tgt]
-        off = np.cumsum(size[src]) - size[src]
-        comp = np.full(size[src].sum(), -1, dtype=np.intp)
-        comp[off[outer] + rank[inner]] = result
-        return rank, off, comp
+        return read_only(rank - (np.cumsum(size) - size)[tgt])
 
     # -- structural queries: masks over the index arrays ----------------
 
@@ -452,7 +465,7 @@ def group_indices(keys, n):
 
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively check every groupoid axiom; violations carry witnesses.
-    Each law is a gather from the slots of `FiniteGroupoid._slot_table`;
+    Each law is a gather from one slot table of the given triples;
     associativity reads its pairs through `FiniteGroupoid.composition_parts`,
     a pair's cost the widest target block."""
     rep = ValidationReport()
@@ -489,10 +502,12 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     rep.checks += n * n
     o, i, r = g._rows[:, np.all(g._rows[:2] < n, axis=0)]
     should = tgt[i] == src[o]
-    rank, off, comp = g._slot_table(o[should], i[should], r[should])
-    # each slot's outer o and inner, read at its rank in the block of s(o)
-    size = np.bincount(tgt, minlength=m)
+    # the slot table: o∘i is comp[off[o] + rank[i]], -1 where none is
+    size, rank = np.bincount(tgt, minlength=m), g._rank
     start, width = np.cumsum(size) - size, size[src]
+    off, comp = np.cumsum(width) - width, np.full(width.sum(), -1, np.intp)
+    comp[off[o[should]] + rank[i[should]]] = r[should]
+    # each slot's outer o and inner, read at its rank in the block of s(o)
     outer, blocks = np.repeat(idx, width), np.argsort(tgt, kind="stable")
     inner = blocks[np.arange(comp.size) + (start[src] - off)[outer]]
     s = np.clip(comp, 0, n - 1)  # `select` codes the slots out of range first
@@ -546,7 +561,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     views = {w: (sliding_window_view(comp, w), sliding_window_view(ranked, w))
              for w in np.flatnonzero(np.bincount(width)).tolist()}
     for a, b, ab in g.composition_parts(width.max(initial=1)):
-        for w in np.unique(width[b]).tolist():
+        for w in np.flatnonzero(np.bincount(width[b])).tolist():
             (rows, ranks), at = views[w], width[b] == w
             a_w, b_w = a[at], b[at]
             lhs = comp[off[a_w, None] + ranks[off[b_w]]]
@@ -596,29 +611,22 @@ def _pair_components(events, roots):
     members = np.argsort(component, kind="stable")  # by component
     into = sizes[component] - 1  # the non-units into each event
     first = n + np.cumsum(into) - into  # units first, then by target
-    # each component's first member, generated transition and triple
-    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2, 3)]
-    # (src, tgt, inv, place) of the transitions, in generated order
-    made = np.empty((4, (sizes ** 2).sum()), dtype=np.intp)
-    triples = np.empty((3, (sizes ** 3).sum()), dtype=np.intp)
+    # each component's first member and generated transition
+    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2)]
+    # (src, tgt, inv, place, inner, result) of each c[x] -> c[y] in
+    # generated order: row r∘inv[inner[r] + w] = inv[result[r] + w]
+    made = np.empty((6, (sizes ** 2).sum()), dtype=np.intp)
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == m)
         c = members[starts[0][which, None] + np.arange(m)]
         i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
         idx = np.where(i == j, c[:, i], first[c[:, j]] + i - (i > j))
-        idt = idx.transpose(0, 2, 1)
-        made[:, starts[1][which, None, None] + m * i + j] = (
-            c[:, i], c[:, j], idt, idx)
-        faces = idx[..., None], idt[:, :, None], idt[:, None]
-        if which.size == 1:  # in place: no index array of m^3 entries
-            at = starts[2][which[0]]
-            cube = triples[:, at:at + m ** 3].reshape(3, 1, m, m, m)
-            cube[0], cube[1], cube[2] = faces
-        else:
-            at = starts[2][which, None, None, None] + np.arange(
-                m ** 3).reshape(m, m, m)
-            triples[0, at], triples[1, at], triples[2, at] = faces
-    src, tgt, inv, place = made
+        at = starts[1][which, None, None]
+        made[:, at + m * i + j] = (c[:, i], c[:, j], idx.transpose(0, 2, 1),
+                                   idx, at + m * i, at + m * j)
+    src, tgt, inv, place, inner, result = made
+    width = sizes[component[src]]
+    triple = np.cumsum(width) - width  # the first triple of each row
     labels = [unit_label(events[x]) if x == y else
               pair_label(events[x], events[y])
               for x, y in zip(src.tolist(), tgt.tolist())]
@@ -635,7 +643,8 @@ def _pair_components(events, roots):
     order = np.argsort(place, kind="stable")
     return FiniteGroupoid._indexed(
         tuple(events), tuple(map(labels.__getitem__, order.tolist())),
-        [src[order], tgt[order], inv[order], np.arange(n)], triples)
+        [src[order], tgt[order], inv[order], np.arange(n)],
+        (inv, place, inner - triple, result - triple, width, triple))
 
 
 def pair_groupoid(events) -> FiniteGroupoid:
@@ -686,7 +695,8 @@ def group_as_groupoid(elements, table, identity, event="*") -> FiniteGroupoid:
 
     zeros = np.zeros(n, dtype=np.intp)  # the one event and its unit
     g = FiniteGroupoid._indexed((event,), tuple(order),
-                                [zeros, zeros, inverse, zeros[:1]], triples)
+                                [zeros, zeros, inverse, zeros[:1]])
+    g._rows = read_only(triples)
     report = validate(g)
     if not report.ok:  # an invalid table (e.g. broken associativity)
         raise GqmInputError(str(GroupoidValidationError(report.violations)))

@@ -263,25 +263,27 @@ def test_one_groupoid_representation():
 
 
 def test_composition_index_readers():
-    """Only these functions call `composition_index`: the part reader of
-    every kernel over composable pairs, and the slot table of the orbit
-    stacks.  Every other kernel reads the orbit stacks or the parts."""
+    """Only the part reader of every kernel over composable pairs calls
+    `composition_index`.  Every other kernel, the orbit table's too, reads
+    the orbit stacks or the parts."""
     assert functions_of(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "composition_index") == {
-        "groupoid.FiniteGroupoid.composition_parts",
-        "groupoid.FiniteGroupoid._orbit_table"}
+        "groupoid.FiniteGroupoid.composition_parts"}
 
 
 def test_composition_parts_readers():
-    """Only the laws over composable pairs and the left-multiplication
-    kernels call `composition_parts`; invariance reads the orbit stacks."""
+    """Only the laws over composable pairs, the left-multiplication
+    kernels, the orbit table and a generated kind's triples, joined on
+    first read, call `composition_parts`; invariance reads the orbit
+    stacks."""
     assert functions_of(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "composition_parts") == {
         "groupoid.validate", "action.is_action", "action.is_factorizable",
         "gns.RepMatrices.check", "algebra.convolve",
-        "gns.GnsRepresentation.matrix_of"}
+        "gns.GnsRepresentation.matrix_of",
+        "groupoid.FiniteGroupoid._orbit_table", "groupoid.FiniteGroupoid"}
 
 
 def test_one_composition_view():
@@ -307,9 +309,10 @@ def reads_label_sequence(node, aliases):
 
 
 def test_one_composition_lookup():
-    """``groupoid.py`` composes by index one way, through the slot table
-    of `FiniteGroupoid._slot_table`: `_orbit_table` calls no ``argsort``
-    or ``searchsorted``, and no ``for`` loop or comprehension of
+    """``groupoid.py`` composes by index one way, through the parts of
+    `FiniteGroupoid.composition_parts`: `_orbit_table` calls no
+    ``_slot_table``, ``composition_index``, ``argsort`` or
+    ``searchsorted``, and no ``for`` loop or comprehension of
     `validate` iterates ``.transitions``, ``.events`` or
     ``target_blocks()``, directly or through a name bound to them; its
     loops run over the failures it reports."""
@@ -324,7 +327,8 @@ def test_one_composition_lookup():
              if isinstance(node, ast.Call)
              for ident in [getattr(node.func, "id",
                                    getattr(node.func, "attr", None))]
-             if ident in {"argsort", "searchsorted"}]
+             if ident in {"_slot_table", "composition_index", "argsort",
+                          "searchsorted"}]
     aliases = set()
     for node in ast.walk(defs["validate"]):
         if isinstance(node, ast.Assign):
@@ -666,6 +670,30 @@ def test_help_and_usage_errors_load_no_numpy(argv, code):
     assert returncode == code
     assert "gqm" in imported and "numpy" not in imported
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [["validate", "G"], ["psd-check", "G", "S"]])
+def test_group_spec_commands_load_no_masked_arrays(tmp_path, argv):
+    """``validate`` and ``psd-check`` on a group spec, which `validate`
+    checks exhaustively, leave ``numpy.ma`` unloaded: ``np.unique`` would
+    import it (numpy >= 2), ~10 ms of every such command."""
+    el = ["g%d" % k for k in range(4)]
+    docs = {"G": {"kind": "group", "events": ["*"], "elements": el,
+                  "identity": "g0",
+                  "table": [{"left": a, "right": b,
+                             "result": el[(j + k) % 4]}
+                            for j, a in enumerate(el)
+                            for k, b in enumerate(el)]},
+            "S": {"type": "delta", "event": "*"}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    script = ("import json, sys\n"
+              "from gqm.cli import main\n"
+              "code = main(%r)\n"
+              "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n" % argv)
+    out = run_python("-c", script)[0].splitlines()[-1]
+    assert json.loads(out) == [0, False]
 
 
 @pytest.mark.parametrize("argv, layers", [
