@@ -11,6 +11,7 @@ instead.
 from collections import deque
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gqm.action import action_from_potential, dynamical_state
 from gqm.algebra import AlgebraElement
@@ -331,6 +332,57 @@ def orbits_of_index_loop(g):
         parts.append((events, compose(gamma[events, None], block),
                       compose(inv[block, None], block)))
     return parts
+
+
+def orbit_table_slots(g):
+    """The orbit table as it was read from a slot table of all Σ m^3
+    composable pairs, the reference for the one placed from the parts: o∘i
+    is ``comp[off[o] + rank[i]]``, rank[i] the place of i in its ascending
+    target block.  Per block size, ascending, the fields (gather, events,
+    orbit, rows) of its `OrbitStack`."""
+    src, tgt, inv, unit = g.index_arrays()
+    outer, inner, result = g.composition_index()
+    size = np.bincount(tgt, minlength=len(g.events))
+    rank = np.empty_like(tgt)
+    rank[np.argsort(tgt, kind="stable")] = np.arange(tgt.size)
+    rank -= (np.cumsum(size) - size)[tgt]
+    off = np.cumsum(size[src]) - size[src]
+    comp = np.full(size[src].sum(), -1, dtype=np.intp)
+    comp[off[outer] + rank[inner]] = result
+    rep = np.full(len(g.events), len(g.events))  # the least source into y
+    np.minimum.at(rep, tgt, src)
+    gamma = np.full_like(rep, g.order)  # the first rep(y) -> y transition
+    hops = np.flatnonzero(src == rep[tgt])
+    np.minimum.at(gamma, tgt[hops], hops)
+    table = []
+    for b in np.flatnonzero(np.bincount(size)).tolist():
+        slot = sliding_window_view(comp, b)  # [off[o]]: o∘c, c into s(o)
+        # each representative's block (1_x∘c = c); its orbit's events are
+        # the block's sources, each taken once
+        block = slot[off[unit[(rep == np.arange(rep.size)) & (size == b)]]]
+        ends = np.sort(src[block], axis=1, kind="stable")
+        first = np.diff(ends, axis=1, prepend=-1) != 0
+        orbit, events = np.flatnonzero(first) // b, ends[first]
+        table.append((slot[off[inv[block]]], events, orbit,
+                      slot[off[gamma[events]]]))
+    return table
+
+
+def generated_triples_loop(g):
+    """The composition triples of a generated groupoid (`pair_groupoid`,
+    `from_quiver`) listed pair by pair, as (outer, inner, result) index
+    rows: by component in the order of their first events, then over x, y
+    and w in event order, (x -> y)∘(w -> x) = (w -> y)."""
+    arrow = {(g.source[t], g.target[t]): k
+             for k, t in enumerate(g.transitions)}
+    triples = []
+    for orbit in orbits_loop(g):
+        events = [x for x in g.events if x in orbit]
+        for x in events:
+            for y in events:
+                for w in events:
+                    triples.append((arrow[x, y], arrow[w, x], arrow[w, y]))
+    return np.array(triples, dtype=np.intp).T
 
 
 def orbit_table_loop(g):

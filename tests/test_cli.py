@@ -684,9 +684,21 @@ def test_psd_check_pair64_fits_in_memory(tmp_path):
     assert doc["ok"] is True and doc["hermitian"] is True
 
 
+def test_psd_check_pair256_fits_in_memory(tmp_path, capsys):
+    """pair256 has 2^24 composable pairs, a 384 MiB table of triples; it
+    keeps none, and its orbit stacks are placed from the parts, so a cold
+    psd-check on an action state fits under 256 MiB and reports as it
+    does uncapped."""
+    argv = ["psd-check", *action_files(tmp_path, 256)]
+    code, out, err = run_capped(argv, 256)
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, argv)
+    assert json.loads(out)["ok"] is True
+
+
 def test_validate_pair64_fits_in_memory(tmp_path):
-    """A pair groupoid holds its composition one triple per composable
-    pair: on pair64 that is 64^3 = 262,144 triples, where a dense
+    """A pair groupoid holds the 64 x 64 index matrix of its events and
+    forms its 64^3 = 262,144 composable pairs part by part, where a dense
     |G| x |G| table would be 2^24 cells (128 MiB), so it fits under
     256 MiB."""
     g, _ = pair_files(tmp_path, 64)
@@ -697,10 +709,10 @@ def test_validate_pair64_fits_in_memory(tmp_path):
 
 
 def test_validate_pair128_fits_in_memory(tmp_path):
-    """pair128 is built by index arithmetic, 128^3 = 2,097,152 triples
-    (48 MiB) and no label-keyed table, and not validated again, so a cold
-    `validate` fits under 256 MiB; label tables for its 2.1M composition
-    entries would not."""
+    """pair128 is built by index arithmetic, with no table of its
+    128^3 = 2,097,152 triples (48 MiB) and no label-keyed table, and not
+    validated again, so a cold `validate` fits under 256 MiB; label tables
+    for its 2.1M composition entries would not."""
     g, _ = pair_files(tmp_path, 128)
     code, out, err = run_capped(["validate", g], 256)
     assert (code, err) == (0, "")

@@ -24,7 +24,7 @@ from gqm.groupoid import (
     validate,
 )
 from gqm.specio import parse_groupoid_doc
-from gqm.states import CharacteristicFunction
+from gqm.states import CharacteristicFunction, is_positive_semidefinite
 
 
 def test_pair_groupoid_orders():
@@ -333,8 +333,8 @@ def test_law_checks_read_the_pairs_in_parts():
     """`is_action`, `is_factorizable` and `multiply` read the composable
     pairs in parts of `CHECK_PART` entries: from pair(64) to pair(128),
     |G| grows 4x and the pairs 8x, and the traced peak of each at most
-    4.5x (a pair groupoid stores its composition triples when it is
-    built)."""
+    4.5x (a pair groupoid stores the m x m index matrix of its events, and
+    forms its composition triples part by part as they are read)."""
     peaks = []
     for n in (64, 128):
         g = pair_groupoid(["e%d" % k for k in range(n)])
@@ -352,3 +352,27 @@ def test_law_checks_read_the_pairs_in_parts():
                 tracemalloc.stop()
     for small, large in zip(peaks[:3], peaks[3:]):
         assert large <= 4.5 * small
+
+
+def test_pair_orbit_stacks_take_quadratic_memory():
+    """A pair groupoid keeps no composition triples and its orbit table is
+    placed from the parts: building pair(n), its orbit table and the PSD
+    check of a state on it peak, traced, at most 4.5x higher on pair(128)
+    than on pair(64), where |G| grows 4x and the composable pairs 8x; and
+    pair(256) with its orbit table, 2^24 composable pairs (a 384 MiB
+    triple table), stays under 64 MiB."""
+    peaks = []
+    for n, check in ((64, True), (128, True), (256, False)):
+        tracemalloc.start()
+        try:
+            g = pair_groupoid(["e%d" % k for k in range(n)])
+            g.orbit_table()
+            if check:
+                values = np.exp(1j * coboundaries(g, np.linspace(0, 1, n)))
+                phi = CharacteristicFunction(g, values / n)
+                assert is_positive_semidefinite(phi).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4.5 * peaks[0]
+    assert peaks[2] < 64 << 20

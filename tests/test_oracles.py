@@ -88,6 +88,7 @@ from oracles import (
     fundamental_rep_loop,
     g_minus_loop,
     g_plus_loop,
+    generated_triples_loop,
     gns_basis,
     gns_basis_loop,
     gns_dim_full,
@@ -106,6 +107,7 @@ from oracles import (
     orbit_blocks_loop,
     orbit_loop,
     orbit_table_loop,
+    orbit_table_slots,
     orbits_loop,
     pair_tables_loop,
     psd_full,
@@ -572,14 +574,28 @@ def test_rep_check_matches_loop(g, seed, gns, law, part):
             assert str(err.value) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(any_system, st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_composition_parts_cover_the_pairs(g, part, seed):
+# the generated kinds, pair groupoids and quivers (loops and parallel
+# arrows among their arrows), each with the triples the loop lists
+generated = (st.integers(1, 7).map(lambda n: pair_groupoid(
+    ["e%d" % k for k in range(n)])) | generator_actions().map(
+    lambda drawn: drawn[0])).map(lambda g: (g, generated_triples_loop(g)))
+# the kinds of tables, each with the triples it was given
+given_kinds = (st.sampled_from(GROUPS).map(cayley_groupoid)
+               | composite_groupoids()).map(
+    lambda g: (g, np.array(g.composition_index())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated | given_kinds, st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_composition_parts_cover_the_pairs(drawn, part, seed):
     """At ``part`` entries per part and one per pair, the parts of
     `composition_parts`, joined, are the composition triples in their
-    order, ``part`` pairs a part but the last.  `is_invariant` reads the
-    orbit stacks at ``part`` entries per part as the loop reads all."""
-    triples = np.array(g.composition_index())
+    order, ``part`` pairs a part but the last: a generated kind's as the
+    loop lists them pair by pair, the tables' as given.  `is_invariant`
+    reads the orbit stacks at ``part`` entries per part as the loop reads
+    all."""
+    g, triples = drawn
     rng = np.random.default_rng(seed)
     d = decoherence_from_characteristic(random_state(g, rng))
     d.matrix[tuple(rng.integers(g.order, size=2))] += 1e-9
@@ -717,15 +733,18 @@ def orbit_spans(stack):
 def assert_orbit_table_matches_loop(g):
     """The orbit table holds one stack per block size, ascending, and each
     field of each stack is, in dtype, shape and value, the one built orbit
-    by orbit, and read-only for good.  Read orbit by orbit, the stacks
+    by orbit and the one read from the slot table of every composable pair,
+    and read-only for good.  Read orbit by orbit, the stacks
     hold the events, translated rows and products a^-1 ∘ b of the label
     loop; every block, read in translated order, is its representative's
     block byte for byte, and holds the event's whole target block."""
     table = g.orbit_table()
-    for stack, fields in zip(table, orbit_table_loop(g), strict=True):
-        for got, want in zip(stack_fields(stack), fields):
+    for stack, fields, slots in zip(table, orbit_table_loop(g),
+                                    orbit_table_slots(g), strict=True):
+        for got, want, ref in zip(stack_fields(stack), fields, slots):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert np.array_equal(got, want)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert np.array_equal(got, want) and np.array_equal(got, ref)
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got.setflags(write=True)

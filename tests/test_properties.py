@@ -368,9 +368,20 @@ def character(density, **tol):
     return []
 
 
+def global_scale(raw, **tol):
+    """The error of the global normalization of ``raw`` on pair(a), or
+    none."""
+    return raised(normalization_scale, "global", pair_groupoid(["a"]), raw,
+                  **tol)
+
+
+# marks the row of a zero test, whose fault is a value within the
+# tolerance of zero: reported at tol / 10, passing at 10 tol
+ZERO_TEST = "zero test"
+
 # row -> (the function whose comparison it pins, the input at deviation
-# delta, the violations a check of it reports, and how the row's own law
-# begins its message)
+# delta, the violations a check of it reports, how the row's own law
+# begins its message and, for a zero test, `ZERO_TEST`)
 BOUNDARY_ROWS = {
     "action unit": (
         "action.is_action", lambda delta: moved_action(delta, "1_a"),
@@ -452,6 +463,9 @@ BOUNDARY_ROWS = {
     "density trace": (
         "gns.smeared_character", lambda delta: np.diag([1 + delta, 0, 0]),
         character, "density matrix trace must be 1"),
+    "global normalization": (
+        "decoherence.normalization_scale", lambda delta: np.diag([delta, 0]),
+        global_scale, "global normalization impossible", ZERO_TEST),
 }
 
 
@@ -459,12 +473,15 @@ BOUNDARY_ROWS = {
 @pytest.mark.parametrize("row", sorted(BOUNDARY_ROWS))
 def test_each_law_check_flips_at_its_tolerance(row, tol):
     """A deviation of 10 tol is reported by the row's own law, and one of
-    tol / 10 passes every law, at the default tolerance and at 1e-6."""
-    _, make, check, law = BOUNDARY_ROWS[row]
+    tol / 10 passes every law, at the default tolerance and at 1e-6; for a
+    zero test the other way round."""
+    _, make, check, law, *zero = BOUNDARY_ROWS[row]
     given_tol = {} if tol is None else {"tol": tol}
     tol = tol or DEFAULT_TOL
-    assert any(m.startswith(law) for m in check(make(10 * tol), **given_tol))
-    assert check(make(tol / 10), **given_tol) == []
+    fault, fine = (tol / 10, 10 * tol) if zero == [ZERO_TEST] else (
+        10 * tol, tol / 10)
+    assert any(m.startswith(law) for m in check(make(fault), **given_tol))
+    assert check(make(fine), **given_tol) == []
 
 
 def test_nan_and_inf_are_beyond_any_tolerance():
