@@ -280,14 +280,14 @@ class FiniteGroupoid:
         hops = np.flatnonzero(src == rep[tgt])
         np.minimum.at(gamma, tgt[hops], hops)
         size = np.bincount(tgt)  # of each event's target block
-        # each representative x's table r[p]^-1 ∘ r[q], r its ascending
-        # block, from at[x] on, filled by the pairs whose inner is r[q]
+        # each representative's table r[p]^-1 ∘ r[q], r its ascending block;
+        # lead[o] starts the row of o = r[p]^-1, -1 if s(o) is none
         area = np.where(rep == np.arange(rep.size), size ** 2, 0)
         at, flat = np.cumsum(area) - area, np.empty(area.sum(), np.intp)
+        lead = np.where(area[src] > 0, at[src] + size[src] * rank[inv], -1)
         for o, i, r in self.composition_parts(1):
-            k = np.flatnonzero(area[tgt[i]])
-            x, o, i = tgt[i[k]], o[k], i[k]
-            flat[at[x] + size[x] * rank[inv[o]] + rank[i]] = r[k]
+            k = np.flatnonzero(lead[o] >= 0)
+            flat[lead[o[k]] + rank[i[k]]] = r[k]
         # the events orbit by orbit, each orbit in event order
         order = np.sort(rep * rep.size + np.arange(rep.size)) % rep.size
         table = []
@@ -611,22 +611,22 @@ def _pair_components(events, roots):
     members = np.argsort(component, kind="stable")  # by component
     into = sizes[component] - 1  # the non-units into each event
     first = n + np.cumsum(into) - into  # units first, then by target
-    # each component's first member and generated transition
-    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2)]
-    # (src, tgt, inv, place, inner, result) of each c[x] -> c[y] in
-    # generated order: row r∘inv[inner[r] + w] = inv[result[r] + w]
-    made = np.empty((6, (sizes ** 2).sum()), dtype=np.intp)
+    # each component's first member, generated transition and triple
+    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2, 3)]
+    # (src, tgt, inv, place, inner, result, first) of each c[x] -> c[y] in
+    # generated order: from pair first on its triples are place∘inv[inner +
+    # t] = inv[result + t], t the pair
+    made = np.empty((7, (sizes ** 2).sum()), dtype=np.intp)
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == m)
         c = members[starts[0][which, None] + np.arange(m)]
         i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
         idx = np.where(i == j, c[:, i], first[c[:, j]] + i - (i > j))
         at = starts[1][which, None, None]
+        t = starts[2][which, None, None] + m * (m * i + j)
         made[:, at + m * i + j] = (c[:, i], c[:, j], idx.transpose(0, 2, 1),
-                                   idx, at + m * i, at + m * j)
-    src, tgt, inv, place, inner, result = made
-    width = sizes[component[src]]
-    triple = np.cumsum(width) - width  # the first triple of each row
+                                   idx, at + m * i - t, at + m * j - t, t)
+    src, tgt, inv, place, inner, result, triple = made
     labels = [unit_label(events[x]) if x == y else
               pair_label(events[x], events[y])
               for x, y in zip(src.tolist(), tgt.tolist())]
@@ -644,7 +644,7 @@ def _pair_components(events, roots):
     return FiniteGroupoid._indexed(
         tuple(events), tuple(map(labels.__getitem__, order.tolist())),
         [src[order], tgt[order], inv[order], np.arange(n)],
-        (inv, place, inner - triple, result - triple, width, triple))
+        (inv, place, inner, result, sizes[component[src]], triple))
 
 
 def pair_groupoid(events) -> FiniteGroupoid:
