@@ -161,8 +161,10 @@ class FiniteGroupoid:
                    for a in self._rows.tolist())
         return dict(zip(zip(o, i), r))
 
-    _rows = cached_property(lambda g: read_only(np.hstack(  # generated
-        [*map(np.stack, g.composition_parts(1))])))
+    @cached_property
+    def _rows(self):  # a generated kind's, joined from its parts
+        return read_only(np.hstack([*map(np.stack,
+                                         self.composition_parts(1))]))
     _triples = cached_property(lambda g: tuple(g._rows))
 
     # -- label handling -------------------------------------------------
@@ -247,15 +249,14 @@ class FiniteGroupoid:
 
     def _formed(self, size):
         """A generated kind's pairs in chunks of ``size``: pair t, of row r
-        of `_pair_components`, is ``place[r]``∘``into[inner[r] + t]``."""
-        into, place, inner, result, width, first = self._matrices
+        of `_pair_components`, is place[r]∘into[heads[0, r] + t]."""
+        into, place, heads, width, first = self._matrices
         for a in range(0, first[-1] + width[-1], size):
             lo, hi = np.searchsorted(first, [a, a + size], "right") - [1, 0]
             t = np.arange(first[lo], first[hi - 1] + width[hi - 1])
             yield tuple(v[a - first[lo]:a + size - first[lo]] for v in (
                 np.repeat(place[lo:hi], width[lo:hi]),
-                into[np.repeat(inner[lo:hi], width[lo:hi]) + t],
-                into[np.repeat(result[lo:hi], width[lo:hi]) + t]))
+                *into[np.repeat(heads[:, lo:hi], width[lo:hi], 1) + t]))
 
     def target_blocks(self):
         """Transition indices grouped by target, one ascending array per
@@ -613,9 +614,8 @@ def _pair_components(events, roots):
     first = n + np.cumsum(into) - into  # units first, then by target
     # each component's first member, generated transition and triple
     starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2, 3)]
-    # (src, tgt, inv, place, inner, result, first) of each c[x] -> c[y] in
-    # generated order: from pair first on its triples are place∘inv[inner +
-    # t] = inv[result + t], t the pair
+    # (src, tgt, inv, place, first, inner, result) of c[x] -> c[y], generated
+    # order: at pair t from first on, place∘inv[inner + t] = inv[result + t]
     made = np.empty((7, (sizes ** 2).sum()), dtype=np.intp)
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == m)
@@ -623,10 +623,10 @@ def _pair_components(events, roots):
         i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
         idx = np.where(i == j, c[:, i], first[c[:, j]] + i - (i > j))
         at = starts[1][which, None, None]
-        t = starts[2][which, None, None] + m * (m * i + j)
+        h = starts[2][which, None, None] + m * (m * i + j)  # first triple
         made[:, at + m * i + j] = (c[:, i], c[:, j], idx.transpose(0, 2, 1),
-                                   idx, at + m * i - t, at + m * j - t, t)
-    src, tgt, inv, place, inner, result, triple = made
+                                   idx, h, at + m * i - h, at + m * j - h)
+    src, tgt, inv, place, triple = made[:5]
     labels = [unit_label(events[x]) if x == y else
               pair_label(events[x], events[y])
               for x, y in zip(src.tolist(), tgt.tolist())]
@@ -644,7 +644,7 @@ def _pair_components(events, roots):
     return FiniteGroupoid._indexed(
         tuple(events), tuple(map(labels.__getitem__, order.tolist())),
         [src[order], tgt[order], inv[order], np.arange(n)],
-        (inv, place, inner, result, sizes[component[src]], triple))
+        (inv, place, made[5:], sizes[component[src]], triple))
 
 
 def pair_groupoid(events) -> FiniteGroupoid:

@@ -8,12 +8,12 @@ documents; every other module works on the index arrays
 of `FiniteGroupoid`, and reaches a label only through its codec
 (`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
 loops over the transitions or calls the label-set queries, so no table
-keyed by label is built there.  The law checks and the
-left-multiplication kernels read the composition triples of
-`FiniteGroupoid.composition_index` in parts of
-`FiniteGroupoid.composition_parts`, and only the slot table of the orbit
-stacks reads them whole; the raw rows behind them stay inside
-``groupoid.py``.
+keyed by label is built there.  The law checks, the
+left-multiplication kernels and the orbit table read the composition
+triples in parts of `FiniteGroupoid.composition_parts`, the one caller of
+`FiniteGroupoid.composition_index`; a generated groupoid stores no
+triples but forms each part from its index matrices, and the raw rows
+behind them stay inside ``groupoid.py``.
 
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
@@ -21,9 +21,11 @@ once, and the groupoid it generates is the only record of its arrows.
 Spectral kernels and the invariance check read the orbit blocks of
 `FiniteGroupoid.orbit_table`, one `OrbitStack` per block size, built in
 ``groupoid.py`` alone: no module holds a record of one orbit or loops
-over orbits in Python, the dense |G| x |G| views are built only for the
-decoherence output, the GNS basis is stored by its rows' few entries,
-and the algebra product is the one kernel that convolves.
+over orbits in Python, not even through a name bound to a stack's
+extent (a loop over parts of `CHECK_PART` aside), the dense |G| x |G|
+views are built only for the decoherence output, the GNS basis is
+stored by its rows' few entries, and the algebra product is the one
+kernel that convolves.
 
 Every module loads on first use, one way: ``gqm`` registers its
 submodules as lazy modules and resolves its exports from their home
@@ -275,15 +277,16 @@ def test_composition_index_readers():
 def test_composition_parts_readers():
     """Only the laws over composable pairs, the left-multiplication
     kernels, the orbit table and a generated kind's triples, joined on
-    first read, call `composition_parts`; invariance reads the orbit
-    stacks."""
+    first read (`_rows`), call `composition_parts`; invariance reads the
+    orbit stacks."""
     assert functions_of(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "composition_parts") == {
         "groupoid.validate", "action.is_action", "action.is_factorizable",
         "gns.RepMatrices.check", "algebra.convolve",
         "gns.GnsRepresentation.matrix_of",
-        "groupoid.FiniteGroupoid._orbit_table", "groupoid.FiniteGroupoid"}
+        "groupoid.FiniteGroupoid._orbit_table",
+        "groupoid.FiniteGroupoid._rows"}
 
 
 def test_one_composition_view():
