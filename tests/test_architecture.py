@@ -656,9 +656,9 @@ def test_orbits_are_stacked_by_size_in_groupoid_only():
     the ``orbit`` field that numbers the orbits of its stack; no ``for``
     loop or comprehension iterates an expression that reads a stack field
     or a name bound to a stack field's extent, but for part loops
-    (`stack_loops`); and outside ``groupoid.py`` no module regroups orbits by size,
-    reading the ``shape`` of a stack field or passing one to a call that
-    stacks, sorts or collects it."""
+    (`stack_loops`); and outside ``groupoid.py`` no module regroups orbits
+    by size, reading the ``shape`` of a stack field or passing one to a
+    call that stacks, sorts or collects it."""
     regroup = {"stack", "concatenate", "sorted", "set", "unique",
                "group_indices", "bincount"}
     found = []
