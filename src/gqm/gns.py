@@ -80,22 +80,25 @@ def gns_build(phi: CharacteristicFunction, tol=DEFAULT_TOL) -> GnsRepresentation
     check = assert_state(phi, tol)
     top = max(float(np.max(vals)) for _, vals, _ in check.blocks)
     cutoff = RANK_TOL * max(top, 1.0)
-    # kept eigenvector p of event k's block, the orbit's eigenvector p over
-    # the event's translated rows: a column, at slot p of each of its rows
-    width = check.blocks[-1][1].shape[1]  # the widest block: stacks ascend
+    # kept eigenvector p of event k's b-block, the orbit's eigenvector p
+    # over the event's translated rows: a column, at slot p - b + width of
+    # each of its rows; `eigh` ascends, so the kept ones come last
+    width = max(int(np.max(np.sum(vals > cutoff, axis=1)))
+                for _, vals, _ in check.blocks)  # the most any event keeps
     kept = np.zeros((len(g.events), width))  # the eigenvalue of each column
-    columns = np.full((g.order, width), -1)  # k * width + p; -1: padding
+    columns = np.full((g.order, width), -1)  # k * width + slot; -1: padding
     entries = np.zeros((g.order, width), dtype=complex)
     for s, vals, vecs in check.blocks:
         k, p = np.nonzero(vals[s.orbit] > cutoff)
         j, rows, vec = s.orbit[k], s.rows[k], vecs[s.orbit[k], :, p]
+        slot = p - vals.shape[1] + width
         # phase: the first coordinate above 1e-10, in transition order, > 0
         first = np.where(np.abs(vec) > 1e-10, rows, g.order).argmin(axis=1)
         z = vec[np.arange(k.size), first, None]
-        kept[s.events[k], p] = vals[j, p]
-        columns[rows, p[:, None]] = (s.events[k] * width + p)[:, None]
+        kept[s.events[k], slot] = vals[j, p]
+        columns[rows, slot[:, None]] = (s.events[k] * width + slot)[:, None]
         # b^H M is lambda b^H: b = v/sqrt(lambda), M v = lambda v
-        entries[rows, p[:, None]] = vec * (np.abs(z) / z) / np.sqrt(
+        entries[rows, slot[:, None]] = vec * (np.abs(z) / z) / np.sqrt(
             vals[j, p, None])
     # by descending eigenvalue, ties in event order and then slot
     event, slot = np.nonzero(kept)

@@ -258,15 +258,6 @@ class FiniteGroupoid:
                 np.repeat(place[lo:hi], width[lo:hi]),
                 *into[np.repeat(heads[:, lo:hi], width[lo:hi], 1) + t]))
 
-    def target_blocks(self):
-        """Transition indices grouped by target, one ascending array per
-        event in event order; computed once per groupoid, read-only."""
-        return self._blocks
-
-    @cached_property
-    def _blocks(self):
-        return tuple(group_indices(self.index_arrays()[1], len(self.events)))
-
     def orbit_table(self):
         """One `OrbitStack` per block size, ascending; computed once per
         groupoid from `composition_parts`, read-only."""

@@ -209,15 +209,11 @@ def observable_amplitude(f: algebra.AlgebraElement, a_to, a_from,
     return complex(algebra.fundamental_rep(f)[y, x])
 
 
-def reproducing_deviation(phi) -> float:
-    """Max entrywise |phi * phi - phi|: 0 when phi is reproducing."""
-    return float(reproducing_deviations(phi.groupoid, phi.values[None])[0])
-
-
 def reproducing_deviations(g: FiniteGroupoid, values):
-    """`reproducing_deviation` of each row of a (T, |G|) stack, read on the
-    orbit stacks F = phi[gather], one matmul each: phi * phi is F @ F, as
-    a -> a[gather[j]] is a *-homomorphism and F[j] holds all of orbit j."""
+    """Max entrywise |phi * phi - phi| of each row of a (T, |G|) stack, 0
+    where phi is reproducing, read on the orbit stacks F = phi[gather], one
+    matmul each: phi * phi is F @ F, as a -> a[gather[j]] is a
+    *-homomorphism and F[j] holds all of orbit j."""
     with np.errstate(over="ignore", invalid="ignore"):
         deviation = np.max([np.max(np.abs(f @ f - f), axis=(1, 2, 3)) for f
                             in (values[:, s.gather] for s in g.orbit_table())],

@@ -24,7 +24,7 @@ from gqm.groupoid import (
     pair_label,
     unit_label,
 )
-from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviation
+from gqm.states import DEFAULT_TOL, PsdCheck, reproducing_deviations
 
 
 def validate_loop(g):
@@ -532,7 +532,8 @@ def sweep_loop(n, trials, seed, tol):
         phi = dynamical_state(action_from_potential(g, u), "idempotent")
         worst_eig = min(worst_eig,
                         psd_orbits_loop(phi, DEFAULT_TOL)[0].min_eigenvalue)
-        worst_rep = max(worst_rep, reproducing_deviation(phi))
+        worst_rep = max(worst_rep,
+                        reproducing_deviations(g, phi.values[None])[0])
     return worst_eig, worst_rep, worst_eig >= -tol and worst_rep <= tol
 
 

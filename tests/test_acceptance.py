@@ -32,7 +32,7 @@ from gqm.gns import FrameChange, frame_compose, gns_build, gns_report, \
     transformation_function
 from gqm.groupoid import pair_groupoid
 from gqm.states import delta_state, is_positive_semidefinite, \
-    random_state, reproducing_deviation, transition_amplitude
+    random_state, reproducing_deviations, transition_amplitude
 from oracles import interference_recursive_check
 
 
@@ -136,8 +136,8 @@ def reproducing_corpus():
 def test_criterion_4_chapman_kolmogorov():
     worst = 0.0
     for phi in reproducing_corpus():
-        assert reproducing_deviation(phi) <= 1e-10
         g = phi.groupoid
+        assert reproducing_deviations(g, phi.values[None])[0] <= 1e-10
         for a in g.events:
             for b in g.events:
                 direct = transition_amplitude(phi, a, b)

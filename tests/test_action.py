@@ -29,7 +29,7 @@ from gqm.states import (
     CharacteristicFunction,
     delta_state,
     is_positive_semidefinite,
-    reproducing_deviation,
+    reproducing_deviations,
 )
 from groupoids import generator_actions
 
@@ -202,7 +202,7 @@ def test_dynamical_state_idempotent_uniform(pair4):
     u = {x: 0.0 for x in pair4.events}
     phi = dynamical_state(action_from_potential(pair4, u), "idempotent")
     assert np.allclose(phi.values, 0.25)
-    assert reproducing_deviation(phi) <= 1e-10
+    assert reproducing_deviations(pair4, phi.values[None])[0] <= 1e-10
 
 
 def test_dynamical_state_rejects_invalid_action(qubit):
@@ -232,7 +232,7 @@ def test_theorem_sweep_sample(rng):
             u = dict(zip(g.events, rng.normal(size=n)))
             phi = dynamical_state(action_from_potential(g, u), "idempotent")
             assert is_positive_semidefinite(phi).min_eigenvalue >= -1e-10
-            assert reproducing_deviation(phi) <= 1e-10
+            assert reproducing_deviations(g, phi.values[None])[0] <= 1e-10
 
 
 def test_is_factorizable(qubit):

@@ -23,9 +23,10 @@ Spectral kernels and the invariance check read the orbit blocks of
 ``groupoid.py`` alone: no module holds a record of one orbit or loops
 over orbits in Python, not even through a name bound to a stack's
 extent (a loop over parts of `CHECK_PART` aside), the dense |G| x |G|
-views are built only for the decoherence output, the GNS basis is
-stored by its rows' few entries, and the algebra product is the one
-kernel that convolves.
+invariance matrix is built only for a decoherence functional of a
+characteristic state (which ``measure`` and ``interference`` read too),
+the GNS basis is stored by its rows' few entries, and the algebra
+product is the one kernel that convolves.
 
 Every module loads on first use, one way: ``gqm`` registers its
 submodules as lazy modules and resolves its exports from their home
@@ -42,11 +43,13 @@ Every comparison with the tolerance lies in a function that a boundary
 row of ``test_properties.py`` pins at that tolerance, or on a list that
 only shrinks.
 
-Four lint checks run here, so that they need no linter: no module-level
+Five lint checks run here, so that they need no linter: no module-level
 name is defined twice and every imported name is read, over the package
 and the tests, every global name a function of the package reads is
-bound at module level, and no function of the package imports, but for
-``import numpy as np`` in ``cli.py``.
+bound at module level, no function of the package imports, but for
+``import numpy as np`` in ``cli.py``, and every module-level function of
+the package is reached from its entry points, so that a helper only the
+tests call lives in the tests.
 """
 
 import ast
@@ -300,12 +303,12 @@ def test_one_composition_view():
     assert views == []
 
 
-LABEL_SEQUENCES = {"transitions", "events", "target_blocks"}
+LABEL_SEQUENCES = {"transitions", "events"}
 
 
 def reads_label_sequence(node, aliases):
-    """Whether ``node`` reads ``.transitions``, ``.events``,
-    ``target_blocks`` or a name bound to one of them."""
+    """Whether ``node`` reads ``.transitions``, ``.events`` or a name
+    bound to one of them."""
     return any((isinstance(n, ast.Attribute) and n.attr in LABEL_SEQUENCES)
                or (isinstance(n, ast.Name) and n.id in aliases)
                for n in ast.walk(node))
@@ -316,9 +319,9 @@ def test_one_composition_lookup():
     `FiniteGroupoid.composition_parts`: `_orbit_table` calls no
     ``_slot_table``, ``composition_index``, ``argsort`` or
     ``searchsorted``, and no ``for`` loop or comprehension of
-    `validate` iterates ``.transitions``, ``.events`` or
-    ``target_blocks()``, directly or through a name bound to them; its
-    loops run over the failures it reports."""
+    `validate` iterates ``.transitions`` or ``.events``, directly or
+    through a name bound to them; its loops run over the failures it
+    reports."""
     tree = dict(modules())["groupoid.py"]
     tops = {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -375,8 +378,10 @@ def test_quivers_stay_at_the_boundary():
 
 def test_dense_views_only():
     """The orbit stacks carry every spectral kernel, so no module calls
-    `regular_rep`, and `invariance_matrix` is called only to build the
-    decoherence output.  The GNS space stores each basis row as its few
+    `regular_rep`, and `invariance_matrix` is called only by
+    `decoherence_from_characteristic`, whose functional the
+    ``decoherence``, ``measure``, ``interference`` and ``example``
+    commands read.  The GNS space stores each basis row as its few
     entries, and the dense |G| x dim basis and the projector
     (basis lambda)^H are formed in the tests only (`oracles.gns_basis`,
     `oracles.gns_projector`), so no module reads an attribute ``.basis``
@@ -711,6 +716,95 @@ def test_tracer_names_exist():
                    qualname.rsplit(".", 1)[0]), qualname.rsplit(".", 1)[1],
                    None))]
     assert missing == []
+
+
+def unreached(trees, roots):
+    """(module, name) of each module-level function of ``trees`` (module
+    name -> tree) that no walk from ``roots`` reaches.  Every module-level
+    statement but a definition is a root too, and so are the module hooks
+    ``__getattr__`` and ``__dir__``.  A reached definition reaches every
+    name it reads, through the relative imports of its module, and a
+    reached class reaches its methods."""
+    defs, binds, todo = {}, {}, [*roots]
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:  # (module, None): a module object
+                    binds[module, a.asname or a.name] = (
+                        (a.name, None) if not node.module and a.name in trees
+                        else (node.module or "__init__", a.name))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                if node.name in ("__getattr__", "__dir__"):
+                    todo.append((module, node.name))
+            else:
+                todo += reads(binds, module, node)
+
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo += reads(binds, key[0], defs[key])
+    return sorted(key for key, node in defs.items() if key not in reached
+                  and isinstance(node, ast.FunctionDef))
+
+
+def reads(binds, module, node):
+    """The (module, name) of every name ``node`` reads in ``module``,
+    followed through ``binds``, an attribute of a module object too."""
+    def home(key):
+        while key in binds and key[1] is not None:
+            key = binds[key]
+        return key
+
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield home((module, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            owner, name = home((module, n.value.id))
+            if name is None:
+                yield home((owner, n.attr))
+
+
+def test_unreached_lint():
+    """The walk follows module objects, renamed and re-exported imports,
+    module-level statements, the module hooks and the methods of a
+    reached class, and a function only an unreached one reads stays
+    unreached."""
+    trees = {module: ast.parse(source) for module, source in {
+        "__init__": "def __getattr__(name):\n    return _home(name)\n\n\n"
+                    "def _home(name):\n    pass\n",
+        "a": "from . import b\nfrom .c import K as L\nX = [helper]\n\n\n"
+             "def main():\n    return b.f(), L()\n\n\n"
+             "def helper():\n    pass\n\n\ndef alone():\n    pass\n",
+        "b": "from .c import g\n\n\ndef f():\n    return g()\n\n\n"
+             "def h():\n    pass\n",
+        "c": "def g():\n    pass\n\n\nclass K:\n    def m(self):\n"
+             "        return k_only()\n\n\ndef k_only():\n    pass\n\n\n"
+             "def unused():\n    return g()\n",
+    }.items()}
+    assert unreached(trees, [("a", "main")]) == [
+        ("a", "alone"), ("b", "h"), ("c", "unused")]
+    assert unreached(trees, [("a", "alone"), ("b", "h")]) == [
+        ("a", "main"), ("b", "f"), ("c", "g"), ("c", "k_only"),
+        ("c", "unused")]
+
+
+def test_every_function_is_reached():
+    """Every module-level function of the package is reached from
+    `cli.main`, from a name of ``gqm._EXPORTS``, from a module-level
+    statement or module hook, or from a function ``perfbench/tracer.py``
+    wraps or counts: a function that only the tests call belongs in the
+    tests."""
+    tracer = load_tracer()
+    roots = [("cli", "main"), *((home, name) for name, home
+                                in gqm._EXPORTS.items()),
+             *((module[4:], name) for module, names in tracer.LAYERS.values()
+               for name in names),
+             *(tuple(qualname[4:].split(".")) for qualname in tracer.COUNTERS)]
+    trees = {name[:-3]: tree for name, tree in modules()}
+    assert ["%s.%s" % key for key in unreached(trees, roots)] == []
 
 
 def run_python(*args):

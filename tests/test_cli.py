@@ -307,6 +307,16 @@ BRANCH_FILES = {
                    "source": {}, "target": {"t": "x"}, "units": {"x": "t"},
                    "inverse": {"t": "t"},
                    "compose": [{"outer": "t", "inner": "t", "result": "t"}]},
+    "two-events": {"kind": "group", "events": ["*", "o"], "elements": ["e"],
+                   "identity": "e",
+                   "table": [{"left": "e", "right": "e", "result": "e"}]},
+    # with no target for 'a', the canonical order falls back to the
+    # listed one, and `validate` names the gap
+    "targetless": {"kind": "explicit", "events": ["x"],
+                   "transitions": ["e", "a"],
+                   "source": {"e": "x", "a": "x"}, "target": {"e": "x"},
+                   "units": {"x": "e"}, "inverse": {"e": "e", "a": "a"},
+                   "compose": [{"outer": "e", "inner": "e", "result": "e"}]},
 }
 
 
@@ -329,6 +339,10 @@ BRANCH_FILES = {
      "error: a groupoid needs at least one event"),
     (["validate", "sourceless"], 1, "error: groupoid validation failed: "
      "transition 't' has invalid source None"),
+    (["validate", "two-events"], 1,
+     "error: a group spec declares exactly one event"),
+    (["validate", "targetless"], 1, "error: groupoid validation failed: "
+     "transition 'a' has invalid target None"),
 ])
 def test_error_branches_end_in_one_line(capsys, tmp_path, argv, code, line):
     """Each of these input checks ends the command with its exit code,
@@ -343,6 +357,24 @@ def test_error_branches_end_in_one_line(capsys, tmp_path, argv, code, line):
     captured = capsys.readouterr()
     assert (got, captured.out) == (code, "")
     assert captured.err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 64.0 GiB"),
+     "error: out of memory: Unable to allocate 64.0 GiB"),
+    (MemoryError(), "error: out of memory: allocation failed"),
+])
+def test_out_of_memory_ends_in_one_line(capsys, monkeypatch, tmp_path, exc,
+                                        line):
+    """An input too large for the machine is bad input: exit 1 and one
+    line on stderr, with or without numpy's message, and no report."""
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr("gqm.cli.cmd_validate", exhausted)
+    assert main(["validate", write(tmp_path / "pair.json",
+                                   BRANCH_FILES["pair"])]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 @pytest.mark.parametrize("tolerance, code", [([], 2),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gqm.action import action_from_potential, dynamical_state
 from gqm.algebra import AlgebraElement, multiply
 from gqm.decoherence import decoherence_from_characteristic
 from gqm.errors import GqmInputError, MathPropertyError
@@ -167,6 +168,26 @@ def test_gns_report_memory_is_linear_in_orbits():
             tracemalloc.stop()
     assert peaks[1] <= 2.2 * peaks[0]
     assert peaks[1] < 32 << 20
+
+
+def test_gns_rows_are_as_wide_as_the_columns_an_event_keeps():
+    """An action state has rank one on every block, so each event keeps
+    one column and the stored rows are one entry wide, not as wide as the
+    block: on pair(128) with a seed-0 action state (dim 128, one block of
+    128), the traced peak of `gns_build` stays under 8 MiB (65 MiB with
+    rows as wide as the block), the groupoid's caches built beforehand."""
+    g = pair_groupoid(["e%d" % k for k in range(128)])
+    u = np.random.default_rng(0).normal(size=128)
+    phi = dynamical_state(action_from_potential(g, dict(zip(g.events, u))))
+    gns_build(phi)
+    tracemalloc.start()
+    try:
+        rep = gns_build(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert rep.space.columns.shape == (g.order, 1)
 
 
 def test_matrix_of_reads_the_pairs_in_parts(rng):

@@ -277,11 +277,10 @@ def test_validate_reads_associativity_in_parts():
 
 
 def test_composition_index_is_shared_and_read_only(pair3, z3):
-    """The triples, the index arrays and the target blocks are computed
-    once per groupoid and handed to every caller, so no caller may write
-    to them."""
+    """The triples and the index arrays are computed once per groupoid and
+    handed to every caller, so no caller may write to them."""
     for g in (pair3, z3):
-        for view in (g.composition_index, g.index_arrays, g.target_blocks):
+        for view in (g.composition_index, g.index_arrays):
             arrays = view()
             assert all(a is b for a, b in zip(arrays, view()))
             for arr in arrays:

@@ -69,7 +69,6 @@ from gqm.states import (
     observable_amplitude,
     psd_spectra,
     random_state,
-    reproducing_deviation,
     reproducing_deviations,
     transition_amplitude,
 )
@@ -189,9 +188,9 @@ def stack_fields(stack):
 
 def assert_same_arrays(g, h):
     """Bit-identical transitions, index arrays, composition triples (in
-    order), target blocks and orbit tables."""
+    order) and orbit tables."""
     assert g.transitions == h.transitions
-    for view in ("index_arrays", "composition_index", "target_blocks"):
+    for view in ("index_arrays", "composition_index"):
         for a, b in zip(getattr(g, view)(), getattr(h, view)(), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     for a, b in zip(g.orbit_table(), h.orbit_table(), strict=True):
@@ -240,8 +239,8 @@ def test_quiver_specs_match_explicit(specs):
                         for doc in specs)
     assert quiver.events == explicit.events
     assert quiver.orbits() == explicit.orbits()
-    assert ([b.size for b in quiver.target_blocks()]
-            == [b.size for b in explicit.target_blocks()])
+    assert np.array_equal(np.bincount(quiver.index_arrays()[1]),
+                          np.bincount(explicit.index_arrays()[1]))
     arrows = [(a["label"], a["source"], a["target"])
               for a in specs[1]["arrows"]]
     assert_generated(quiver, quiver_tables_loop(list(quiver.events), arrows))
@@ -643,7 +642,8 @@ def test_invariance_matches_loop(g, seed):
     d = decoherence_from_characteristic(random_state(g, rng))
     moved = d.matrix.copy()
     i = rng.integers(g.order)
-    block = next(b for b in g.target_blocks() if i in b)
+    tgt = g.index_arrays()[1]
+    block = np.flatnonzero(tgt == tgt[i])
     j = rng.choice(block) if rng.random() < 0.8 else rng.integers(g.order)
     moved[i, j] += 10.0 ** rng.uniform(-11, -9) * np.exp(2j * np.pi
                                                         * rng.random())
@@ -898,7 +898,7 @@ def test_stacked_kernels_match_stack_of_one(g, seed, trials, kind):
             assert stack is one[0]
             assert vals[t].tobytes() == one[1].tobytes()
             assert vecs[t].tobytes() == one[2].tobytes()
-        assert deviations[t] == reproducing_deviation(phi)
+        assert deviations[t] == reproducing_deviations(g, phi.values[None])[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -939,7 +939,7 @@ def test_sweep_stack_matches_trials(n, trials, seed):
         phi = dynamical_state(action_from_potential(
             g, dict(zip(g.events, u[t]))), "idempotent")
         assert least[t] == is_positive_semidefinite(phi).min_eigenvalue
-        assert deviation[t] == reproducing_deviation(phi)
+        assert deviation[t] == reproducing_deviations(g, phi.values[None])[0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -64,7 +64,7 @@ from gqm.states import (
     is_positive_semidefinite,
     observable_amplitude,
     random_state,
-    reproducing_deviation,
+    reproducing_deviations,
 )
 from groupoids import composite_groupoids
 
@@ -83,7 +83,7 @@ def test_thm52_idempotent_dynamical_state_is_reproducing(potential):
     phi = dynamical_state(action_from_potential(
         g, dict(zip(g.events, potential))), "idempotent")
     assert_state(phi)
-    assert reproducing_deviation(phi) <= DEFAULT_TOL
+    assert reproducing_deviations(g, phi.values[None])[0] <= DEFAULT_TOL
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,7 +23,6 @@ from gqm.states import (
     is_positive_semidefinite,
     observable_amplitude,
     random_state,
-    reproducing_deviation,
     reproducing_deviations,
     state_eval,
     transition_amplitude,
@@ -121,7 +120,7 @@ def test_chapman_kolmogorov_for_reproducing(pair4):
 
     u = {x: 0.3 * k for k, x in enumerate(pair4.events)}
     phi = dynamical_state(action_from_potential(pair4, u), "idempotent")
-    assert reproducing_deviation(phi) <= 1e-10
+    assert reproducing_deviations(pair4, phi.values[None])[0] <= 1e-10
     for a in pair4.events:
         for b in pair4.events:
             direct = transition_amplitude(phi, a, b)
@@ -160,18 +159,19 @@ def test_observable_amplitude_deviation_from_halves(qubit):
 
 
 def test_is_reproducing(qubit):
-    assert reproducing_deviation(
-        CharacteristicFunction.from_dict(qubit, {"1_+": 1.0, "1_-": 1.0})
-    ) <= 1e-10
-    assert reproducing_deviation(qubit_phase(qubit, 0.7)) > 1e-10
-    assert reproducing_deviation(qubit_state(qubit, 0.7, "idempotent")) <= 1e-10
+    units, phase, state = reproducing_deviations(qubit, np.stack([phi.values
+        for phi in (CharacteristicFunction.from_dict(qubit, {"1_+": 1.0,
+                                                             "1_-": 1.0}),
+                    qubit_phase(qubit, 0.7),
+                    qubit_state(qubit, 0.7, "idempotent"))]))
+    assert units <= 1e-10 < phase and state <= 1e-10
 
 
 def test_reproducing_deviation_overflow_is_input_error(pair3):
     """phi * phi past the float range is bad input, not inf or NaN."""
     phi = CharacteristicFunction(pair3, np.full(pair3.order, 1e160 + 1e160j))
     with pytest.raises(GqmInputError, match="too large for floating point"):
-        reproducing_deviation(phi)
+        reproducing_deviations(pair3, phi.values[None])
 
 
 def test_reproducing_deviations_read_blocks_only(rng):
