@@ -69,17 +69,16 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def convolve(g: FiniteGroupoid, a, b):
-    """`multiply` on coefficient vectors of length |G|, read in the parts
-    of `FiniteGroupoid.composition_parts`: each slot summed in the order
-    of `composition_index`, as ``np.add.at`` adds in index order."""
-    out = np.zeros(g.order, dtype=complex)
-    # the textbook complex product, term by term: numpy's vectorized one
-    # may fuse multiply-adds and round differently
+    """`multiply` on coefficient vectors of length |G|, one matrix product
+    per orbit, as the algebra of an orbit is M_m(C[H]): a -> a[gather[j]]
+    is multiplicative (as `reproducing_deviations` reads it), so c[gather]
+    = a[gather] @ b[gather], one batched product per stack.  Event k's
+    block rows[k] is its orbit's row p with gather[j, p, 0] = rows[k, 0]."""
+    out = np.empty(g.order, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for outer, inner, result in g.composition_parts(1):
-            x, y = a[outer], b[inner]
-            np.add.at(out.real, result, x.real * y.real - x.imag * y.imag)
-            np.add.at(out.imag, result, x.real * y.imag + x.imag * y.real)
+        for s in g.orbit_table():
+            p = np.argmax(s.gather[s.orbit, :, 0] == s.rows[:, :1], axis=1)
+            out[s.rows] = (a[s.gather] @ b[s.gather])[s.orbit, p]
     return finite(out, "the product has a coefficient",
                   "too large for floating point")
 

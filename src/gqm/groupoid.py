@@ -130,17 +130,19 @@ class FiniteGroupoid:
         self._triples = tuple(read_only(rows[:, np.all(rows < len(ts), 0)]))
 
     @classmethod
-    def _indexed(cls, events, transitions, arrays, matrices=None):
-        """From trusted `index_arrays` and a generated kind's `_matrices`."""
+    def _indexed(cls, events, transitions, arrays, table=None):
+        """From trusted `index_arrays` and a generated kind's orbit table."""
         g = cls.__new__(cls)
         g._label(events, transitions)
-        g._arrays, g._matrices = tuple(map(read_only, arrays)), matrices
+        g._arrays = tuple(map(read_only, arrays))
+        if table:  # then it holds the composition
+            g._orbit_table, g._generated = table, True
         return g
 
     def _label(self, events, transitions):
         self.events, self.transitions = events, transitions
         self._names = events, transitions
-        self.aliases, self._matrices = {}, None
+        self.aliases, self._generated = {}, False
         self.event_index = {x: i for i, x in enumerate(self.events)}
         self.transition_index = {t: i for i, t in enumerate(self.transitions)}
 
@@ -240,27 +242,32 @@ class FiniteGroupoid:
     def composition_parts(self, cost):
         """`composition_index` in (outer, inner, result) parts of
         max(1, `CHECK_PART` // ``cost``) pairs, in its order: every kernel
-        that sums or checks over composable pairs reads them so."""
+        that sums or checks over composable pairs reads them so.  A
+        generated kind reads them off its stacks in turn, event k by event:
+        inv[rows[k, p]]∘rows[k, q] = gather[orbit[k], p, q] over (p, q)."""
         step = max(1, CHECK_PART // cost)
-        for chunk in ([self.composition_index()] if self._matrices is None
-                      else self._formed(step * max(1, CHECK_PART // step))):
-            for a in range(0, max(1, chunk[0].size), step):
-                yield tuple(x[a:a + step] for x in chunk)
-
-    def _formed(self, size):
-        """A generated kind's pairs in chunks of ``size``: pair t, of row r
-        of `_pair_components`, is place[r]∘into[heads[0, r] + t]."""
-        into, place, heads, width, first = self._matrices
-        for a in range(0, first[-1] + width[-1], size):
-            lo, hi = np.searchsorted(first, [a, a + size], "right") - [1, 0]
-            t = np.arange(first[lo], first[hi - 1] + width[hi - 1])
-            yield tuple(v[a - first[lo]:a + size - first[lo]] for v in (
-                np.repeat(place[lo:hi], width[lo:hi]),
-                *into[np.repeat(heads[:, lo:hi], width[lo:hi], 1) + t]))
+        if not self._generated:
+            given = self.composition_index()
+            for a in range(0, max(1, given[0].size), step):
+                yield tuple(x[a:a + step] for x in given)
+            return
+        inv, stacks = self.index_arrays()[2], self.orbit_table()
+        total = sum(s.rows.size * s.rows.shape[1] for s in stacks)
+        for a in range(0, total, step):
+            part, lo = [], a
+            for s in stacks:  # lo counted from the stack's first pair
+                n, b, at = *s.rows.shape, max(lo, 0)
+                k = np.arange(at // b // b, min(n, -(-(lo + step) // b // b)))
+                cut = slice(at % (b * b), at % (b * b) + lo + step - at)
+                part.append((np.repeat(inv[s.rows[k]], b, 1).reshape(-1)[cut],
+                             np.tile(s.rows[k], b).reshape(-1)[cut],
+                             s.gather[s.orbit[k]].reshape(-1)[cut]))
+                lo -= n * b * b
+            yield tuple(map(np.concatenate, zip(*part)))
 
     def orbit_table(self):
-        """One `OrbitStack` per block size, ascending; computed once per
-        groupoid from `composition_parts`, read-only."""
+        """One `OrbitStack` per block size, ascending, read-only: a generated
+        kind is built with it, any other places it from `composition_parts`."""
         return self._orbit_table
 
     @cached_property
@@ -347,17 +354,11 @@ class FiniteGroupoid:
         return bool(np.all(self._representatives == 0))
 
     def is_pair_groupoid(self):
-        """True iff there is exactly one transition per ordered event pair;
-        computed once per groupoid."""
-        return self._is_pair
-
-    @cached_property
-    def _is_pair(self):
-        n = len(self.events)
-        if self.order != n * n:
-            return False
-        src, tgt = self.index_arrays()[:2]
-        return bool(np.all(np.bincount(tgt * n + src, minlength=n * n) == 1))
+        """True iff there is exactly one transition per ordered event pair:
+        one orbit, whose representative's block holds one transition from
+        each event."""
+        (stack, *more), n = self.orbit_table(), len(self.events)
+        return not more and stack.gather.shape == (1, n, n)
 
     def units(self):
         return tuple(self.unit_of[x] for x in self.events)
@@ -589,11 +590,12 @@ def pair_label(src, tgt):
 def _pair_components(events, roots):
     """The disjoint union of the pair groupoids on the components of
     ``events``, ``roots[k]`` the first event of the component of event k,
-    built by index arithmetic: (x -> y)∘(w -> x) = (w -> y), in one step
-    for all components of one size.  The triples run by component in the
-    order of their first events, then over x, y and w in event order.  A
-    generated label that repeats an earlier one, in that order, is an
-    input error."""
+    with its orbit table, by index arithmetic in one step per component
+    size.  On a component c, in event order, idx[i, j] indexes c[i] -> c[j];
+    its representative is c[0], so gather[p, q] = c[q] -> c[p] = idx[q, p],
+    and row p of gather is the block of c[p].  A generated label that
+    repeats an earlier one, by component in the order of their first
+    events and then by source and target, is an input error."""
     n = len(events)
     # components numbered by first event; np.unique would sort with
     # numpy's default sort, ~3 MiB more resident in every process
@@ -603,39 +605,34 @@ def _pair_components(events, roots):
     members = np.argsort(component, kind="stable")  # by component
     into = sizes[component] - 1  # the non-units into each event
     first = n + np.cumsum(into) - into  # units first, then by target
-    # each component's first member, generated transition and triple
-    starts = [np.cumsum(sizes ** p) - sizes ** p for p in (1, 2, 3)]
-    # (src, tgt, inv, place, first, inner, result) of c[x] -> c[y], generated
-    # order: at pair t from first on, place∘inv[inner + t] = inv[result + t]
-    made = np.empty((7, (sizes ** 2).sum()), dtype=np.intp)
+    start = np.cumsum(sizes) - sizes  # each component's first member
+    src, tgt, inv = (np.empty((sizes ** 2).sum(), dtype=np.intp)
+                     for _ in range(3))
+    stacks = []
     for m in np.flatnonzero(np.bincount(sizes)).tolist():
         which = np.flatnonzero(sizes == m)
-        c = members[starts[0][which, None] + np.arange(m)]
+        c = members[start[which, None] + np.arange(m)]
         i, j = np.indices((m, m))  # c[i] -> c[j], sources ascending
         idx = np.where(i == j, c[:, i], first[c[:, j]] + i - (i > j))
-        at = starts[1][which, None, None]
-        h = starts[2][which, None, None] + m * (m * i + j)  # first triple
-        made[:, at + m * i + j] = (c[:, i], c[:, j], idx.transpose(0, 2, 1),
-                                   idx, h, at + m * i - h, at + m * j - h)
-    src, tgt, inv, place, triple = made[:5]
+        gather = idx.transpose(0, 2, 1).copy()
+        src[idx], tgt[idx], inv[idx] = c[:, i], c[:, j], gather
+        stacks.append(OrbitStack(*map(read_only, (
+            gather, c.flatten(), np.repeat(np.arange(which.size), m),
+            gather.reshape(-1, m)))))
     labels = [unit_label(events[x]) if x == y else
               pair_label(events[x], events[y])
               for x, y in zip(src.tolist(), tgt.tolist())]
     if len(set(labels)) < len(labels):  # then find the first repeat
         seen = {}
-        for k, lab in enumerate(labels):
-            if seen.setdefault(lab, k) != k:
-                q = seen[lab]
+        for k in np.lexsort((tgt, src, component[src])).tolist():
+            if seen.setdefault(labels[k], k) != k:
+                q = seen[labels[k]]
                 raise GqmInputError(
                     "event pairs %r and %r both generate the label %r"
                     % ((events[src[q]], events[tgt[q]]),
-                       (events[src[k]], events[tgt[k]]), lab))
-    # generated -> canonical order; stable, the sort of `group_indices`
-    order = np.argsort(place, kind="stable")
-    return FiniteGroupoid._indexed(
-        tuple(events), tuple(map(labels.__getitem__, order.tolist())),
-        [src[order], tgt[order], inv[order], np.arange(n)],
-        (inv, place, made[5:], sizes[component[src]], triple))
+                       (events[src[k]], events[tgt[k]]), labels[k]))
+    return FiniteGroupoid._indexed(tuple(events), tuple(labels), [
+        src, tgt, inv, np.arange(n)], tuple(stacks))
 
 
 def pair_groupoid(events) -> FiniteGroupoid:

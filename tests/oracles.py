@@ -122,11 +122,12 @@ def pair_tables_loop(components):
     ``components`` (lists of events), filled pair by pair: (transitions,
     source, target, unit_of, inverse, composition), transitions in
     generation order and composition keyed (outer, inner) by component,
-    then x, y, w for (x -> y)∘(w -> x).  A generated label that repeats
-    an earlier one is an input error naming both event pairs."""
+    the components by size (stably: the orbit stacks' order), then x, y,
+    w for (x -> y)∘(w -> x).  A generated label that repeats an earlier
+    one is an input error naming both event pairs."""
     source, target, unit_of, inverse, composition = {}, {}, {}, {}, {}
+    by_pair = {}
     for comp in components:
-        by_pair = {}
         for x in comp:
             for y in comp:
                 lab = unit_label(x) if x == y else pair_label(x, y)
@@ -138,11 +139,14 @@ def pair_tables_loop(components):
                 by_pair[(x, y)] = lab
         for x in comp:
             unit_of[x] = by_pair[(x, x)]
-        for (x, y), lab in by_pair.items():
-            inverse[lab] = by_pair[(y, x)]
-        for (x, y), outer in by_pair.items():
-            for w in comp:
-                composition[(outer, by_pair[(w, x)])] = by_pair[(w, y)]
+            for y in comp:
+                inverse[by_pair[(x, y)]] = by_pair[(y, x)]
+    for comp in sorted(components, key=len):
+        for x in comp:
+            for y in comp:
+                for w in comp:
+                    composition[(by_pair[(x, y)], by_pair[(w, x)])] = (
+                        by_pair[(w, y)])
     return list(source), source, target, unit_of, inverse, composition
 
 
@@ -336,7 +340,7 @@ def orbits_of_index_loop(g):
 
 def orbit_table_slots(g):
     """The orbit table as it was read from a slot table of all Σ m^3
-    composable pairs, the reference for the one placed from the parts: o∘i
+    composable pairs, the reference for the one built or placed: o∘i
     is ``comp[off[o] + rank[i]]``, rank[i] the place of i in its ascending
     target block.  Per block size, ascending, the fields (gather, events,
     orbit, rows) of its `OrbitStack`."""
@@ -371,12 +375,13 @@ def orbit_table_slots(g):
 def generated_triples_loop(g):
     """The composition triples of a generated groupoid (`pair_groupoid`,
     `from_quiver`) listed pair by pair, as (outer, inner, result) index
-    rows: by component in the order of their first events, then over x, y
-    and w in event order, (x -> y)∘(w -> x) = (w -> y)."""
+    rows: by component, the components by size and then in the order of
+    their first events, then over x, y and w in event order,
+    (x -> y)∘(w -> x) = (w -> y)."""
     arrow = {(g.source[t], g.target[t]): k
              for k, t in enumerate(g.transitions)}
     triples = []
-    for orbit in orbits_loop(g):
+    for orbit in sorted(orbits_loop(g), key=len):
         events = [x for x in g.events if x in orbit]
         for x in events:
             for y in events:
@@ -627,6 +632,23 @@ def multiply_loop(a, b):
     for (o, i), r in g.composition.items():
         out[ix[r]] += a.coeffs[ix[o]] * b.coeffs[ix[i]]
     return out
+
+
+def product_rounding_loop(a, b):
+    """Per slot, how far a product of ``a`` and ``b`` summed in any order
+    may lie from `multiply_loop`'s.  Each is a complex sum of the n terms
+    a(o) b(i) into the slot, within sqrt(2) gamma_{n+2} sum |a(o)||b(i)|
+    of the exact one, with gamma_k = k u / (1 - k u) and u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, section 3.6); so the two lie at most twice that apart."""
+    g = a.groupoid
+    ix = g.transition_index
+    terms, size = np.zeros(g.order), np.zeros(g.order)
+    for (o, i), r in g.composition.items():
+        terms[ix[r]] += 1
+        size[ix[r]] += abs(a.coeffs[ix[o]]) * abs(b.coeffs[ix[i]])
+    ku = (terms + 2) * np.finfo(float).eps / 2
+    return 2 * np.sqrt(2) * ku / (1 - ku) * size
 
 
 def reproducing_deviation_loop(g, values):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -181,6 +182,25 @@ def test_regular_rep(corpus, rng):
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
             star = regular_rep(involution(a))
             assert np.max(np.abs(star - regular_rep(a).conj().T)) <= 1e-12
+
+
+def test_multiply_pair128_takes_linear_memory():
+    """The product of two dense elements on pair(128) (|G| = 16,384,
+    2,097,152 composable pairs) is one 128 x 128 matrix product: its
+    traced peak stays under 3 MiB, the groupoid and its orbit table built
+    beforehand.  Forming the pairs part by part took 6.8 MiB."""
+    from gqm.groupoid import pair_groupoid
+
+    g = pair_groupoid(["e%d" % k for k in range(128)])
+    g.orbit_table()
+    a, b = (random_element(g, np.random.default_rng(k)) for k in range(2))
+    tracemalloc.start()
+    try:
+        multiply(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_regular_rep_z2_swap():

@@ -9,23 +9,24 @@ of `FiniteGroupoid`, and reaches a label only through its codec
 (`FiniteGroupoid.index` and `FiniteGroupoid.vector`).  No other module
 loops over the transitions or calls the label-set queries, so no table
 keyed by label is built there.  The law checks, the
-left-multiplication kernels and the orbit table read the composition
-triples in parts of `FiniteGroupoid.composition_parts`, the one caller of
+left-multiplication kernel of the GNS representation and the orbit table
+of a kind with given triples read the composition triples in parts of
+`FiniteGroupoid.composition_parts`, the one caller of
 `FiniteGroupoid.composition_index`; a generated groupoid stores no
-triples but forms each part from its index matrices, and the raw rows
+triples but reads each part off its orbit stacks, and the raw rows
 behind them stay inside ``groupoid.py``.
 
 Quivers stay at the boundary too: ``specio.py`` reads a quiver spec
 once, and the groupoid it generates is the only record of its arrows.
 
-Spectral kernels and the invariance check read the orbit blocks of
-`FiniteGroupoid.orbit_table`, one `OrbitStack` per block size, built in
-``groupoid.py`` alone: no module holds a record of one orbit or loops
-over orbits in Python, not even through a name bound to a stack's
-extent (a loop over parts of `CHECK_PART` aside), the dense |G| x |G|
-invariance matrix is built only for a decoherence functional of a
-characteristic state (which ``measure`` and ``interference`` read too),
-the GNS basis is stored by its rows' few entries, and the algebra
+Spectral kernels, the algebra product and the invariance check read the
+orbit blocks of `FiniteGroupoid.orbit_table`, one `OrbitStack` per block
+size, built in ``groupoid.py`` alone: no module holds a record of one
+orbit or loops over orbits in Python, not even through a name bound to
+a stack's extent (a loop over parts of `CHECK_PART` aside), the dense
+|G| x |G| invariance matrix is built only for a decoherence functional
+of a characteristic state (which ``measure`` and ``interference`` read
+too), the GNS basis is stored by its rows' few entries, and the algebra
 product is the one kernel that convolves.
 
 Every module loads on first use, one way: ``gqm`` registers its
@@ -66,7 +67,7 @@ from pathlib import Path
 import pytest
 
 import gqm
-from test_properties import BOUNDARY_ROWS, INTAKE_ROWS
+from test_properties import BOUNDARY_ROWS, FIXED_TOL, INTAKE_ROWS
 
 TABLES = {"source", "target", "unit_of", "inverse", "composition"}
 OWNERS = {"groupoid.py", "specio.py"}
@@ -278,16 +279,15 @@ def test_composition_index_readers():
 
 
 def test_composition_parts_readers():
-    """Only the laws over composable pairs, the left-multiplication
-    kernels, the orbit table and a generated kind's triples, joined on
-    first read (`_rows`), call `composition_parts`; invariance reads the
-    orbit stacks."""
+    """Only the laws over composable pairs, `matrix_of`, the orbit table of
+    a kind with given triples and a generated kind's triples, joined on
+    first read (`_rows`), call `composition_parts`; the product and
+    invariance read the orbit stacks."""
     assert functions_of(
         lambda node: isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "composition_parts") == {
         "groupoid.validate", "action.is_action", "action.is_factorizable",
-        "gns.RepMatrices.check", "algebra.convolve",
-        "gns.GnsRepresentation.matrix_of",
+        "gns.RepMatrices.check", "gns.GnsRepresentation.matrix_of",
         "groupoid.FiniteGroupoid._orbit_table",
         "groupoid.FiniteGroupoid._rows"}
 
@@ -493,9 +493,13 @@ def test_every_export_that_takes_numbers_is_an_intake_row():
 
 
 # the functions of the package that compare with the tolerance and have
-# no row in `BOUNDARY_ROWS` yet: a row takes a name out, and none comes in
-PENDING = set("""
-    action.extend_generator_action gns.FrameChange.__post_init__""".split())
+# no row in `BOUNDARY_ROWS` yet: none is left, and none comes in
+PENDING = set()
+
+# the functions that compare with the fixed `DEFAULT_TOL`, which no
+# tolerance argument reaches, so that their rows check the default only
+FIXED_TOLERANCE = {"action.extend_generator_action",
+                   "gns.FrameChange.__post_init__"}
 
 
 def compares_with_tolerance(node):
@@ -531,12 +535,18 @@ def functions_of(picks):
 def test_every_tolerance_comparison_has_a_boundary_row():
     """Each function of the package with a comparison that reads the
     tolerance is the function of a row of `BOUNDARY_ROWS` or is
-    `PENDING`, not both; `PENDING` only shrinks."""
+    `PENDING`, not both, and `PENDING` is empty; only the functions of
+    `FIXED_TOLERANCE` have rows checked at the default tolerance alone,
+    and all of their rows are."""
     found = functions_of(compares_with_tolerance)
     rows = {row[0] for row in BOUNDARY_ROWS.values()}
+    fixed = {row[0] for row in BOUNDARY_ROWS.values() if FIXED_TOL in row}
     assert rows <= found
     assert found - rows == PENDING
-    assert len(PENDING) <= 2
+    assert len(PENDING) == 0
+    assert fixed == FIXED_TOLERANCE
+    assert all(FIXED_TOL in row for row in BOUNDARY_ROWS.values()
+               if row[0] in FIXED_TOLERANCE)
 
 
 # the fields of `OrbitStack` that have one entry per orbit or per event

@@ -718,7 +718,7 @@ def test_psd_check_pair64_fits_in_memory(tmp_path):
 
 def test_psd_check_pair256_fits_in_memory(tmp_path, capsys):
     """pair256 has 2^24 composable pairs, a 384 MiB table of triples; it
-    keeps none, and its orbit stacks are placed from the parts, so a cold
+    keeps none, and its orbit stacks come from its index matrix, so a cold
     psd-check on an action state fits under 256 MiB and reports as it
     does uncapped."""
     argv = ["psd-check", *action_files(tmp_path, 256)]
@@ -835,7 +835,11 @@ def test_gns_chain_quiver_fits_in_memory(tmp_path):
 
 
 def test_output_independent_of_hash_seed(tmp_path):
-    """Reports are byte-identical across interpreter hash seeds."""
+    """Reports are byte-identical across interpreter hash seeds and BLAS
+    thread counts: the two runs differ in both, with
+    ``OPENBLAS_NUM_THREADS`` 1 and 2.  Among them are the product of two
+    full-random elements on pair(64), whose every slot sums 64 terms by
+    a matrix product, and its GNS report on an action state."""
     import os
     import subprocess
     import sys
@@ -856,15 +860,28 @@ def test_output_independent_of_hash_seed(tmp_path):
     indefinite = write(tmp_path / "indefinite.json", {
         "type": "characteristic",
         "values": {**units, "a->b": [0.5, 0.2], "b->a": [0.5, -0.2]}})
+    events = ["e%d" % k for k in range(64)]
+    pair64 = write(tmp_path / "pair64.json", {"kind": "pair",
+                                              "events": events})
+    g, rng = pair_groupoid(events), np.random.default_rng(0)
+    left, right = (write(tmp_path / name, {"coeffs": dict(zip(
+        g.transitions, rng.normal(size=(g.order, 2)).tolist()))})
+                   for name in ("left.json", "right.json"))
+    action = write(tmp_path / "action.json", {
+        "type": "action",
+        "potential": dict(zip(events, rng.normal(size=64).tolist()))})
     script = ("from gqm.cli import main\n"
               "for argv in %r:\n    assert main(argv) in (0, 2)\n" % ([
                   ["decoherence", quiver, psd],
                   ["psd-check", quiver, psd],
                   ["psd-check", quiver, indefinite],
-                  ["sweep", "thm52", "--n", "4", "--trials", "6"]],))
+                  ["sweep", "thm52", "--n", "4", "--trials", "6"],
+                  ["algebra-mult", pair64, left, right],
+                  ["gns", pair64, action]],))
     outputs = []
-    for seed in ("0", "1"):
+    for seed, threads in (("0", "1"), ("1", "2")):
         env = dict(os.environ, PYTHONHASHSEED=seed,
+                   OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.path.dirname(os.path.dirname(gqm.__file__)))
         outputs.append(subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
@@ -895,9 +912,11 @@ def test_reports_match_golden_bytes(capsys, name, argv, code):
     order; ``indefinite.json`` fails the PSD check with a witness.  The
     ``gns`` reports were recorded with one eigensolve per orbit, the
     basis stored by rows, and every <0|pi(t)|0> read from one algebra
-    product; the others are as the CLI printed them when each target
-    block had its own; the ``sweep`` report as it was when each trial's
-    action also went through the action-law check."""
+    product, summed by one matrix product per orbit (which moved the
+    ``gns-action`` reconstruction error from 2.2215299868541707e-16 to
+    2.779024842816778e-16); the others are as the CLI printed them when
+    each target block had its own; the ``sweep`` report as it was when
+    each trial's action also went through the action-law check."""
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     assert run(capsys, argv) == (code, (GOLDEN / (name + ".out")).read_text(
         encoding="utf-8"))

@@ -354,9 +354,9 @@ def test_law_checks_read_the_pairs_in_parts():
 
 
 def test_pair_orbit_stacks_take_quadratic_memory():
-    """A pair groupoid keeps no composition triples and its orbit table is
-    placed from the parts: building pair(n), its orbit table and the PSD
-    check of a state on it peak, traced, at most 4.5x higher on pair(128)
+    """A pair groupoid keeps no composition triples and builds its orbit
+    table from its index matrix: building pair(n), its orbit table and the
+    PSD check of a state on it peak, traced, at most 4.5x higher on pair(128)
     than on pair(64), where |G| grows 4x and the composable pairs 8x; and
     pair(256) with its orbit table, 2^24 composable pairs (a 384 MiB
     triple table), stays under 64 MiB."""

@@ -31,6 +31,7 @@ from gqm.algebra import (
     isotropy_char,
     multiply,
     operator_norm,
+    regular_rep,
     spray_char,
 )
 from gqm.decoherence import (
@@ -109,6 +110,7 @@ from oracles import (
     orbit_table_slots,
     orbits_loop,
     pair_tables_loop,
+    product_rounding_loop,
     psd_full,
     psd_orbits_loop,
     quiver_decoherence_loop,
@@ -610,12 +612,17 @@ def test_composition_parts_cover_the_pairs(drawn, part, seed):
 @given(system, st.integers(0, 2**32 - 1))
 def test_kernels_match_loops(g, seed):
     rng = np.random.default_rng(seed)
+    """The kernels give the loops' numbers bit for bit, but the product,
+    which sums each slot by matrix products, in another order than the
+    loop: it is held to the rounding bound of its sums."""
     a = AlgebraElement(g, random_values(g, rng))
     b = AlgebraElement(g, random_values(g, rng))
-    assert np.array_equal(multiply(a, b).coeffs, multiply_loop(a, b))
     # magnitudes far apart, so a different summation order would show
     c = AlgebraElement(g, random_values(g, rng)
                        * 10.0 ** rng.uniform(-8, 8, g.order))
+    for x, y in ((a, b), (c, a)):
+        assert np.all(np.abs(multiply(x, y).coeffs - multiply_loop(x, y))
+                      <= product_rounding_loop(x, y))
     for x in (a, c):
         assert np.array_equal(involution(x).coeffs, involution_loop(x))
         assert np.array_equal(fundamental_rep(x), fundamental_rep_loop(x))
@@ -785,6 +792,43 @@ def test_orbit_table_matches_loop_on_systems():
 @given(composite_groupoids())
 def test_orbit_table_matches_loop(g):
     assert_orbit_table_matches_loop(g)
+
+
+def test_generated_kinds_form_no_pair():
+    """A generated groupoid's orbit table comes with it, and the product
+    reads the stacks: with `composition_parts` made to raise, pair(64) and
+    a quiver with components of 5, 2 and 3 events (in the order of their
+    first events) build their orbit tables and multiply, and the quiver
+    also gives its regular representation and a random state; pair(64)'s
+    would hold a |G| x |G| array, 256 MiB.  Read after, their stacks are
+    those of the slot table, and the quiver's products are within the
+    rounding bound of the loop's."""
+    rng = np.random.default_rng(0)
+    events = ["c0", "a0", "c1", "b0", "c2", "a1", "b1", "c3", "b2", "c4"]
+    quiver = from_quiver(QuiverSpec(events, [
+        ("p%s" % y, x, y) for x, y in zip(sorted(events), sorted(events)[1:])
+        if x[0] == y[0]]))
+    pair64 = pair_groupoid(["e%d" % k for k in range(64)])
+    elements = {}
+    with mock.patch.object(FiniteGroupoid, "composition_parts",
+                           side_effect=AssertionError("a pair was formed")):
+        for g in (pair64, quiver):
+            assert g.orbit_table()
+            a, b = (AlgebraElement(g, random_values(g, rng)) for _ in "ab")
+            elements[g] = a, b, multiply(a, b)
+        rep = regular_rep(elements[quiver][0])
+        state = random_state(quiver, rng)
+    assert np.array_equal(rep, regular_rep_loop(elements[quiver][0]))
+    assert is_positive_semidefinite(state).ok
+    assert [s.gather.shape[1] for s in quiver.orbit_table()] == [2, 3, 5]
+    assert_orbit_table_matches_loop(quiver)
+    for stack, slots in zip(pair64.orbit_table(), orbit_table_slots(pair64),
+                            strict=True):
+        for got, ref in zip(stack_fields(stack), slots):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    a, b, product = elements[quiver]
+    assert np.all(np.abs(product.coeffs - multiply_loop(a, b))
+                  <= product_rounding_loop(a, b))
 
 
 @pytest.mark.parametrize("build, sizes", [

@@ -31,6 +31,7 @@ from gqm.action import (
     action_from_potential,
     coboundaries,
     dynamical_state,
+    extend_generator_action,
     is_action,
     is_factorizable,
     is_reproducing_sweep_trial,
@@ -368,6 +369,28 @@ def character(density, **tol):
     return []
 
 
+def frame(unitary):
+    """The error of the frame change by ``unitary``, or none."""
+    try:
+        FrameChange(unitary)
+    except GqmError as exc:
+        return [str(exc)]
+    return []
+
+
+def cycle_of(delta):
+    """The generator action on two parallel arrows a -> b, 0 on one and
+    ``delta`` on the other: its cycle sums to delta."""
+    return GeneratorAction({"f": 0.0, "h": delta})
+
+
+def extended(ga):
+    """The error of extending ``ga`` over the quiver of `cycle_of`, or
+    none."""
+    return raised(extend_generator_action, from_quiver(QuiverSpec(
+        ["a", "b"], [("f", "a", "b"), ("h", "a", "b")])), ga)
+
+
 def global_scale(raw, **tol):
     """The error of the global normalization of ``raw`` on pair(a), or
     none."""
@@ -379,9 +402,13 @@ def global_scale(raw, **tol):
 # tolerance of zero: reported at tol / 10, passing at 10 tol
 ZERO_TEST = "zero test"
 
+# marks the row of a comparison with the fixed `DEFAULT_TOL`, which no
+# tolerance argument reaches: it is checked at the default only
+FIXED_TOL = "fixed tolerance"
+
 # row -> (the function whose comparison it pins, the input at deviation
 # delta, the violations a check of it reports, how the row's own law
-# begins its message and, for a zero test, `ZERO_TEST`)
+# begins its message and, where they apply, `ZERO_TEST` and `FIXED_TOL`)
 BOUNDARY_ROWS = {
     "action unit": (
         "action.is_action", lambda delta: moved_action(delta, "1_a"),
@@ -466,19 +493,31 @@ BOUNDARY_ROWS = {
     "global normalization": (
         "decoherence.normalization_scale", lambda delta: np.diag([delta, 0]),
         global_scale, "global normalization impossible", ZERO_TEST),
+    "frame unitarity": (
+        "gns.FrameChange.__post_init__",
+        lambda delta: np.eye(2) + np.diag([delta], 1), frame,
+        "frame matrix is not unitary", FIXED_TOL),
+    "frame entry modulus": (
+        "gns.FrameChange.__post_init__", lambda delta: np.diag([1 + delta, 1]),
+        frame, "frame matrix is not unitary", FIXED_TOL),
+    "generator action cycle": (
+        "action.extend_generator_action", cycle_of, extended,
+        "generator action is inconsistent", FIXED_TOL),
 }
 
 
-@pytest.mark.parametrize("tol", [None, 1e-6])
-@pytest.mark.parametrize("row", sorted(BOUNDARY_ROWS))
+@pytest.mark.parametrize("row, tol", [
+    pytest.param(row, tol, id="%s-%s" % (row, tol))
+    for row in sorted(BOUNDARY_ROWS) for tol in (None, 1e-6)
+    if tol is None or FIXED_TOL not in BOUNDARY_ROWS[row]])
 def test_each_law_check_flips_at_its_tolerance(row, tol):
     """A deviation of 10 tol is reported by the row's own law, and one of
-    tol / 10 passes every law, at the default tolerance and at 1e-6; for a
-    zero test the other way round."""
-    _, make, check, law, *zero = BOUNDARY_ROWS[row]
+    tol / 10 passes every law, at the default tolerance and, unless the
+    tolerance is fixed, at 1e-6; for a zero test the other way round."""
+    _, make, check, law, *marks = BOUNDARY_ROWS[row]
     given_tol = {} if tol is None else {"tol": tol}
     tol = tol or DEFAULT_TOL
-    fault, fine = (tol / 10, 10 * tol) if zero == [ZERO_TEST] else (
+    fault, fine = (tol / 10, 10 * tol) if ZERO_TEST in marks else (
         10 * tol, tol / 10)
     assert any(m.startswith(law) for m in check(make(fault), **given_tol))
     assert check(make(fine), **given_tol) == []
